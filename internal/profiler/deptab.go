@@ -13,8 +13,8 @@ import (
 // multi-word Dep struct (reflection-driven hashing and equality on every
 // insert). Here a dependence's identity is packed into 128 bits — sink and
 // source location, type, variable, threads, carrying loop, reversal flag —
-// and accumulated in an open-addressing table modeled on sig.Perfect, so
-// the per-dependence cost is one integer hash and a linear probe. Result
+// and accumulated in an open-addressing table (linear probing, insert-only),
+// so the per-dependence cost is one integer hash and a linear probe. Result
 // materializes the packed tables back into the public map[Dep]int64, so
 // discovery, ranking, and the dep-file writer are unchanged.
 
@@ -103,8 +103,8 @@ func unpackDep(hi, lo uint64) Dep {
 	return d
 }
 
-// depHash mixes the two key words (same multiplicative mixer family as
-// sig.phash).
+// depHash mixes the two key words (the multiplicative mixer sig.Signature
+// hashes addresses with, over two words).
 func depHash(hi, lo uint64) uint64 {
 	h := (hi ^ lo*0x9E3779B97F4A7C15) * 0xBF58476D1CE4E5B9
 	return h ^ h>>29

@@ -8,17 +8,17 @@ import (
 
 // engine executes the signature-based dependence-detection algorithm
 // (Algorithm 2) over a stream of access records. One engine exists per
-// worker thread (or one in total for serial profiling); each owns a read
-// signature, a write signature, and a thread-local dependence table, exactly
-// as in Figure 2.2.
+// worker thread (or one in total for serial profiling); each owns a store
+// holding the read and write status of every address it sees (the read and
+// write signatures of Figure 2.2, fused into one sig.Cell per address) and a
+// thread-local dependence table.
 //
-// The engine is generic over the concrete store type: the per-access
-// Get/Put/Remove calls of the hot loop compile to direct (inlinable) calls
-// into sig.Perfect or sig.Signature instead of dynamic dispatch through the
-// sig.Store interface — three interface calls per load and four per store
-// in the seed implementation. The stores are embedded by value so each
-// store kind gets its own instantiation (distinct gcshapes) and the engine,
-// its stores, and its skip state share one allocation.
+// The engine is generic over the concrete store type: the per-access Cell
+// resolution of the hot loop compiles to a direct call into sig.Perfect or
+// sig.Signature instead of dynamic dispatch through an interface. The store
+// is embedded by value so each store kind gets its own instantiation
+// (distinct gcshapes) and the engine, its store, and its skip state share
+// one allocation.
 
 // Access-record kinds.
 const (
@@ -43,8 +43,8 @@ type rec struct {
 // migration carries per-address signature state between workers when the
 // load balancer reassigns a hot address (Section 2.3.3).
 type migration struct {
-	read, write sig.Entry
-	done        chan struct{}
+	cell sig.Cell
+	done chan struct{}
 }
 
 // packInfo packs an access's sink identity: file(10) | line(22) | var(16) |
@@ -116,10 +116,10 @@ func (l opLayout) size(nRegionOps int32) int { return int(l.nPosOps) + int(nRegi
 // them directly.
 type storeOps[S any] interface {
 	*S
-	Get(addr uint64) sig.Entry
-	Put(addr uint64, e sig.Entry)
-	GetSet(addr uint64, e sig.Entry) sig.Entry
-	Remove(addr uint64)
+	// Cell resolves the read/write status pair of addr.
+	Cell(addr uint64) *sig.Cell
+	// Remove clears the status of the n addresses starting at addr.
+	Remove(addr uint64, n int)
 	MemBytes() int64
 }
 
@@ -133,11 +133,10 @@ type engineDump struct {
 }
 
 type engine[S any, PS storeOps[S]] struct {
-	readS  S
-	writeS S
-	deps   depTable
-	tab    *ctxTable
-	mt     bool
+	st   S
+	deps depTable
+	tab  *ctxTable
+	mt   bool
 
 	// cc memoizes carriedBy results per (sink ctx, source ctx) pair in a
 	// small direct-mapped cache: consecutive accesses of a loop repeat the
@@ -172,28 +171,28 @@ func (e *engine[S, PS]) carried(a, b int32) (int32, bool) {
 	return m.reg, m.carried
 }
 
-func newEngine[S any, PS storeOps[S]](readS, writeS S, tab *ctxTable, mt bool, skipOps, skipRegions int32) *engine[S, PS] {
+// newEngine builds one of p's engines over the store st. With Options.Skip
+// the engine holds one skip state per static memory operation, laid out
+// like p's line counters.
+func newEngine[S any, PS storeOps[S]](p *Profiler, st S) *engine[S, PS] {
 	e := &engine[S, PS]{
-		readS:  readS,
-		writeS: writeS,
-		deps:   newDepTable(),
-		tab:    tab,
-		mt:     mt,
+		st:   st,
+		deps: newDepTable(),
+		tab:  p.tab,
+		mt:   p.opt.MT,
 	}
-	if skipOps > 0 || skipRegions > 0 {
-		e.lay = newOpLayout(skipOps)
-		e.ops = make([]opSkip, e.lay.size(skipRegions))
+	if p.opt.Skip {
+		e.lay = p.lay
+		e.ops = make([]opSkip, len(p.lineCounts))
 	}
 	return e
 }
 
-func (e *engine[S, PS]) rd() PS { return PS(&e.readS) }
-func (e *engine[S, PS]) wr() PS { return PS(&e.writeS) }
+func (e *engine[S, PS]) shadow() PS { return PS(&e.st) }
 
 // dump exposes the engine's merge-time products.
 func (e *engine[S, PS]) dump() engineDump {
-	return engineDump{deps: &e.deps, stats: &e.stats,
-		bytes: e.rd().MemBytes() + e.wr().MemBytes()}
+	return engineDump{deps: &e.deps, stats: &e.stats, bytes: e.shadow().MemBytes()}
 }
 
 // depsMap materializes the packed dependence table (tests and single-engine
@@ -206,82 +205,25 @@ func (e *engine[S, PS]) entry(r *rec) sig.Entry {
 	return sig.Entry{Info: r.info, Ctx: r.ctx, Op: r.op, TS: r.ts}
 }
 
-// addDep builds and merges one dependence with sink taken from r and
-// source from the signature entry src. The dependence's variable is the
-// one accessed at the sink: the sink access knows its variable exactly,
-// whereas the source's identity comes from the (possibly aliased)
-// signature slot — attributing the variable from the sink is what keeps
-// signature false positives bounded by line-pair combinations rather than
-// by colliding address pairs (compare Figure 2.1: "1:65 NOM {WAR
-// 1:67|temp2}" names temp2, the variable written at the 1:65 sink).
+// addDep builds and merges one dependence whose sink is the current access
+// (info, ctx, ts) and whose source is the status entry src. The
+// dependence's variable is the one accessed at the sink: the sink access
+// knows its variable exactly, whereas the source's identity comes from the
+// (possibly aliased) signature slot — attributing the variable from the
+// sink is what keeps signature false positives bounded by line-pair
+// combinations rather than by colliding address pairs (compare Figure 2.1:
+// "1:65 NOM {WAR 1:67|temp2}" names temp2, the variable written at the 1:65
+// sink).
 //
 // The dependence identity is assembled directly from the packed access
 // info words — the sink/source location halves are single shifts of
-// r.info/src.Info — and merged into the packed accumulator; no Dep struct
-// or map insert exists on this path.
-func (e *engine[S, PS]) addDep(t DepType, r *rec, src sig.Entry) {
-	hi := r.info &^ 0xFFFFFFFF // sink file|line in the upper half
+// info/src.Info — and merged into the packed accumulator; no Dep struct or
+// map insert exists on this path.
+func (e *engine[S, PS]) addDep(t DepType, info uint64, ctx int32, ts uint64, src sig.Entry) {
+	hi := info &^ 0xFFFFFFFF // sink file|line in the upper half
 	lo := uint64(t) << depTypeShift
 	if t != INIT {
 		hi |= src.Info >> 32 // source file|line in the lower half
-		lo |= (r.info >> 16 & 0xFFFF) << depVarShift
-		if e.mt {
-			lo |= depHasThrBit |
-				(r.info>>8&0xFF)<<depSinkThrShift |
-				(src.Info>>8&0xFF)<<depSrcThrShift
-		}
-		if carriedRegion, carried := e.carried(r.ctx, src.Ctx); carried {
-			lo |= depCarriedBit | uint64(uint32(carriedRegion+1))&depCarryMask
-		}
-		if r.ts < src.TS {
-			// The sink was observed before its source: the accesses were
-			// not mutually exclusive — a potential data race (§2.3.4).
-			lo |= depReversedBit
-		}
-	}
-	e.deps.add(hi, lo, 1)
-}
-
-// loadAcc is the scalar no-skip fast path of load: the access identity
-// arrives in registers instead of through a rec, so the batched serial
-// consumer pays no record round trip. Callers must ensure e.ops == nil
-// (skip disabled); with skip state the rec-based load is required.
-func (e *engine[S, PS]) loadAcc(addr, info, ts uint64, op, ctx int32) {
-	e.stats.Reads++
-	we := e.wr().Get(addr)
-	if !we.Empty() {
-		e.stats.DepReads++
-		e.addDepAcc(RAW, info, ctx, ts, we)
-	}
-	e.rd().Put(addr, sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts})
-}
-
-// storeAcc is the scalar no-skip fast path of store (see loadAcc).
-func (e *engine[S, PS]) storeAcc(addr, info, ts uint64, op, ctx int32) {
-	e.stats.Writes++
-	re := e.rd().Get(addr)
-	we := e.wr().GetSet(addr, sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts})
-	if we.Empty() {
-		e.addDepAcc(INIT, info, ctx, ts, we)
-		return
-	}
-	wouldWAR := !re.Empty()
-	wouldWAW := re.Empty() || re.TS < we.TS
-	e.stats.DepWrites++
-	if wouldWAR {
-		e.addDepAcc(WAR, info, ctx, ts, re)
-	}
-	if wouldWAW {
-		e.addDepAcc(WAW, info, ctx, ts, we)
-	}
-}
-
-// addDepAcc is addDep with the sink identity in scalars (see loadAcc).
-func (e *engine[S, PS]) addDepAcc(t DepType, info uint64, ctx int32, ts uint64, src sig.Entry) {
-	hi := info &^ 0xFFFFFFFF
-	lo := uint64(t) << depTypeShift
-	if t != INIT {
-		hi |= src.Info >> 32
 		lo |= (info >> 16 & 0xFFFF) << depVarShift
 		if e.mt {
 			lo |= depHasThrBit |
@@ -292,16 +234,53 @@ func (e *engine[S, PS]) addDepAcc(t DepType, info uint64, ctx int32, ts uint64, 
 			lo |= depCarriedBit | uint64(uint32(carriedRegion+1))&depCarryMask
 		}
 		if ts < src.TS {
+			// The sink was observed before its source: the accesses were
+			// not mutually exclusive — a potential data race (§2.3.4).
 			lo |= depReversedBit
 		}
 	}
 	e.deps.add(hi, lo, 1)
 }
 
+// loadAcc is the read half of Algorithm 2 without skip state. The access
+// identity arrives in registers instead of through a rec, so the batched
+// serial consumer pays no record round trip. Callers must ensure
+// e.ops == nil (skip disabled).
+func (e *engine[S, PS]) loadAcc(addr, info, ts uint64, op, ctx int32) {
+	e.stats.Reads++
+	c := e.shadow().Cell(addr)
+	if !c.W.Empty() {
+		e.stats.DepReads++
+		e.addDep(RAW, info, ctx, ts, c.W)
+	}
+	c.R = sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
+}
+
+// storeAcc is the write half of Algorithm 2 without skip state (see
+// loadAcc). Following the evaluation setup (Section 2.5.2), a WAW
+// dependence is built only for consecutive writes to the same address,
+// i.e. when no read intervened.
+func (e *engine[S, PS]) storeAcc(addr, info, ts uint64, op, ctx int32) {
+	e.stats.Writes++
+	c := e.shadow().Cell(addr)
+	re, we := c.R, c.W
+	c.W = sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
+	if we.Empty() {
+		e.addDep(INIT, info, ctx, ts, we)
+		return
+	}
+	e.stats.DepWrites++
+	if !re.Empty() {
+		e.addDep(WAR, info, ctx, ts, re)
+	}
+	if re.Empty() || re.TS < we.TS {
+		e.addDep(WAW, info, ctx, ts, we)
+	}
+}
+
 // processBatch consumes one flushed chunk of access records in a tight
 // loop: one call into the engine per chunk instead of one per access, with
-// the signature pair and the dependence accumulator staying hot across
-// iterations.
+// the store and the dependence accumulator staying hot across iterations.
 func (e *engine[S, PS]) processBatch(rs []rec) {
 	for i := range rs {
 		e.process(&rs[i])
@@ -315,20 +294,21 @@ func (e *engine[S, PS]) process(r *rec) {
 	case recStore:
 		e.store(r)
 	case recRemove:
-		e.rd().Remove(r.addr)
-		e.wr().Remove(r.addr)
+		e.shadow().Remove(r.addr, 1)
 	case recMigOut:
-		r.mig.read = e.rd().Get(r.addr)
-		r.mig.write = e.wr().Get(r.addr)
-		e.rd().Remove(r.addr)
-		e.wr().Remove(r.addr)
+		c := e.shadow().Cell(r.addr)
+		r.mig.cell = *c
+		*c = sig.Cell{}
 		close(r.mig.done)
 	case recMigIn:
-		if !r.mig.read.Empty() {
-			e.rd().Put(r.addr, r.mig.read)
+		// Half by half: under a signature the new owner's slot may hold a
+		// colliding address's status, which an empty half must not erase.
+		c := e.shadow().Cell(r.addr)
+		if !r.mig.cell.R.Empty() {
+			c.R = r.mig.cell.R
 		}
-		if !r.mig.write.Empty() {
-			e.wr().Put(r.addr, r.mig.write)
+		if !r.mig.cell.W.Empty() {
+			c.W = r.mig.cell.W
 		}
 	}
 }
@@ -338,23 +318,17 @@ func (e *engine[S, PS]) process(r *rec) {
 // the shadow statusRead/statusWrite equal the operation's remembered
 // lastStatusRead/lastStatusWrite.
 func (e *engine[S, PS]) load(r *rec) {
+	if e.ops == nil {
+		e.loadAcc(r.addr, r.info, r.ts, r.op, r.ctx)
+		return
+	}
 	e.stats.Reads++
-	we := e.wr().Get(r.addr)
+	c := e.shadow().Cell(r.addr)
+	re, we := c.R, c.W
 	wouldRAW := !we.Empty()
 	if wouldRAW {
 		e.stats.DepReads++
 	}
-	if e.ops == nil {
-		// No skip state: the read-status entry is consulted only by the
-		// skip conditions, so the rd-side Get is dead and the round trip
-		// collapses to the Put.
-		if wouldRAW {
-			e.addDep(RAW, r, we)
-		}
-		e.rd().Put(r.addr, e.entry(r))
-		return
-	}
-	re := e.rd().Get(r.addr)
 	st := &e.ops[e.opIdx(r.op)]
 	wc := e.carryRegion(r.ctx, we.Ctx, !we.Empty())
 	if st.lastAddr == r.addr && st.lastR == re.Op && st.lastW == we.Op &&
@@ -371,7 +345,7 @@ func (e *engine[S, PS]) load(r *rec) {
 			e.stats.ShadowSkips++
 			return
 		}
-		e.rd().Put(r.addr, e.entry(r))
+		c.R = e.entry(r)
 		return
 	}
 	st.lastAddr = r.addr
@@ -379,9 +353,9 @@ func (e *engine[S, PS]) load(r *rec) {
 	st.lastW = we.Op
 	st.lastWCarry = wc
 	if wouldRAW {
-		e.addDep(RAW, r, we)
+		e.addDep(RAW, r.info, r.ctx, r.ts, we)
 	}
-	e.rd().Put(r.addr, e.entry(r))
+	c.R = e.entry(r)
 }
 
 // carryRegion returns the carrying-loop region of a would-be dependence
@@ -398,34 +372,16 @@ func (e *engine[S, PS]) carryRegion(cur, src int32, present bool) int32 {
 	return reg
 }
 
-// store implements the write half of Algorithm 2. Following the evaluation
-// setup (Section 2.5.2), a WAW dependence is built only for consecutive
-// writes to the same address, i.e. when no read intervened.
+// store implements the write half of Algorithm 2 (see storeAcc) plus the
+// skip conditions of Section 2.4.
 func (e *engine[S, PS]) store(r *rec) {
-	e.stats.Writes++
-	re := e.rd().Get(r.addr)
 	if e.ops == nil {
-		// No skip state: the old write status is read and immediately
-		// overwritten, so Get+Put fuse into one probe sequence.
-		we := e.wr().GetSet(r.addr, e.entry(r))
-		wouldWAR := !we.Empty() && !re.Empty()
-		wouldWAW := !we.Empty() && (re.Empty() || re.TS < we.TS)
-		if wouldWAR || wouldWAW {
-			e.stats.DepWrites++
-		}
-		if we.Empty() {
-			e.addDep(INIT, r, we)
-		} else {
-			if wouldWAR {
-				e.addDep(WAR, r, re)
-			}
-			if wouldWAW {
-				e.addDep(WAW, r, we)
-			}
-		}
+		e.storeAcc(r.addr, r.info, r.ts, r.op, r.ctx)
 		return
 	}
-	we := e.wr().Get(r.addr)
+	e.stats.Writes++
+	c := e.shadow().Cell(r.addr)
+	re, we := c.R, c.W
 	wouldWAR := !we.Empty() && !re.Empty()
 	wouldWAW := !we.Empty() && (re.Empty() || re.TS < we.TS)
 	if wouldWAR || wouldWAW {
@@ -451,7 +407,7 @@ func (e *engine[S, PS]) store(r *rec) {
 			e.stats.ShadowSkips++
 			return
 		}
-		e.wr().Put(r.addr, e.entry(r))
+		c.W = e.entry(r)
 		return
 	}
 	st.lastAddr = r.addr
@@ -461,14 +417,14 @@ func (e *engine[S, PS]) store(r *rec) {
 	st.lastWCarry = wc
 	st.lastOrder = order
 	if we.Empty() {
-		e.addDep(INIT, r, we)
+		e.addDep(INIT, r.info, r.ctx, r.ts, we)
 	} else {
 		if wouldWAR {
-			e.addDep(WAR, r, re)
+			e.addDep(WAR, r.info, r.ctx, r.ts, re)
 		}
 		if wouldWAW {
-			e.addDep(WAW, r, we)
+			e.addDep(WAW, r.info, r.ctx, r.ts, we)
 		}
 	}
-	e.wr().Put(r.addr, e.entry(r))
+	c.W = e.entry(r)
 }

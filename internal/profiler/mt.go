@@ -45,16 +45,15 @@ type mtPipe[S any, PS storeOps[S]] struct {
 	relayWG sync.WaitGroup
 }
 
-func newMTPipe[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) (S, S), nOps, nRegions int32) *mtPipe[S, PS] {
+func newMTPipe[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *mtPipe[S, PS] {
 	w := p.opt.Workers
 	if w == 0 {
 		w = 4
 	}
 	mp := &mtPipe[S, PS]{p: p}
 	for i := 0; i < w; i++ {
-		rd, wr := mk(w)
 		mw := &mtWorker[S, PS]{q: queue.NewMPSC[rec](),
-			eng: newEngine[S, PS](rd, wr, p.tab, p.opt.MT, p.skipOps(nOps), p.skipRegions(nRegions))}
+			eng: newEngine[S, PS](p, mk(w))}
 		mp.workers = append(mp.workers, mw)
 		mp.wg.Add(1)
 		go mp.runWorker(mw)

@@ -14,7 +14,7 @@ import (
 // memory accesses into per-worker chunks — a memory address is owned by
 // exactly one worker so the temporal order per address is preserved — and
 // pushes full chunks into lock-free SPSC queues. Workers run Algorithm 2 on
-// their own signature pair and store dependences in thread-local packed
+// their own store and record dependences in thread-local packed
 // tables that are merged at the end.
 //
 // The pipe is generic over the store type for the same reason the engine
@@ -77,7 +77,7 @@ type parallelPipe[S any, PS storeOps[S]] struct {
 // 1 in 2^6 = 64 accesses is counted.
 const sampleShift = 6
 
-func newParallelPipe[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) (S, S), nOps, nRegions int32) *parallelPipe[S, PS] {
+func newParallelPipe[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *parallelPipe[S, PS] {
 	w := p.opt.Workers
 	pp := &parallelPipe[S, PS]{
 		p:      p,
@@ -86,11 +86,10 @@ func newParallelPipe[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) (S
 		redist: make(map[uint64]int),
 	}
 	for i := 0; i < w; i++ {
-		rd, wr := mk(w)
 		pw := &pworker[S, PS]{
 			id:      i,
 			recycle: queue.NewSPSC[*chunk](64),
-			eng:     newEngine[S, PS](rd, wr, p.tab, p.opt.MT, p.skipOps(nOps), p.skipRegions(nRegions)),
+			eng:     newEngine[S, PS](p, mk(w)),
 		}
 		if p.opt.UseLocked {
 			pw.lq = &queue.LockedQueue[*chunk]{}

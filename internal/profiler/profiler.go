@@ -11,7 +11,7 @@ import (
 type StoreKind uint8
 
 const (
-	// StorePerfect uses the exact per-address table ("perfect signature"):
+	// StorePerfect uses directly indexed shadow memory ("perfect signature"):
 	// no false positives or negatives, higher memory cost (Section 2.3.7).
 	StorePerfect StoreKind = iota
 	// StoreSignature uses fixed-size approximate signatures (Section 2.3.2).
@@ -22,8 +22,9 @@ const (
 type Options struct {
 	Store StoreKind
 	// Slots is the total number of signature slots, split evenly across
-	// workers and across the read/write signature pair (Section 2.5.2
-	// splits 1.0E+8 total slots over 16 threads the same way).
+	// workers and across the read/write halves of each worker's cells
+	// (Section 2.5.2 splits 1.0E+8 total slots over 16 threads the same
+	// way).
 	Slots int
 	// Skip enables the loop-skipping optimization of Section 2.4.
 	Skip bool
@@ -140,6 +141,19 @@ type barrierPipe interface {
 // New creates a profiler for module m. The module's static memory
 // operations are numbered as a side effect.
 func New(m *ir.Module, opt Options) *Profiler {
+	p := newProfiler(m, opt)
+	// One instantiation per store kind: every engine below this switch
+	// calls its store directly.
+	if opt.Store == StoreSignature {
+		p.engS = attach[sig.Signature](p, p.signature)
+	} else {
+		p.engP = attach[sig.Perfect](p, perfect)
+	}
+	return p
+}
+
+// newProfiler builds a profiler that has no engine yet (see attach).
+func newProfiler(m *ir.Module, opt Options) *Profiler {
 	opt.defaults()
 	p := &Profiler{mod: m, opt: opt, tab: &ctxTable{},
 		regions: map[int]*RegionExec{}, funcs: map[*ir.Func]int64{}}
@@ -152,67 +166,38 @@ func New(m *ir.Module, opt Options) *Profiler {
 	p.lay = newOpLayout(nOps)
 	p.lineCounts = make([]int64, p.lay.size(nRegions))
 	p.opLocs = make([]ir.Loc, len(p.lineCounts))
-	// One instantiation per store kind: every engine below this switch
-	// calls its stores directly.
-	if opt.Store == StoreSignature {
-		switch {
-		case opt.MT:
-			p.mtp = newMTPipe[sig.Signature](p, p.sigPair, nOps, nRegions)
-		case opt.Workers > 0:
-			p.par = newParallelPipe[sig.Signature](p, p.sigPair, nOps, nRegions)
-		default:
-			rd, wr := p.sigPair(1)
-			p.engS = newEngine[sig.Signature](rd, wr, p.tab, opt.MT, p.skipOps(nOps), p.skipRegions(nRegions))
-		}
-	} else {
-		switch {
-		case opt.MT:
-			p.mtp = newMTPipe[sig.Perfect](p, perfectPair, nOps, nRegions)
-		case opt.Workers > 0:
-			p.par = newParallelPipe[sig.Perfect](p, perfectPair, nOps, nRegions)
-		default:
-			p.engP = newEngine[sig.Perfect](sig.MakePerfect(), sig.MakePerfect(), p.tab, opt.MT, p.skipOps(nOps), p.skipRegions(nRegions))
-		}
-	}
 	return p
 }
 
-// sigPair builds one worker's signature pair, sized as an equal share of
-// the configured total slots across nshares workers.
-func (p *Profiler) sigPair(nshares int) (sig.Signature, sig.Signature) {
-	per := p.opt.Slots / (2 * nshares)
-	if per < 16 {
-		per = 16
+// attach gives p its engines over store type S, one store from mk per
+// engine: the worker pipeline the options select, or else the serial engine
+// it returns for the caller to hold by its concrete type.
+func attach[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *engine[S, PS] {
+	switch {
+	case p.opt.MT:
+		p.mtp = newMTPipe[S, PS](p, mk)
+	case p.opt.Workers > 0:
+		p.par = newParallelPipe[S, PS](p, mk)
+	default:
+		return newEngine[S, PS](p, mk(1))
 	}
-	return sig.MakeSignature(per), sig.MakeSignature(per)
+	return nil
 }
 
-// perfectPair builds one worker's exact-store pair (nshares is irrelevant:
-// perfect signatures grow on demand).
-func perfectPair(int) (sig.Perfect, sig.Perfect) {
-	return sig.MakePerfect(), sig.MakePerfect()
+// signature builds one worker's signature, sized as an equal share of the
+// configured total slots across nshares workers (a cell is two slots).
+func (p *Profiler) signature(nshares int) sig.Signature {
+	return sig.MakeSignature(max(p.opt.Slots/(2*nshares), 16))
 }
 
-// skipOps/skipRegions gate the skip optimization's per-op state sizing on
-// Options.Skip.
-func (p *Profiler) skipOps(nOps int32) int32 {
-	if !p.opt.Skip {
-		return 0
-	}
-	return nOps
-}
-
-func (p *Profiler) skipRegions(nRegions int32) int32 {
-	if !p.opt.Skip {
-		return 0
-	}
-	return nRegions
-}
+// perfect builds one worker's shadow memory (nshares is irrelevant: pages
+// materialise on demand).
+func perfect(int) sig.Perfect { return sig.MakePerfect() }
 
 // route dispatches one access record to the active pipeline. The serial
 // cases name the concrete engine type, so the whole per-access path —
-// process, load/store, the signature Get/Put pairs, and the dependence
-// accumulator — is one direct call chain.
+// process, load/store, the cell resolution, and the dependence accumulator
+// — is one direct call chain.
 func (p *Profiler) route(r rec) {
 	p.accesses++
 	switch {
@@ -413,10 +398,7 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 			// The per-event path routes each removed element through route(),
 			// which counts it in accesses; keep that observable tally.
 			p.accesses += int64(ev.B)
-			for j := int32(0); j < ev.B; j++ {
-				e.rd().Remove(ev.Addr + uint64(j))
-				e.wr().Remove(ev.Addr + uint64(j))
-			}
+			e.shadow().Remove(ev.Addr, int(ev.B))
 		default:
 			p.controlEv(m, ev)
 		}
@@ -575,20 +557,22 @@ func (s *SkipStats) add(o *SkipStats) {
 }
 
 // Profile is a convenience helper: it profiles module m with the given
-// options and returns the result. The simulated address space is drawn
+// options and returns the result.
+func Profile(m *ir.Module, opt Options) *Result { return New(m, opt).run() }
+
+// run executes p's module under p. The simulated address space is drawn
 // from (and recycled through) the shared arena pool, so repeated profiling
 // runs do not pay an arena allocation each.
-func Profile(m *ir.Module, opt Options) *Result {
-	p := New(m, opt)
+func (p *Profiler) run() *Result {
 	iopts := []interp.Option{interp.WithPool(mem.Default)}
-	if opt.TreeWalk {
+	if p.opt.TreeWalk {
 		iopts = append(iopts, interp.WithTreeWalk())
 	}
 	var tr interp.Tracer = p
-	if opt.PerAccess {
+	if p.opt.PerAccess {
 		tr = interp.PerEvent(p)
 	}
-	in := interp.New(m, tr, iopts...)
+	in := interp.New(p.mod, tr, iopts...)
 	defer in.Release()
 	in.Run()
 	return p.Result()

@@ -84,8 +84,7 @@ func TestHeapFreeRemovesState(t *testing.T) {
 // precedes the already-recorded store's, proving the two accesses were
 // not mutually exclusive — and expects the dependence flagged Reversed.
 func TestRaceFlagging(t *testing.T) {
-	tab := &ctxTable{}
-	e := newEngine[sig.Perfect](sig.MakePerfect(), sig.MakePerfect(), tab, true, 0, 0)
+	e := newEngine[sig.Perfect](&Profiler{tab: &ctxTable{}, opt: Options{MT: true}}, sig.MakePerfect())
 	loc1 := ir.Loc{File: 1, Line: 5}
 	loc2 := ir.Loc{File: 1, Line: 9}
 	e.process(&rec{addr: 100, info: packInfo(loc1, 1, 2), ts: 20, op: 1, ctx: -1, kind: recStore})

@@ -9,15 +9,12 @@ import (
 	"discopop/internal/workloads"
 )
 
-// depTableOf profiles a freshly built workload on the given engine and
-// renders its full dependence table — every field of every Dep, plus the
-// per-region iteration counts — in a canonical sorted form. (WriteDepFile
-// is not byte-stable across runs: markers and sink groups sharing a
-// location key interleave in map order, so the tests canonicalize at the
-// Dep level instead.)
-func depTableOf(name string, treeWalk bool) string {
-	prog := workloads.MustBuild(name, 1)
-	res := Profile(prog.M, Options{Store: StorePerfect, TreeWalk: treeWalk})
+// canonDeps renders a result's full dependence table — every field of every
+// Dep, plus the per-region iteration counts — in a canonical sorted form.
+// (WriteDepFile is not byte-stable across runs: markers and sink groups
+// sharing a location key interleave in map order, so the tests canonicalize
+// at the Dep level instead.)
+func canonDeps(res *Result) string {
 	lines := make([]string, 0, len(res.Deps)+len(res.Regions))
 	for d := range res.Deps {
 		lines = append(lines, fmt.Sprintf("dep %+v %s", d, res.VarName(d.Var)))
@@ -27,6 +24,13 @@ func depTableOf(name string, treeWalk bool) string {
 	}
 	sort.Strings(lines)
 	return strings.Join(lines, "\n")
+}
+
+// depTableOf profiles a freshly built workload on the given engine and
+// renders its dependence table.
+func depTableOf(name string, treeWalk bool) string {
+	prog := workloads.MustBuild(name, 1)
+	return canonDeps(Profile(prog.M, Options{Store: StorePerfect, TreeWalk: treeWalk}))
 }
 
 // TestVMDepTablesMatchTreeWalk: over the full workload registry, the

@@ -16,9 +16,11 @@ import (
 
 // DOALLSpeedup returns the speedup of running iters independent iterations
 // of perIter work each on p workers, with a per-task scheduling overhead
-// fraction (relative to perIter work, e.g. 0.02 for 2%).
+// fraction (relative to perIter work, e.g. 0.02 for 2%). A loop with fewer
+// than two iterations has nothing to distribute: it runs sequentially and
+// pays no scheduling overhead, so the result is never below 1.
 func DOALLSpeedup(iters int64, perIter float64, p int, overhead float64) float64 {
-	if iters == 0 || perIter == 0 || p <= 1 {
+	if iters < 2 || perIter == 0 || p <= 1 {
 		return 1
 	}
 	seq := float64(iters) * perIter

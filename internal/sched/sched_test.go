@@ -49,6 +49,11 @@ func TestDOALLSpeedupFewIterations(t *testing.T) {
 	if sp > 3+1e-9 {
 		t.Fatalf("3 iterations speedup %f exceeds iteration bound", sp)
 	}
+	// A single iteration is not distributed, so it pays no task overhead
+	// (the draw on which TestDOALLSpeedupBounds used to fail).
+	if sp := DOALLSpeedup(1, 5, 8, 0.02); sp != 1 {
+		t.Fatalf("1 iteration on 8 workers = %f, want 1", sp)
+	}
 }
 
 func TestAmdahl(t *testing.T) {

@@ -2,18 +2,27 @@
 // the fixed-size signature (an approximate membership structure borrowed
 // from transactional memory, here with a single hash function so that
 // elements can be removed by the variable lifetime analysis) and the
-// "perfect signature" — an exact per-address table used both as the
-// 100%-accurate profiling mode and as the baseline for measuring the
-// false-positive/false-negative rates of the approximate signature
-// (Table 2.6).
+// "perfect signature" — directly indexed shadow memory, used both as the
+// 100%-accurate profiling mode (Section 2.3.7) and as the baseline for
+// measuring the false-positive/false-negative rates of the approximate
+// signature (Table 2.6).
+//
+// Both stores keep one Cell per tracked address: the status of the last
+// read and of the last write side by side, so that a load or a store
+// resolves its address once and finds both halves on one cache line.
 package sig
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"unsafe"
+)
 
-// Entry is the access status stored per slot: the packed identity of the
-// most recent access (source location, variable, thread, static operation)
-// plus the loop-context ID used to classify loop-carried dependences and
-// the logical timestamp of the access. A zero Info means "empty".
+// Entry is the access status of one half of a cell: the packed identity of
+// the most recent access (source location, variable, thread, static
+// operation) plus the loop-context ID used to classify loop-carried
+// dependences and the logical timestamp of the access. A zero Info means
+// "empty".
 type Entry struct {
 	Info uint64 // packed by the profiler; 0 = empty
 	Ctx  int32  // loop-context table index (-1 = none)
@@ -24,31 +33,24 @@ type Entry struct {
 // Empty reports whether the entry holds no access.
 func (e Entry) Empty() bool { return e.Info == 0 }
 
-// Store is the common interface of the approximate signature and the
-// perfect signature. A Store keeps one Entry per tracked memory address
-// (approximately, for the signature).
-type Store interface {
-	// Get returns the entry recorded for addr (a zero Entry if none).
-	Get(addr uint64) Entry
-	// Put records e as the latest access status of addr.
-	Put(addr uint64, e Entry)
-	// Remove deletes the status of addr (variable lifetime analysis).
-	Remove(addr uint64)
-	// Clear empties the store.
-	Clear()
-	// MemBytes returns the memory footprint of the store in bytes.
-	MemBytes() int64
+// Cell is the status of one address: its last read and its last write (the
+// read signature and the write signature of Figure 2.2, fused).
+type Cell struct {
+	R, W Entry
 }
+
+const cellBytes = int64(unsafe.Sizeof(Cell{})) // 48
 
 // Signature is the approximate store: a fixed-length array addressed by a
 // single hash function. Hash collisions overwrite foreign state, producing
 // the false positives and false negatives quantified in Section 2.5.1.
 // Because there is only one hash function, removal is a single slot clear.
 type Signature struct {
-	slots []Entry
+	cells []Cell
 }
 
-// NewSignature returns a signature with n slots.
+// NewSignature returns a signature with n slots, each holding a read and a
+// write status.
 func NewSignature(n int) *Signature {
 	s := MakeSignature(n)
 	return &s
@@ -60,199 +62,128 @@ func MakeSignature(n int) Signature {
 	if n <= 0 {
 		panic("sig: signature size must be positive")
 	}
-	return Signature{slots: make([]Entry, n)}
+	return Signature{cells: make([]Cell, n)}
 }
 
-// Slots returns the number of slots.
-func (s *Signature) Slots() int { return len(s.slots) }
-
-func (s *Signature) idx(addr uint64) int {
+// Cell returns the slot addr hashes to.
+func (s *Signature) Cell(addr uint64) *Cell {
 	// Fibonacci multiplicative hashing followed by a modulo so that
 	// arbitrary (non-power-of-two) slot counts such as 1e6/1e7/1e8 from
 	// Table 2.6 are usable.
 	h := addr * 0x9E3779B97F4A7C15
 	h ^= h >> 29
-	return int(h % uint64(len(s.slots)))
+	return &s.cells[h%uint64(len(s.cells))]
 }
 
-// Get implements Store.
-func (s *Signature) Get(addr uint64) Entry { return s.slots[s.idx(addr)] }
-
-// Put implements Store.
-func (s *Signature) Put(addr uint64, e Entry) { s.slots[s.idx(addr)] = e }
-
-// GetSet records e as the latest status of addr and returns the previous
-// entry — Get and Put in a single slot resolution.
+// GetSet records e as the latest write status of addr and returns the
+// previous one.
 func (s *Signature) GetSet(addr uint64, e Entry) Entry {
-	i := s.idx(addr)
-	old := s.slots[i]
-	s.slots[i] = e
+	c := s.Cell(addr)
+	old := c.W
+	c.W = e
 	return old
 }
 
-// Remove implements Store.
-func (s *Signature) Remove(addr uint64) { s.slots[s.idx(addr)] = Entry{} }
-
-// Clear implements Store.
-func (s *Signature) Clear() {
-	for i := range s.slots {
-		s.slots[i] = Entry{}
+// Remove clears the slots of the n addresses starting at addr (variable
+// lifetime analysis).
+func (s *Signature) Remove(addr uint64, n int) {
+	for end := addr + uint64(n); addr < end; addr++ {
+		*s.Cell(addr) = Cell{}
 	}
 }
 
-// MemBytes implements Store.
-func (s *Signature) MemBytes() int64 { return int64(len(s.slots)) * 24 }
+// MemBytes returns the memory footprint of the signature in bytes.
+func (s *Signature) MemBytes() int64 { return int64(len(s.cells)) * cellBytes }
 
-// Perfect is the exact store: a hash table with one entry per address, the
-// "perfect signature" of Section 2.5.1 in which hash collisions are
-// guaranteed not to happen. It is also the shadow-memory option offered
-// for 100% accurate profiling (Section 2.3.7), trading memory for
-// accuracy. The implementation is an open-addressing table with linear
-// probing and tombstone-free deletion (backward-shift), keeping per-access
-// cost close to the direct-indexed shadow memories of the paper.
+// Shadow-memory geometry. Simulated addresses are dense element indices
+// (globals, then the thread stacks, then a bump-allocated heap), so a page
+// table indexed by addr>>pageShift stays a few thousand entries and only
+// the pages a program touches exist.
+const (
+	pageShift = 11
+	pageCells = 1 << pageShift // 96 KB of cells
+	pageMask  = pageCells - 1
+
+	// maxAddr bounds the page table (to 2 Mi entries, 16 MB): an address at
+	// or beyond it — 32 GB into a simulated address space — is reported as
+	// the event-emission bug it is instead of being allocated for.
+	maxAddr = 1 << 32
+)
+
+type page [pageCells]Cell
+
+// Perfect is the exact store, the "perfect signature" of Section 2.5.1 in
+// which collisions cannot happen: shadow memory (Section 2.3.7) with one
+// directly indexed Cell per address, in fixed-size pages that materialise
+// on first touch. An empty store allocates nothing.
 type Perfect struct {
-	keys    []uint64 // 0 = empty slot (address 0 is never used)
-	entries []Entry
-	n       int
+	pages []*page // nil = never touched
+	live  int     // materialised pages
 }
-
-const perfectInitCap = 1 << 10
 
 // NewPerfect returns an empty perfect signature.
-func NewPerfect() *Perfect {
-	p := MakePerfect()
-	return &p
-}
+func NewPerfect() *Perfect { return &Perfect{} }
 
 // MakePerfect returns an empty perfect signature by value, for embedding
 // in generic engines.
-func MakePerfect() Perfect {
-	return Perfect{keys: make([]uint64, perfectInitCap), entries: make([]Entry, perfectInitCap)}
-}
+func MakePerfect() Perfect { return Perfect{} }
 
-func phash(addr uint64) uint64 {
-	addr *= 0x9E3779B97F4A7C15
-	return addr ^ (addr >> 29)
-}
-
-// Get implements Store.
-func (p *Perfect) Get(addr uint64) Entry {
-	mask := uint64(len(p.keys) - 1)
-	for i := phash(addr) & mask; ; i = (i + 1) & mask {
-		if p.keys[i] == addr {
-			return p.entries[i]
-		}
-		if p.keys[i] == 0 {
-			return Entry{}
+// Cell returns the cell of addr, materialising its page on first touch.
+func (p *Perfect) Cell(addr uint64) *Cell {
+	if i := addr >> pageShift; i < uint64(len(p.pages)) {
+		if pg := p.pages[i]; pg != nil {
+			return &pg[addr&pageMask]
 		}
 	}
+	return p.cellSlow(addr)
 }
 
-// Put implements Store.
-func (p *Perfect) Put(addr uint64, e Entry) {
-	if p.n*4 >= len(p.keys)*3 {
-		p.grow()
+func (p *Perfect) cellSlow(addr uint64) *Cell {
+	if addr >= maxAddr {
+		panic(fmt.Sprintf("sig: address %#x is beyond the shadow memory's %#x-cell range", addr, uint64(maxAddr)))
 	}
-	mask := uint64(len(p.keys) - 1)
-	for i := phash(addr) & mask; ; i = (i + 1) & mask {
-		if p.keys[i] == addr {
-			p.entries[i] = e
-			return
-		}
-		if p.keys[i] == 0 {
-			p.keys[i] = addr
-			p.entries[i] = e
-			p.n++
-			return
-		}
+	i := int(addr >> pageShift)
+	if i >= len(p.pages) {
+		p.pages = append(p.pages, make([]*page, i+1-len(p.pages))...)
 	}
+	if p.pages[i] == nil {
+		p.pages[i] = new(page)
+		p.live++
+	}
+	return &p.pages[i][addr&pageMask]
 }
 
-// GetSet records e as the latest status of addr and returns the previous
-// entry (a zero Entry if none) — Get and Put in a single probe sequence,
-// for engine paths that read and immediately overwrite the same address.
+// GetSet records e as the latest write status of addr and returns the
+// previous one (a zero Entry if none).
 func (p *Perfect) GetSet(addr uint64, e Entry) Entry {
-	if p.n*4 >= len(p.keys)*3 {
-		p.grow()
-	}
-	mask := uint64(len(p.keys) - 1)
-	for i := phash(addr) & mask; ; i = (i + 1) & mask {
-		if p.keys[i] == addr {
-			old := p.entries[i]
-			p.entries[i] = e
-			return old
-		}
-		if p.keys[i] == 0 {
-			p.keys[i] = addr
-			p.entries[i] = e
-			p.n++
-			return Entry{}
-		}
-	}
+	c := p.Cell(addr)
+	old := c.W
+	c.W = e
+	return old
 }
 
-// Remove implements Store.
-func (p *Perfect) Remove(addr uint64) {
-	mask := uint64(len(p.keys) - 1)
-	i := phash(addr) & mask
-	for {
-		if p.keys[i] == 0 {
+// Remove clears the n cells starting at addr (variable lifetime analysis):
+// one span clear per page the range overlaps. Pages that were never touched
+// stay unmaterialised.
+func (p *Perfect) Remove(addr uint64, n int) {
+	for end := addr + uint64(n); addr < end; {
+		i := addr >> pageShift
+		if i >= uint64(len(p.pages)) {
 			return
 		}
-		if p.keys[i] == addr {
-			break
+		next := min((i+1)<<pageShift, end)
+		if pg := p.pages[i]; pg != nil {
+			clear(pg[addr&pageMask : (next-1)&pageMask+1])
 		}
-		i = (i + 1) & mask
-	}
-	// Backward-shift deletion keeps probe sequences intact.
-	p.n--
-	j := i
-	for {
-		p.keys[i] = 0
-		p.entries[i] = Entry{}
-		for {
-			j = (j + 1) & mask
-			if p.keys[j] == 0 {
-				return
-			}
-			k := phash(p.keys[j]) & mask
-			// Can slot j's element move into the hole at i?
-			if (i <= j && (k <= i || k > j)) || (i > j && k <= i && k > j) {
-				break
-			}
-		}
-		p.keys[i] = p.keys[j]
-		p.entries[i] = p.entries[j]
-		i = j
+		addr = next
 	}
 }
 
-func (p *Perfect) grow() {
-	oldK, oldE := p.keys, p.entries
-	p.keys = make([]uint64, len(oldK)*2)
-	p.entries = make([]Entry, len(oldE)*2)
-	p.n = 0
-	for i, k := range oldK {
-		if k != 0 {
-			p.Put(k, oldE[i])
-		}
-	}
-}
-
-// Clear implements Store.
-func (p *Perfect) Clear() {
-	clear(p.keys)
-	clear(p.entries)
-	p.n = 0
-}
-
-// MemBytes implements Store.
+// MemBytes returns the memory footprint of the store in bytes: the
+// materialised pages plus the page table.
 func (p *Perfect) MemBytes() int64 {
-	return int64(len(p.keys)) * (8 + 32)
+	return int64(p.live)*pageCells*cellBytes + int64(len(p.pages))*8
 }
-
-// Len returns the number of tracked addresses.
-func (p *Perfect) Len() int { return p.n }
 
 // EstimateFPR returns the estimated probability that a given slot is
 // occupied after inserting n distinct elements into a signature with m
