@@ -54,8 +54,8 @@ func BenchmarkFig2_9_ProfilerSlowdown(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2_10 measures the multi-threaded-target pipeline (MPSC
-// queues, 4 simulated target threads).
+// BenchmarkFig2_10 measures the multi-threaded-target pipeline (the worker
+// pipeline with lock barriers, 4 simulated target threads).
 func BenchmarkFig2_10_MTTargets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig2_10(benchScale)
@@ -215,20 +215,6 @@ func BenchmarkProfilerThroughput(b *testing.B) {
 		accesses = res.Accesses
 	}
 	b.ReportMetric(float64(accesses), "accesses")
-}
-
-// BenchmarkProfilerThroughputPerAccess is the tracing-path ablation of
-// BenchmarkProfilerThroughput: the same VM and the same serial exact
-// profiler, but every event crosses the per-access Tracer interface
-// instead of arriving in batched Ev chunks with compile-time packed sink
-// operands. The pair is the same-machine evidence for the batched path's
-// speedup (PR 8 acceptance bar: >= 25%).
-func BenchmarkProfilerThroughputPerAccess(b *testing.B) {
-	prog := workloads.MustBuild("CG", benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		profiler.Profile(prog.M, profiler.Options{Store: profiler.StorePerfect, PerAccess: true})
-	}
 }
 
 // BenchmarkProfilerThroughputTreeWalk is the engine ablation of

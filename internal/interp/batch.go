@@ -127,9 +127,9 @@ func PerEvent(t Tracer) Tracer { return perEvent{t} }
 
 type perEvent struct{ Tracer }
 
-// evBatchSize is the flush threshold in events (~96KB of buffer): large
-// enough to amortize the flush call and keep the consumer's stores hot,
-// small enough to stay cache-resident and cost little per Interp.
+// evBatchSize is the flush threshold in events (2048 × 32 B = 64 KB of
+// buffer): large enough to amortize the flush call and keep the consumer's
+// stores hot, small enough to stay cache-resident and cost little per Interp.
 const evBatchSize = 2048
 
 // enableBatch switches the interpreter to batched tracing when the tracer

@@ -247,7 +247,7 @@ func TestStatsConcurrentWithWorkers(t *testing.T) {
 }
 
 // TestEngineMTJobsConcurrently runs multi-threaded-target profiling jobs
-// (each spinning up its own MPSC worker pipeline) side by side on the
+// (each spinning up its own worker pipeline) side by side on the
 // engine — the stress case for shared-state guarding under -race.
 func TestEngineMTJobsConcurrently(t *testing.T) {
 	names := workloads.Names("Starbench-MT")

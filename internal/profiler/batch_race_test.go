@@ -9,18 +9,20 @@ import (
 )
 
 // TestBatchedMTMatchesPerAccess is the PR 8 multi-threaded differential:
-// on every MT workload, across serial and parallel pipeline configurations,
-// the batched event path must produce a dependence table identical to the
-// per-access ablation's. Running the package under -race additionally
-// checks that batch chunks crossing the profiler's worker pipes (and the
-// MT barrier flushes batchPipe inserts at lock/unlock/thread-end events)
-// stay properly synchronized.
+// on every MT workload, across worker counts, the VM's event chunks must
+// produce a dependence table identical to the one the same profiler builds
+// from the per-event stream (interp.PerEvent: every Tracer call packed back
+// into a one-event chunk by the adapter). Running the package under -race
+// additionally checks that chunks crossing to the workers, and the barriers
+// at lock/unlock/thread-end events, stay properly synchronized.
 func TestBatchedMTMatchesPerAccess(t *testing.T) {
 	for _, workers := range []int{0, 2, 4} {
 		for _, name := range workloads.Names("Starbench-MT") {
 			opts := Options{Store: StorePerfect, MT: true, Workers: workers}
-			per := Profile(workloads.MustBuild(name, 1).M,
-				Options{Store: StorePerfect, MT: true, Workers: workers, PerAccess: true})
+			m := workloads.MustBuild(name, 1).M
+			pe := New(m, opts)
+			interp.New(m, interp.PerEvent(pe)).Run()
+			per := pe.Result()
 			bat := Profile(workloads.MustBuild(name, 1).M, opts)
 			fp, fn := DiffDeps(bat.Deps, per.Deps)
 			if len(fp) != 0 || len(fn) != 0 {

@@ -22,10 +22,13 @@ const (
 	ctxMaxBlocks = 1 << 14
 )
 
-// ctxTable is an append-only block list. A single writer (the event
-// producer) appends; concurrent readers may safely resolve any index they
-// received through a release/acquire channel such as the profiling queues,
-// because block headers are published before the indices that use them.
+// ctxTable is an append-only block list. A single writer (the routing
+// thread) appends; a worker resolves only indices it read from a chunk. The
+// single-writer / reader-after-acquire argument rests on the chunk hand-over
+// alone — the SPSC push's release store of tail (or the locked queue's
+// unlock) after the node and its block header were written, the pop's
+// acquire load before the worker touches the chunk — since no record crosses
+// to a worker by any other way.
 type ctxTable struct {
 	blocks [ctxMaxBlocks][]ctxNode
 	n      int32

@@ -1,9 +1,10 @@
 // Package profiler implements the DiscoPoP data-dependence profiler of
 // Chapter 2: signature-based memory tracking (Section 2.3.2), a lock-free
 // parallel pipeline for sequential targets (Section 2.3.3), support for
-// multi-threaded targets via MPSC queues and timestamp-based race flagging
-// (Section 2.3.4), variable lifetime analysis and runtime dependence
-// merging (Section 2.3.5), and the loop-skipping optimization (Section 2.4).
+// multi-threaded targets through the same pipeline with lock barriers and
+// timestamp-based race flagging (Section 2.3.4), variable lifetime analysis
+// and runtime dependence merging (Section 2.3.5), and the loop-skipping
+// optimization (Section 2.4).
 package profiler
 
 import (

@@ -20,31 +20,34 @@ import (
 // (distinct gcshapes) and the engine, its store, and its skip state share
 // one allocation.
 
-// Access-record kinds.
+// Access-record kinds. They ride in the low byte of rec.info — the byte the
+// packed sink layout keeps zero and interp.Ev.Sink already uses for the
+// event kind — and the first two are the event kinds themselves
+// (interp.EvLoad == recLoad, interp.EvStore == recStore), so the router
+// copies an access event's Sink word into its record verbatim.
 const (
-	recLoad uint8 = iota
-	recStore
-	recRemove // variable lifetime analysis: drop status of addr
-	recMigOut // redistribution: extract and clear status of addr
-	recMigIn  // redistribution: install migrated status of addr
+	recLoad   uint8 = iota
+	recStore        // the engine sees info with the kind byte cleared
+	recRemove       // variable lifetime analysis: drop status of addr
 )
 
-// rec is one access record as buffered in chunks and queues.
+// rec is one access record as buffered in chunks: 32 bytes, no pointer, so
+// a chunk's backing array is allocated noscan and a record is one half
+// cache line written once by the router and read once by its worker.
 type rec struct {
 	addr uint64
-	info uint64 // packed sink location/variable/thread
+	info uint64 // kind (bits 0..7) | packed sink location/variable/thread
 	ts   uint64
 	op   int32
 	ctx  int32
-	kind uint8
-	mig  *migration
 }
 
 // migration carries per-address signature state between workers when the
-// load balancer reassigns a hot address (Section 2.3.3).
+// load balancer reassigns a hot address (Section 2.3.3). It travels as a
+// chunk of its own (chunk.mig), not as a record.
 type migration struct {
+	addr uint64
 	cell sig.Cell
-	done chan struct{}
 }
 
 // packInfo packs an access's sink identity: file(10) | line(22) | var(16) |
@@ -52,7 +55,7 @@ type migration struct {
 // non-zero and a zero sig.Entry means "empty". The layout is owned by
 // bytecode.PackSink so the compiler can bake the static half into per-pc
 // operand tables; on the batched path rec.info arrives pre-packed and this
-// function only runs for per-event (walker / legacy tracer) streams.
+// function only runs in the per-event adapter (walker / PerEvent streams).
 func packInfo(loc ir.Loc, varID int32, thread int32) uint64 {
 	return bytecode.PackSink(loc, varID) | bytecode.SinkThread(thread)
 }
@@ -278,38 +281,57 @@ func (e *engine[S, PS]) storeAcc(addr, info, ts uint64, op, ctx int32) {
 	}
 }
 
-// processBatch consumes one flushed chunk of access records in a tight
-// loop: one call into the engine per chunk instead of one per access, with
-// the store and the dependence accumulator staying hot across iterations.
-func (e *engine[S, PS]) processBatch(rs []rec) {
+// consume runs one chunk of access records through Algorithm 2: the worker
+// side of the pipeline, shaped like batchSerial — one call per chunk, the
+// skip test hoisted out of the per-record path, the store and the dependence
+// accumulator staying hot across iterations. The chunk is the caller's to
+// overwrite (a store's kind byte is cleared in place on the skip path).
+func (e *engine[S, PS]) consume(rs []rec) {
+	if e.ops == nil {
+		for i := range rs {
+			r := &rs[i]
+			switch uint8(r.info) {
+			case recLoad:
+				e.loadAcc(r.addr, r.info, r.ts, r.op, r.ctx)
+			case recStore:
+				e.storeAcc(r.addr, r.info&^0xFF, r.ts, r.op, r.ctx)
+			default:
+				e.shadow().Remove(r.addr, 1)
+			}
+		}
+		return
+	}
 	for i := range rs {
-		e.process(&rs[i])
+		r := &rs[i]
+		switch uint8(r.info) {
+		case recLoad:
+			e.load(r)
+		case recStore:
+			r.info &^= 0xFF
+			e.store(r)
+		default:
+			e.shadow().Remove(r.addr, 1)
+		}
 	}
 }
 
-func (e *engine[S, PS]) process(r *rec) {
-	switch r.kind {
-	case recLoad:
-		e.load(r)
-	case recStore:
-		e.store(r)
-	case recRemove:
-		e.shadow().Remove(r.addr, 1)
-	case recMigOut:
-		c := e.shadow().Cell(r.addr)
-		r.mig.cell = *c
-		*c = sig.Cell{}
-		close(r.mig.done)
-	case recMigIn:
-		// Half by half: under a signature the new owner's slot may hold a
-		// colliding address's status, which an empty half must not erase.
-		c := e.shadow().Cell(r.addr)
-		if !r.mig.cell.R.Empty() {
-			c.R = r.mig.cell.R
-		}
-		if !r.mig.cell.W.Empty() {
-			c.W = r.mig.cell.W
-		}
+// migrateOut extracts and clears the status of m.addr (redistribution).
+func (e *engine[S, PS]) migrateOut(m *migration) {
+	c := e.shadow().Cell(m.addr)
+	m.cell = *c
+	*c = sig.Cell{}
+}
+
+// migrateIn installs the migrated status of m.addr. Half by half: under a
+// signature the new owner's slot may hold a colliding address's status,
+// which an empty half must not erase.
+func (e *engine[S, PS]) migrateIn(m *migration) {
+	c := e.shadow().Cell(m.addr)
+	if !m.cell.R.Empty() {
+		c.R = m.cell.R
+	}
+	if !m.cell.W.Empty() {
+		c.W = m.cell.W
 	}
 }
 

@@ -3,6 +3,9 @@ package profiler
 import (
 	"testing"
 
+	"discopop/internal/interp"
+	"discopop/internal/ir"
+	"discopop/internal/mem"
 	"discopop/internal/sig"
 	"discopop/internal/workloads"
 )
@@ -32,23 +35,38 @@ func (s *mapStore) Remove(addr uint64, n int) {
 
 func (s *mapStore) MemBytes() int64 { return 0 }
 
-// serialPipe lets a Profiler drive a serial engine of a store type it has
-// no field for.
-type serialPipe struct {
-	eng *engine[mapStore, *mapStore]
+// serialTracer drives one serial engine over store type S from a profiler's
+// event stream — a store type Profiler has no field for, or a serial engine
+// where the options would select the pipeline (with Options.MT it records
+// thread IDs: the reference the multi-threaded-target pipeline is held to).
+type serialTracer[S any, PS storeOps[S]] struct {
+	*Profiler
+	eng *engine[S, PS]
 }
 
-func (sp serialPipe) produce(r rec)         { sp.eng.process(&r) }
-func (sp serialPipe) produceBatch(rs []rec) { sp.eng.processBatch(rs) }
-func (sp serialPipe) finish() []engineDump  { return []engineDump{sp.eng.dump()} }
-func (sp serialPipe) rebalanceCount() int   { return 0 }
+func (s serialTracer[S, PS]) ProcessBatch(m *ir.Module, evs []interp.Ev) {
+	batchSerial(s.Profiler, s.eng, m, evs)
+}
+
+// profileSerial profiles m on one serial engine over st.
+func profileSerial[S any, PS storeOps[S]](m *ir.Module, opt Options, st S) *Result {
+	p := newProfiler(m, opt)
+	eng := newEngine[S, PS](p, st)
+	in := interp.New(m, serialTracer[S, PS]{p, eng}, interp.WithPool(mem.Default))
+	defer in.Release()
+	in.Run()
+	p.dumps, p.stopped = []engineDump{eng.dump()}, true
+	return p.Result()
+}
 
 // profileOnMap is Profile with every engine over a mapStore.
 func profileOnMap(name string, opt Options) *Result {
-	p := newProfiler(workloads.MustBuild(name, 1).M, opt)
-	if eng := attach[mapStore](p, newMapStore); eng != nil {
-		p.par = serialPipe{eng}
+	m := workloads.MustBuild(name, 1).M
+	if !opt.MT && opt.Workers == 0 {
+		return profileSerial[mapStore](m, opt, newMapStore(1))
 	}
+	p := newProfiler(m, opt)
+	attach[mapStore](p, newMapStore)
 	return p.run()
 }
 

@@ -6,55 +6,38 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"discopop/internal/interp"
+	"discopop/internal/ir"
 	"discopop/internal/queue"
 )
 
-// parallelPipe implements the producer/consumer architecture of Figure 2.2
-// for sequential target programs: the main (event-producing) thread sorts
-// memory accesses into per-worker chunks — a memory address is owned by
-// exactly one worker so the temporal order per address is preserved — and
-// pushes full chunks into lock-free SPSC queues. Workers run Algorithm 2 on
-// their own store and record dependences in thread-local packed
-// tables that are merged at the end.
+// pipeline is the producer/consumer architecture of Figure 2.2, and with
+// Options.MT that of Section 2.3.4: the event-producing thread routes every
+// memory access into the chunk of the worker that owns its address — an
+// address has exactly one owner, so the temporal order per address is
+// preserved — and hands full chunks over lock-free SPSC queues. Workers run
+// Algorithm 2 on their own store and record dependences in thread-local
+// packed tables that are merged at the end.
 //
-// The pipe is generic over the store type for the same reason the engine
-// is: each instantiation owns engines whose hot loop is fully devirtualized.
-
-type chunk struct {
-	recs []rec
-}
-
-type pworker[S any, PS storeOps[S]] struct {
-	id      int
-	q       *queue.SPSC[*chunk]
-	lq      *queue.LockedQueue[*chunk] // lock-based baseline
-	recycle *queue.SPSC[*chunk]
-	eng     *engine[S, PS]
-	done    atomic.Bool
-}
-
-func (w *pworker[S, PS]) pop() (*chunk, bool) {
-	if w.lq != nil {
-		return w.lq.TryPop()
-	}
-	return w.q.TryPop()
-}
-
-func (w *pworker[S, PS]) push(c *chunk) {
-	if w.lq != nil {
-		w.lq.Push(c)
-		return
-	}
-	for !w.q.TryPush(c) {
-		runtime.Gosched()
-	}
-}
-
-type parallelPipe[S any, PS storeOps[S]] struct {
-	p       *Profiler
-	workers []*pworker[S, PS]
-	cur     []*chunk
+// There is one router (routeBatch) and one kind of worker for both target
+// kinds. A multi-threaded target differs in three ways only: its engines
+// record thread IDs, lock/unlock/thread-end events are barriers (Figure
+// 2.4c), and addresses are never redistributed. It needs no producer per
+// target thread: the interpreter serialises the simulated threads into one
+// totally ordered event stream, so the stream the router sees already is the
+// order in which the accesses happened, and per-thread relays could only
+// re-introduce a reordering that did not take place.
+//
+// The pipeline itself is not generic. Only a worker's loop names the store
+// type (runWorker), so each instantiation's hot loop is devirtualized like
+// the serial engine's.
+type pipeline struct {
+	workers []*pworker
+	cur     []*chunk // the partial chunk of each worker
 	wg      sync.WaitGroup
+
+	chunkSize int
+	mt        bool
 
 	// Load balancing (Section 2.3.3): sampled dynamic access statistics
 	// and a redistribution map that overrides the modulo assignment. Only
@@ -65,118 +48,231 @@ type parallelPipe[S any, PS storeOps[S]] struct {
 	// not a fixed stride, so periodic access patterns whose length shares
 	// a factor with the sampling interval cannot systematically hide an
 	// address from the balancer.
+	interval     int // pushed chunks between checks; 0 = never
 	counts       map[uint64]int64
 	rng          uint64
 	redist       map[uint64]int
 	chunksPushed int
-	// Rebalances counts performed redistributions (observability).
+	// rebalances counts performed redistributions (observability).
 	rebalances int
+}
+
+// chunk is the unit of hand-over: a run of access records, or (mig != nil)
+// one step of a redistribution.
+type chunk struct {
+	recs []rec
+	mig  *migration
+	in   bool // mig is installed here (else extracted)
+}
+
+type pworker struct {
+	q       *queue.SPSC[*chunk]
+	lq      *queue.LockedQueue[*chunk] // lock-based baseline
+	recycle *queue.SPSC[*chunk]
+	done    atomic.Bool
+
+	// pushed is owned by the producer, consumed by the worker; a worker has
+	// drained when they are equal.
+	pushed   uint64
+	consumed atomic.Uint64
+
+	dump engineDump // set by the worker on exit
+}
+
+func (w *pworker) pop() (*chunk, bool) {
+	if w.lq != nil {
+		return w.lq.TryPop()
+	}
+	return w.q.TryPop()
+}
+
+func (w *pworker) push(c *chunk) {
+	w.pushed++
+	if w.lq != nil {
+		w.lq.Push(c)
+		return
+	}
+	for !w.q.TryPush(c) {
+		runtime.Gosched()
+	}
+}
+
+// drain waits until the worker has consumed every chunk pushed so far.
+func (w *pworker) drain() {
+	for w.consumed.Load() != w.pushed {
+		runtime.Gosched()
+	}
 }
 
 // sampleShift sets the access-count sampling rate for load rebalancing:
 // 1 in 2^6 = 64 accesses is counted.
 const sampleShift = 6
 
-func newParallelPipe[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *parallelPipe[S, PS] {
-	w := p.opt.Workers
-	pp := &parallelPipe[S, PS]{
-		p:      p,
-		counts: make(map[uint64]int64),
-		rng:    0x9E3779B97F4A7C15,
-		redist: make(map[uint64]int),
+func newPipeline[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *pipeline {
+	n := p.opt.Workers
+	if n == 0 {
+		n = 4 // Options.MT alone
 	}
-	for i := 0; i < w; i++ {
-		pw := &pworker[S, PS]{
-			id:      i,
-			recycle: queue.NewSPSC[*chunk](64),
-			eng:     newEngine[S, PS](p, mk(w)),
-		}
+	pl := &pipeline{chunkSize: p.opt.ChunkSize, mt: p.opt.MT}
+	if !pl.mt && p.opt.RebalanceInterval > 0 {
+		pl.interval = p.opt.RebalanceInterval
+		pl.counts = make(map[uint64]int64)
+		pl.rng = 0x9E3779B97F4A7C15
+		pl.redist = make(map[uint64]int)
+	}
+	for i := 0; i < n; i++ {
+		w := &pworker{recycle: queue.NewSPSC[*chunk](64)}
 		if p.opt.UseLocked {
-			pw.lq = &queue.LockedQueue[*chunk]{}
+			w.lq = &queue.LockedQueue[*chunk]{}
 		} else {
-			pw.q = queue.NewSPSC[*chunk](64)
+			w.q = queue.NewSPSC[*chunk](64)
 		}
-		pp.workers = append(pp.workers, pw)
-		pp.cur = append(pp.cur, &chunk{recs: make([]rec, 0, p.opt.ChunkSize)})
-		pp.wg.Add(1)
-		go pp.runWorker(pw)
+		pl.workers = append(pl.workers, w)
+		pl.cur = append(pl.cur, pl.newChunk())
+		pl.wg.Add(1)
+		go runWorker(pl, w, newEngine[S, PS](p, mk(n)))
 	}
-	return pp
+	return pl
 }
 
-func (pp *parallelPipe[S, PS]) runWorker(w *pworker[S, PS]) {
-	defer pp.wg.Done()
+func (pl *pipeline) newChunk() *chunk {
+	return &chunk{recs: make([]rec, 0, pl.chunkSize)}
+}
+
+// next waits for the worker's next chunk; nil means the pipeline has finished
+// and the queue is empty.
+func (w *pworker) next() *chunk {
 	for {
-		c, ok := w.pop()
-		if !ok {
-			if w.done.Load() {
-				// Drain once more to avoid racing the final flush.
-				if c, ok = w.pop(); !ok {
-					return
-				}
-			} else {
-				runtime.Gosched()
-				continue
-			}
+		if c, ok := w.pop(); ok {
+			return c
 		}
-		for i := range c.recs {
-			w.eng.process(&c.recs[i])
+		if w.done.Load() {
+			// done is set after the final flush, so one more look cannot
+			// miss a chunk.
+			c, _ := w.pop()
+			return c
 		}
-		c.recs = c.recs[:0]
-		w.recycle.TryPush(c) // recycled chunks are reused by the producer
+		runtime.Gosched()
+	}
+}
+
+func runWorker[S any, PS storeOps[S]](pl *pipeline, w *pworker, e *engine[S, PS]) {
+	defer pl.wg.Done()
+	defer func() { w.dump = e.dump() }()
+	for n := uint64(1); ; n++ {
+		c := w.next()
+		switch {
+		case c == nil:
+			return
+		case c.mig == nil:
+			e.consume(c.recs)
+			c.recs = c.recs[:0]
+			w.recycle.TryPush(c) // recycled chunks are reused by the producer
+		case c.in:
+			e.migrateIn(c.mig)
+		default:
+			e.migrateOut(c.mig)
+		}
+		w.consumed.Store(n)
 	}
 }
 
 // owner applies the modulo distribution (Formula 2.1) unless overridden by
 // the redistribution map.
-func (pp *parallelPipe[S, PS]) owner(addr uint64) int {
-	if len(pp.redist) > 0 {
-		if w, ok := pp.redist[addr]; ok {
+func (pl *pipeline) owner(addr uint64) int {
+	if len(pl.redist) > 0 {
+		if w, ok := pl.redist[addr]; ok {
 			return w
 		}
 	}
-	return int(addr % uint64(len(pp.workers)))
+	return int(addr % uint64(len(pl.workers)))
 }
 
-func (pp *parallelPipe[S, PS]) produce(r rec) {
-	if r.kind == recLoad || r.kind == recStore {
-		pp.rng ^= pp.rng << 13
-		pp.rng ^= pp.rng >> 7
-		pp.rng ^= pp.rng << 17
-		if pp.rng&(1<<sampleShift-1) == 0 {
-			pp.counts[r.addr]++
+// routeBatch is the router: one pass over a flushed event chunk that does
+// the profiler's bookkeeping in stream order (line counters, the access
+// clock, contexts and region metrics, the balancer's sample) and writes each
+// access once, straight into its owner's chunk. An access record is the
+// event's own Sink word (kind byte included) plus what only the profiler
+// knows: the timestamp and the loop context.
+func (pl *pipeline) routeBatch(p *Profiler, m *ir.Module, evs []interp.Ev) {
+	for i := range evs {
+		ev := &evs[i]
+		switch kind := uint8(ev.Sink); kind {
+		case interp.EvLoad, interp.EvStore:
+			p.accesses++
+			p.ts++
+			p.countLine(ev.A, ev.Loc)
+			if pl.interval > 0 {
+				pl.rng ^= pl.rng << 13
+				pl.rng ^= pl.rng >> 7
+				pl.rng ^= pl.rng << 17
+				if pl.rng&(1<<sampleShift-1) == 0 {
+					pl.counts[ev.Addr]++
+				}
+			}
+			pl.put(rec{addr: ev.Addr, info: ev.Sink, ts: p.ts,
+				op: ev.A, ctx: p.cur[ev.Sink>>8&0xFF]})
+		case interp.EvFreeVar:
+			// Each address is removed at its owner only: a range clear on
+			// another worker would erase an aliased slot of its signature.
+			// Removed elements count as accesses (Result.Accesses), as on
+			// the serial path.
+			p.accesses += int64(ev.B)
+			for a, end := ev.Addr, ev.Addr+uint64(ev.B); a < end; a++ {
+				pl.put(rec{addr: a, info: uint64(recRemove)})
+			}
+		case interp.EvLock, interp.EvUnlock, interp.EvThreadEnd:
+			if pl.mt {
+				pl.barrier()
+			}
+		default:
+			p.controlEv(m, ev)
 		}
 	}
-	w := pp.owner(r.addr)
-	c := pp.cur[w]
+}
+
+// put appends r to its owner's chunk and hands the chunk over when full.
+func (pl *pipeline) put(r rec) {
+	w := pl.owner(r.addr)
+	c := pl.cur[w]
 	c.recs = append(c.recs, r)
 	if len(c.recs) == cap(c.recs) {
-		pp.flush(w)
-		if pp.p.opt.RebalanceInterval > 0 && pp.chunksPushed%pp.p.opt.RebalanceInterval == 0 {
-			pp.rebalance()
+		pl.flush(w)
+		if pl.interval > 0 && pl.chunksPushed%pl.interval == 0 {
+			pl.rebalance()
 		}
 	}
 }
 
-// produceBatch routes one flushed chunk of records. Routing is per-address,
-// so the batch is walked record by record; the win over the per-event path
-// is upstream (one pipeline call per chunk) and downstream (workers consume
-// whole chunks), not here.
-func (pp *parallelPipe[S, PS]) produceBatch(rs []rec) {
-	for i := range rs {
-		pp.produce(rs[i])
+func (pl *pipeline) flush(w int) {
+	pw := pl.workers[w]
+	pw.push(pl.cur[w])
+	pl.chunksPushed++
+	// Reuse a recycled chunk when available.
+	if c, ok := pw.recycle.TryPop(); ok {
+		pl.cur[w] = c
+	} else {
+		pl.cur[w] = pl.newChunk()
 	}
 }
 
-func (pp *parallelPipe[S, PS]) flush(w int) {
-	pw := pp.workers[w]
-	pw.push(pp.cur[w])
-	pp.chunksPushed++
-	// Reuse a recycled chunk when available.
-	if c, ok := pw.recycle.TryPop(); ok {
-		pp.cur[w] = c
-	} else {
-		pp.cur[w] = &chunk{recs: make([]rec, 0, pp.p.opt.ChunkSize)}
+// flushPartial hands over every non-empty partial chunk.
+func (pl *pipeline) flushPartial() {
+	for w, c := range pl.cur {
+		if len(c.recs) > 0 {
+			pl.flush(w)
+		}
+	}
+}
+
+// barrier is an ordering point of a multi-threaded target (lock, unlock,
+// thread end): every access produced so far is fully recorded before the
+// next one is routed, which is what pushing inside the lock region
+// guarantees in the paper (Figure 2.4c).
+func (pl *pipeline) barrier() {
+	pl.flushPartial()
+	for _, w := range pl.workers {
+		w.drain()
 	}
 }
 
@@ -186,12 +282,16 @@ const rebalanceTopK = 10
 
 // topAddrs selects the k heaviest sampled addresses, ordered heaviest
 // first, with a bounded min-heap: O(n log k) over the sample map instead of
-// sorting every sampled address at every rebalance interval.
+// sorting every sampled address at every rebalance interval. Equal counts
+// rank by address (lower first), in the selection as in the order, so the
+// result does not depend on the map's iteration order — under a signature
+// store a different redistribution is a different dependence file.
 func topAddrs(counts map[uint64]int64, k int) []addrCount {
 	top := make([]addrCount, 0, k)
 	for a, n := range counts {
+		c := addrCount{a, n}
 		if len(top) < k {
-			top = append(top, addrCount{a, n})
+			top = append(top, c)
 			if len(top) == k {
 				for i := k/2 - 1; i >= 0; i-- {
 					siftDown(top, i)
@@ -199,19 +299,12 @@ func topAddrs(counts map[uint64]int64, k int) []addrCount {
 			}
 			continue
 		}
-		if n > top[0].n {
-			top[0] = addrCount{a, n}
+		if top[0].lighter(c) {
+			top[0] = c
 			siftDown(top, 0)
 		}
 	}
-	// Heaviest first for rank assignment (ties broken by address so the
-	// order is deterministic across runs).
-	sort.Slice(top, func(i, j int) bool {
-		if top[i].n != top[j].n {
-			return top[i].n > top[j].n
-		}
-		return top[i].addr < top[j].addr
-	})
+	sort.Slice(top, func(i, j int) bool { return top[j].lighter(top[i]) })
 	return top
 }
 
@@ -220,15 +313,20 @@ type addrCount struct {
 	n    int64
 }
 
-// siftDown restores the min-heap property (ordered by count) at index i.
+// lighter orders sampled addresses by count, ties by descending address.
+func (a addrCount) lighter(b addrCount) bool {
+	return a.n < b.n || a.n == b.n && a.addr > b.addr
+}
+
+// siftDown restores the min-heap property (lightest on top) at index i.
 func siftDown(h []addrCount, i int) {
 	for {
 		l, r := 2*i+1, 2*i+2
 		min := i
-		if l < len(h) && h[l].n < h[min].n {
+		if l < len(h) && h[l].lighter(h[min]) {
 			min = l
 		}
-		if r < len(h) && h[r].n < h[min].n {
+		if r < len(h) && h[r].lighter(h[min]) {
 			min = r
 		}
 		if min == i {
@@ -246,23 +344,23 @@ func siftDown(h []addrCount, i int) {
 // in the run would pin the redistribution map for the rest of the
 // execution even after going cold, because later-phase addresses could
 // never catch up with the all-time counters.
-func (pp *parallelPipe[S, PS]) rebalance() {
-	top := topAddrs(pp.counts, rebalanceTopK)
-	w := len(pp.workers)
+func (pl *pipeline) rebalance() {
+	top := topAddrs(pl.counts, rebalanceTopK)
+	w := len(pl.workers)
 	for rank, t := range top {
 		want := rank % w
-		if pp.owner(t.addr) == want {
+		if pl.owner(t.addr) == want {
 			continue
 		}
-		pp.migrate(t.addr, pp.owner(t.addr), want)
-		pp.redist[t.addr] = want
-		pp.rebalances++
+		pl.migrate(t.addr, pl.owner(t.addr), want)
+		pl.redist[t.addr] = want
+		pl.rebalances++
 	}
-	for a, n := range pp.counts {
+	for a, n := range pl.counts {
 		if n >>= 1; n == 0 {
-			delete(pp.counts, a)
+			delete(pl.counts, a)
 		} else {
-			pp.counts[a] = n
+			pl.counts[a] = n
 		}
 	}
 }
@@ -271,36 +369,32 @@ func (pp *parallelPipe[S, PS]) rebalance() {
 // preserving the temporal order: all already-produced accesses are flushed
 // to the old worker, the state is extracted after the old worker catches
 // up, and only then is it installed at the new owner.
-func (pp *parallelPipe[S, PS]) migrate(addr uint64, oldW, newW int) {
+func (pl *pipeline) migrate(addr uint64, oldW, newW int) {
 	if oldW == newW {
 		return
 	}
-	pp.flush(oldW)
-	pp.flush(newW)
-	m := &migration{done: make(chan struct{})}
-	pp.workers[oldW].push(&chunk{recs: []rec{{addr: addr, kind: recMigOut, mig: m}}})
-	<-m.done
-	pp.workers[newW].push(&chunk{recs: []rec{{addr: addr, kind: recMigIn, mig: m}}})
+	pl.flush(oldW)
+	pl.flush(newW)
+	m := &migration{addr: addr}
+	pl.workers[oldW].push(&chunk{mig: m})
+	pl.workers[oldW].drain()
+	pl.workers[newW].push(&chunk{mig: m, in: true})
 }
 
 // finish flushes remaining chunks, stops the workers, and returns their
 // engines' merge-time dumps.
-func (pp *parallelPipe[S, PS]) finish() []engineDump {
-	for w := range pp.workers {
-		if len(pp.cur[w].recs) > 0 {
-			pp.flush(w)
-		}
-	}
-	for _, w := range pp.workers {
+func (pl *pipeline) finish() []engineDump {
+	pl.flushPartial()
+	for _, w := range pl.workers {
 		w.done.Store(true)
 	}
-	pp.wg.Wait()
-	dumps := make([]engineDump, len(pp.workers))
-	for i, w := range pp.workers {
-		dumps[i] = w.eng.dump()
+	pl.wg.Wait()
+	dumps := make([]engineDump, len(pl.workers))
+	for i, w := range pl.workers {
+		dumps[i] = w.dump
 	}
 	return dumps
 }
 
 // rebalanceCount reports performed redistributions (observability).
-func (pp *parallelPipe[S, PS]) rebalanceCount() int { return pp.rebalances }
+func (pl *pipeline) rebalanceCount() int { return pl.rebalances }

@@ -1,6 +1,7 @@
 package profiler
 
 import (
+	"discopop/internal/bytecode"
 	"discopop/internal/interp"
 	"discopop/internal/ir"
 	"discopop/internal/mem"
@@ -34,24 +35,22 @@ type Options struct {
 	// UseLocked replaces the lock-free queues with mutex-protected ones —
 	// the lock-based baseline of Figure 2.9.
 	UseLocked bool
-	// MT enables the multi-threaded-target pipeline of Section 2.3.4
-	// (per-target-thread producers feeding MPSC worker queues).
+	// MT profiles a multi-threaded target (Section 2.3.4): always through
+	// the worker pipeline (Workers == 0 means 4), with thread IDs on every
+	// dependence, lock/unlock/thread-end as barriers, and no redistribution.
 	MT bool
-	// ChunkSize is the number of access records per chunk (default 1024).
+	// ChunkSize is the number of 32-byte access records per chunk (default
+	// 1024, i.e. 32 KB handed to a worker at a time).
 	ChunkSize int
 	// RebalanceInterval is the number of pushed chunks between load
-	// rebalancing checks (default 2000; the paper uses 50000 at its much
-	// larger workload scale). 0 disables redistribution.
+	// rebalancing checks: 0 means the default of 2000 (the paper uses 50000
+	// at its much larger workload scale), a negative value disables
+	// redistribution.
 	RebalanceInterval int
 	// TreeWalk runs the target on the reference tree-walking engine
 	// instead of the bytecode VM. The event streams are identical; the
 	// walker is kept for differential testing and debugging.
 	TreeWalk bool
-	// PerAccess disables batched tracing: the VM delivers every event
-	// through the per-access Tracer interface instead of ProcessBatch
-	// chunks. Ablation and differential-testing knob; results are
-	// identical either way.
-	PerAccess bool
 }
 
 func (o *Options) defaults() {
@@ -95,47 +94,23 @@ type Profiler struct {
 	spillLines map[ir.Loc]int64
 
 	// Serial mode holds the engine with its concrete store type so the
-	// per-access process call (and everything it inlines) is direct.
-	// Exactly one of engP/engS is non-nil in serial mode.
+	// per-access calls (and everything they inline) are direct. Exactly one
+	// of engP/engS/pipe is non-nil.
 	engP *engine[sig.Perfect, *sig.Perfect]
 	engS *engine[sig.Signature, *sig.Signature]
-
-	par balancedPipe // sequential-target parallel mode
-	mtp barrierPipe  // multi-threaded-target mode
+	pipe *pipeline // Options.Workers > 0 or Options.MT
 
 	stopped bool
 	dumps   []engineDump
 
 	accesses int64
 
-	// recbuf is the reusable access-record buffer of ProcessBatch: one
-	// batch's loads/stores/removes accumulate here and reach the engine (or
-	// pipe) as whole chunks.
-	recbuf []rec
-	// ts reconstructs the interpreter clock on the batched path: batch
-	// events carry no timestamp (the clock ticks exactly once per access, in
-	// stream order), so the consumer counts the accesses itself.
+	// ts reconstructs the interpreter clock: batch events carry no timestamp
+	// (the clock ticks exactly once per access, in stream order), so the
+	// consumer counts the accesses itself.
 	ts uint64
-}
-
-// pipe is the non-generic control seam of the worker pipelines: the
-// producer-side hot calls plus the merge-time teardown.
-type pipe interface {
-	produce(r rec)
-	produceBatch(rs []rec)
-	finish() []engineDump
-}
-
-// balancedPipe is the sequential-target pipeline (load balancing).
-type balancedPipe interface {
-	pipe
-	rebalanceCount() int
-}
-
-// barrierPipe is the multi-threaded-target pipeline (lock barriers).
-type barrierPipe interface {
-	pipe
-	barrier()
+	// one is the per-event adapter's one-event chunk.
+	one [1]interp.Ev
 }
 
 // New creates a profiler for module m. The module's static memory
@@ -170,18 +145,14 @@ func newProfiler(m *ir.Module, opt Options) *Profiler {
 }
 
 // attach gives p its engines over store type S, one store from mk per
-// engine: the worker pipeline the options select, or else the serial engine
-// it returns for the caller to hold by its concrete type.
+// engine: the worker pipeline if the options select one, or else the serial
+// engine it returns for the caller to hold by its concrete type.
 func attach[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *engine[S, PS] {
-	switch {
-	case p.opt.MT:
-		p.mtp = newMTPipe[S, PS](p, mk)
-	case p.opt.Workers > 0:
-		p.par = newParallelPipe[S, PS](p, mk)
-	default:
-		return newEngine[S, PS](p, mk(1))
+	if p.opt.MT || p.opt.Workers > 0 {
+		p.pipe = newPipeline[S, PS](p, mk)
+		return nil
 	}
-	return nil
+	return newEngine[S, PS](p, mk(1))
 }
 
 // signature builds one worker's signature, sized as an equal share of the
@@ -193,24 +164,6 @@ func (p *Profiler) signature(nshares int) sig.Signature {
 // perfect builds one worker's shadow memory (nshares is irrelevant: pages
 // materialise on demand).
 func perfect(int) sig.Perfect { return sig.MakePerfect() }
-
-// route dispatches one access record to the active pipeline. The serial
-// cases name the concrete engine type, so the whole per-access path —
-// process, load/store, the cell resolution, and the dependence accumulator
-// — is one direct call chain.
-func (p *Profiler) route(r rec) {
-	p.accesses++
-	switch {
-	case p.engP != nil:
-		p.engP.process(&r)
-	case p.engS != nil:
-		p.engS.process(&r)
-	case p.mtp != nil:
-		p.mtp.produce(r)
-	default:
-		p.par.produce(r)
-	}
-}
 
 // countLine counts one access against its source line. The common path is
 // one dense-slice increment; the first access of each operation records
@@ -231,31 +184,35 @@ func (p *Profiler) countLine(op int32, loc ir.Loc) {
 	p.lineCounts[i]++
 }
 
-// Load implements interp.Tracer.
-func (p *Profiler) Load(a interp.Access) {
-	p.countLine(a.Op, a.Loc)
-	p.route(rec{
-		addr: a.Addr,
-		info: packInfo(a.Loc, int32(a.Var.ID), a.Thread),
-		ts:   a.TS,
-		op:   a.Op,
-		ctx:  p.cur[a.Thread],
-		kind: recLoad,
-	})
+// The per-event Tracer methods are an adapter over ProcessBatch: the tree
+// walker and interp.PerEvent streams reach the same two consumers the VM's
+// chunks do, one event at a time. An access's timestamp is not carried over:
+// the interpreter's clock ticks once per access, which the consumers count.
+
+// event feeds one event through ProcessBatch.
+func (p *Profiler) event(ev interp.Ev) {
+	p.one[0] = ev
+	p.ProcessBatch(p.mod, p.one[:])
 }
 
-// Store implements interp.Tracer.
-func (p *Profiler) Store(a interp.Access) {
-	p.countLine(a.Op, a.Loc)
-	p.route(rec{
-		addr: a.Addr,
-		info: packInfo(a.Loc, int32(a.Var.ID), a.Thread),
-		ts:   a.TS,
-		op:   a.Op,
-		ctx:  p.cur[a.Thread],
-		kind: recStore,
-	})
+// meta builds the Sink word of a non-access event: kind plus thread.
+func meta(kind uint8, tid int32) uint64 { return uint64(kind) | bytecode.SinkThread(tid) }
+
+// access is event for a load or store, filled in place: this is the tree
+// walker's per-access path.
+func (p *Profiler) access(kind uint8, a *interp.Access) {
+	v := int32(a.Var.ID)
+	ev := &p.one[0]
+	ev.Addr, ev.Loc, ev.A, ev.B = a.Addr, a.Loc, a.Op, v
+	ev.Sink = packInfo(a.Loc, v, a.Thread) | uint64(kind)
+	p.ProcessBatch(p.mod, p.one[:])
 }
+
+// Load implements interp.Tracer.
+func (p *Profiler) Load(a interp.Access) { p.access(interp.EvLoad, &a) }
+
+// Store implements interp.Tracer.
+func (p *Profiler) Store(a interp.Access) { p.access(interp.EvStore, &a) }
 
 // EnterRegion implements interp.Tracer.
 func (p *Profiler) EnterRegion(r *ir.Region, tid int32) {
@@ -312,43 +269,33 @@ func (p *Profiler) ExitFunc(f *ir.Func, instrs int64, tid int32) {
 // Section 2.3.5. Dead addresses are removed from the signatures so their
 // slots can be reused without building false dependences.
 func (p *Profiler) FreeVar(v *ir.Var, base uint64, elems int, tid int32) {
-	for i := 0; i < elems; i++ {
-		p.route(rec{addr: base + uint64(i), kind: recRemove})
-	}
+	p.event(interp.Ev{Sink: meta(interp.EvFreeVar, tid), A: int32(v.ID), Addr: base, B: int32(elems)})
 }
 
-// Lock implements interp.Tracer. In MT mode the event stream is flushed so
-// that accesses ordered by the lock are recorded in order (Figure 2.4c).
+// Lock implements interp.Tracer. Lock, Unlock and ThreadEnd are the ordering
+// points of a multi-threaded target (pipeline.barrier).
 func (p *Profiler) Lock(id int, tid int32) {
-	if p.mtp != nil {
-		p.mtp.barrier()
-	}
+	p.event(interp.Ev{Sink: meta(interp.EvLock, tid), A: int32(id)})
 }
 
 // Unlock implements interp.Tracer.
 func (p *Profiler) Unlock(id int, tid int32) {
-	if p.mtp != nil {
-		p.mtp.barrier()
-	}
+	p.event(interp.Ev{Sink: meta(interp.EvUnlock, tid), A: int32(id)})
 }
 
 // ThreadEnd implements interp.Tracer.
 func (p *Profiler) ThreadEnd(tid int32) {
-	if p.mtp != nil {
-		p.mtp.barrier()
-	}
+	p.event(interp.Ev{Sink: meta(interp.EvThreadEnd, tid)})
 }
 
 // ProcessBatch implements interp.BatchTracer: one pass over a flushed event
-// chunk. Access records take the packed sink word verbatim from the event
-// (the VM's compile-time operand tables built it already), so the per-access
-// path is a couple of dense-slice updates plus the engine's own work — the
-// packInfo assembly and all per-event interface dispatch are gone. In serial
-// mode each access is handed straight to the devirtualized engine from a
-// stack record; pipeline modes accumulate records into recbuf and route them
-// as whole chunks. Bookkeeping (contexts, region metrics, line counters, MT
-// barriers) is updated inline in stream order, so the results are
-// bit-identical to the per-event path.
+// chunk, by one of two consumers — batchSerial hands each access straight to
+// the devirtualized serial engine, pipeline.routeBatch writes it into its
+// owner's chunk. Either way an access takes the packed sink word verbatim
+// from the event (the VM's compile-time operand tables built it already), and
+// the bookkeeping (contexts, region metrics, line counters) is updated inline
+// in stream order, so results do not depend on how the stream was chunked.
+// evs is not retained.
 func (p *Profiler) ProcessBatch(m *ir.Module, evs []interp.Ev) {
 	switch {
 	case p.engP != nil:
@@ -356,7 +303,7 @@ func (p *Profiler) ProcessBatch(m *ir.Module, evs []interp.Ev) {
 	case p.engS != nil:
 		batchSerial(p, p.engS, m, evs)
 	default:
-		p.batchPipe(m, evs)
+		p.pipe.routeBatch(p, m, evs)
 	}
 }
 
@@ -378,8 +325,7 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 			if e.ops == nil {
 				e.loadAcc(ev.Addr, ev.Sink, p.ts, ev.A, ctx)
 			} else {
-				r := rec{addr: ev.Addr, info: ev.Sink, ts: p.ts,
-					op: ev.A, ctx: ctx, kind: recLoad}
+				r := rec{addr: ev.Addr, info: ev.Sink, ts: p.ts, op: ev.A, ctx: ctx}
 				e.load(&r)
 			}
 		case interp.EvStore:
@@ -390,13 +336,11 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 			if e.ops == nil {
 				e.storeAcc(ev.Addr, ev.Sink&^0xFF, p.ts, ev.A, ctx)
 			} else {
-				r := rec{addr: ev.Addr, info: ev.Sink &^ 0xFF, ts: p.ts,
-					op: ev.A, ctx: ctx, kind: recStore}
+				r := rec{addr: ev.Addr, info: ev.Sink &^ 0xFF, ts: p.ts, op: ev.A, ctx: ctx}
 				e.store(&r)
 			}
 		case interp.EvFreeVar:
-			// The per-event path routes each removed element through route(),
-			// which counts it in accesses; keep that observable tally.
+			// Removed elements count as accesses (Result.Accesses).
 			p.accesses += int64(ev.B)
 			e.shadow().Remove(ev.Addr, int(ev.B))
 		default:
@@ -405,43 +349,7 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 	}
 }
 
-// batchPipe is the pipeline-mode batch consumer: accesses and removes
-// accumulate into recbuf and reach the workers as whole chunks.
-func (p *Profiler) batchPipe(m *ir.Module, evs []interp.Ev) {
-	rb := p.recbuf[:0]
-	for i := range evs {
-		ev := &evs[i]
-		switch kind := uint8(ev.Sink); kind {
-		case interp.EvLoad, interp.EvStore:
-			p.accesses++
-			p.ts++
-			p.countLine(ev.A, ev.Loc)
-			k := recLoad
-			if kind == interp.EvStore {
-				k = recStore
-			}
-			rb = append(rb, rec{addr: ev.Addr, info: ev.Sink &^ 0xFF, ts: p.ts,
-				op: ev.A, ctx: p.cur[ev.Sink>>8&0xFF], kind: k})
-		case interp.EvFreeVar:
-			p.accesses += int64(ev.B) // route() counts removes; see batchSerial
-			for j := int32(0); j < ev.B; j++ {
-				rb = append(rb, rec{addr: ev.Addr + uint64(j), kind: recRemove})
-			}
-		case interp.EvLock, interp.EvUnlock, interp.EvThreadEnd:
-			// MT ordering points: everything recorded so far must reach the
-			// workers before the barrier drains them (Figure 2.4c).
-			if p.mtp != nil {
-				rb = p.flushRecs(rb)
-				p.mtp.barrier()
-			}
-		default:
-			p.controlEv(m, ev)
-		}
-	}
-	p.recbuf = p.flushRecs(rb)
-}
-
-// controlEv applies one non-access event's bookkeeping, shared by both batch
+// controlEv applies one non-access event's bookkeeping, shared by both
 // consumers.
 func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 	tid := ev.Tid()
@@ -459,25 +367,6 @@ func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 	}
 }
 
-// flushRecs hands the accumulated access records to the active engine or
-// pipeline and returns the emptied buffer.
-func (p *Profiler) flushRecs(rb []rec) []rec {
-	if len(rb) == 0 {
-		return rb
-	}
-	switch {
-	case p.engP != nil:
-		p.engP.processBatch(rb)
-	case p.engS != nil:
-		p.engS.processBatch(rb)
-	case p.mtp != nil:
-		p.mtp.produceBatch(rb)
-	default:
-		p.par.produceBatch(rb)
-	}
-	return rb[:0]
-}
-
 // Stop terminates the worker pipelines (if any). It is idempotent; Result
 // calls it internally. Call it directly when the profiled execution
 // unwinds with a panic and no result will be produced — otherwise the
@@ -492,10 +381,8 @@ func (p *Profiler) stop() []engineDump {
 	}
 	p.stopped = true
 	switch {
-	case p.mtp != nil:
-		p.dumps = p.mtp.finish()
-	case p.par != nil:
-		p.dumps = p.par.finish()
+	case p.pipe != nil:
+		p.dumps = p.pipe.finish()
 	case p.engP != nil:
 		p.dumps = []engineDump{p.engP.dump()}
 	default:
@@ -568,11 +455,7 @@ func (p *Profiler) run() *Result {
 	if p.opt.TreeWalk {
 		iopts = append(iopts, interp.WithTreeWalk())
 	}
-	var tr interp.Tracer = p
-	if p.opt.PerAccess {
-		tr = interp.PerEvent(p)
-	}
-	in := interp.New(p.mod, tr, iopts...)
+	in := interp.New(p.mod, p, iopts...)
 	defer in.Release()
 	in.Run()
 	return p.Result()

@@ -87,8 +87,10 @@ func TestRaceFlagging(t *testing.T) {
 	e := newEngine[sig.Perfect](&Profiler{tab: &ctxTable{}, opt: Options{MT: true}}, sig.MakePerfect())
 	loc1 := ir.Loc{File: 1, Line: 5}
 	loc2 := ir.Loc{File: 1, Line: 9}
-	e.process(&rec{addr: 100, info: packInfo(loc1, 1, 2), ts: 20, op: 1, ctx: -1, kind: recStore})
-	e.process(&rec{addr: 100, info: packInfo(loc2, 1, 3), ts: 10, op: 2, ctx: -1, kind: recLoad})
+	e.consume([]rec{
+		{addr: 100, info: packInfo(loc1, 1, 2) | uint64(recStore), ts: 20, op: 1, ctx: -1},
+		{addr: 100, info: packInfo(loc2, 1, 3) | uint64(recLoad), ts: 10, op: 2, ctx: -1},
+	})
 	found := false
 	deps := e.depsMap()
 	for d := range deps {
@@ -149,26 +151,8 @@ func TestLockBasedMatchesLockFree(t *testing.T) {
 // TestRedistribution drives the load balancer with a hot-address workload
 // and verifies results are unchanged and migrations occurred.
 func TestRedistribution(t *testing.T) {
-	b := ir.NewBuilder("hot")
-	hot := b.Global("hot", ir.F64)
-	arr := b.GlobalArray("arr", ir.F64, 64)
-	fb := b.Func("main")
-	fb.For("i", ir.CI(0), ir.CI(20000), ir.CI(1), func(i *ir.Var) {
-		fb.Set(hot, ir.Add(ir.V(hot), ir.CF(1))) // one scorching address
-		fb.SetAt(arr, ir.Mod(ir.V(i), ir.CI(64)), ir.V(hot))
-	})
-	m := b.Build(fb.Done())
-	serial := Profile(m, Options{Store: StorePerfect})
-
-	b2 := ir.NewBuilder("hot")
-	hot2 := b2.Global("hot", ir.F64)
-	arr2 := b2.GlobalArray("arr", ir.F64, 64)
-	fb2 := b2.Func("main")
-	fb2.For("i", ir.CI(0), ir.CI(20000), ir.CI(1), func(i *ir.Var) {
-		fb2.Set(hot2, ir.Add(ir.V(hot2), ir.CF(1)))
-		fb2.SetAt(arr2, ir.Mod(ir.V(i), ir.CI(64)), ir.V(hot2))
-	})
-	m2 := b2.Build(fb2.Done())
+	serial := Profile(hotAddressModule(), Options{Store: StorePerfect})
+	m2 := hotAddressModule()
 	p := New(m2, Options{Store: StorePerfect, Workers: 4, ChunkSize: 32, RebalanceInterval: 50})
 	in := interp.New(m2, p)
 	in.Run()
@@ -177,13 +161,13 @@ func TestRedistribution(t *testing.T) {
 	if len(fp) != 0 || len(fn) != 0 {
 		t.Fatalf("redistribution corrupted dependences: fp=%d fn=%d", len(fp), len(fn))
 	}
-	if p.par.rebalanceCount() == 0 {
+	if p.pipe.rebalanceCount() == 0 {
 		t.Log("note: no redistribution triggered (acceptable but unexpected)")
 	}
 }
 
 // TestMTProfilingLockedProgram: a properly locked multi-threaded target
-// must produce a race-free, deterministic dependence set through the MPSC
+// must produce a race-free, deterministic dependence set through the worker
 // pipeline, including cross-thread dependences on the shared accumulator.
 func TestMTProfilingLockedProgram(t *testing.T) {
 	prog := workloads.MustBuild("kmeans-mt", 1)

@@ -14,7 +14,7 @@ import (
 // across goroutines (simulated threads pass an execution token), so every
 // piece of Profiler shared state — the dense line counters, the access
 // counter, the region map, the per-thread loop stacks, and the shared
-// context table read concurrently by MPSC workers — is exercised here;
+// context table read concurrently by the workers — is exercised here;
 // running the package under -race validates the guarding.
 func TestMTTracerCallbacksRaceClean(t *testing.T) {
 	for _, workers := range []int{2, 8} {

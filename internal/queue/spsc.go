@@ -1,10 +1,10 @@
-// Package queue provides the lock-free queues at the heart of the parallel
-// profiler (Sections 2.3.3 and 2.3.4): a single-producer-single-consumer
-// ring used between the main thread and each worker when profiling
-// sequential targets, and a multiple-producer-single-consumer linked list
-// of arrays (with fetch-and-add slot reservation, Figure 2.5) used when
-// profiling multi-threaded targets. A conventional mutex-protected queue is
-// included as the "lock-based" baseline of Figure 2.9.
+// Package queue provides the two queues the profiler's worker pipeline
+// (Sections 2.3.3 and 2.3.4) hands chunks over: a lock-free
+// single-producer-single-consumer ring between the routing thread and each
+// worker — one producer suffices for multi-threaded targets as well, since
+// the interpreter serialises their threads into one event stream — and a
+// conventional mutex-protected queue, the "lock-based" baseline of Figure
+// 2.9.
 package queue
 
 import "sync/atomic"

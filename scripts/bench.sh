@@ -29,7 +29,7 @@ cd "$(dirname "$0")/.."
 label="${1:-after}"
 COUNT="${COUNT:-5}"
 BENCHTIME="${BENCHTIME:-20x}"
-BENCH="${BENCH:-BenchmarkProfilerThroughput\$|BenchmarkProfilerThroughputPerAccess\$|BenchmarkProfilerThroughputTreeWalk\$|BenchmarkAnalyzeAll\$|BenchmarkInterpNative\$|BenchmarkInterpNativeTreeWalk\$}"
+BENCH="${BENCH:-BenchmarkProfilerThroughput\$|BenchmarkProfilerThroughputTreeWalk\$|BenchmarkAnalyzeAll\$|BenchmarkInterpNative\$|BenchmarkInterpNativeTreeWalk\$}"
 BENCH_OUT="${BENCH_OUT:-BENCH_PR8.json}"
 BASELINE_LABEL="${BASELINE_LABEL:-}"
 RESULTS_DIR="${RESULTS_DIR:-scripts/bench-results}"
