@@ -2,7 +2,10 @@
 // and figure (the experiment index lives in DESIGN.md; recorded outputs in
 // EXPERIMENTS.md). Custom metrics carry the quantities the paper reports —
 // slowdown factors, FPR/FNR percentages, skip rates, recall, speedups —
-// so `go test -bench=. -benchmem` reprints the evaluation.
+// so `go test -bench=. -benchmem` reprints the evaluation. Throughput has
+// its own ledger, `go run ./bench` (ns_per_access, par_ns_per_access,
+// jobs_per_s, interp.untraced_ns_per_instr ...); only the ablations below,
+// which vary a design choice the benchmark holds fixed, are timed here.
 package discopop_test
 
 import (
@@ -11,7 +14,6 @@ import (
 
 	"discopop"
 	"discopop/internal/experiments"
-	"discopop/internal/interp"
 	"discopop/internal/profiler"
 	"discopop/internal/workloads"
 )
@@ -200,108 +202,6 @@ func BenchmarkFig5_1_CommPatterns(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig5_1(benchScale)
 		b.ReportMetric(r.Mean("cross_thread"), "crossdeps")
-	}
-}
-
-// BenchmarkProfilerThroughput measures raw profiling throughput
-// (accesses/second) of the serial exact profiler — the ablation baseline
-// for the queueing designs above.
-func BenchmarkProfilerThroughput(b *testing.B) {
-	prog := workloads.MustBuild("CG", benchScale)
-	b.ResetTimer()
-	var accesses int64
-	for i := 0; i < b.N; i++ {
-		res := profiler.Profile(prog.M, profiler.Options{Store: profiler.StorePerfect})
-		accesses = res.Accesses
-	}
-	b.ReportMetric(float64(accesses), "accesses")
-}
-
-// BenchmarkProfilerThroughputTreeWalk is the engine ablation of
-// BenchmarkProfilerThroughput: the identical instrumented run on the
-// reference tree walker. The pair isolates the bytecode VM's effect on
-// the traced path on one machine, where the cross-machine BENCH_*.json
-// baselines cannot.
-func BenchmarkProfilerThroughputTreeWalk(b *testing.B) {
-	prog := workloads.MustBuild("CG", benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		profiler.Profile(prog.M, profiler.Options{Store: profiler.StorePerfect, TreeWalk: true})
-	}
-}
-
-// BenchmarkProfilerThroughputParallel measures the 4-worker pipeline on
-// the same workload — together with BenchmarkProfilerThroughput it tracks
-// the hot-path cost of per-access bookkeeping (line counting is a dense
-// slice increment; rebalancing statistics are sampled 1-in-64).
-func BenchmarkProfilerThroughputParallel(b *testing.B) {
-	prog := workloads.MustBuild("CG", benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		profiler.Profile(prog.M, profiler.Options{Store: profiler.StorePerfect, Workers: 4})
-	}
-}
-
-// BenchmarkAnalyzeAll measures the concurrent batch engine against the
-// serial loop over the same jobs (BenchmarkAnalyzeSerial): N independent
-// workload analyses on a bounded worker pool.
-func BenchmarkAnalyzeAll(b *testing.B) {
-	names := workloads.Names("NAS")
-	for i := 0; i < b.N; i++ {
-		jobs := make([]discopop.Job, len(names))
-		for j, name := range names {
-			jobs[j] = discopop.Job{Name: name, Mod: workloads.MustBuild(name, benchScale).M}
-		}
-		results := discopop.AnalyzeAll(jobs, discopop.Options{})
-		for _, r := range results {
-			if r.Err != nil {
-				b.Fatal(r.Err)
-			}
-		}
-		b.ReportMetric(float64(len(results)), "jobs")
-	}
-}
-
-// BenchmarkAnalyzeSerial is the one-at-a-time baseline for
-// BenchmarkAnalyzeAll.
-func BenchmarkAnalyzeSerial(b *testing.B) {
-	names := workloads.Names("NAS")
-	for i := 0; i < b.N; i++ {
-		for _, name := range names {
-			prog := workloads.MustBuild(name, benchScale)
-			discopop.Analyze(prog.M, discopop.Options{})
-		}
-	}
-}
-
-// BenchmarkInterpNative measures the uninstrumented interpreter, the
-// "native time" denominator of all slowdown figures.
-func BenchmarkInterpNative(b *testing.B) {
-	prog := workloads.MustBuild("CG", benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		interp.New(prog.M, nil).Run()
-	}
-}
-
-// BenchmarkInterpNativeTreeWalk measures the reference tree-walking
-// engine on the same workload — the ablation for the bytecode VM
-// (BenchmarkInterpNative runs the VM by default).
-func BenchmarkInterpNativeTreeWalk(b *testing.B) {
-	prog := workloads.MustBuild("CG", benchScale)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		interp.New(prog.M, nil, interp.WithTreeWalk()).Run()
-	}
-}
-
-// BenchmarkFullPipeline measures the complete Analyze path (the ablation
-// for Phase 2+3 cost on top of profiling).
-func BenchmarkFullPipeline(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		prog := workloads.MustBuild("kmeans", benchScale)
-		rep := discopop.Analyze(prog.M, discopop.Options{})
-		b.ReportMetric(float64(len(rep.Ranked)), "suggestions")
 	}
 }
 

@@ -23,6 +23,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -41,33 +42,76 @@ import (
 // fire before the exit code is surrendered to os.Exit.
 func main() { os.Exit(run()) }
 
+// config is the parsed command line.
+type config struct {
+	workload string
+	scale    int
+	threads  int
+	jobs     int
+	bottomUp bool
+	showCUs  bool
+	stats    bool
+	dot      string
+	verbose  bool
+	remotes  string
+	trace    bool
+	prof     *profflag.Flags
+}
+
+// usageError is a command line the flag package accepts and dp-discover does
+// not; the flag package reports its own errors (and -h) itself.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// parse reads and validates the command line (without the program name).
+// Every error it returns is a usage error.
+func parse(args []string) (config, error) {
+	var c config
+	fs := flag.NewFlagSet("dp-discover", flag.ContinueOnError)
+	fs.StringVar(&c.workload, "workload", "", "workload name(s), comma-separated, or \"all\"")
+	fs.IntVar(&c.scale, "scale", 1, "workload scale factor")
+	fs.IntVar(&c.threads, "threads", 16, "thread count for local-speedup ranking")
+	fs.IntVar(&c.jobs, "jobs", 0, "concurrent analysis jobs (0 = auto: one per CPU)")
+	fs.BoolVar(&c.bottomUp, "bottomup", false, "use bottom-up CU construction (§3.2.3)")
+	fs.BoolVar(&c.showCUs, "cus", false, "print the CU graph")
+	fs.BoolVar(&c.stats, "stats", false, "print fleet-level engine stats")
+	fs.StringVar(&c.dot, "dot", "", "write the CU graph in Graphviz format (raw|clustered)")
+	fs.BoolVar(&c.verbose, "v", false, "print blocking dependences per loop")
+	fs.StringVar(&c.remotes, "remote", "", "comma-separated dp-serve worker URLs; analyze on the fleet")
+	fs.BoolVar(&c.trace, "trace", false, "print each job's span tree (stage timings; includes worker spans with -remote)")
+	c.prof = profflag.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	switch {
+	case c.workload == "":
+		return c, usageError("usage: dp-discover -workload <name>[,<name>...] (dp-profile -list shows names)")
+	case c.dot != "" && (c.workload == "all" || strings.Contains(c.workload, ",")):
+		return c, usageError("dp-discover: -dot supports a single workload (stdout is one Graphviz document)")
+	case c.remotes != "" && (c.dot != "" || c.showCUs):
+		return c, usageError("dp-discover: -cus/-dot need the in-process CU graph and cannot combine with -remote")
+	}
+	return c, nil
+}
+
 func run() int {
-	var (
-		workload = flag.String("workload", "", "workload name(s), comma-separated, or \"all\"")
-		scale    = flag.Int("scale", 1, "workload scale factor")
-		threads  = flag.Int("threads", 16, "thread count for local-speedup ranking")
-		jobs     = flag.Int("jobs", 0, "concurrent analysis jobs (0 = auto: one per CPU)")
-		bottomUp = flag.Bool("bottomup", false, "use bottom-up CU construction (§3.2.3)")
-		showCUs  = flag.Bool("cus", false, "print the CU graph")
-		stats    = flag.Bool("stats", false, "print fleet-level engine stats")
-		dot      = flag.String("dot", "", "write the CU graph in Graphviz format (raw|clustered)")
-		verbose  = flag.Bool("v", false, "print blocking dependences per loop")
-		remotes  = flag.String("remote", "", "comma-separated dp-serve worker URLs; analyze on the fleet")
-		noBC     = flag.Bool("no-bytecode", false, "run targets on the reference tree-walking engine instead of the bytecode VM")
-		trace    = flag.Bool("trace", false, "print each job's span tree (stage timings; includes worker spans with -remote)")
-	)
-	pf := profflag.Register()
-	flag.Parse()
-	if *workload == "" {
-		fmt.Fprintln(os.Stderr, "usage: dp-discover -workload <name>[,<name>...] (dp-profile -list shows names)")
+	c, err := parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		if _, own := err.(usageError); own {
+			fmt.Fprintln(os.Stderr, err)
+		}
 		return 2
 	}
-	if err := pf.Start(); err != nil {
+	if err := c.prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	defer pf.Stop()
-	progs, err := workloads.BuildBatch(*workload, *scale)
+	defer c.prof.Stop()
+	progs, err := workloads.BuildBatch(c.workload, c.scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -76,24 +120,15 @@ func run() int {
 	for _, prog := range progs {
 		batch = append(batch, discopop.Job{Name: prog.Name, Mod: prog.M})
 	}
-	if *dot != "" && len(batch) > 1 {
-		fmt.Fprintln(os.Stderr, "dp-discover: -dot supports a single workload (stdout is one Graphviz document)")
-		return 2
-	}
-	if *remotes != "" && (*dot != "" || *showCUs) {
-		fmt.Fprintln(os.Stderr, "dp-discover: -cus/-dot need the in-process CU graph and cannot combine with -remote")
-		return 2
-	}
 	opt := discopop.Options{
-		Threads:      *threads,
-		BottomUpCUs:  *bottomUp,
-		BatchWorkers: *jobs,
+		Threads:      c.threads,
+		BottomUpCUs:  c.bottomUp,
+		BatchWorkers: c.jobs,
 	}
-	opt.Profiler.TreeWalk = *noBC
 	var results []*pipeline.JobResult
 	var fleet pipeline.FleetStats
-	if *remotes != "" {
-		results, fleet = analyzeRemote(batch, opt, strings.Split(*remotes, ","))
+	if c.remotes != "" {
+		results, fleet = analyzeRemote(batch, opt, strings.Split(c.remotes, ","))
 	} else {
 		results, fleet = discopop.AnalyzeAllStats(batch, opt)
 	}
@@ -104,13 +139,13 @@ func run() int {
 			failed = true
 			continue
 		}
-		report(jr.Name, jr.Report, *verbose, *showCUs, *dot)
-		if *trace && jr.Trace != nil {
+		report(jr.Name, jr.Report, c.verbose, c.showCUs, c.dot)
+		if c.trace && jr.Trace != nil {
 			fmt.Println()
 			jr.Trace.WriteText(os.Stdout)
 		}
 	}
-	if *stats {
+	if c.stats {
 		fmt.Printf("\nfleet: %d jobs (%d failed), %d instrs, %d deps, %d accesses, store %.1f MB, busy %s\n",
 			fleet.Jobs, fleet.Failed, fleet.Instrs, fleet.Deps, fleet.Accesses,
 			float64(fleet.StoreBytes)/(1<<20), fleet.Busy.Round(1e6))

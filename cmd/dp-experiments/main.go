@@ -33,7 +33,7 @@ func runMain() int {
 		par   = flag.Int("par", 0, "concurrent analysis jobs in the ch4/ch5 discovery sweeps (0 = one per CPU)")
 		cache = flag.Bool("cache", true, "share one Profile-stage cache across the discovery sweeps (ch4/ch5 tables re-analyzing a workload skip re-profiling)")
 	)
-	pf := profflag.Register()
+	pf := profflag.Register(flag.CommandLine)
 	flag.Parse()
 	if err := pf.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

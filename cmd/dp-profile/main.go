@@ -51,7 +51,7 @@ func run() int {
 		pprofOut = flag.String("pprof", "", "write per-line execution effort as a gzipped pprof profile (single workload only)")
 		list     = flag.Bool("list", false, "list available workloads")
 	)
-	pf := profflag.Register()
+	pf := profflag.Register(flag.CommandLine)
 	flag.Parse()
 	if err := pf.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)

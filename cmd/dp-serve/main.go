@@ -85,7 +85,7 @@ func run() int {
 		maxModuleKB = flag.Int("max-module-kb", 0, "per-submission serialized-module payload cap in KiB (0 = codec limits only)")
 		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (never on the API listener)")
 	)
-	pf := profflag.Register()
+	pf := profflag.Register(flag.CommandLine)
 	flag.Parse()
 	if err := pf.Start(); err != nil {
 		log.Print("dp-serve: ", err)

@@ -9,13 +9,11 @@ import (
 )
 
 // addrRange checks every address the interpreter hands a tracer against the
-// address space it came from. The batched path checks at flush time, when
-// the heap bound can only have grown since the event was emitted. Tracer
-// callbacks of a multi-threaded target run on the simulated threads'
-// goroutines (one at a time), so violations are reported with Errorf, the
-// first one only.
+// address space it came from, at flush time, when the heap bound can only
+// have grown since the event was emitted. ProcessBatch calls of a
+// multi-threaded target run on the simulated threads' goroutines (one at a
+// time), so violations are reported with Errorf, the first one only.
 type addrRange struct {
-	BaseTracer
 	t     *testing.T
 	space *mem.Space
 	seen  int64
@@ -29,12 +27,6 @@ func (c *addrRange) check(what string, addr uint64, elems int) {
 		c.t.Errorf("%s event carries [%d, %d) outside the address space [1, %d)",
 			what, addr, addr+uint64(elems), c.space.Bound())
 	}
-}
-
-func (c *addrRange) Load(a Access)  { c.check("load", a.Addr, 1) }
-func (c *addrRange) Store(a Access) { c.check("store", a.Addr, 1) }
-func (c *addrRange) FreeVar(v *ir.Var, base uint64, elems int, tid int32) {
-	c.check("free", base, elems)
 }
 
 func (c *addrRange) ProcessBatch(m *ir.Module, evs []Ev) {
@@ -51,7 +43,7 @@ func (c *addrRange) ProcessBatch(m *ir.Module, evs []Ev) {
 }
 
 // TestAccessEventsStayInsideTheSpace: over the full workload registry, on
-// the batched VM and on the per-event tree walker, no load, store or
+// the VM and on the tree walker, no load, store or
 // variable-death event carries address 0 or an address at or beyond
 // Space.Bound(). sig.Perfect indexes its page table with these addresses
 // unchecked; this is the invariant that makes that legal.

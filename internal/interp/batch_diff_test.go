@@ -8,50 +8,81 @@ import (
 	"discopop/internal/workloads"
 )
 
-// This file is the acceptance harness for the batched tracing path: the
-// 32-byte Ev stream, replayed through ReplayBatch, must reproduce the
-// per-event Tracer call sequence bit for bit — same fields, same order,
-// same reconstructed timestamps and loop stacks — on every bundled
-// workload and across runtime-error panics.
+// oneByOne re-chunks a stream into one-event chunks.
+type oneByOne struct{ Tracer }
 
-// runReplayed drives the VM in batch mode and expands the stream back into
-// per-event calls: MultiTracer batches (it implements BatchTracer) and
-// replays to the legacy hasher child via ReplayBatch.
-func runReplayed(m *ir.Module, opts ...Option) engineRun {
-	th := &traceHasher{sum: fnvOffset}
-	it := New(m, &MultiTracer{Tracers: []Tracer{th}}, opts...)
-	ret := it.Run()
-	return engineRun{
-		sum: th.sum, events: th.events, ret: ret,
-		instrs: it.Instrs, loads: it.Loads, stores: it.Stores,
+func (o oneByOne) ProcessBatch(m *ir.Module, evs []Ev) {
+	for i := range evs {
+		o.Tracer.ProcessBatch(m, evs[i:i+1])
 	}
 }
 
-// TestBatchedReplayMatchesPerEvent: for every bundled workload the batched
-// event stream, replayed, hashes identically to both the direct per-event
-// VM trace and the reference tree walker's. This pins down everything the
-// packing touches: kind/thread extraction from the Sink word, the
-// counted-not-carried timestamps, EvExitRegion's instruction count riding
-// in the Loc field, and loop-stack reconstruction from EvLoopPush.
+// checkEv reports what is malformed about one record taken alone, "" if
+// nothing: consumers index the module's tables with A and B unchecked and
+// take Sink verbatim, so every index must be in range and Sink must be the
+// packing of the exact fields beside it.
+func checkEv(m *ir.Module, ev *Ev) string {
+	inRange := func(i int32, n int) bool { return i >= 0 && int(i) < n }
+	if ev.Kind() > EvStore && ev.Sink>>16 != 0 {
+		return "control event with Sink bits above kind and thread"
+	}
+	switch ev.Kind() {
+	case EvLoad, EvStore:
+		if !inRange(ev.B, len(m.Vars)) {
+			return "access of a variable outside the module"
+		}
+		if want := sinkOf(ev.Loc, m.Vars[ev.B], ev.Tid()) | uint64(ev.Kind()); ev.Sink != want {
+			return fmt.Sprintf("Sink %#x is not the packing %#x of Loc, B and thread", ev.Sink, want)
+		}
+	case EvEnterRegion, EvExitRegion, EvLoopIter:
+		if !inRange(ev.A, len(m.Regions)) {
+			return "region outside the module"
+		}
+	case EvEnterFunc, EvExitFunc:
+		if !inRange(ev.A, len(m.Funcs)) {
+			return "function outside the module"
+		}
+	case EvBindVar, EvFreeVar:
+		if !inRange(ev.A, len(m.Vars)) {
+			return "variable outside the module"
+		}
+	case EvLock, EvUnlock, EvThreadStart, EvThreadEnd:
+	default:
+		return "unknown kind"
+	}
+	return ""
+}
+
+// TestBatchedReplayMatchesPerEvent (the name dates from the per-event Tracer
+// API): for every bundled workload and both engines, the chunked stream
+// re-delivered one event per chunk through a MultiTracer is the stream a sole
+// tracer receives — fan-out and chunk boundaries change nothing — and every
+// record, taken alone, is well-formed against the module (checkEv). The
+// walker ≡ VM hash proves the two engines agree; this proves what they agree
+// on is what the consumers assume.
 func TestBatchedReplayMatchesPerEvent(t *testing.T) {
 	for _, name := range workloads.Names("") {
 		name := name
 		t.Run(name, func(t *testing.T) {
 			t.Parallel()
 			m := workloads.MustBuild(name, 1).M
-			walk := runEngine(m, WithTreeWalk())
-			per := runEngine(m)
-			rep := runReplayed(m)
-			if per.sum != rep.sum || per.events != rep.events {
-				t.Errorf("replayed batch diverged from per-event VM: %016x (%d events) vs %016x (%d events)",
-					rep.sum, rep.events, per.sum, per.events)
-			}
-			if walk.sum != rep.sum {
-				t.Errorf("replayed batch diverged from walker: %016x vs %016x", rep.sum, walk.sum)
-			}
-			if rep.instrs != per.instrs || rep.ret != per.ret {
-				t.Errorf("counters diverged: replayed %d instrs (ret %d), per-event %d (ret %d)",
-					rep.instrs, rep.ret, per.instrs, per.ret)
+			for _, opts := range [][]Option{nil, {WithTreeWalk()}} {
+				sole := runEngine(m, opts...)
+				whole, single := &traceHasher{sum: fnvOffset}, &traceHasher{sum: fnvOffset}
+				bad := ""
+				check := evFunc(func(m *ir.Module, ev *Ev) {
+					if msg := checkEv(m, ev); msg != "" && bad == "" {
+						bad = fmt.Sprintf("%s: %+v", msg, *ev)
+					}
+				})
+				New(m, &MultiTracer{Tracers: []Tracer{whole, oneByOne{single}, check}}, opts...).Run()
+				if whole.sum != sole.sum || single.sum != sole.sum || single.events != sole.events {
+					t.Errorf("treewalk=%v: stream diverged: sole %016x (%d events), fanned out %016x, one by one %016x (%d events)",
+						opts != nil, sole.sum, sole.events, whole.sum, single.sum, single.events)
+				}
+				if bad != "" {
+					t.Errorf("treewalk=%v: malformed record: %s", opts != nil, bad)
+				}
 			}
 		})
 	}
@@ -69,7 +100,7 @@ func oobModule() *ir.Module {
 	return b.Build(fb.Done())
 }
 
-// boundsTracer records every delivered access address, embedded under the
+// boundsTracer records every delivered access address, on top of the
 // hasher's event accounting.
 type boundsTracer struct {
 	traceHasher
@@ -77,13 +108,14 @@ type boundsTracer struct {
 	accesses int
 }
 
-func (bt *boundsTracer) Load(a Access)  { bt.seen(a); bt.traceHasher.Load(a) }
-func (bt *boundsTracer) Store(a Access) { bt.seen(a); bt.traceHasher.Store(a) }
-func (bt *boundsTracer) seen(a Access) {
-	bt.accesses++
-	if a.Addr > bt.maxAddr {
-		bt.maxAddr = a.Addr
+func (bt *boundsTracer) ProcessBatch(m *ir.Module, evs []Ev) {
+	for i := range evs {
+		if ev := &evs[i]; ev.Kind() <= EvStore {
+			bt.accesses++
+			bt.maxAddr = max(bt.maxAddr, ev.Addr)
+		}
 	}
+	bt.traceHasher.ProcessBatch(m, evs)
 }
 
 // runToPanic drives a traced run to completion or panic, returning the
@@ -99,29 +131,14 @@ func runToPanic(m *ir.Module, tr Tracer, opts ...Option) (msg string) {
 	return
 }
 
-// TestFaultingAccessEmitsNoEvent: an out-of-range access panics on every
-// engine path — walker, per-event VM, batched VM — *without* feeding the
-// bogus address to the tracer, and with the pre-fault prefix of the trace
-// delivered identically (the batch buffer is flushed before the panic
-// propagates). The bounds check preceding event emission is a PR 8 fix:
-// the batched fast paths briefly emitted the event before the bound test,
-// poisoning the dependence table of any consumer that recovers.
+// TestFaultingAccessEmitsNoEvent: an out-of-range access panics on both
+// engines *without* feeding the bogus address to the tracer, and with the
+// pre-fault prefix of the trace delivered identically (the event buffer is
+// flushed before the panic propagates). The bounds check preceding event
+// emission is a PR 8 fix: the VM's fast paths briefly emitted the event
+// before the bound test, poisoning the dependence table of any consumer that
+// recovers.
 func TestFaultingAccessEmitsNoEvent(t *testing.T) {
-	type variant struct {
-		name string
-		run  func(m *ir.Module, bt *boundsTracer) string
-	}
-	variants := []variant{
-		{"treewalk", func(m *ir.Module, bt *boundsTracer) string {
-			return runToPanic(m, bt, WithTreeWalk())
-		}},
-		{"vm-per-event", func(m *ir.Module, bt *boundsTracer) string {
-			return runToPanic(m, bt)
-		}},
-		{"vm-batched", func(m *ir.Module, bt *boundsTracer) string {
-			return runToPanic(m, &MultiTracer{Tracers: []Tracer{bt}})
-		}},
-	}
 	type outcome struct {
 		msg      string
 		sum      uint64
@@ -129,13 +146,19 @@ func TestFaultingAccessEmitsNoEvent(t *testing.T) {
 		accesses int
 	}
 	var ref outcome
-	for i, v := range variants {
+	for i, v := range []struct {
+		name string
+		opts []Option
+	}{{"treewalk", []Option{WithTreeWalk()}}, {"vm", nil}} {
 		m := oobModule()
 		bound := New(m, nil).Space().Bound()
 		bt := &boundsTracer{traceHasher: traceHasher{sum: fnvOffset}}
-		msg := v.run(m, bt)
+		msg := runToPanic(m, bt, v.opts...)
 		if msg == "" {
 			t.Fatalf("%s: out-of-range store did not panic", v.name)
+		}
+		if bt.accesses == 0 {
+			t.Errorf("%s: the accesses before the fault were not delivered", v.name)
 		}
 		if bt.maxAddr >= bound {
 			t.Errorf("%s: faulting address %d (bound %d) was delivered to the tracer",
@@ -144,11 +167,8 @@ func TestFaultingAccessEmitsNoEvent(t *testing.T) {
 		got := outcome{msg, bt.sum, bt.events, bt.accesses}
 		if i == 0 {
 			ref = got
-			continue
-		}
-		if got != ref {
-			t.Errorf("%s diverged from %s across the fault:\n  %+v\n  %+v",
-				v.name, variants[0].name, got, ref)
+		} else if got != ref {
+			t.Errorf("%s diverged from treewalk across the fault:\n  %+v\n  %+v", v.name, got, ref)
 		}
 	}
 }

@@ -60,7 +60,7 @@ func (it *Interp) callFunc(t *thread, fn *ir.Func, args []argVal, callLoc ir.Loc
 	}
 	it.checkBudget(callLoc)
 	if it.tracer != nil {
-		it.tracer.EnterFunc(fn, callLoc, t.id)
+		it.evEnterFunc(fn, callLoc, t.id)
 	}
 	startInstrs := it.Instrs
 	fr := &frame{fn: fn, env: make(map[*ir.Var]uint64, len(fn.Params)+len(fn.Locals)), spSave: t.sp}
@@ -72,7 +72,7 @@ func (it *Interp) callFunc(t *thread, fn *ir.Func, args []argVal, callLoc ir.Loc
 			fr.bound = append(fr.bound, p)
 			t.frames = append(t.frames, fr)
 			if it.tracer != nil {
-				it.tracer.BindVar(p, addr, 1, t.id)
+				it.evBindVar(p, addr, 1, t.id)
 			}
 			it.store(t, addr, args[i].val, fn.Loc, p, p.ParamOp)
 			t.frames = t.frames[:len(t.frames)-1]
@@ -87,7 +87,7 @@ func (it *Interp) callFunc(t *thread, fn *ir.Func, args []argVal, callLoc ir.Loc
 			fr.env[v] = base
 			fr.bound = append(fr.bound, v)
 			if it.tracer != nil {
-				it.tracer.BindVar(v, base, v.Elems, t.id)
+				it.evBindVar(v, base, v.Elems, t.id)
 			}
 			continue
 		}
@@ -95,7 +95,7 @@ func (it *Interp) callFunc(t *thread, fn *ir.Func, args []argVal, callLoc ir.Loc
 		fr.env[v] = addr
 		fr.bound = append(fr.bound, v)
 		if it.tracer != nil {
-			it.tracer.BindVar(v, addr, v.Elems, t.id)
+			it.evBindVar(v, addr, v.Elems, t.id)
 		}
 	}
 	t.frames = append(t.frames, fr)
@@ -104,13 +104,13 @@ func (it *Interp) callFunc(t *thread, fn *ir.Func, args []argVal, callLoc ir.Loc
 	if it.tracer != nil {
 		for i := len(fr.bound) - 1; i >= 0; i-- {
 			v := fr.bound[i]
-			it.tracer.FreeVar(v, fr.env[v], v.Elems, t.id)
+			it.evFreeVar(v, fr.env[v], v.Elems, t.id)
 		}
 	}
 	t.frames = t.frames[:len(t.frames)-1]
 	t.sp = fr.spSave
 	if it.tracer != nil {
-		it.tracer.ExitFunc(fn, it.Instrs-startInstrs, t.id)
+		it.evExitFunc(fn, it.Instrs-startInstrs, t.id)
 	}
 	return fr.ret
 }
@@ -159,7 +159,7 @@ func (it *Interp) execStmt(t *thread, s ir.Stmt) bool {
 		cond := it.eval(t, n.Cond, n.Loc) != 0
 		it.yieldPoint(t)
 		if it.tracer != nil {
-			it.tracer.EnterRegion(n.Region, t.id)
+			it.evEnterRegion(n.Region, t.id)
 		}
 		start := it.Instrs
 		var ret bool
@@ -169,7 +169,7 @@ func (it *Interp) execStmt(t *thread, s ir.Stmt) bool {
 			ret = it.execBlock(t, n.Else)
 		}
 		if it.tracer != nil {
-			it.tracer.ExitRegion(n.Region, 0, it.Instrs-start, t.id)
+			it.evExitRegion(n.Region, 0, it.Instrs-start, t.id)
 		}
 		return ret
 	case *ir.CallStmt:
@@ -197,12 +197,12 @@ func (it *Interp) execStmt(t *thread, s ir.Stmt) bool {
 		it.block(t, func() bool { return it.mutexes[n.MutexID] == 0 })
 		it.mutexes[n.MutexID] = t.id + 1
 		if it.tracer != nil {
-			it.tracer.Lock(n.MutexID, t.id)
+			it.evLock(n.MutexID, t.id)
 		}
 		ret := it.execBlock(t, n.Body)
 		it.mutexes[n.MutexID] = 0
 		if it.tracer != nil {
-			it.tracer.Unlock(n.MutexID, t.id)
+			it.evUnlock(n.MutexID, t.id)
 		}
 		return ret
 	case *ir.Free:
@@ -217,7 +217,7 @@ func (it *Interp) execStmt(t *thread, s ir.Stmt) bool {
 		}
 		it.heapFree(base, n.Var.Elems)
 		if it.tracer != nil {
-			it.tracer.FreeVar(n.Var, base, n.Var.Elems, t.id)
+			it.evFreeVar(n.Var, base, n.Var.Elems, t.id)
 		}
 		it.yieldPoint(t)
 	case *ir.BlockStmt:
@@ -233,7 +233,7 @@ func (it *Interp) execStmt(t *thread, s ir.Stmt) bool {
 // matching the C idiom and Figure 2.1 (RAW/WAR on i at the header).
 func (it *Interp) execFor(t *thread, n *ir.For) bool {
 	if it.tracer != nil {
-		it.tracer.EnterRegion(n.Region, t.id)
+		it.evEnterRegion(n.Region, t.id)
 	}
 	startInstrs := it.Instrs
 	iv := n.IndVar
@@ -251,13 +251,11 @@ func (it *Interp) execFor(t *thread, n *ir.For) bool {
 	// The loop test for iteration k executes in iteration k's context, so
 	// that a header read following the previous iteration's update forms a
 	// loop-carried dependence (the RAW on i at the header of Figure 2.1).
-	t.loops = append(t.loops, LoopFrame{Region: int32(n.Region.ID), Iter: 0})
 	iters := int64(0)
 	ret := false
 	for {
-		t.loops[len(t.loops)-1].Iter = iters
 		if it.tracer != nil {
-			it.tracer.LoopIter(n.Region, iters, t.id)
+			it.evLoopIter(n.Region, iters, t.id)
 		}
 		it.Instrs++
 		to := it.eval(t, n.To, n.Loc)
@@ -282,25 +280,22 @@ func (it *Interp) execFor(t *thread, n *ir.For) bool {
 		it.store(t, ivAddr, cur+step, n.Loc, iv, opIncS)
 		iters++
 	}
-	t.loops = t.loops[:len(t.loops)-1]
 	if it.tracer != nil {
-		it.tracer.ExitRegion(n.Region, iters, it.Instrs-startInstrs, t.id)
+		it.evExitRegion(n.Region, iters, it.Instrs-startInstrs, t.id)
 	}
 	return ret
 }
 
 func (it *Interp) execWhile(t *thread, n *ir.While) bool {
 	if it.tracer != nil {
-		it.tracer.EnterRegion(n.Region, t.id)
+		it.evEnterRegion(n.Region, t.id)
 	}
 	startInstrs := it.Instrs
-	t.loops = append(t.loops, LoopFrame{Region: int32(n.Region.ID), Iter: 0})
 	iters := int64(0)
 	ret := false
 	for {
-		t.loops[len(t.loops)-1].Iter = iters
 		if it.tracer != nil {
-			it.tracer.LoopIter(n.Region, iters, t.id)
+			it.evLoopIter(n.Region, iters, t.id)
 		}
 		it.Instrs++
 		if it.eval(t, n.Cond, n.Loc) == 0 {
@@ -317,9 +312,8 @@ func (it *Interp) execWhile(t *thread, n *ir.While) bool {
 		}
 		iters++
 	}
-	t.loops = t.loops[:len(t.loops)-1]
 	if it.tracer != nil {
-		it.tracer.ExitRegion(n.Region, iters, it.Instrs-startInstrs, t.id)
+		it.evExitRegion(n.Region, iters, it.Instrs-startInstrs, t.id)
 	}
 	return ret
 }

@@ -2,7 +2,12 @@
 // stream that Phase 1 of the framework consumes: one event per memory
 // access, control-region entry/exit, loop iteration, function call, variable
 // allocation/deallocation, and synchronization operation. It plays the role
-// of the instrumented binary plus libDiscoPoP runtime of Section 1.5.
+// of the instrumented binary plus libDiscoPoP runtime of Section 1.5, and
+// like it has one way to hand over events: chunks of 32-byte Ev records
+// passed to Tracer.ProcessBatch (batch.go). Two engines fill those chunks
+// through the same emission helpers — the bytecode VM (vm.go, the default)
+// and the tree walker (exec.go, WithTreeWalk), the executable reference the
+// differential tests hold the VM to, record for record.
 //
 // Running with a nil Tracer is the "uninstrumented" baseline against which
 // profiling slowdown is measured; the interpreter's own cost cancels out of
@@ -19,89 +24,26 @@ import (
 	"discopop/internal/mem"
 )
 
-// LoopFrame is one level of the active loop-nest stack at the time of an
-// access: the loop region and its current iteration number. The profiler
-// uses it to classify dependences as loop-carried.
-type LoopFrame struct {
-	Region int32
-	Iter   int64
-}
-
-// Access describes one dynamic memory access.
-type Access struct {
-	Addr   uint64
-	Loc    ir.Loc
-	Var    *ir.Var
-	Op     int32 // static memory-operation ID (Section 2.4's accessInfo)
-	Thread int32
-	TS     uint64 // global logical timestamp
-	// Loops is the active loop-nest stack, innermost last. The slice is
-	// reused between events; tracers must copy it if they retain it.
-	Loops []LoopFrame
-}
-
-// Tracer receives the instrumentation event stream. Methods are called
+// Tracer receives the instrumentation event stream: fixed-width Ev records
+// (batch.go) in chunks, from either engine. ProcessBatch is called
 // synchronously in execution order (the simulated-thread scheduler
 // serializes all threads onto one event stream, so cross-thread event order
-// matches the simulated happens-before order).
+// matches the simulated happens-before order); of a multi-threaded target it
+// is called on whichever simulated thread's goroutine filled the chunk, one
+// at a time. The slice is reused by the interpreter after the call returns;
+// implementations must not retain it.
 type Tracer interface {
-	Load(a Access)
-	Store(a Access)
-	EnterRegion(r *ir.Region, tid int32)
-	ExitRegion(r *ir.Region, iters int64, instrs int64, tid int32)
-	LoopIter(r *ir.Region, iter int64, tid int32)
-	EnterFunc(f *ir.Func, callLoc ir.Loc, tid int32)
-	ExitFunc(f *ir.Func, instrs int64, tid int32)
-	BindVar(v *ir.Var, base uint64, elems int, tid int32)
-	FreeVar(v *ir.Var, base uint64, elems int, tid int32)
-	Lock(id int, tid int32)
-	Unlock(id int, tid int32)
-	ThreadStart(tid, parent int32)
-	ThreadEnd(tid int32)
+	ProcessBatch(m *ir.Module, evs []Ev)
 }
 
-// BaseTracer is a no-op Tracer that other tracers may embed to implement
-// only the events they care about.
+// BatchTracer and BaseTracer are the two names bench/layers.go still compiles
+// against (bench/ is edited only by benchmark PRs): the chunk interface is
+// Tracer itself and there are no per-event methods left to default. The next
+// benchmark PR drops both.
+type BatchTracer = Tracer
+
+// BaseTracer is an empty struct; see BatchTracer.
 type BaseTracer struct{}
-
-// Load implements Tracer.
-func (BaseTracer) Load(Access) {}
-
-// Store implements Tracer.
-func (BaseTracer) Store(Access) {}
-
-// EnterRegion implements Tracer.
-func (BaseTracer) EnterRegion(*ir.Region, int32) {}
-
-// ExitRegion implements Tracer.
-func (BaseTracer) ExitRegion(*ir.Region, int64, int64, int32) {}
-
-// LoopIter implements Tracer.
-func (BaseTracer) LoopIter(*ir.Region, int64, int32) {}
-
-// EnterFunc implements Tracer.
-func (BaseTracer) EnterFunc(*ir.Func, ir.Loc, int32) {}
-
-// ExitFunc implements Tracer.
-func (BaseTracer) ExitFunc(*ir.Func, int64, int32) {}
-
-// BindVar implements Tracer.
-func (BaseTracer) BindVar(*ir.Var, uint64, int, int32) {}
-
-// FreeVar implements Tracer.
-func (BaseTracer) FreeVar(*ir.Var, uint64, int, int32) {}
-
-// Lock implements Tracer.
-func (BaseTracer) Lock(int, int32) {}
-
-// Unlock implements Tracer.
-func (BaseTracer) Unlock(int, int32) {}
-
-// ThreadStart implements Tracer.
-func (BaseTracer) ThreadStart(int32, int32) {}
-
-// ThreadEnd implements Tracer.
-func (BaseTracer) ThreadEnd(int32) {}
 
 // MaxThreads is the maximum number of simulated threads per execution. The
 // address-space layout (internal/mem) reserves one stack segment per
@@ -139,18 +81,15 @@ type Interp struct {
 	freeTIDs []int32 // dead thread IDs available for reuse (LIFO)
 	nthreads int
 	mt       bool // true while spawned threads are live
+	killing  bool // set by killThreads: a parked thread that wakes unwinds
 	mutexes  map[int]int32
 
-	ts        uint64
 	rng       uint64
 	nextOp    int32
 	maxInstrs int64 // 0 = unbounded
 
-	// Batched tracing (VM only; see batch.go): non-nil batch switches
-	// event emission from per-event Tracer calls to Ev records appended to
-	// evs and flushed in chunks.
-	batch BatchTracer
-	evs   []Ev
+	// evs buffers the events of a traced run between flushes (batch.go).
+	evs []Ev
 
 	prog      *bytecode.Program // nil under WithTreeWalk
 	pairStats *bytecode.PairStats
@@ -162,7 +101,7 @@ type Interp struct {
 	MaxHeap uint64
 
 	// CompileTime is the bytecode compilation time spent by New (zero on a
-	// compile-cache hit or under WithTreeWalk/WithProgram); CompileHit
+	// compile-cache hit or under WithTreeWalk); CompileHit
 	// reports whether the shared cache already held the program.
 	CompileTime time.Duration
 	CompileHit  bool
@@ -171,7 +110,7 @@ type Interp struct {
 // New creates an interpreter for module m reporting events to t (nil for an
 // uninstrumented run). Options select where the simulated address space
 // comes from: by default a fresh lazily-materialized mem.Space, with
-// WithSpace/WithPool recycling arenas across runs.
+// WithPool recycling arenas across runs.
 func New(m *ir.Module, t Tracer, opts ...Option) *Interp {
 	var cfg config
 	for _, o := range opts {
@@ -196,36 +135,22 @@ func New(m *ir.Module, t Tracer, opts ...Option) *Interp {
 		}
 	}
 	it.layout = mem.NewLayout(next)
-	switch {
-	case cfg.space != nil:
-		if cfg.space.Layout() != it.layout {
-			panic("interp: recycled space layout does not match the module")
-		}
-		it.space = cfg.space
-	case cfg.pool != nil:
+	if cfg.pool != nil {
 		it.space = cfg.pool.Get(it.layout)
 		it.pool = cfg.pool
-	default:
+	} else {
 		it.space = mem.NewSpace(it.layout)
 	}
 	it.nextOp = PrepareOps(m)
 	if !cfg.treeWalk {
-		switch {
-		case cfg.prog != nil:
-			it.prog = cfg.prog
-		default:
-			prog, hit, dur := bytecode.Shared.Get(m)
-			it.prog = prog
-			it.CompileHit = hit
-			it.CompileTime = dur
-		}
+		it.prog, it.CompileHit, it.CompileTime = bytecode.Shared.Get(m)
 		if it.prog.GlobalsEnd != next {
 			panic("interp: compiled program does not match the module's global layout")
 		}
 		it.pairStats = cfg.pairStats
 	}
-	if it.tracer != nil {
-		it.enableBatch()
+	if t != nil {
+		it.evs = make([]Ev, 0, evBatchSize)
 	}
 	return it
 }
@@ -255,11 +180,14 @@ func (it *Interp) rand() float64 {
 }
 
 // Run executes the module's entry function to completion and returns the
-// total number of leaf statements executed.
+// total number of leaf statements executed. A runtime error — on any
+// simulated thread — panics on the calling goroutine, after the buffered
+// events were flushed; no goroutine Run started outlives it (threads.go).
 func (it *Interp) Run() int64 {
 	if it.mod.Main == nil {
 		panic("interp: module has no entry function")
 	}
+	defer it.killThreads()
 	main := it.newThread(0, -1)
 	it.mainT = main
 	it.nextTID = 1
@@ -289,9 +217,9 @@ func (it *Interp) heapFree(base uint64, n int) {
 	it.space.Free(base, n)
 }
 
-// Panicf aborts interpretation with a formatted runtime error. Buffered
-// trace events are flushed first, so batch tracers observe everything that
-// preceded the fault, exactly like per-event tracers do.
+// panicf aborts interpretation with a formatted runtime error. Buffered
+// trace events are flushed first, so tracers observe everything that
+// preceded the fault.
 func (it *Interp) panicf(format string, args ...any) {
 	it.flushEvents()
 	panic(fmt.Sprintf("interp: "+format, args...))
@@ -304,13 +232,9 @@ func (it *Interp) load(t *thread, addr uint64, loc ir.Loc, v *ir.Var, op int32) 
 	if addr >= it.space.Bound() {
 		it.panicf("load out of range: %s[%d] at %s", v.Name, addr, loc)
 	}
-	if it.batch != nil {
+	if it.tracer != nil {
 		it.pushEv(Ev{Addr: addr, Sink: sinkOf(loc, v, t.id),
 			Loc: loc, A: op, B: int32(v.ID)})
-	} else if it.tracer != nil {
-		it.ts++
-		it.tracer.Load(Access{Addr: addr, Loc: loc, Var: v, Op: op,
-			Thread: t.id, TS: it.ts, Loops: t.loops})
 	}
 	return it.space.Load(addr)
 }
@@ -320,13 +244,9 @@ func (it *Interp) store(t *thread, addr uint64, val float64, loc ir.Loc, v *ir.V
 	if addr >= it.space.Bound() {
 		it.panicf("store out of range: %s[%d] at %s", v.Name, addr, loc)
 	}
-	if it.batch != nil {
+	if it.tracer != nil {
 		it.pushEv(Ev{Addr: addr, Sink: sinkOf(loc, v, t.id) | evStoreBit,
 			Loc: loc, A: op, B: int32(v.ID)})
-	} else if it.tracer != nil {
-		it.ts++
-		it.tracer.Store(Access{Addr: addr, Loc: loc, Var: v, Op: op,
-			Thread: t.id, TS: it.ts, Loops: t.loops})
 	}
 	it.space.Store(addr, val)
 }

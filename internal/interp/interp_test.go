@@ -8,6 +8,15 @@ import (
 	"discopop/internal/ir"
 )
 
+// evFunc adapts a function over single events to Tracer.
+type evFunc func(m *ir.Module, ev *Ev)
+
+func (f evFunc) ProcessBatch(m *ir.Module, evs []Ev) {
+	for i := range evs {
+		f(m, &evs[i])
+	}
+}
+
 // run executes a module and returns the interpreter for state inspection.
 func run(t *testing.T, m *ir.Module, tr Tracer) *Interp {
 	t.Helper()
@@ -190,9 +199,17 @@ func TestReturnInsideLoopFiresExitRegion(t *testing.T) {
 	mb.CallInto(ir.V(out), fd, ir.CI(7))
 	m := b.Build(mb.Done())
 
-	exits := map[int]int64{}
-	tr := &regionTracer{exits: exits}
-	it := New(m, tr)
+	exits := map[int32]int64{}
+	depth := 0
+	it := New(m, evFunc(func(_ *ir.Module, ev *Ev) {
+		switch ev.Kind() {
+		case EvEnterRegion:
+			depth++
+		case EvExitRegion:
+			depth--
+			exits[ev.A] = int64(ev.Addr)
+		}
+	}))
 	it.Run()
 	if got := it.space.Load(it.globalBase[out]); got != 7 {
 		t.Fatalf("early return value = %v, want 7", got)
@@ -200,21 +217,9 @@ func TestReturnInsideLoopFiresExitRegion(t *testing.T) {
 	if len(exits) == 0 {
 		t.Fatal("no ExitRegion events for early-returned loop")
 	}
-	if tr.depth != 0 {
-		t.Fatalf("unbalanced region events: depth %d", tr.depth)
+	if depth != 0 {
+		t.Fatalf("unbalanced region events: depth %d", depth)
 	}
-}
-
-type regionTracer struct {
-	BaseTracer
-	exits map[int]int64
-	depth int
-}
-
-func (r *regionTracer) EnterRegion(reg *ir.Region, tid int32) { r.depth++ }
-func (r *regionTracer) ExitRegion(reg *ir.Region, iters, instrs int64, tid int32) {
-	r.depth--
-	r.exits[reg.ID] = iters
 }
 
 func TestHeapFreeAndReuse(t *testing.T) {
@@ -247,9 +252,11 @@ func TestStackReuseAcrossCalls(t *testing.T) {
 	mb.Call(fd)
 	m := b.Build(mb.Done())
 	binds := map[uint64]int{}
-	tr := &bindTracer{binds: binds}
-	it := New(m, tr)
-	it.Run()
+	New(m, evFunc(func(m *ir.Module, ev *Ev) {
+		if ev.Kind() == EvBindVar && m.Vars[ev.A].Name == "x" {
+			binds[ev.Addr]++
+		}
+	})).Run()
 	// Both calls must bind x at the same (reused) stack address.
 	for addr, n := range binds {
 		if n != 2 {
@@ -258,17 +265,6 @@ func TestStackReuseAcrossCalls(t *testing.T) {
 	}
 	if len(binds) != 1 {
 		t.Fatalf("distinct bind addresses: %d, want 1", len(binds))
-	}
-}
-
-type bindTracer struct {
-	BaseTracer
-	binds map[uint64]int
-}
-
-func (b *bindTracer) BindVar(v *ir.Var, base uint64, elems int, tid int32) {
-	if v.Name == "x" {
-		b.binds[base]++
 	}
 }
 
@@ -332,60 +328,23 @@ func TestSpawnInterleavesThreads(t *testing.T) {
 	mb.Spawn(wf)
 	mb.Sync()
 	m := b.Build(mb.Done())
-	tr := &orderTracer{}
-	it := New(m, tr)
-	it.Run()
+	var tids []int32
+	New(m, evFunc(func(_ *ir.Module, ev *Ev) {
+		if ev.Kind() == EvStore && ev.Tid() > 0 {
+			tids = append(tids, ev.Tid())
+		}
+	})).Run()
 	switches := 0
-	for i := 1; i < len(tr.tids); i++ {
-		if tr.tids[i] != tr.tids[i-1] {
+	for i := 1; i < len(tids); i++ {
+		if tids[i] != tids[i-1] {
 			switches++
 		}
 	}
 	if switches < 10 {
 		t.Fatalf("threads barely interleaved: %d switches over %d events",
-			switches, len(tr.tids))
-	}
-	_ = it
-}
-
-type orderTracer struct {
-	BaseTracer
-	tids []int32
-}
-
-func (o *orderTracer) Store(a Access) {
-	if a.Thread > 0 {
-		o.tids = append(o.tids, a.Thread)
+			switches, len(tids))
 	}
 }
-
-func TestTimestampsStrictlyIncrease(t *testing.T) {
-	b := ir.NewBuilder("ts")
-	out := b.Global("out", ir.F64)
-	fb := b.Func("main")
-	fb.For("i", ir.CI(0), ir.CI(50), ir.CI(1), func(i *ir.Var) {
-		fb.Set(out, ir.Add(ir.V(out), ir.V(i)))
-	})
-	m := b.Build(fb.Done())
-	tr := &tsTracer{}
-	New(m, tr).Run()
-	for i := 1; i < len(tr.ts); i++ {
-		if tr.ts[i] <= tr.ts[i-1] {
-			t.Fatalf("timestamps not strictly increasing at %d", i)
-		}
-	}
-	if len(tr.ts) == 0 {
-		t.Fatal("no events observed")
-	}
-}
-
-type tsTracer struct {
-	BaseTracer
-	ts []uint64
-}
-
-func (tt *tsTracer) Load(a Access)  { tt.ts = append(tt.ts, a.TS) }
-func (tt *tsTracer) Store(a Access) { tt.ts = append(tt.ts, a.TS) }
 
 func TestPrepareOpsIdempotent(t *testing.T) {
 	b := ir.NewBuilder("ops")
@@ -401,46 +360,35 @@ func TestPrepareOpsIdempotent(t *testing.T) {
 }
 
 func TestLoopIterationContext(t *testing.T) {
-	// The Loops stack exposed to tracers must name the current loop and
-	// iteration.
+	// Every body access must be preceded, on its thread, by an EvLoopIter
+	// naming the active loop and the current iteration: that is the context
+	// consumers classify loop-carried dependences with.
 	b := ir.NewBuilder("ctx")
 	out := b.Global("out", ir.F64)
 	fb := b.Func("main")
-	var loopReg *ir.Region
-	loopReg = fb.For("i", ir.CI(0), ir.CI(5), ir.CI(1), func(i *ir.Var) {
+	loopReg := fb.For("i", ir.CI(0), ir.CI(5), ir.CI(1), func(i *ir.Var) {
 		fb.Set(out, ir.V(i))
 	})
 	m := b.Build(fb.Done())
-	tr := &loopCtxTracer{want: int32(loopReg.ID)}
-	New(m, tr).Run()
-	if tr.bad {
-		t.Fatal("access loop context did not match the active loop")
-	}
-	if tr.maxIter != 4 {
-		t.Fatalf("max observed iteration = %d, want 4", tr.maxIter)
-	}
-}
-
-type loopCtxTracer struct {
-	BaseTracer
-	want    int32
-	bad     bool
-	maxIter int64
-}
-
-func (lt *loopCtxTracer) Store(a Access) {
-	if a.Var.Name != "out" {
-		return // header induction-variable stores run outside iterations
-	}
-	if len(a.Loops) == 0 {
-		lt.bad = true
-		return
-	}
-	top := a.Loops[len(a.Loops)-1]
-	if top.Region != lt.want {
-		lt.bad = true
-	}
-	if top.Iter > lt.maxIter {
-		lt.maxIter = top.Iter
+	region, iter := int32(-1), int64(-1)
+	var iters []int64
+	New(m, evFunc(func(m *ir.Module, ev *Ev) {
+		switch ev.Kind() {
+		case EvLoopIter:
+			region, iter = ev.A, int64(ev.Addr)
+		case EvExitRegion:
+			region = -1
+		case EvStore:
+			if m.Vars[ev.B].Name != "out" {
+				return // header induction-variable stores
+			}
+			if region != int32(loopReg.ID) {
+				t.Errorf("store to out in loop context %d, want %d", region, loopReg.ID)
+			}
+			iters = append(iters, iter)
+		}
+	})).Run()
+	if fmt.Sprint(iters) != "[0 1 2 3 4]" {
+		t.Fatalf("body stores observed in iterations %v, want [0 1 2 3 4]", iters)
 	}
 }

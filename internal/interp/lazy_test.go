@@ -99,18 +99,6 @@ func TestRecycledSpaceRunsIdentically(t *testing.T) {
 	}
 }
 
-// TestWithSpaceLayoutMismatchPanics: handing a module a space built for a
-// different layout must fail loudly, not remap addresses.
-func TestWithSpaceLayoutMismatchPanics(t *testing.T) {
-	sp := mem.NewSpace(mem.NewLayout(12345))
-	defer func() {
-		if recover() == nil {
-			t.Fatal("layout mismatch did not panic")
-		}
-	}()
-	New(buildSeq(), nil, WithSpace(sp))
-}
-
 // TestPrepareOpsConcurrentIsRaceFree: numbering runs once per module, so
 // concurrent PrepareOps calls (an evicted profile-cache key re-profiling a
 // module other jobs still read) must not re-write Op fields. Validated

@@ -2,140 +2,17 @@ package interp
 
 import "discopop/internal/ir"
 
-// MultiTracer composes several tracers into one event stream, so that the
-// profiler, the PET builder, and any number of auxiliary observers can watch
-// the same execution. It lives next to the Tracer interface because stage
-// wiring (internal/pipeline) composes tracers before the interpreter runs.
-//
-// MultiTracer is itself a BatchTracer: batches are forwarded whole to every
-// child that supports them, and expanded (once, via ReplayBatch) into
-// per-event calls for the children that do not — so a pipeline composed of
-// a batch-capable profiler and a legacy observer still runs the VM on the
-// batched path.
+// MultiTracer fans one event stream out to several tracers, so that the
+// profiler, the PET builder and any other observer watch the same execution.
+// It lives next to the Tracer interface because stage wiring
+// (internal/pipeline) composes tracers before the interpreter runs.
 type MultiTracer struct {
 	Tracers []Tracer
-
-	split     bool
-	batchers  []BatchTracer
-	replayDst Tracer // non-batch children (one tracer or a nested MultiTracer)
-	rstate    ReplayState
 }
 
-// ProcessBatch implements BatchTracer.
+// ProcessBatch implements Tracer.
 func (m *MultiTracer) ProcessBatch(mod *ir.Module, evs []Ev) {
-	if !m.split {
-		m.split = true
-		var legacy []Tracer
-		for _, t := range m.Tracers {
-			if bt, ok := t.(BatchTracer); ok {
-				m.batchers = append(m.batchers, bt)
-			} else {
-				legacy = append(legacy, t)
-			}
-		}
-		switch len(legacy) {
-		case 0:
-		case 1:
-			m.replayDst = legacy[0]
-		default:
-			m.replayDst = &MultiTracer{Tracers: legacy}
-		}
-	}
-	for _, bt := range m.batchers {
-		bt.ProcessBatch(mod, evs)
-	}
-	if m.replayDst != nil {
-		ReplayBatch(mod, evs, &m.rstate, m.replayDst)
-	}
-}
-
-// Load implements Tracer.
-func (m *MultiTracer) Load(a Access) {
 	for _, t := range m.Tracers {
-		t.Load(a)
-	}
-}
-
-// Store implements Tracer.
-func (m *MultiTracer) Store(a Access) {
-	for _, t := range m.Tracers {
-		t.Store(a)
-	}
-}
-
-// EnterRegion implements Tracer.
-func (m *MultiTracer) EnterRegion(r *ir.Region, tid int32) {
-	for _, t := range m.Tracers {
-		t.EnterRegion(r, tid)
-	}
-}
-
-// ExitRegion implements Tracer.
-func (m *MultiTracer) ExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
-	for _, t := range m.Tracers {
-		t.ExitRegion(r, iters, instrs, tid)
-	}
-}
-
-// LoopIter implements Tracer.
-func (m *MultiTracer) LoopIter(r *ir.Region, iter int64, tid int32) {
-	for _, t := range m.Tracers {
-		t.LoopIter(r, iter, tid)
-	}
-}
-
-// EnterFunc implements Tracer.
-func (m *MultiTracer) EnterFunc(f *ir.Func, callLoc ir.Loc, tid int32) {
-	for _, t := range m.Tracers {
-		t.EnterFunc(f, callLoc, tid)
-	}
-}
-
-// ExitFunc implements Tracer.
-func (m *MultiTracer) ExitFunc(f *ir.Func, instrs int64, tid int32) {
-	for _, t := range m.Tracers {
-		t.ExitFunc(f, instrs, tid)
-	}
-}
-
-// BindVar implements Tracer.
-func (m *MultiTracer) BindVar(v *ir.Var, base uint64, elems int, tid int32) {
-	for _, t := range m.Tracers {
-		t.BindVar(v, base, elems, tid)
-	}
-}
-
-// FreeVar implements Tracer.
-func (m *MultiTracer) FreeVar(v *ir.Var, base uint64, elems int, tid int32) {
-	for _, t := range m.Tracers {
-		t.FreeVar(v, base, elems, tid)
-	}
-}
-
-// Lock implements Tracer.
-func (m *MultiTracer) Lock(id int, tid int32) {
-	for _, t := range m.Tracers {
-		t.Lock(id, tid)
-	}
-}
-
-// Unlock implements Tracer.
-func (m *MultiTracer) Unlock(id int, tid int32) {
-	for _, t := range m.Tracers {
-		t.Unlock(id, tid)
-	}
-}
-
-// ThreadStart implements Tracer.
-func (m *MultiTracer) ThreadStart(tid, parent int32) {
-	for _, t := range m.Tracers {
-		t.ThreadStart(tid, parent)
-	}
-}
-
-// ThreadEnd implements Tracer.
-func (m *MultiTracer) ThreadEnd(tid int32) {
-	for _, t := range m.Tracers {
-		t.ThreadEnd(tid)
+		t.ProcessBatch(mod, evs)
 	}
 }

@@ -9,21 +9,10 @@ import (
 type Option func(*config)
 
 type config struct {
-	space     *mem.Space
 	pool      *mem.Pool
 	maxInstrs int64
 	treeWalk  bool
-	prog      *bytecode.Program
 	pairStats *bytecode.PairStats
-}
-
-// WithSpace runs the interpreter on a recycled address space instead of
-// allocating one. The space must be clean (fresh, or Reset since its last
-// run) and its layout must match the module's; New panics on a layout
-// mismatch, since silently remapping addresses would corrupt the run.
-// WithSpace wins over WithPool when both are given.
-func WithSpace(s *mem.Space) Option {
-	return func(c *config) { c.space = s }
 }
 
 // WithPool draws the address space from an arena pool and arranges for
@@ -50,13 +39,6 @@ func WithMaxInstrs(n int64) Option {
 // the walker remains as the executable specification and a debugging aid.
 func WithTreeWalk() Option {
 	return func(c *config) { c.treeWalk = true }
-}
-
-// WithProgram runs a pre-compiled bytecode program instead of consulting
-// the shared compile cache. The program must have been compiled from a
-// module with the same global layout; New panics on a mismatch.
-func WithProgram(p *bytecode.Program) Option {
-	return func(c *config) { c.prog = p }
 }
 
 // WithPairStats records dynamic opcode-pair frequencies into s while the

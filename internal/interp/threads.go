@@ -11,6 +11,13 @@ import (
 // schedule and a single serialized event stream. The main thread acts as
 // the scheduler: at each of its own statement boundaries it grants every
 // other live thread one statement.
+//
+// Run's caller sees one goroutine: a runtime error raised on a spawned
+// thread (a fault in the target program, the instruction budget, a panicking
+// tracer) is caught on that thread's goroutine and re-raised, the same
+// value, by the scheduler on the goroutine that called Run; and whether Run
+// returns or panics, every thread still parked is unwound first, so no
+// goroutine outlives it.
 
 type frame struct {
 	fn       *ir.Func
@@ -25,12 +32,12 @@ type thread struct {
 	id       int32
 	parent   int32
 	frames   []*frame
-	loops    []LoopFrame
 	stack    uint64 // base of this thread's stack segment
 	sp       uint64
 	resume   chan struct{}
 	yield    chan struct{}
 	done     bool
+	fault    any         // the panic value that ended the thread, if one did
 	blocked  func() bool // non-nil while waiting; true when runnable again
 	children int
 	parentT  *thread
@@ -68,19 +75,54 @@ type argVal struct {
 }
 
 // yieldPoint is called after every executed leaf statement. With a single
-// live thread it is (nearly) free, so sequential programs run at full
+// live thread it is one inlined test, so sequential programs run at full
 // speed; in multi-threaded mode the main thread runs one scheduling round
 // and spawned threads hand the token back.
 func (it *Interp) yieldPoint(t *thread) {
-	if !it.mt {
-		return
+	if it.mt {
+		it.reschedule(t)
 	}
+}
+
+// reschedule is yieldPoint's multi-threaded half, a function of its own so
+// that yieldPoint stays within the inlining budget.
+func (it *Interp) reschedule(t *thread) {
 	if t == it.mainT {
 		it.runRound()
 		return
 	}
-	t.yield <- struct{}{}
+	it.park(t)
+}
+
+// threadKilled is the panic that unwinds a parked thread whose run is over.
+type threadKilled struct{}
+
+// await blocks spawned thread t until the scheduler grants it the token, or
+// unwinds it when the grant comes from killThreads.
+func (it *Interp) await(t *thread) {
 	<-t.resume
+	if it.killing {
+		panic(threadKilled{})
+	}
+}
+
+// park hands the token back to the scheduler and waits for the next grant.
+func (it *Interp) park(t *thread) {
+	t.yield <- struct{}{}
+	it.await(t)
+}
+
+// killThreads unwinds every spawned thread that is still parked, waiting for
+// each goroutine to reach its exit. Run defers it: after a normal return
+// there is nothing left to unwind.
+func (it *Interp) killThreads() {
+	it.killing = true
+	for _, t := range it.spawned {
+		if !t.done {
+			t.resume <- struct{}{}
+			<-t.yield
+		}
+	}
 }
 
 // runRound grants every live spawned thread one statement. It reports
@@ -97,6 +139,9 @@ func (it *Interp) runRound() bool {
 		}
 		t.resume <- struct{}{}
 		<-t.yield
+		if t.fault != nil {
+			panic(t.fault)
+		}
 		progressed = true
 	}
 	// Compact finished threads away occasionally.
@@ -128,8 +173,7 @@ func (it *Interp) block(t *thread, cond func() bool) {
 	}
 	for !cond() {
 		t.blocked = cond
-		t.yield <- struct{}{}
-		<-t.resume
+		it.park(t)
 		t.blocked = nil
 	}
 }
@@ -171,9 +215,20 @@ func (it *Interp) spawnThread(parent *thread, fn *ir.Func, args []argVal) {
 	it.mt = true
 	it.spawned = append(it.spawned, child)
 	go func() {
-		<-child.resume
+		// The goroutine's last act is to hand the token back, whatever ended
+		// the thread: completion, a fault (kept for runRound to re-raise on
+		// Run's goroutine) or killThreads.
+		defer func() {
+			if r := recover(); r != nil {
+				if _, killed := r.(threadKilled); !killed {
+					child.fault = r
+				}
+			}
+			child.done = true
+			child.yield <- struct{}{}
+		}()
+		it.await(child)
 		it.execThread(child, fn, args)
-		child.yield <- struct{}{}
 	}()
 }
 

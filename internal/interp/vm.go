@@ -149,15 +149,13 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 	ctrlBase := len(t.ctrl)
 	pc := int(f.Entry)
 	// Hot-path state, stable for the whole run: the address space pointer
-	// and the tracing mode. Batched tracing (bt) keeps the inlined
+	// and whether the run is traced (bt). A traced access keeps the inlined
 	// TryLoad/TryStore fast path and appends an event with the compile-time
-	// packed sink operand per access; per-event tracing (trcd) forces every
-	// access through the full load/store slow path; both fall back to the
+	// packed sink operand; traced or not, it falls back to the load/store
 	// slow path when the inline attempt declines (page materialization,
 	// range panics).
 	space := it.space
-	trcd := it.tracer != nil && it.batch == nil
-	bt := it.batch != nil
+	bt := it.tracer != nil
 	tid := t.id
 	var tr1, tr2 []uint64
 	var thr uint64
@@ -184,7 +182,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		case bytecode.OpLoadL:
 			addr := slots[in.A]
 			v, ok := space.TryLoad(addr)
-			if trcd || !ok {
+			if !ok {
 				v = it.load(t, addr, in.Loc, vars[in.B], in.C)
 			} else {
 				it.Loads++
@@ -197,7 +195,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		case bytecode.OpLoadG:
 			addr := uint64(in.A)
 			v, ok := space.TryLoad(addr)
-			if trcd || !ok {
+			if !ok {
 				v = it.load(t, addr, in.Loc, vars[in.B], in.C)
 			} else {
 				it.Loads++
@@ -219,7 +217,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			}
 			addr := base + uint64(idx)
 			val, ok := space.TryLoad(addr)
-			if trcd || !ok {
+			if !ok {
 				val = it.load(t, addr, in.Loc, v, in.C)
 			} else {
 				it.Loads++
@@ -231,7 +229,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		case bytecode.OpStoreL:
 			sp--
 			addr := slots[in.A]
-			if trcd || !space.TryStore(addr, stack[sp]) {
+			if !space.TryStore(addr, stack[sp]) {
 				it.store(t, addr, stack[sp], in.Loc, vars[in.B], in.C)
 			} else {
 				it.Stores++
@@ -245,7 +243,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		case bytecode.OpStoreG:
 			sp--
 			addr := uint64(in.A)
-			if trcd || !space.TryStore(addr, stack[sp]) {
+			if !space.TryStore(addr, stack[sp]) {
 				it.store(t, addr, stack[sp], in.Loc, vars[in.B], in.C)
 			} else {
 				it.Stores++
@@ -268,7 +266,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			}
 			sp -= 2
 			addr := base + uint64(idx)
-			if trcd || !space.TryStore(addr, stack[sp]) {
+			if !space.TryStore(addr, stack[sp]) {
 				it.store(t, addr, stack[sp], in.Loc, v, in.C)
 			} else {
 				it.Stores++
@@ -394,11 +392,8 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			c := &t.ctrl[len(t.ctrl)-1]
 			sp--
 			it.store(t, c.ivAddr, stack[sp], in.Loc, vars[in.A], -4*in.B-1)
-			t.loops = append(t.loops, LoopFrame{Region: in.B})
-			it.evLoopPush(in.B, tid)
 		case bytecode.OpLoopHead:
 			c := &t.ctrl[len(t.ctrl)-1]
-			t.loops[len(t.loops)-1].Iter = c.iters
 			if it.tracer != nil {
 				it.evLoopIter(c.region, c.iters, tid)
 			}
@@ -407,7 +402,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			sp--
 			to := stack[sp]
 			cur, ok := space.TryLoad(c.ivAddr)
-			if trcd || !ok {
+			if !ok {
 				cur = it.load(t, c.ivAddr, in.Loc, vars[in.A], -4*in.B-2)
 			} else {
 				it.Loads++
@@ -432,7 +427,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			c := &t.ctrl[len(t.ctrl)-1]
 			sp--
 			cur, ok := space.TryLoad(c.ivAddr)
-			if trcd || !ok {
+			if !ok {
 				cur = it.load(t, c.ivAddr, in.Loc, vars[in.A], -4*in.B-3)
 			} else {
 				it.Loads++
@@ -441,7 +436,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 				}
 			}
 			next := cur + stack[sp]
-			if trcd || !space.TryStore(c.ivAddr, next) {
+			if !space.TryStore(c.ivAddr, next) {
 				it.store(t, c.ivAddr, next, in.Loc, vars[in.A], -4*in.B-4)
 			} else {
 				it.Stores++
@@ -453,7 +448,6 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			pc = int(in.C)
 			continue
 		case bytecode.OpLoopExit:
-			t.loops = t.loops[:len(t.loops)-1]
 			c := t.ctrl[len(t.ctrl)-1]
 			t.ctrl = t.ctrl[:len(t.ctrl)-1]
 			if it.tracer != nil {
@@ -465,8 +459,6 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 				it.evEnterRegion(r, tid)
 			}
 			t.ctrl = append(t.ctrl, vmCtrl{kind: ctrlLoop, region: r, start: it.Instrs})
-			t.loops = append(t.loops, LoopFrame{Region: in.A})
-			it.evLoopPush(in.A, tid)
 		case bytecode.OpWhileTest:
 			c := &t.ctrl[len(t.ctrl)-1]
 			sp--
@@ -534,7 +526,6 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		// Superinstructions.
 		case bytecode.OpForHeadC, bytecode.OpForHeadL, bytecode.OpForHeadG:
 			c := &t.ctrl[len(t.ctrl)-1]
-			t.loops[len(t.loops)-1].Iter = c.iters
 			if it.tracer != nil {
 				it.evLoopIter(c.region, c.iters, tid)
 			}
@@ -548,7 +539,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 				}
 				var ok bool
 				to, ok = space.TryLoad(addr)
-				if trcd || !ok {
+				if !ok {
 					to = it.load(t, addr, in.Loc, vars[in.E], in.F)
 				} else {
 					it.Loads++
@@ -558,7 +549,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 				}
 			}
 			cur, ok := space.TryLoad(c.ivAddr)
-			if trcd || !ok {
+			if !ok {
 				cur = it.load(t, c.ivAddr, in.Loc, vars[in.A], -4*in.B-2)
 			} else {
 				it.Loads++
@@ -582,7 +573,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		case bytecode.OpForIncC:
 			c := &t.ctrl[len(t.ctrl)-1]
 			cur, ok := space.TryLoad(c.ivAddr)
-			if trcd || !ok {
+			if !ok {
 				cur = it.load(t, c.ivAddr, in.Loc, vars[in.A], -4*in.B-3)
 			} else {
 				it.Loads++
@@ -591,7 +582,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 				}
 			}
 			next := cur + in.Val
-			if trcd || !space.TryStore(c.ivAddr, next) {
+			if !space.TryStore(c.ivAddr, next) {
 				it.store(t, c.ivAddr, next, in.Loc, vars[in.A], -4*in.B-4)
 			} else {
 				it.Stores++
@@ -618,7 +609,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			if in.Op == bytecode.OpBinStoreL {
 				addr = slots[in.A]
 			}
-			if trcd || !space.TryStore(addr, v) {
+			if !space.TryStore(addr, v) {
 				it.store(t, addr, v, in.Loc, vars[in.B], in.C)
 			} else {
 				it.Stores++
@@ -634,7 +625,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			if in.Op == bytecode.OpStoreCL {
 				addr = slots[in.A]
 			}
-			if trcd || !space.TryStore(addr, in.Val) {
+			if !space.TryStore(addr, in.Val) {
 				it.store(t, addr, in.Val, in.Loc, vars[in.B], in.C)
 			} else {
 				it.Stores++
@@ -648,7 +639,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		case bytecode.OpLoadLL:
 			a1, a2 := slots[in.A], slots[in.D]
 			v1, ok1 := space.TryLoad(a1)
-			if trcd || !ok1 {
+			if !ok1 {
 				v1 = it.load(t, a1, in.Loc, vars[in.B], in.C)
 			} else {
 				it.Loads++
@@ -657,7 +648,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 				}
 			}
 			v2, ok2 := space.TryLoad(a2)
-			if trcd || !ok2 {
+			if !ok2 {
 				v2 = it.load(t, a2, in.Loc, vars[in.E], in.F)
 			} else {
 				it.Loads++
@@ -671,7 +662,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		case bytecode.OpIdxLoadL, bytecode.OpIdxLoadG:
 			ia := slots[in.A]
 			iv, iok := space.TryLoad(ia)
-			if trcd || !iok {
+			if !iok {
 				iv = it.load(t, ia, in.Loc, vars[in.B], in.C)
 			} else {
 				it.Loads++
@@ -690,7 +681,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			}
 			addr := base + uint64(idx)
 			val, ok := space.TryLoad(addr)
-			if trcd || !ok {
+			if !ok {
 				val = it.load(t, addr, in.Loc, v, in.F)
 			} else {
 				it.Loads++
@@ -703,7 +694,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		case bytecode.OpIdxStoreL, bytecode.OpIdxStoreG:
 			ia := slots[in.A]
 			iv, iok := space.TryLoad(ia)
-			if trcd || !iok {
+			if !iok {
 				iv = it.load(t, ia, in.Loc, vars[in.B], in.C)
 			} else {
 				it.Loads++
@@ -722,7 +713,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			}
 			sp--
 			addr := base + uint64(idx)
-			if trcd || !space.TryStore(addr, stack[sp]) {
+			if !space.TryStore(addr, stack[sp]) {
 				it.store(t, addr, stack[sp], in.Loc, v, in.F)
 			} else {
 				it.Stores++
@@ -748,7 +739,6 @@ func (it *Interp) unwindCtrl(t *thread, base int) {
 		t.ctrl = t.ctrl[:len(t.ctrl)-1]
 		switch c.kind {
 		case ctrlLoop:
-			t.loops = t.loops[:len(t.loops)-1]
 			if it.tracer != nil {
 				it.evExitRegion(c.region, c.iters, it.Instrs-c.start, t.id)
 			}

@@ -2,16 +2,23 @@ package interp
 
 import (
 	"fmt"
+	"runtime"
+	"strings"
 	"testing"
+	"time"
+	"unsafe"
 
 	"discopop/internal/ir"
 	"discopop/internal/workloads"
 )
 
-// traceHasher folds every instrumentation event — in order, with every
-// field — into one FNV-1a sum. Two runs that produce the same sum, event
-// count, and instruction counters emitted byte-identical traces; this is
-// the oracle for the walker-vs-VM differential tests below.
+// traceHasher folds every event record — in order, all 32 bytes of it,
+// the packed Sink word included — into one FNV-1a sum. Two runs that produce
+// the same sum, event count, and instruction counters emitted byte-identical
+// streams; this is the oracle for the walker-vs-VM differential tests below,
+// which therefore compare the production chunk path with the reference
+// directly: the walker packs Sink at run time (sinkOf), the VM's fast paths
+// read it from the compile-time bytecode.TraceInfo tables.
 type traceHasher struct {
 	sum    uint64
 	events int64
@@ -22,64 +29,30 @@ const (
 	fnvPrime  = 1099511628211
 )
 
-func (h *traceHasher) mix(words ...uint64) {
+func (h *traceHasher) ProcessBatch(_ *ir.Module, evs []Ev) {
 	s := h.sum
-	for _, w := range words {
-		for i := 0; i < 8; i++ {
-			s ^= w & 0xff
-			s *= fnvPrime
-			w >>= 8
+	for i := range evs {
+		ev := &evs[i]
+		for _, w := range [4]uint64{ev.Addr, ev.Sink, ev.Loc.Key(),
+			uint64(uint32(ev.A)) | uint64(uint32(ev.B))<<32} {
+			for j := 0; j < 8; j++ {
+				s ^= w & 0xff
+				s *= fnvPrime
+				w >>= 8
+			}
 		}
 	}
 	h.sum = s
-	h.events++
+	h.events += int64(len(evs))
 }
 
-func vid(v *ir.Var) uint64 {
-	if v == nil {
-		return ^uint64(0)
-	}
-	return uint64(uint32(v.ID))
-}
-
-func (h *traceHasher) access(tag uint64, a Access) {
-	h.mix(tag, a.Addr, a.Loc.Key(), vid(a.Var), uint64(uint32(a.Op)),
-		uint64(uint32(a.Thread)), a.TS, uint64(len(a.Loops)))
-	// Loops is reused between events — fold the contents immediately.
-	for _, f := range a.Loops {
-		h.mix(uint64(uint32(f.Region)), uint64(f.Iter))
+// TestEvIs32Bytes pins the record width the buffer sizing, the profiler's
+// 32-byte worker records and the hasher's four words all assume.
+func TestEvIs32Bytes(t *testing.T) {
+	if n := unsafe.Sizeof(Ev{}); n != 32 {
+		t.Fatalf("unsafe.Sizeof(Ev{}) = %d, want 32", n)
 	}
 }
-
-func (h *traceHasher) Load(a Access)  { h.access(1, a) }
-func (h *traceHasher) Store(a Access) { h.access(2, a) }
-func (h *traceHasher) EnterRegion(r *ir.Region, tid int32) {
-	h.mix(3, uint64(uint32(r.ID)), uint64(uint32(tid)))
-}
-func (h *traceHasher) ExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
-	h.mix(4, uint64(uint32(r.ID)), uint64(iters), uint64(instrs), uint64(uint32(tid)))
-}
-func (h *traceHasher) LoopIter(r *ir.Region, iter int64, tid int32) {
-	h.mix(5, uint64(uint32(r.ID)), uint64(iter), uint64(uint32(tid)))
-}
-func (h *traceHasher) EnterFunc(f *ir.Func, callLoc ir.Loc, tid int32) {
-	h.mix(6, uint64(uint32(f.ID)), callLoc.Key(), uint64(uint32(tid)))
-}
-func (h *traceHasher) ExitFunc(f *ir.Func, instrs int64, tid int32) {
-	h.mix(7, uint64(uint32(f.ID)), uint64(instrs), uint64(uint32(tid)))
-}
-func (h *traceHasher) BindVar(v *ir.Var, base uint64, elems int, tid int32) {
-	h.mix(8, vid(v), base, uint64(elems), uint64(uint32(tid)))
-}
-func (h *traceHasher) FreeVar(v *ir.Var, base uint64, elems int, tid int32) {
-	h.mix(9, vid(v), base, uint64(elems), uint64(uint32(tid)))
-}
-func (h *traceHasher) Lock(id int, tid int32)   { h.mix(10, uint64(id), uint64(uint32(tid))) }
-func (h *traceHasher) Unlock(id int, tid int32) { h.mix(11, uint64(id), uint64(uint32(tid))) }
-func (h *traceHasher) ThreadStart(tid, parent int32) {
-	h.mix(12, uint64(uint32(tid)), uint64(uint32(parent)))
-}
-func (h *traceHasher) ThreadEnd(tid int32) { h.mix(13, uint64(uint32(tid))) }
 
 // engineRun captures everything a run exposes: the trace digest and the
 // interpreter's own counters.
@@ -103,8 +76,8 @@ func runEngine(m *ir.Module, opts ...Option) engineRun {
 }
 
 // TestVMMatchesTreeWalkAcrossRegistry: for every bundled workload — the
-// full registry, multi-threaded ones included — the bytecode VM emits a
-// trace byte-identical to the reference tree walker's, with identical
+// full registry, multi-threaded ones included — the bytecode VM emits an
+// Ev stream byte-identical to the reference tree walker's, with identical
 // instruction, load, and store counts. This is the contract that makes
 // the VM a drop-in engine: every profiler artifact is a pure function of
 // this event stream.
@@ -183,6 +156,7 @@ func TestVMBudgetParity(t *testing.T) {
 		{"CG", 7777},
 		{"mandelbrot", 1000},
 		{"md5-mt", 2000},
+		{"md5-mt", 20000}, // fires on a spawned thread
 	} {
 		tc := tc
 		t.Run(fmt.Sprintf("%s@%d", tc.name, tc.budget), func(t *testing.T) {
@@ -199,6 +173,78 @@ func TestVMBudgetParity(t *testing.T) {
 				t.Errorf("budget fired at instr %d on the walker, %d on the vm", winstrs, vinstrs)
 			}
 		})
+	}
+}
+
+// faultModule builds a multi-threaded module with one runtime error in it:
+// main spawns two workers that count forever in a locked region and joins
+// them; where names the thread that stores out of range on its 10th
+// iteration ("main", before the join, or "worker"), or is "budget" for no
+// store at all, which leaves the endless workers to the instruction budget.
+func faultModule(where string) *ir.Module {
+	b := ir.NewBuilder("fault-" + where)
+	arr := b.GlobalArray("arr", ir.F64, 4)
+	n := b.Global("n", ir.F64)
+	oob := func(fb *ir.FuncBuilder) {
+		fb.For("i", ir.CI(0), ir.CI(20), ir.CI(1), func(i *ir.Var) {
+			fb.If(ir.Ge(ir.V(i), ir.CI(9)), func() { fb.SetAt(arr, ir.CI(4), ir.CF(1)) })
+		})
+	}
+	w := b.Func("worker")
+	if where == "worker" {
+		oob(w)
+	}
+	w.While(ir.Lt(ir.CI(0), ir.CI(1)), func() {
+		w.Locked(1, func() { w.Set(n, ir.Add(ir.V(n), ir.CI(1))) })
+	})
+	wf := w.Done()
+	mb := b.Func("main")
+	mb.Spawn(wf)
+	mb.Spawn(wf)
+	if where == "main" {
+		oob(mb)
+	}
+	mb.Sync()
+	return b.Build(mb.Done())
+}
+
+// TestThreadFaultSurfacesOnRun: a runtime error on any simulated thread — the
+// out-of-range store, and the instruction budget firing on a worker — panics
+// on the goroutine that called Run, with the same message at the same
+// instruction count on both engines, traced (the fault flushes the buffer on
+// the faulting thread) and untraced; and the threads still parked when Run
+// unwinds, one of them inside the locked region, do not outlive it.
+func TestThreadFaultSurfacesOnRun(t *testing.T) {
+	for _, where := range []string{"worker", "main", "budget"} {
+		m := faultModule(where)
+		before := runtime.NumGoroutine()
+		wmsg, winstrs := capturePanic(m, WithMaxInstrs(5000), WithTreeWalk())
+		vmsg, vinstrs := capturePanic(m, WithMaxInstrs(5000))
+		want := "out of range"
+		if where == "budget" {
+			want = "instruction budget"
+		}
+		if !strings.Contains(wmsg, want) {
+			t.Errorf("%s: walker panic %q, want one containing %q", where, wmsg, want)
+		}
+		if wmsg != vmsg || winstrs != vinstrs {
+			t.Errorf("%s: engines diverged:\n  walker: %s (instr %d)\n  vm:     %s (instr %d)",
+				where, wmsg, winstrs, vmsg, vinstrs)
+		}
+		walk, vm := &traceHasher{sum: fnvOffset}, &traceHasher{sum: fnvOffset}
+		runToPanic(m, walk, WithMaxInstrs(5000), WithTreeWalk())
+		runToPanic(m, vm, WithMaxInstrs(5000))
+		if *walk != *vm || walk.events == 0 {
+			t.Errorf("%s: traced prefix diverged: walker %+v, vm %+v", where, *walk, *vm)
+		}
+		// A goroutine's last act is the send killThreads waits for; give the
+		// scheduler a moment to retire it.
+		for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
+			time.Sleep(time.Millisecond)
+		}
+		if n := runtime.NumGoroutine(); n > before {
+			t.Errorf("%s: %d goroutines outlive Run", where, n-before)
+		}
 	}
 }
 

@@ -97,7 +97,6 @@ func (t *Tree) NodeForRegion(r *ir.Region) *Node {
 
 // Builder is an interp.Tracer that constructs the PET during execution.
 type Builder struct {
-	interp.BaseTracer
 	tree  *Tree
 	stack [][]*Node // per-thread construct stack
 }
@@ -131,59 +130,45 @@ func (b *Builder) child(parent *Node, kind NodeKind, f *ir.Func, r *ir.Region,
 	return n
 }
 
-// EnterFunc implements interp.Tracer.
-func (b *Builder) EnterFunc(f *ir.Func, callLoc ir.Loc, tid int32) {
-	n := b.child(b.top(tid), NFunc, f, nil, f.Loc, ECall)
-	n.Entries++
-	b.stack[tid] = append(b.stack[tid], n)
-}
-
-// ExitFunc implements interp.Tracer.
-func (b *Builder) ExitFunc(f *ir.Func, instrs int64, tid int32) {
-	n := b.top(tid)
-	n.Instrs += instrs
-	b.stack[tid] = b.stack[tid][:len(b.stack[tid])-1]
-}
-
-// EnterRegion implements interp.Tracer.
-func (b *Builder) EnterRegion(r *ir.Region, tid int32) {
-	if r.Kind != ir.RLoop {
-		return // branches contribute to their parent block
-	}
-	n := b.child(b.top(tid), NLoop, nil, r, r.Start, EContain)
-	n.Entries++
-	b.stack[tid] = append(b.stack[tid], n)
-}
-
-// ExitRegion implements interp.Tracer.
-func (b *Builder) ExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
-	if r.Kind != ir.RLoop {
-		return
-	}
-	n := b.top(tid)
-	n.Iters += iters
-	n.Instrs += instrs
-	b.stack[tid] = b.stack[tid][:len(b.stack[tid])-1]
-}
-
-// ProcessBatch implements interp.BatchTracer: the builder consumes only
-// function and loop-region boundaries, so a batch reduces to a switch over
-// four event kinds with every access skipped at one comparison each —
-// keeping the PET in pipelines that run the VM's batched traced path.
+// ProcessBatch implements interp.Tracer: the builder consumes only function
+// and loop-region boundaries (branches contribute to their parent block), so
+// a chunk reduces to a switch over four event kinds with every access
+// skipped at one comparison each.
 func (b *Builder) ProcessBatch(m *ir.Module, evs []interp.Ev) {
 	for i := range evs {
 		ev := &evs[i]
+		tid := ev.Tid()
 		switch ev.Kind() {
 		case interp.EvEnterFunc:
-			b.EnterFunc(m.Funcs[ev.A], ev.Loc, ev.Tid())
+			f := m.Funcs[ev.A]
+			b.push(tid, b.child(b.top(tid), NFunc, f, nil, f.Loc, ECall))
 		case interp.EvExitFunc:
-			b.ExitFunc(m.Funcs[ev.A], int64(ev.Addr), ev.Tid())
+			b.pop(tid).Instrs += int64(ev.Addr)
 		case interp.EvEnterRegion:
-			b.EnterRegion(m.Regions[ev.A], ev.Tid())
+			if r := m.Regions[ev.A]; r.Kind == ir.RLoop {
+				b.push(tid, b.child(b.top(tid), NLoop, nil, r, r.Start, EContain))
+			}
 		case interp.EvExitRegion:
-			b.ExitRegion(m.Regions[ev.A], int64(ev.Addr), interp.UnpackI64(ev.Loc), ev.Tid())
+			if m.Regions[ev.A].Kind == ir.RLoop {
+				n := b.pop(tid)
+				n.Iters += int64(ev.Addr)
+				n.Instrs += interp.UnpackI64(ev.Loc)
+			}
 		}
 	}
+}
+
+// push enters construct n on thread tid's stack.
+func (b *Builder) push(tid int32, n *Node) {
+	n.Entries++
+	b.stack[tid] = append(b.stack[tid], n)
+}
+
+// pop leaves thread tid's innermost construct and returns it.
+func (b *Builder) pop(tid int32) *Node {
+	s := b.stack[tid]
+	b.stack[tid] = s[:len(s)-1]
+	return s[len(s)-1]
 }
 
 // Tree finalizes and returns the PET.

@@ -186,7 +186,7 @@ func (e *profileEntry) run(mod *ir.Module, opt profiler.Options, maxInstrs int64
 			e.err = fmt.Errorf("profile cache: target program failed: %v", r)
 		}
 	}()
-	ex, execTime := execInstrumented(mod, prof, nil, maxInstrs, opt.TreeWalk)
+	ex, execTime := execInstrumented(mod, prof, maxInstrs, opt.TreeWalk)
 	e.execTime = execTime
 	res := prof.Result()
 	e.mod, e.res, e.tree, e.instrs = mod, res, buildTree(ex.pb, ex.instrs, res), ex.instrs

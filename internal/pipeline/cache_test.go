@@ -4,7 +4,6 @@ import (
 	"reflect"
 	"testing"
 
-	"discopop/internal/interp"
 	"discopop/internal/profiler"
 	"discopop/internal/workloads"
 )
@@ -80,37 +79,6 @@ func TestProfileCacheDistinguishesOptions(t *testing.T) {
 		t.Errorf("cache stats = %d hits / %d misses, want 0/2", hits, misses)
 	}
 }
-
-// TestProfileCacheIgnoredWithExtraTracers: jobs carrying extra tracers
-// must always execute, or their tracers would observe nothing.
-func TestProfileCacheIgnoredWithExtraTracers(t *testing.T) {
-	cache := NewProfileCache()
-	counter := &loadCounter{}
-	opt := Options{Cache: cache, CacheKey: "histogram@1",
-		ExtraTracers: []interp.Tracer{counter}}
-	for i := 0; i < 2; i++ {
-		ctx := &Context{Mod: workloads.MustBuild("histogram", 1).M, Opt: opt}
-		if err := New().Run(ctx); err != nil {
-			t.Fatal(err)
-		}
-		if ctx.CacheHit {
-			t.Fatal("job with extra tracers served from cache")
-		}
-	}
-	if counter.loads == 0 {
-		t.Fatal("extra tracer observed no execution")
-	}
-	if hits, misses := cache.Stats(); hits != 0 || misses != 0 {
-		t.Errorf("cache consulted for uncacheable jobs: %d hits / %d misses", hits, misses)
-	}
-}
-
-type loadCounter struct {
-	interp.BaseTracer
-	loads int64
-}
-
-func (c *loadCounter) Load(interp.Access) { c.loads++ }
 
 // TestEngineCountsCacheHits: batch jobs sharing one cache coalesce on one
 // profiled execution, and the fleet stats report the hits.

@@ -52,19 +52,10 @@ type Options struct {
 	// spin-waiting worker goroutines, and oversubscribing the cores
 	// starves the producers). It has no effect on a single Analyze call.
 	BatchWorkers int
-	// ExtraTracers are attached to the profiled execution alongside the
-	// profiler and the PET builder, observing the same event stream. The
-	// instances are shared by reference: when batching with concurrent
-	// workers, give each Job its own Options (Job.Opt) with distinct
-	// tracer instances — or make the tracers concurrency-safe — since
-	// jobs sharing one Options value would invoke them from several
-	// goroutines at once.
-	ExtraTracers []interp.Tracer
 	// Cache, when non-nil together with a CacheKey, memoizes the Profile
 	// stage: a job whose (CacheKey, Profiler) pair was analyzed before
 	// reuses the recorded profile and PET and skips the instrumented
-	// execution entirely. Jobs with ExtraTracers never use the cache —
-	// their tracers must observe a real execution.
+	// execution entirely.
 	Cache *ProfileCache
 	// CacheKey identifies the module for cache lookups (e.g. "CG@1").
 	// Empty disables caching for the job.
@@ -217,8 +208,8 @@ func (p *Pipeline) Run(ctx *Context) error {
 }
 
 // Profile executes the module under instrumentation: the dependence
-// profiler and the PET builder (plus any extra tracers) observe one event
-// stream, exactly as Phase 1 runs the instrumented binary once.
+// profiler and the PET builder observe one event stream, exactly as Phase 1
+// runs the instrumented binary once.
 type Profile struct{}
 
 // Name implements Stage.
@@ -226,7 +217,7 @@ func (Profile) Name() string { return "profile" }
 
 // Run implements Stage.
 func (Profile) Run(ctx *Context) error {
-	if c := ctx.Opt.Cache; c != nil && ctx.Opt.CacheKey != "" && len(ctx.Opt.ExtraTracers) == 0 {
+	if c := ctx.Opt.Cache; c != nil && ctx.Opt.CacheKey != "" {
 		e, hit := c.lookup(ctx.Opt.CacheKey, ctx.Opt.Profiler, ctx.Mod, ctx.Opt.MaxInstrs)
 		if e.err != nil {
 			return e.err
@@ -254,7 +245,7 @@ func (Profile) Run(ctx *Context) error {
 		}
 	}()
 	var ex execResult
-	ex, ctx.ExecTime = execInstrumented(ctx.Mod, ctx.Prof, ctx.Opt.ExtraTracers, ctx.Opt.MaxInstrs, ctx.Opt.Profiler.TreeWalk)
+	ex, ctx.ExecTime = execInstrumented(ctx.Mod, ctx.Prof, ctx.Opt.MaxInstrs, ctx.Opt.Profiler.TreeWalk)
 	ctx.PETBuilder, ctx.Instrs = ex.pb, ex.instrs
 	ctx.CompileTime, ctx.CompileHit = ex.compileTime, ex.compileHit
 	ctx.Profile = ctx.Prof.Result()
@@ -284,19 +275,18 @@ type execResult struct {
 	compileHit  bool          // compiled program served from the shared cache
 }
 
-// execInstrumented runs mod under prof and a fresh PET builder (plus any
-// extra tracers) observing one event stream — the Phase-1 execution shared
-// by the Profile stage and the ProfileCache. The simulated address space is
+// execInstrumented runs mod under prof and a fresh PET builder observing one
+// event stream — the Phase-1 execution shared by the Profile stage and the
+// ProfileCache. The simulated address space is
 // recycled through the shared arena pool, so batch workers stop paying an
 // arena allocation (and its zeroing) per job.
-func execInstrumented(mod *ir.Module, prof *profiler.Profiler, extra []interp.Tracer, maxInstrs int64, treeWalk bool) (execResult, time.Duration) {
+func execInstrumented(mod *ir.Module, prof *profiler.Profiler, maxInstrs int64, treeWalk bool) (execResult, time.Duration) {
 	pb := pet.NewBuilder()
-	tracers := append([]interp.Tracer{prof, pb}, extra...)
 	iopts := []interp.Option{interp.WithPool(mem.Default), interp.WithMaxInstrs(maxInstrs)}
 	if treeWalk {
 		iopts = append(iopts, interp.WithTreeWalk())
 	}
-	in := interp.New(mod, &interp.MultiTracer{Tracers: tracers}, iopts...)
+	in := interp.New(mod, &interp.MultiTracer{Tracers: []interp.Tracer{prof, pb}}, iopts...)
 	defer in.Release()
 	start := time.Now()
 	instrs := in.Run()

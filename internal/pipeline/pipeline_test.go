@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"discopop/internal/interp"
 	"discopop/internal/workloads"
 )
 
@@ -136,29 +135,3 @@ type stageFunc struct {
 
 func (s stageFunc) Name() string           { return s.name }
 func (s stageFunc) Run(ctx *Context) error { return s.f(ctx) }
-
-// TestExtraTracersObserveExecution wires an auxiliary tracer into the
-// Profile stage and checks it saw the same access stream the profiler did.
-func TestExtraTracersObserveExecution(t *testing.T) {
-	prog := workloads.MustBuild("histogram", 1)
-	counter := &accessCounter{}
-	ctx := &Context{Mod: prog.M,
-		Opt: Options{ExtraTracers: []interp.Tracer{counter}}}
-	if err := ProfilePipeline().Run(ctx); err != nil {
-		t.Fatal(err)
-	}
-	// Profile.Accesses additionally counts variable-lifetime remove
-	// records, so compare against the engine's load+store totals.
-	if got := ctx.Profile.Skip.Reads + ctx.Profile.Skip.Writes; counter.n != got {
-		t.Errorf("extra tracer saw %d accesses, profiler processed %d", counter.n, got)
-	}
-}
-
-type accessCounter struct {
-	interp.BaseTracer
-	n int64
-}
-
-func (c *accessCounter) Load(interp.Access) { c.n++ }
-
-func (c *accessCounter) Store(interp.Access) { c.n++ }

@@ -1,7 +1,7 @@
 // Package profflag wires runtime/pprof into a command's flag set: a
 // -cpuprofile flag that brackets the whole run and a -memprofile flag that
-// snapshots the heap on exit. Commands call Register before flag.Parse,
-// then Start after it and defer Stop — which requires main to be shaped as
+// snapshots the heap on exit. Commands call Register before parsing their
+// flag set, then Start after it and defer Stop — which requires main to be shaped as
 // `os.Exit(run())` so the deferred Stop runs before the process exits.
 package profflag
 
@@ -20,11 +20,11 @@ type Flags struct {
 	f   *os.File
 }
 
-// Register installs -cpuprofile and -memprofile on the default flag set.
-func Register() *Flags {
+// Register installs -cpuprofile and -memprofile on fs.
+func Register(fs *flag.FlagSet) *Flags {
 	return &Flags{
-		cpu: flag.String("cpuprofile", "", "write a CPU profile to this file"),
-		mem: flag.String("memprofile", "", "write a heap profile to this file on exit"),
+		cpu: fs.String("cpuprofile", "", "write a CPU profile to this file"),
+		mem: fs.String("memprofile", "", "write a heap profile to this file on exit"),
 	}
 }
 

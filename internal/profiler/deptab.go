@@ -24,7 +24,7 @@ import (
 //	lo: type(2) var(16) sinkThr(8) srcThr(8) carried(1) reversed(1)
 //	    hasThr(1) unused(5) carriedBy+1(22)
 //
-// The location fields reuse packInfo's widths (file 10 bits, line 22 bits,
+// The location fields reuse bytecode.PackSink's widths (file 10 bits, line 22 bits,
 // variable 16 bits, thread 8 bits), so packing a dependence loses nothing
 // the access records had not already lost. The sink file is always >= 1, so
 // hi is non-zero for every real dependence and a zero hi marks an empty
@@ -41,7 +41,7 @@ const (
 )
 
 // locBits packs a location into the 32-bit file(10)|line(22) form — the
-// same form packInfo's upper half uses, so engine code can derive it from
+// same form bytecode.PackSink's upper half uses, so engine code can derive it from
 // an access record with a single shift.
 func locBits(l ir.Loc) uint64 {
 	return uint64(uint32(l.File)&0x3FF)<<22 | uint64(uint32(l.Line)&0x3FFFFF)
@@ -52,7 +52,7 @@ func locFromBits(b uint64) ir.Loc {
 }
 
 // packDep packs a dependence into its 128-bit identity. Fields beyond the
-// packed widths are truncated exactly as packInfo truncates them on the
+// packed widths are truncated exactly as bytecode.PackSink truncates them on the
 // access path.
 func packDep(d Dep) (hi, lo uint64) {
 	hi = locBits(d.Sink) << 32

@@ -6,6 +6,7 @@ import (
 	"sync"
 	"testing"
 
+	"discopop/internal/bytecode"
 	"discopop/internal/ir"
 )
 
@@ -183,7 +184,7 @@ func TestDepShardsConcurrentMerge(t *testing.T) {
 // empty-entry sentinel relies on.
 func TestPackInfoWidths(t *testing.T) {
 	loc := ir.Loc{File: 1<<10 - 1, Line: 1<<22 - 1}
-	info := packInfo(loc, 1<<16-1, 1<<8-1)
+	info := bytecode.PackSink(loc, 1<<16-1) | bytecode.SinkThread(1<<8-1)
 	if got := unpackLoc(info); got != loc {
 		t.Errorf("unpackLoc = %+v, want %+v", got, loc)
 	}
@@ -193,8 +194,8 @@ func TestPackInfoWidths(t *testing.T) {
 	if got := unpackThread(info); got != 1<<8-1 {
 		t.Errorf("unpackThread = %d, want %d", got, 1<<8-1)
 	}
-	if packInfo(ir.Loc{File: 1}, 0, 0) == 0 {
-		t.Error("packInfo with file=1 must be non-zero (empty-entry sentinel)")
+	if bytecode.PackSink(ir.Loc{File: 1}, 0)|bytecode.SinkThread(0) == 0 {
+		t.Error("a packed sink with file=1 must be non-zero (empty-entry sentinel)")
 	}
 }
 

@@ -1,7 +1,6 @@
 package profiler
 
 import (
-	"discopop/internal/bytecode"
 	"discopop/internal/ir"
 	"discopop/internal/sig"
 )
@@ -50,16 +49,11 @@ type migration struct {
 	cell sig.Cell
 }
 
-// packInfo packs an access's sink identity: file(10) | line(22) | var(16) |
+// An access's sink identity is packed as file(10) | line(22) | var(16) |
 // thread(8) | 0(8). The file field is always >= 1, so packed info is
 // non-zero and a zero sig.Entry means "empty". The layout is owned by
-// bytecode.PackSink so the compiler can bake the static half into per-pc
-// operand tables; on the batched path rec.info arrives pre-packed and this
-// function only runs in the per-event adapter (walker / PerEvent streams).
-func packInfo(loc ir.Loc, varID int32, thread int32) uint64 {
-	return bytecode.PackSink(loc, varID) | bytecode.SinkThread(thread)
-}
-
+// bytecode.PackSink and bytecode.SinkThread; rec.info arrives pre-packed in
+// interp.Ev.Sink.
 func unpackLoc(info uint64) ir.Loc {
 	return ir.Loc{File: int32(info >> 54), Line: int32((info >> 32) & 0x3FFFFF)}
 }

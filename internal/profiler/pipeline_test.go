@@ -10,6 +10,7 @@ import (
 	"time"
 	"unsafe"
 
+	"discopop/internal/bytecode"
 	"discopop/internal/interp"
 	"discopop/internal/ir"
 	"discopop/internal/sig"
@@ -84,10 +85,12 @@ func synthModule() *ir.Module {
 
 func accessEv(kind uint8, addr uint64, line, tid int32) interp.Ev {
 	loc := ir.Loc{File: 1, Line: line}
-	return interp.Ev{Addr: addr, Sink: packInfo(loc, 0, tid) | uint64(kind), Loc: loc, A: 1}
+	return interp.Ev{Addr: addr, Sink: bytecode.PackSink(loc, 0) | bytecode.SinkThread(tid) | uint64(kind), Loc: loc, A: 1}
 }
 
-func controlEvent(kind uint8, tid int32) interp.Ev { return interp.Ev{Sink: meta(kind, tid)} }
+func controlEvent(kind uint8, tid int32) interp.Ev {
+	return interp.Ev{Sink: bytecode.SinkThread(tid) | uint64(kind)}
+}
 
 // TestBarrierDrainsEveryWorker: at a lock, unlock or thread-end event of a
 // multi-threaded target every access routed so far has been consumed — with

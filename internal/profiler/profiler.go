@@ -1,7 +1,6 @@
 package profiler
 
 import (
-	"discopop/internal/bytecode"
 	"discopop/internal/interp"
 	"discopop/internal/ir"
 	"discopop/internal/mem"
@@ -68,7 +67,6 @@ func (o *Options) defaults() {
 // Profiler is an interp.Tracer that profiles data dependences. Use New,
 // pass it to interp.New, run the program, then call Result.
 type Profiler struct {
-	interp.BaseTracer
 	mod *ir.Module
 	opt Options
 
@@ -105,12 +103,9 @@ type Profiler struct {
 
 	accesses int64
 
-	// ts reconstructs the interpreter clock: batch events carry no timestamp
-	// (the clock ticks exactly once per access, in stream order), so the
-	// consumer counts the accesses itself.
+	// ts is the logical clock dependences are ordered by: events carry no
+	// timestamp, the consumer counts the accesses, in stream order.
 	ts uint64
-	// one is the per-event adapter's one-event chunk.
-	one [1]interp.Ev
 }
 
 // New creates a profiler for module m. The module's static memory
@@ -184,111 +179,7 @@ func (p *Profiler) countLine(op int32, loc ir.Loc) {
 	p.lineCounts[i]++
 }
 
-// The per-event Tracer methods are an adapter over ProcessBatch: the tree
-// walker and interp.PerEvent streams reach the same two consumers the VM's
-// chunks do, one event at a time. An access's timestamp is not carried over:
-// the interpreter's clock ticks once per access, which the consumers count.
-
-// event feeds one event through ProcessBatch.
-func (p *Profiler) event(ev interp.Ev) {
-	p.one[0] = ev
-	p.ProcessBatch(p.mod, p.one[:])
-}
-
-// meta builds the Sink word of a non-access event: kind plus thread.
-func meta(kind uint8, tid int32) uint64 { return uint64(kind) | bytecode.SinkThread(tid) }
-
-// access is event for a load or store, filled in place: this is the tree
-// walker's per-access path.
-func (p *Profiler) access(kind uint8, a *interp.Access) {
-	v := int32(a.Var.ID)
-	ev := &p.one[0]
-	ev.Addr, ev.Loc, ev.A, ev.B = a.Addr, a.Loc, a.Op, v
-	ev.Sink = packInfo(a.Loc, v, a.Thread) | uint64(kind)
-	p.ProcessBatch(p.mod, p.one[:])
-}
-
-// Load implements interp.Tracer.
-func (p *Profiler) Load(a interp.Access) { p.access(interp.EvLoad, &a) }
-
-// Store implements interp.Tracer.
-func (p *Profiler) Store(a interp.Access) { p.access(interp.EvStore, &a) }
-
-// EnterRegion implements interp.Tracer.
-func (p *Profiler) EnterRegion(r *ir.Region, tid int32) {
-	re := p.regions[r.ID]
-	if re == nil {
-		re = &RegionExec{Region: r}
-		p.regions[r.ID] = re
-	}
-	re.Entries++
-	if r.Kind == ir.RLoop {
-		p.loopStack[tid] = append(p.loopStack[tid], p.cur[tid])
-	}
-}
-
-// LoopIter implements interp.Tracer: it advances the thread's loop context
-// to a fresh (region, iteration) node.
-func (p *Profiler) LoopIter(r *ir.Region, iter int64, tid int32) {
-	ls := p.loopStack[tid]
-	parent := int32(-1)
-	if len(ls) > 0 {
-		parent = ls[len(ls)-1]
-	}
-	p.cur[tid] = p.tab.add(parent, int32(r.ID), iter)
-}
-
-// ExitRegion implements interp.Tracer.
-func (p *Profiler) ExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
-	re := p.regions[r.ID]
-	re.Iters += iters
-	re.Instrs += instrs
-	if r.Kind == ir.RLoop {
-		ls := p.loopStack[tid]
-		p.cur[tid] = ls[len(ls)-1]
-		p.loopStack[tid] = ls[:len(ls)-1]
-	}
-}
-
-// EnterFunc implements interp.Tracer.
-func (p *Profiler) EnterFunc(f *ir.Func, callLoc ir.Loc, tid int32) {
-	p.depth[tid]++
-}
-
-// ExitFunc implements interp.Tracer: per-function inclusive instruction
-// counts feed the instruction-coverage ranking metric.
-func (p *Profiler) ExitFunc(f *ir.Func, instrs int64, tid int32) {
-	p.funcs[f] += instrs
-	p.depth[tid]--
-	if p.depth[tid] == 0 {
-		p.total += instrs
-	}
-}
-
-// FreeVar implements interp.Tracer: the variable lifetime analysis of
-// Section 2.3.5. Dead addresses are removed from the signatures so their
-// slots can be reused without building false dependences.
-func (p *Profiler) FreeVar(v *ir.Var, base uint64, elems int, tid int32) {
-	p.event(interp.Ev{Sink: meta(interp.EvFreeVar, tid), A: int32(v.ID), Addr: base, B: int32(elems)})
-}
-
-// Lock implements interp.Tracer. Lock, Unlock and ThreadEnd are the ordering
-// points of a multi-threaded target (pipeline.barrier).
-func (p *Profiler) Lock(id int, tid int32) {
-	p.event(interp.Ev{Sink: meta(interp.EvLock, tid), A: int32(id)})
-}
-
-// Unlock implements interp.Tracer.
-func (p *Profiler) Unlock(id int, tid int32) {
-	p.event(interp.Ev{Sink: meta(interp.EvUnlock, tid), A: int32(id)})
-}
-
-// ThreadEnd implements interp.Tracer.
-func (p *Profiler) ThreadEnd(tid int32) {
-	p.event(interp.Ev{Sink: meta(interp.EvThreadEnd, tid)})
-}
-
-// ProcessBatch implements interp.BatchTracer: one pass over a flushed event
+// ProcessBatch implements interp.Tracer: one pass over a flushed event
 // chunk, by one of two consumers — batchSerial hands each access straight to
 // the devirtualized serial engine, pipeline.routeBatch writes it into its
 // owner's chunk. Either way an access takes the packed sink word verbatim
@@ -314,8 +205,8 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 	for i := range evs {
 		ev := &evs[i]
 		// The kind and thread ride in Sink's low 16 bits; the engine takes
-		// the word with the kind byte cleared, which is exactly the packInfo
-		// value the per-access path would have assembled.
+		// the word with the kind byte cleared: file | line | var | thread,
+		// the sink identity sig.Entry and the dependence table key on.
 		switch kind := uint8(ev.Sink); kind {
 		case interp.EvLoad:
 			p.accesses++
@@ -340,7 +231,9 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 				e.store(&r)
 			}
 		case interp.EvFreeVar:
-			// Removed elements count as accesses (Result.Accesses).
+			// Variable lifetime analysis (Section 2.3.5): dead addresses leave
+			// the store, so a reused slot builds no false dependence. Removed
+			// elements count as accesses (Result.Accesses).
 			p.accesses += int64(ev.B)
 			e.shadow().Remove(ev.Addr, int(ev.B))
 		default:
@@ -355,15 +248,44 @@ func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 	tid := ev.Tid()
 	switch ev.Kind() {
 	case interp.EvEnterRegion:
-		p.EnterRegion(m.Regions[ev.A], tid)
-	case interp.EvExitRegion:
-		p.ExitRegion(m.Regions[ev.A], int64(ev.Addr), interp.UnpackI64(ev.Loc), tid)
+		re := p.regions[int(ev.A)]
+		if re == nil {
+			re = &RegionExec{Region: m.Regions[ev.A]}
+			p.regions[int(ev.A)] = re
+		}
+		re.Entries++
+		if re.Region.Kind == ir.RLoop {
+			p.loopStack[tid] = append(p.loopStack[tid], p.cur[tid])
+		}
 	case interp.EvLoopIter:
-		p.LoopIter(m.Regions[ev.A], int64(ev.Addr), tid)
+		// Advance the thread's loop context to a fresh (region, iteration)
+		// node.
+		ls := p.loopStack[tid]
+		parent := int32(-1)
+		if len(ls) > 0 {
+			parent = ls[len(ls)-1]
+		}
+		p.cur[tid] = p.tab.add(parent, ev.A, int64(ev.Addr))
+	case interp.EvExitRegion:
+		re := p.regions[int(ev.A)]
+		re.Iters += int64(ev.Addr)
+		re.Instrs += interp.UnpackI64(ev.Loc)
+		if re.Region.Kind == ir.RLoop {
+			ls := p.loopStack[tid]
+			p.cur[tid] = ls[len(ls)-1]
+			p.loopStack[tid] = ls[:len(ls)-1]
+		}
 	case interp.EvEnterFunc:
 		p.depth[tid]++
 	case interp.EvExitFunc:
-		p.ExitFunc(m.Funcs[ev.A], int64(ev.Addr), tid)
+		// Per-function inclusive instruction counts feed the
+		// instruction-coverage ranking metric.
+		instrs := int64(ev.Addr)
+		p.funcs[m.Funcs[ev.A]] += instrs
+		p.depth[tid]--
+		if p.depth[tid] == 0 {
+			p.total += instrs
+		}
 	}
 }
 

@@ -4,6 +4,7 @@ import (
 	"strings"
 	"testing"
 
+	"discopop/internal/bytecode"
 	"discopop/internal/interp"
 	"discopop/internal/ir"
 	"discopop/internal/sig"
@@ -88,8 +89,8 @@ func TestRaceFlagging(t *testing.T) {
 	loc1 := ir.Loc{File: 1, Line: 5}
 	loc2 := ir.Loc{File: 1, Line: 9}
 	e.consume([]rec{
-		{addr: 100, info: packInfo(loc1, 1, 2) | uint64(recStore), ts: 20, op: 1, ctx: -1},
-		{addr: 100, info: packInfo(loc2, 1, 3) | uint64(recLoad), ts: 10, op: 2, ctx: -1},
+		{addr: 100, info: bytecode.PackSink(loc1, 1) | bytecode.SinkThread(2) | uint64(recStore), ts: 20, op: 1, ctx: -1},
+		{addr: 100, info: bytecode.PackSink(loc2, 1) | bytecode.SinkThread(3) | uint64(recLoad), ts: 10, op: 2, ctx: -1},
 	})
 	found := false
 	deps := e.depsMap()

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"discopop/internal/interp"
+	"discopop/internal/ir"
 	"discopop/internal/workloads"
 )
 
@@ -80,13 +81,16 @@ func TestDenseLineCountsMatchAccessStream(t *testing.T) {
 }
 
 type lineRecorder struct {
-	interp.BaseTracer
 	lines map[uint64]int64
 }
 
-func (r *lineRecorder) Load(a interp.Access) { r.lines[a.Loc.Key()]++ }
-
-func (r *lineRecorder) Store(a interp.Access) { r.lines[a.Loc.Key()]++ }
+func (r *lineRecorder) ProcessBatch(_ *ir.Module, evs []interp.Ev) {
+	for i := range evs {
+		if ev := &evs[i]; ev.Kind() <= interp.EvStore {
+			r.lines[ev.Loc.Key()]++
+		}
+	}
+}
 
 // TestSampledRebalancingPreservesDeps: sampling the balancer statistics
 // must not change profiling results across worker counts.

@@ -556,6 +556,35 @@ func TestJobRecordEviction(t *testing.T) {
 	}
 }
 
+// runawayModule serializes a structurally tiny module that loops effectively
+// forever, in main or — main only spawns and joins — on a spawned thread.
+func runawayModule(t *testing.T, onWorker bool) string {
+	t.Helper()
+	b := ir.NewBuilder("runaway")
+	out := b.Global("out", ir.F64)
+	loop := func(fb *ir.FuncBuilder) {
+		fb.While(ir.Lt(ir.CI(0), ir.CI(1)), func() {
+			fb.Set(out, ir.Add(ir.V(out), ir.CI(1)))
+		})
+		fb.Return(nil)
+	}
+	fb := b.Func("main")
+	if onWorker {
+		w := b.Func("w")
+		loop(w)
+		fb.Spawn(w.Done())
+		fb.Sync()
+		fb.Return(nil)
+	} else {
+		loop(fb)
+	}
+	enc, err := remote.Encode(b.Build(fb.Done()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return fmt.Sprintf(`{"module":%q}`, base64.StdEncoding.EncodeToString(enc))
+}
+
 // TestRunawayModuleBudget submits a structurally tiny serialized module
 // whose main loops effectively forever: the decode limits cannot reject
 // it (memory and node counts are minimal), so the submission-side
@@ -563,26 +592,35 @@ func TestJobRecordEviction(t *testing.T) {
 // worker until the interpreter's 2^40-iteration backstop.
 func TestRunawayModuleBudget(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1, SubmissionInstrs: 50_000})
-
-	b := ir.NewBuilder("runaway")
-	out := b.Global("out", ir.F64)
-	fb := b.Func("main")
-	fb.While(ir.Lt(ir.CI(0), ir.CI(1)), func() {
-		fb.Set(out, ir.Add(ir.V(out), ir.CI(1)))
-	})
-	fb.Return(nil)
-	enc, err := remote.Encode(b.Build(fb.Done()))
-	if err != nil {
-		t.Fatal(err)
-	}
-	id := postAnalyze(t, ts.URL,
-		fmt.Sprintf(`{"module":%q}`, base64.StdEncoding.EncodeToString(enc)))
-	v := waitJob(t, ts.URL, id)
+	v := waitJob(t, ts.URL, postAnalyze(t, ts.URL, runawayModule(t, false)))
 	if v.State != jobFailed {
 		t.Fatalf("runaway module ended %q, want failed", v.State)
 	}
 	if !strings.Contains(v.Error, "instruction budget") {
 		t.Fatalf("failure %q is not the budget abort", v.Error)
+	}
+}
+
+// TestRunawayWorkerThreadBudget moves the endless loop into a spawned thread,
+// where the budget fires on that thread's goroutine: the job must still end
+// as one failed job — not as a dead process — and the server must go on
+// serving.
+func TestRunawayWorkerThreadBudget(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1, SubmissionInstrs: 50_000})
+	v := waitJob(t, ts.URL, postAnalyze(t, ts.URL, runawayModule(t, true)))
+	if v.State != jobFailed || !strings.Contains(v.Error, "instruction budget") {
+		t.Fatalf("runaway worker thread ended %q (%q), want failed by the instruction budget", v.State, v.Error)
+	}
+	resp, err := http.Get(ts.URL + "/healthz")
+	if err != nil {
+		t.Fatal(err)
+	}
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Errorf("healthz after the failed job: %d, want 200", resp.StatusCode)
+	}
+	if next := waitJob(t, ts.URL, postAnalyze(t, ts.URL, `{"workload":"histogram"}`)); next.State != jobDone {
+		t.Errorf("next submission ended %q: %s", next.State, next.Error)
 	}
 }
 

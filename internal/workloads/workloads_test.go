@@ -143,13 +143,15 @@ func TestMTWorkloadsSpawnThreads(t *testing.T) {
 }
 
 type threadCounter struct {
-	interp.BaseTracer
 	started int
 }
 
-func (tc *threadCounter) ThreadStart(tid, parent int32) {
-	if parent >= 0 {
-		tc.started++
+func (tc *threadCounter) ProcessBatch(_ *ir.Module, evs []interp.Ev) {
+	for i := range evs {
+		// B is the parent thread: -1 for main.
+		if ev := &evs[i]; ev.Kind() == interp.EvThreadStart && ev.B >= 0 {
+			tc.started++
+		}
 	}
 }
 
