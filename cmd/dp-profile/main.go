@@ -19,6 +19,7 @@
 package main
 
 import (
+	"errors"
 	"flag"
 	"fmt"
 	"os"
@@ -36,43 +37,88 @@ import (
 // fire before the exit code is surrendered to os.Exit.
 func main() { os.Exit(run()) }
 
+// config is the parsed command line.
+type config struct {
+	workload string
+	scale    int
+	popt     profiler.Options
+	jobs     int
+	out      string
+	withPET  bool
+	pprofOut string
+	list     bool
+	prof     *profflag.Flags
+}
+
+// usageError is a command line the flag package accepts and dp-profile does
+// not; the flag package reports its own errors (and -h) itself.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// parse reads and validates the command line (without the program name).
+// Every error it returns is a usage error.
+func parse(args []string) (config, error) {
+	var c config
+	var store string
+	fs := flag.NewFlagSet("dp-profile", flag.ContinueOnError)
+	fs.StringVar(&c.workload, "workload", "", "workload name(s), comma-separated, or \"all\" (see -list)")
+	fs.IntVar(&c.scale, "scale", 1, "workload scale factor")
+	fs.StringVar(&store, "store", "perfect", "status store: sig | perfect")
+	fs.IntVar(&c.popt.Slots, "slots", 0, "total signature slots (sig store; 0 = the library default, 1<<22)")
+	fs.IntVar(&c.popt.Workers, "workers", 0, "parallel profiling workers per job (0 = serial)")
+	fs.IntVar(&c.jobs, "jobs", 0, "concurrent profiling jobs (0 = auto: CPUs, divided by -workers+1 when parallel profiling)")
+	fs.BoolVar(&c.popt.Skip, "skip", false, "enable loop-skipping optimization (§2.4)")
+	fs.BoolVar(&c.popt.MT, "mt", false, "multi-threaded-target pipeline (§2.3.4)")
+	fs.StringVar(&c.out, "o", "", "output file (default stdout)")
+	fs.BoolVar(&c.withPET, "pet", false, "also print the program execution tree")
+	fs.StringVar(&c.pprofOut, "pprof", "", "write per-line execution effort as a gzipped pprof profile (single workload only)")
+	fs.BoolVar(&c.list, "list", false, "list available workloads")
+	c.prof = profflag.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	switch store {
+	case "perfect":
+		c.popt.Store = profiler.StorePerfect
+	case "sig":
+		c.popt.Store = profiler.StoreSignature
+	default:
+		return c, usageError(fmt.Sprintf("dp-profile: unknown -store %q (want sig or perfect)", store))
+	}
+	if c.popt.Slots < 0 {
+		return c, usageError(fmt.Sprintf("dp-profile: -slots %d is negative", c.popt.Slots))
+	}
+	return c, nil
+}
+
 func run() int {
-	var (
-		workload = flag.String("workload", "", "workload name(s), comma-separated, or \"all\" (see -list)")
-		scale    = flag.Int("scale", 1, "workload scale factor")
-		store    = flag.String("store", "perfect", "status store: sig | perfect")
-		slots    = flag.Int("slots", 1<<20, "total signature slots (sig store)")
-		workers  = flag.Int("workers", 0, "parallel profiling workers per job (0 = serial)")
-		jobs     = flag.Int("jobs", 0, "concurrent profiling jobs (0 = auto: CPUs, divided by -workers+1 when parallel profiling)")
-		skip     = flag.Bool("skip", false, "enable loop-skipping optimization (§2.4)")
-		mt       = flag.Bool("mt", false, "multi-threaded-target pipeline (§2.3.4)")
-		out      = flag.String("o", "", "output file (default stdout)")
-		withPET  = flag.Bool("pet", false, "also print the program execution tree")
-		pprofOut = flag.String("pprof", "", "write per-line execution effort as a gzipped pprof profile (single workload only)")
-		list     = flag.Bool("list", false, "list available workloads")
-	)
-	pf := profflag.Register(flag.CommandLine)
-	flag.Parse()
-	if err := pf.Start(); err != nil {
+	c, err := parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		if _, own := err.(usageError); own {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		return 2
+	}
+	if err := c.prof.Start(); err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
 	}
-	defer pf.Stop()
-	if *list || *workload == "" {
+	defer c.prof.Stop()
+	if c.list || c.workload == "" {
 		fmt.Println("available workloads:")
 		for _, suite := range workloads.Suites() {
 			fmt.Printf("  %-14s %s\n", suite+":", strings.Join(workloads.Names(suite), " "))
 		}
-		if *workload == "" {
+		if c.workload == "" {
 			return 0
 		}
 	}
-	popt := profiler.Options{Slots: *slots, Skip: *skip, Workers: *workers, MT: *mt}
-	if *store == "sig" {
-		popt.Store = profiler.StoreSignature
-	}
 
-	progs, err := workloads.BuildBatch(*workload, *scale)
+	progs, err := workloads.BuildBatch(c.workload, c.scale)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
 		return 1
@@ -82,7 +128,7 @@ func run() int {
 		batch = append(batch, pipeline.Job{Name: prog.Name, Mod: prog.M})
 	}
 	results := pipeline.ProfileAll(batch, pipeline.Options{
-		Profiler: popt, BatchWorkers: *jobs,
+		Profiler: c.popt, BatchWorkers: c.jobs,
 	})
 
 	var sb strings.Builder
@@ -98,7 +144,7 @@ func run() int {
 		if len(results) > 1 {
 			fmt.Fprintf(&sb, "=== %s ===\n", jr.Name)
 		}
-		res.WriteDepFile(&sb, *mt)
+		res.WriteDepFile(&sb, c.popt.MT)
 		// Report the instrumented execution's wall time, not whole-job
 		// time: the ms figure feeds slowdown comparisons and must exclude
 		// profiler setup, PET finalization, and result merging.
@@ -106,12 +152,12 @@ func run() int {
 			"profiled %s: %d statements, %d accesses, %d merged deps, %d races, store %.1f MB, %.0f ms\n",
 			jr.Name, rep.Instrs, res.Accesses, len(res.Deps), res.Races,
 			float64(res.StoreBytes)/(1<<20), rep.ExecTime.Seconds()*1000)
-		if *skip {
+		if c.popt.Skip {
 			s := res.Skip
 			fmt.Fprintf(os.Stderr, "skip: %d/%d reads, %d/%d writes skipped\n",
 				s.SkippedReads, s.Reads, s.SkippedWrite, s.Writes)
 		}
-		if *withPET {
+		if c.withPET {
 			fmt.Fprint(os.Stderr, rep.PET.Render())
 		}
 	}
@@ -122,7 +168,7 @@ func run() int {
 		fmt.Fprintln(os.Stderr, "dp-profile: some jobs failed; output not written")
 		return 1
 	}
-	if *pprofOut != "" {
+	if c.pprofOut != "" {
 		if len(results) != 1 {
 			fmt.Fprintln(os.Stderr, "dp-profile: -pprof takes exactly one workload")
 			return 1
@@ -131,16 +177,16 @@ func run() int {
 			obs.ModuleLineSamples(progs[0].M, results[0].Report.Profile.Lines),
 			time.Now().UnixNano())
 		if err == nil {
-			err = os.WriteFile(*pprofOut, data, 0o644)
+			err = os.WriteFile(c.pprofOut, data, 0o644)
 		}
 		if err != nil {
 			fmt.Fprintf(os.Stderr, "dp-profile: -pprof: %v\n", err)
 			return 1
 		}
-		fmt.Fprintf(os.Stderr, "wrote pprof profile to %s (%d bytes)\n", *pprofOut, len(data))
+		fmt.Fprintf(os.Stderr, "wrote pprof profile to %s (%d bytes)\n", c.pprofOut, len(data))
 	}
-	if *out != "" {
-		if err := os.WriteFile(*out, []byte(output), 0o644); err != nil {
+	if c.out != "" {
+		if err := os.WriteFile(c.out, []byte(output), 0o644); err != nil {
 			fmt.Fprintln(os.Stderr, err)
 			return 1
 		}

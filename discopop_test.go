@@ -1,10 +1,13 @@
 package discopop
 
 import (
+	"sort"
+	"strings"
 	"testing"
 
 	"discopop/internal/discovery"
 	"discopop/internal/ir"
+	"discopop/internal/profiler"
 )
 
 // classify runs the pipeline and returns the classification of each
@@ -61,6 +64,53 @@ func TestGroundTruthAllSuites(t *testing.T) {
 					}
 				}
 			})
+		}
+	}
+}
+
+// TestSignatureTruthCost pins what an approximate store costs discovery: the
+// loops of the benchmark's solo_variants programs (its truth_match_share)
+// whose classification no longer agrees with the ground truth when the
+// profile comes from a signature instead of the exact store. A false
+// dependence that happens to be loop-carried turns a DOALL loop sequential.
+// At the default 1<<22 slots the block-hashed signature holds these programs
+// without a collision and no loop flips (the per-address hash it replaced
+// flipped CG 1:23 and 1:35, IS 1:12 and 1:19, FT 1:28 and rotate 1:7: the
+// benchmark's standing 0.9731); at 1<<16 slots, fewer cells than IS or rotate
+// have addresses, four do. Skipping never changes the list. When the hash or
+// the layout changes, the lists say which loops moved.
+func TestSignatureTruthCost(t *testing.T) {
+	programs := []struct {
+		name  string
+		scale int
+	}{{"CG", 8}, {"IS", 8}, {"kmeans", 4}, {"facedetection", 8}, {"FT", 8}, {"histogram", 8}, {"rotate", 8}}
+	for _, tc := range []struct {
+		name string
+		opt  profiler.Options
+		want string
+	}{
+		{"sig", profiler.Options{Store: profiler.StoreSignature}, ""},
+		{"sig+skip", profiler.Options{Store: profiler.StoreSignature, Skip: true}, ""},
+		{"sig@65536", profiler.Options{Store: profiler.StoreSignature, Slots: 1 << 16}, "CG 1:23, IS 1:12, IS 1:19, rotate 1:7"},
+	} {
+		var flipped []string
+		for _, p := range programs {
+			prog := Workload(p.name, p.scale)
+			rep := Analyze(prog.M, Options{Profiler: tc.opt})
+			for _, reg := range prog.Truth.DOALL {
+				if !isParallel(kindOf(rep, reg)) {
+					flipped = append(flipped, p.name+" "+reg.Start.String())
+				}
+			}
+			for _, reg := range append(prog.Truth.DOACROSS, prog.Truth.Seq...) {
+				if isParallel(kindOf(rep, reg)) {
+					flipped = append(flipped, p.name+" "+reg.Start.String())
+				}
+			}
+		}
+		sort.Strings(flipped)
+		if got := strings.Join(flipped, ", "); got != tc.want {
+			t.Errorf("%s: loops that disagree with the ground truth: %q, want %q", tc.name, got, tc.want)
 		}
 	}
 }

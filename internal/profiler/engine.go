@@ -198,43 +198,80 @@ func (e *engine[S, PS]) depsMap() map[Dep]int64 { return e.deps.materialize() }
 
 func (e *engine[S, PS]) opIdx(op int32) int32 { return e.lay.index(op) }
 
-func (e *engine[S, PS]) entry(r *rec) sig.Entry {
-	return sig.Entry{Info: r.info, Ctx: r.ctx, Op: r.op, TS: r.ts}
-}
-
-// addDep builds and merges one dependence whose sink is the current access
-// (info, ctx, ts) and whose source is the status entry src. The
-// dependence's variable is the one accessed at the sink: the sink access
-// knows its variable exactly, whereas the source's identity comes from the
-// (possibly aliased) signature slot — attributing the variable from the
-// sink is what keeps signature false positives bounded by line-pair
-// combinations rather than by colliding address pairs (compare Figure 2.1:
-// "1:65 NOM {WAR 1:67|temp2}" names temp2, the variable written at the 1:65
-// sink).
+// depKey assembles the packed identity of a dependence of type t whose sink
+// is the current access (info, ts) and whose source is the status entry src,
+// without its loop-carried bits. The dependence's variable is the one
+// accessed at the sink: the sink access knows its variable exactly, whereas
+// the source's identity comes from the (possibly aliased) signature slot —
+// attributing the variable from the sink is what keeps signature false
+// positives bounded by line-pair combinations rather than by colliding
+// address pairs (compare Figure 2.1: "1:65 NOM {WAR 1:67|temp2}" names
+// temp2, the variable written at the 1:65 sink).
 //
-// The dependence identity is assembled directly from the packed access
-// info words — the sink/source location halves are single shifts of
-// info/src.Info — and merged into the packed accumulator; no Dep struct or
-// map insert exists on this path.
-func (e *engine[S, PS]) addDep(t DepType, info uint64, ctx int32, ts uint64, src sig.Entry) {
-	hi := info &^ 0xFFFFFFFF // sink file|line in the upper half
-	lo := uint64(t) << depTypeShift
+// The identity comes directly from the packed access info words — the
+// sink/source location halves are single shifts of info/src.Info — and is
+// merged into the packed accumulator; no Dep struct or map insert exists on
+// this path.
+func depKey(t DepType, info, ts uint64, src sig.Entry, mt bool) (hi, lo uint64) {
+	hi = info &^ 0xFFFFFFFF // sink file|line in the upper half
+	lo = uint64(t) << depTypeShift
 	if t != INIT {
 		hi |= src.Info >> 32 // source file|line in the lower half
 		lo |= (info >> 16 & 0xFFFF) << depVarShift
-		if e.mt {
+		if mt {
 			lo |= depHasThrBit |
 				(info>>8&0xFF)<<depSinkThrShift |
 				(src.Info>>8&0xFF)<<depSrcThrShift
-		}
-		if carriedRegion, carried := e.carried(ctx, src.Ctx); carried {
-			lo |= depCarriedBit | uint64(uint32(carriedRegion+1))&depCarryMask
 		}
 		if ts < src.TS {
 			// The sink was observed before its source: the accesses were
 			// not mutually exclusive — a potential data race (§2.3.4).
 			lo |= depReversedBit
 		}
+	}
+	return hi, lo
+}
+
+// carriedBits marks a dependence as carried by loop region reg.
+func carriedBits(reg int32) uint64 {
+	return depCarriedBit | uint64(uint32(reg+1))&depCarryMask
+}
+
+// addDep builds and merges one dependence whose sink is the current access
+// (info, ctx, ts) and whose source is the status entry src.
+func (e *engine[S, PS]) addDep(t DepType, info uint64, ctx int32, ts uint64, src sig.Entry) {
+	hi, lo := depKey(t, info, ts, src, e.mt)
+	if t != INIT {
+		if reg, carried := e.carried(ctx, src.Ctx); carried {
+			lo |= carriedBits(reg)
+		}
+	}
+	e.deps.add(hi, lo, 1)
+}
+
+// carryRegion returns the loop carrying a would-be dependence between the
+// current context and a status entry's context: its region ID, or -1 when the
+// dependence is not loop-carried or there is no entry (present == false). It
+// is written to stay under the inlining budget: as a call of its own in
+// loadSkip/storeSkip it costs what skipping saves (fig 2.12 reads -2 % with
+// the call, +4 % without; go build -gcflags=-m says which it is).
+func (e *engine[S, PS]) carryRegion(cur, src int32, present bool) (reg int32) {
+	reg = -1
+	if present && cur != src { // equal contexts are one iteration: never loop-carried
+		// carriedBy's region is -1 whenever the dependence is not carried, and
+		// the memo's zero entry (region 0, not carried) answers the query
+		// (0, 0) only, which never gets here.
+		reg, _ = e.carried(cur, src)
+	}
+	return reg
+}
+
+// insertDep is addDep for a caller that has resolved the carrying loop
+// already (carry: see carryRegion).
+func (e *engine[S, PS]) insertDep(t DepType, info, ts uint64, src sig.Entry, carry int32) {
+	hi, lo := depKey(t, info, ts, src, e.mt)
+	if carry >= 0 {
+		lo |= carriedBits(carry)
 	}
 	e.deps.add(hi, lo, 1)
 }
@@ -278,8 +315,7 @@ func (e *engine[S, PS]) storeAcc(addr, info, ts uint64, op, ctx int32) {
 // consume runs one chunk of access records through Algorithm 2: the worker
 // side of the pipeline, shaped like batchSerial — one call per chunk, the
 // skip test hoisted out of the per-record path, the store and the dependence
-// accumulator staying hot across iterations. The chunk is the caller's to
-// overwrite (a store's kind byte is cleared in place on the skip path).
+// accumulator staying hot across iterations.
 func (e *engine[S, PS]) consume(rs []rec) {
 	if e.ops == nil {
 		for i := range rs {
@@ -299,10 +335,9 @@ func (e *engine[S, PS]) consume(rs []rec) {
 		r := &rs[i]
 		switch uint8(r.info) {
 		case recLoad:
-			e.load(r)
+			e.loadSkip(r.addr, r.info, r.ts, r.op, r.ctx)
 		case recStore:
-			r.info &^= 0xFF
-			e.store(r)
+			e.storeSkip(r.addr, r.info&^0xFF, r.ts, r.op, r.ctx)
 		default:
 			e.shadow().Remove(r.addr, 1)
 		}
@@ -329,88 +364,67 @@ func (e *engine[S, PS]) migrateIn(m *migration) {
 	}
 }
 
-// load implements the read half of Algorithm 2 plus the skip conditions of
-// Section 2.4: a read is skipped iff its operation's lastAddr matches and
-// the shadow statusRead/statusWrite equal the operation's remembered
-// lastStatusRead/lastStatusWrite.
-func (e *engine[S, PS]) load(r *rec) {
-	if e.ops == nil {
-		e.loadAcc(r.addr, r.info, r.ts, r.op, r.ctx)
-		return
-	}
+// loadSkip is loadAcc under the skip conditions of Section 2.4: a read is
+// skipped — no dependence is built — iff its operation's lastAddr matches,
+// the cell's statusRead/statusWrite name the operations remembered as
+// lastStatusRead/lastStatusWrite, and the RAW it would build is carried by
+// the loop remembered for it. That loop is resolved once per access and
+// serves the comparison, the remembered state and the dependence insert.
+// Callers must ensure e.ops != nil.
+func (e *engine[S, PS]) loadSkip(addr, info, ts uint64, op, ctx int32) {
 	e.stats.Reads++
-	c := e.shadow().Cell(r.addr)
-	re, we := c.R, c.W
-	wouldRAW := !we.Empty()
+	c := e.shadow().Cell(addr)
+	wouldRAW := !c.W.Empty()
 	if wouldRAW {
 		e.stats.DepReads++
 	}
-	st := &e.ops[e.opIdx(r.op)]
-	wc := e.carryRegion(r.ctx, we.Ctx, !we.Empty())
-	if st.lastAddr == r.addr && st.lastR == re.Op && st.lastW == we.Op &&
-		st.lastWCarry == wc {
+	st := &e.ops[e.opIdx(op)]
+	wc := e.carryRegion(ctx, c.W.Ctx, wouldRAW)
+	if st.lastAddr == addr && st.lastR == c.R.Op && st.lastW == c.W.Op && st.lastWCarry == wc {
 		e.stats.SkippedReads++
 		if wouldRAW {
 			e.stats.SkippedDepReads++
 			e.stats.WouldRAW++
 		}
-		if re.Op == r.op && re.Ctx == r.ctx {
-			// Special case (§2.4.3): the shadow update would be a
-			// no-op re-recording of the same operation in the same
-			// iteration context.
+		if c.R.Op == op && c.R.Ctx == ctx {
+			// Special case (§2.4.3): the shadow update would be a no-op
+			// re-recording of the same operation in the same iteration
+			// context.
 			e.stats.ShadowSkips++
 			return
 		}
-		c.R = e.entry(r)
-		return
+	} else {
+		st.lastAddr = addr
+		st.lastR = c.R.Op
+		st.lastW = c.W.Op
+		st.lastWCarry = wc
+		if wouldRAW {
+			e.insertDep(RAW, info, ts, c.W, wc)
+		}
 	}
-	st.lastAddr = r.addr
-	st.lastR = re.Op
-	st.lastW = we.Op
-	st.lastWCarry = wc
-	if wouldRAW {
-		e.addDep(RAW, r.info, r.ctx, r.ts, we)
-	}
-	c.R = e.entry(r)
+	c.R = sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
 }
 
-// carryRegion returns the carrying-loop region of a would-be dependence
-// between the current context and a status entry's context (-1 when not
-// carried or the entry is empty, -2 sentinel never used).
-func (e *engine[S, PS]) carryRegion(cur, src int32, present bool) int32 {
-	if !present {
-		return -1
-	}
-	reg, carried := e.carried(cur, src)
-	if !carried {
-		return -1
-	}
-	return reg
-}
-
-// store implements the write half of Algorithm 2 (see storeAcc) plus the
-// skip conditions of Section 2.4.
-func (e *engine[S, PS]) store(r *rec) {
-	if e.ops == nil {
-		e.storeAcc(r.addr, r.info, r.ts, r.op, r.ctx)
-		return
-	}
+// storeSkip is storeAcc under the skip conditions of Section 2.4 (see
+// loadSkip): a write additionally remembers the carrying loop of its WAR and
+// whether the read status predates the write status.
+func (e *engine[S, PS]) storeSkip(addr, info, ts uint64, op, ctx int32) {
 	e.stats.Writes++
-	c := e.shadow().Cell(r.addr)
-	re, we := c.R, c.W
-	wouldWAR := !we.Empty() && !re.Empty()
-	wouldWAW := !we.Empty() && (re.Empty() || re.TS < we.TS)
-	if wouldWAR || wouldWAW {
-		e.stats.DepWrites++
+	c := e.shadow().Cell(addr)
+	hasR, hasW := !c.R.Empty(), !c.W.Empty()
+	order := c.R.TS < c.W.TS
+	wouldWAR := hasW && hasR
+	wouldWAW := hasW && (!hasR || order)
+	if hasW {
+		e.stats.DepWrites++ // a WAR, a WAW or both
 	}
-	st := &e.ops[e.opIdx(r.op)]
-	rc := e.carryRegion(r.ctx, re.Ctx, !re.Empty())
-	wc := e.carryRegion(r.ctx, we.Ctx, !we.Empty())
-	order := re.TS < we.TS
-	if st.lastAddr == r.addr && st.lastR == re.Op && st.lastW == we.Op &&
+	st := &e.ops[e.opIdx(op)]
+	rc := e.carryRegion(ctx, c.R.Ctx, hasR)
+	wc := e.carryRegion(ctx, c.W.Ctx, hasW)
+	if st.lastAddr == addr && st.lastR == c.R.Op && st.lastW == c.W.Op &&
 		st.lastRCarry == rc && st.lastWCarry == wc && st.lastOrder == order {
 		e.stats.SkippedWrite++
-		if wouldWAR || wouldWAW {
+		if hasW {
 			e.stats.SkippedDepWrite++
 		}
 		if wouldWAR {
@@ -419,28 +433,22 @@ func (e *engine[S, PS]) store(r *rec) {
 		if wouldWAW {
 			e.stats.WouldWAW++
 		}
-		if we.Op == r.op && we.Ctx == r.ctx {
+		if c.W.Op == op && c.W.Ctx == ctx {
 			e.stats.ShadowSkips++
 			return
 		}
-		c.W = e.entry(r)
-		return
-	}
-	st.lastAddr = r.addr
-	st.lastR = re.Op
-	st.lastW = we.Op
-	st.lastRCarry = rc
-	st.lastWCarry = wc
-	st.lastOrder = order
-	if we.Empty() {
-		e.addDep(INIT, r.info, r.ctx, r.ts, we)
 	} else {
+		*st = opSkip{lastAddr: addr, lastR: c.R.Op, lastW: c.W.Op,
+			lastRCarry: rc, lastWCarry: wc, lastOrder: order}
+		if !hasW {
+			e.insertDep(INIT, info, ts, c.W, -1)
+		}
 		if wouldWAR {
-			e.addDep(WAR, r.info, r.ctx, r.ts, re)
+			e.insertDep(WAR, info, ts, c.R, rc)
 		}
 		if wouldWAW {
-			e.addDep(WAW, r.info, r.ctx, r.ts, we)
+			e.insertDep(WAW, info, ts, c.W, wc)
 		}
 	}
-	c.W = e.entry(r)
+	c.W = sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
 }

@@ -39,6 +39,10 @@ type pipeline struct {
 	chunkSize int
 	mt        bool
 
+	// fault holds the value a worker goroutine panicked with until the
+	// producer's goroutine re-raises it (reraise); the first one wins.
+	fault atomic.Pointer[any]
+
 	// Load balancing (Section 2.3.3): sampled dynamic access statistics
 	// and a redistribution map that overrides the modulo assignment. Only
 	// 1 in 1<<sampleShift accesses is counted — the balancer needs the
@@ -159,7 +163,24 @@ func (w *pworker) next() *chunk {
 func runWorker[S any, PS storeOps[S]](pl *pipeline, w *pworker, e *engine[S, PS]) {
 	defer pl.wg.Done()
 	defer func() { w.dump = e.dump() }()
-	for n := uint64(1); ; n++ {
+	n := uint64(0) // chunks consumed
+	defer func() {
+		// A panic in the engine or its store (an address beyond the shadow
+		// memory's range, say) must not kill the process from a goroutine no
+		// caller can recover on: keep it for the producer's goroutine, and
+		// keep taking chunks, unread, so that push and drain cannot hang.
+		if r := recover(); r != nil {
+			pl.fault.CompareAndSwap(nil, &r)
+			for {
+				n++ // the chunk that panicked, then every later one
+				w.consumed.Store(n)
+				if w.next() == nil {
+					return
+				}
+			}
+		}
+	}()
+	for {
 		c := w.next()
 		switch {
 		case c == nil:
@@ -173,12 +194,22 @@ func runWorker[S any, PS storeOps[S]](pl *pipeline, w *pworker, e *engine[S, PS]
 		default:
 			e.migrateOut(c.mig)
 		}
+		n++
 		w.consumed.Store(n)
 	}
 }
 
+// reraise panics, on the caller's goroutine — the producer's — with the value
+// a worker goroutine panicked with, once per value.
+func (pl *pipeline) reraise() {
+	if pl.fault.Load() != nil {
+		panic(*pl.fault.Swap(nil))
+	}
+}
+
 // owner applies the modulo distribution (Formula 2.1) unless overridden by
-// the redistribution map.
+// the redistribution map. A worker's signature is sized and numbered for this
+// residue class (Profiler.signature).
 func (pl *pipeline) owner(addr uint64) int {
 	if len(pl.redist) > 0 {
 		if w, ok := pl.redist[addr]; ok {
@@ -237,6 +268,7 @@ func (pl *pipeline) put(r rec) {
 	c := pl.cur[w]
 	c.recs = append(c.recs, r)
 	if len(c.recs) == cap(c.recs) {
+		pl.reraise()
 		pl.flush(w)
 		if pl.interval > 0 && pl.chunksPushed%pl.interval == 0 {
 			pl.rebalance()
@@ -274,6 +306,7 @@ func (pl *pipeline) barrier() {
 	for _, w := range pl.workers {
 		w.drain()
 	}
+	pl.reraise()
 }
 
 // rebalanceTopK is the number of heaviest addresses the balancer
@@ -382,7 +415,8 @@ func (pl *pipeline) migrate(addr uint64, oldW, newW int) {
 }
 
 // finish flushes remaining chunks, stops the workers, and returns their
-// engines' merge-time dumps.
+// engines' merge-time dumps. It does not re-raise a worker's panic: Stop runs
+// while another panic unwinds; Result re-raises after it.
 func (pl *pipeline) finish() []engineDump {
 	pl.flushPartial()
 	for _, w := range pl.workers {

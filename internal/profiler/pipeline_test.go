@@ -3,9 +3,12 @@ package profiler
 import (
 	"crypto/sha256"
 	"fmt"
+	"math"
+	"math/rand"
 	"reflect"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
@@ -158,30 +161,38 @@ func TestSequentialPipelineHasNoBarriers(t *testing.T) {
 }
 
 // TestFreeVarRemovesAtOwnersOnly: a freed range is removed address by
-// address at each address's owner. Under signatures this is observable. With
-// two workers of 16 cells each, take a freed range [a, a+2) — a is worker
-// 0's, a+1 worker 1's — and a live address x of worker 0 that shares its
-// slot with a+1: clearing the whole range at worker 0 as well would erase
-// x's status there.
+// address at each address's owner. Under signatures this is observable: a
+// worker's signature numbers its own residue class densely (addr / W), so in
+// worker 0's store an address of worker 1 shares its cell with one of worker
+// 0's own. Take a freed range [f, f+2) — f is worker 1's, f+1 worker 0's —
+// and a live address x of worker 0 that shares its cell there with f:
+// clearing the whole range at worker 0 as well would erase x's status. The
+// pair comes from the geometry of the store the profiler itself builds.
 func TestFreeVarRemovesAtOwnersOnly(t *testing.T) {
-	probe := sig.MakeSignature(16)
-	var a, x uint64
+	m := synthModule()
+	p := New(m, Options{Store: StoreSignature, Slots: 64, Workers: 2, ChunkSize: 4})
+	defer p.Stop()
+	probe := p.signature(2) // the geometry of worker 0's store
+	var f, x uint64
+	found := false
 search:
-	for a = 2; ; a += 2 {
-		for x = 2; x < 256; x += 2 {
-			if x != a && probe.Cell(x) == probe.Cell(a+1) && probe.Cell(x) != probe.Cell(a) {
+	for f = 3; f < 512; f += 2 {
+		for x = 2; x < 512; x += 2 {
+			if x != f+1 && probe.Cell(x) == probe.Cell(f) && probe.Cell(x) != probe.Cell(f+1) {
+				found = true
 				break search
 			}
 		}
 	}
-	m := synthModule()
-	p := New(m, Options{Store: StoreSignature, Slots: 64, Workers: 2, ChunkSize: 4})
+	if !found {
+		t.Fatal("no even x below 512 shares a cell of worker 0's signature with an odd f: the layout no longer lets addresses of two owners collide, and this test shows nothing")
+	}
 	p.ProcessBatch(m, []interp.Ev{
 		accessEv(interp.EvStore, x, 2, 0),
-		accessEv(interp.EvStore, a+1, 3, 0),
-		{Addr: a, Sink: uint64(interp.EvFreeVar), B: 2},
-		accessEv(interp.EvLoad, a+1, 4, 0), // no RAW: its owner removed it
-		accessEv(interp.EvLoad, x, 5, 0),   // RAW on line 2: worker 0 kept it
+		accessEv(interp.EvStore, f, 3, 0),
+		{Addr: f, Sink: uint64(interp.EvFreeVar), B: 2},
+		accessEv(interp.EvLoad, f, 4, 0), // no RAW: its owner removed it
+		accessEv(interp.EvLoad, x, 5, 0), // RAW on line 2: worker 0 kept it
 	})
 	res := p.Result()
 	if res.Accesses != 6 {
@@ -194,7 +205,43 @@ search:
 		}
 	}
 	if len(raws) != 1 || raws[0].Sink.Line != 5 || raws[0].Source.Line != 2 {
-		t.Errorf("a=%d x=%d: RAW dependences = %v, want exactly 1:5 RAW 1:2", a, x, raws)
+		t.Errorf("f=%d x=%d: RAW dependences = %v, want exactly 1:5 RAW 1:2", f, x, raws)
+	}
+}
+
+// TestWorkerSignatureUsesItsWholeShare: a worker's signature, built by the
+// profiler's own constructor, fills like Formula 2.2 says a signature of its
+// share of the slots should, although the worker sees one residue class of
+// addresses only. Insert n addresses of one class, in dense runs of whole
+// blocks at random places the way arrays lie in memory, and count the distinct
+// cells they got: the occupied share must track EstimateFPR(m, n). A layout
+// that hashes the block of the address itself leaves (W-1)/W of every block to
+// the other workers' classes and cannot get past 1/W.
+func TestWorkerSignatureUsesItsWholeShare(t *testing.T) {
+	const m = 1 << 16 // one worker's cells
+	for _, w := range []int{1, 2, 8, 16} {
+		p := newProfiler(synthModule(), Options{Store: StoreSignature, Slots: 2 * w * m, Workers: w})
+		st := p.signature(w)
+		class := uint64(w - 1)
+		rng := rand.New(rand.NewSource(int64(w)))
+		cells := map[*sig.Cell]bool{}
+		n := 0
+		for n < m {
+			run := 64 * (1 + rng.Intn(4))
+			base := uint64(rng.Int63n(1<<26)) &^ 63 // dense number of the run's first address
+			for i := 0; i < run; i++ {
+				cells[st.Cell((base+uint64(i))*uint64(w)+class)] = true
+			}
+			n += run
+		}
+		got, want := float64(len(cells))/float64(m), sig.EstimateFPR(m, n)
+		if math.Abs(got-want) > 0.05 {
+			t.Errorf("Workers: %d: %d addresses of class %d occupy %.3f of the worker's %d cells, Formula 2.2 estimates %.3f",
+				w, n, class, got, m, want)
+		}
+		if bound := int64(m)*48 + int64(m/64)*8; st.MemBytes() > bound {
+			t.Errorf("Workers: %d: the store reports %d bytes, its share is %d", w, st.MemBytes(), bound)
+		}
 	}
 }
 
@@ -240,15 +287,13 @@ func depFileHash(name string, opt Options) string {
 // soon as Formula 2.1, the sample stream, a balancer decision or the place
 // of a migration in a worker's stream does.
 //
-// The first three hashes were recorded at the commit before the router
-// replaced the per-record produce path (no run at scale 1 reaches the default
-// balancer's first check). With the balancer at work that commit was not
-// reproducible run to run, for two reasons the router does not share: equal
-// sample counts at the top-ten cut were taken in map order, and the workers
-// recycled the one-record migration chunks into the data path, so that chunk
-// capacities — and with them the balancer's cadence — depended on timing. The
-// last three hashes are those of that commit with both removed (ties by
-// address; migration chunks not recycled), which are also this one's.
+// The hashes were re-recorded once, when sig.Signature went from one hashed
+// cell per address to hashed 64-cell blocks with a dense per-worker numbering
+// (addr / W): which addresses alias changed for every address, so every file
+// did. They are reproducible run to run, with the balancer at work too (ties
+// at the top-ten cut go by address; migration chunks are not recycled). What
+// they pin is unchanged: 512 cells per worker alias thousands of addresses,
+// and the plain and balanced files of one program still differ.
 func TestSignatureOwnershipGolden(t *testing.T) {
 	plain := Options{Store: StoreSignature, Slots: 4096, Workers: 4}
 	balanced := Options{Store: StoreSignature, Slots: 4096, Workers: 4, ChunkSize: 64, RebalanceInterval: 25}
@@ -257,12 +302,12 @@ func TestSignatureOwnershipGolden(t *testing.T) {
 		opt  Options
 		want string
 	}{
-		{"CG", plain, "147f36e1d0d3fd43a41d1b6dae3d14c001087224e33235113afac188f3cb923d"},
-		{"kmeans", plain, "4c3331ae58e154e3e0335b128c4e80931273dd9d9c46f8238b0e4ada72854127"},
-		{"histogram", plain, "50f7cc6b7ec6d7b4601d1ef8bea612684a835eea5de9b31d563105e3067a1d2e"},
-		{"CG", balanced, "eacd121621bb8d646d392ec89299c7499d00ab03089e3edfa62bf7c4024efb4d"},
-		{"kmeans", balanced, "1f278284d61bc3682db126153c75374314029922a7e313363d75ef703970529a"},
-		{"histogram", balanced, "22cd639b49933c88e0e19a87d026175bfa6947a3869669b9d132c40c357c4bb0"},
+		{"CG", plain, "6b589005992e9c28fb8adeaef663fbf3924c5c62d4c70634a8ec14d1854df477"},
+		{"kmeans", plain, "81343169858403f64414a28c523aed61e27b9c53a4813a9b9d825c7964360cbf"},
+		{"histogram", plain, "03dd9620edec8c0a35c23a13d179ad9fa8e67ebfa1076bdebaec06c8cbffb228"},
+		{"CG", balanced, "9eeb7b077986b09ebe0e4031a8d142fd4e33cf831b2b4d8a7bca594507f152fe"},
+		{"kmeans", balanced, "80761f4eb1682d208a07e9c719387193732c7206ce1d02859604ba470d163133"},
+		{"histogram", balanced, "7b598d304706e2309516b9256e8170a4b1f0ed195fbef220c1098a09e4c2cd52"},
 	}
 	for _, g := range golden {
 		if got := depFileHash(g.name, g.opt); got != g.want {
@@ -392,4 +437,88 @@ func TestNoGoroutineOutlivesTheProfile(t *testing.T) {
 		}
 		p.Stop() // idempotent
 	}
+}
+
+// faultyStore is the exact map store with a fault injected: the k-th cell
+// resolution (counted over every store of one profiler) panics, as
+// sig.Perfect does on an address beyond its range.
+type faultyStore struct {
+	mapStore
+	calls *atomic.Int64
+	k     int64
+}
+
+type storeFault struct{ call int64 }
+
+func (s *faultyStore) Cell(addr uint64) *sig.Cell {
+	if n := s.calls.Add(1); n == s.k {
+		panic(storeFault{n})
+	}
+	return s.mapStore.Cell(addr)
+}
+
+// TestWorkerPanicReachesTheCaller: a panic on a worker goroutine of either
+// pipeline kind is recovered there and re-raised, as the same value, on the
+// goroutine that feeds the profiler — in ProcessBatch at a chunk hand-over or
+// a barrier when there is one after the fault, else in Result. The failed
+// worker keeps taking chunks, so the run neither hangs nor dies; Stop returns
+// and no goroutine outlives it.
+func TestWorkerPanicReachesTheCaller(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		opt  Options
+		prog string
+		k    int64 // which cell resolution panics
+	}{
+		{"workers2/early", Options{Workers: 2, ChunkSize: 16}, "CG", 100},
+		{"workers2/balancing", Options{Workers: 2, ChunkSize: 16, RebalanceInterval: 5}, "CG", 5000},
+		{"workers2/locked", Options{Workers: 2, UseLocked: true, ChunkSize: 16}, "CG", 100},
+		{"mt/early", Options{MT: true, Workers: 2, ChunkSize: 16}, "md5-mt", 100},
+		{"mt/default", Options{MT: true}, "md5-mt", 3000},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			before := runtime.NumGoroutine()
+			m := workloads.MustBuild(tc.prog, 1).M
+			p := newProfiler(m, tc.opt)
+			calls := new(atomic.Int64)
+			attach[faultyStore](p, func(int) faultyStore { return faultyStore{newMapStore(1), calls, tc.k} })
+			var got any
+			func() {
+				defer func() {
+					got = recover()
+					p.Stop()
+				}()
+				p.run()
+			}()
+			if got != (storeFault{tc.k}) {
+				t.Errorf("the caller recovered %v, want the worker's %v", got, storeFault{tc.k})
+			}
+			if n := goroutinesSettleAt(before); n > before {
+				t.Errorf("%d goroutines after Stop, %d before New", n, before)
+			}
+			p.Stop() // idempotent, and the fault is not raised twice
+		})
+	}
+}
+
+// TestWorkerPanicInTheLastChunkReachesResult: a fault in a chunk that is only
+// handed over by Result's own final flush has no later ProcessBatch to surface
+// in. Result must raise it instead of merging a table a worker abandoned.
+func TestWorkerPanicInTheLastChunkReachesResult(t *testing.T) {
+	m := synthModule()
+	p := newProfiler(m, Options{Workers: 2, ChunkSize: 64})
+	calls := new(atomic.Int64)
+	attach[faultyStore](p, func(int) faultyStore { return faultyStore{newMapStore(1), calls, 2} })
+	p.ProcessBatch(m, []interp.Ev{
+		accessEv(interp.EvStore, 10, 3, 0),
+		accessEv(interp.EvLoad, 10, 4, 0),
+	})
+	defer func() {
+		if got := recover(); got != (storeFault{2}) {
+			t.Errorf("Result raised %v, want the worker's %v", got, storeFault{2})
+		}
+		p.Stop()
+	}()
+	p.Result()
+	t.Error("Result returned a result although a worker panicked")
 }

@@ -124,6 +124,9 @@ func New(m *ir.Module, opt Options) *Profiler {
 
 // newProfiler builds a profiler that has no engine yet (see attach).
 func newProfiler(m *ir.Module, opt Options) *Profiler {
+	if opt.Slots < 0 {
+		panic("profiler: Options.Slots must not be negative")
+	}
 	opt.defaults()
 	p := &Profiler{mod: m, opt: opt, tab: &ctxTable{},
 		regions: map[int]*RegionExec{}, funcs: map[*ir.Func]int64{}}
@@ -151,9 +154,10 @@ func attach[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *engine[
 }
 
 // signature builds one worker's signature, sized as an equal share of the
-// configured total slots across nshares workers (a cell is two slots).
+// configured total slots across nshares workers (a cell is two slots) and
+// numbering that worker's residue class of addresses densely.
 func (p *Profiler) signature(nshares int) sig.Signature {
-	return sig.MakeSignature(max(p.opt.Slots/(2*nshares), 16))
+	return sig.MakeSignature(max(p.opt.Slots/(2*nshares), 1), nshares)
 }
 
 // perfect builds one worker's shadow memory (nshares is irrelevant: pages
@@ -216,8 +220,7 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 			if e.ops == nil {
 				e.loadAcc(ev.Addr, ev.Sink, p.ts, ev.A, ctx)
 			} else {
-				r := rec{addr: ev.Addr, info: ev.Sink, ts: p.ts, op: ev.A, ctx: ctx}
-				e.load(&r)
+				e.loadSkip(ev.Addr, ev.Sink, p.ts, ev.A, ctx)
 			}
 		case interp.EvStore:
 			p.accesses++
@@ -227,8 +230,7 @@ func batchSerial[S any, PS storeOps[S]](p *Profiler, e *engine[S, PS], m *ir.Mod
 			if e.ops == nil {
 				e.storeAcc(ev.Addr, ev.Sink&^0xFF, p.ts, ev.A, ctx)
 			} else {
-				r := rec{addr: ev.Addr, info: ev.Sink &^ 0xFF, ts: p.ts, op: ev.A, ctx: ctx}
-				e.store(&r)
+				e.storeSkip(ev.Addr, ev.Sink&^0xFF, p.ts, ev.A, ctx)
 			}
 		case interp.EvFreeVar:
 			// Variable lifetime analysis (Section 2.3.5): dead addresses leave
@@ -293,7 +295,9 @@ func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 // calls it internally. Call it directly when the profiled execution
 // unwinds with a panic and no result will be produced — otherwise the
 // pipeline workers' spin loops outlive the run and burn CPU for the rest
-// of the process.
+// of the process. Stop itself never panics: a panic on a worker goroutine is
+// re-raised by ProcessBatch (at the next chunk hand-over or barrier) or by
+// Result, on their caller's goroutine.
 func (p *Profiler) Stop() { p.stop() }
 
 // stop terminates the pipelines and returns the engines' merge-time dumps.
@@ -335,6 +339,9 @@ func (p *Profiler) Result() *Result {
 		Accesses:    p.accesses,
 	}
 	dumps := p.stop()
+	if p.pipe != nil {
+		p.pipe.reraise() // a worker that panicked left no result to merge
+	}
 	tables := make([]*depTable, len(dumps))
 	for i, d := range dumps {
 		tables[i] = d.deps

@@ -245,6 +245,81 @@ func TestSkipStatsAccounting(t *testing.T) {
 	}
 }
 
+// TestSkipStatsGolden pins the skip path counter by counter: the twelve
+// SkipStats counters and the number of merged dependences of the seven
+// solo_variants programs of the benchmark (and LU) under the exact store with
+// skipping, serially (batchSerial → loadSkip/storeSkip) and through the
+// worker pipeline (consume; per-operation skip state is per worker there, so
+// the skipped counts differ from the serial ones). Recorded at the commit
+// before engine.load(*rec)/store(*rec) became loadSkip/storeSkip: a rewrite
+// of the conditions that skips one access more or fewer shows here.
+// (Unkeyed SkipStats literals on purpose: a thirteenth counter must be added
+// here too.)
+func TestSkipStatsGolden(t *testing.T) {
+	golden := []struct {
+		name     string
+		scale    int
+		deps     int
+		serial   SkipStats // Reads, Writes, SkippedReads, SkippedWrite, DepReads, DepWrites,
+		workers2 SkipStats // SkippedDepReads, SkippedDepWrite, WouldRAW, WouldWAR, WouldWAW, ShadowSkips
+	}{
+		{"CG", 8, 98,
+			SkipStats{842281, 238121, 519479, 161224, 842281, 213789, 519479, 161224, 519479, 161224, 0, 0},
+			SkipStats{842281, 238121, 519479, 161224, 842281, 213789, 519479, 161224, 519479, 161224, 0, 0}},
+		{"IS", 8, 46,
+			SkipStats{512638, 224259, 385529, 128643, 512638, 160189, 385529, 128643, 385529, 128643, 0, 0},
+			SkipStats{512638, 224259, 386463, 129110, 512638, 160189, 386463, 129110, 386463, 129110, 0, 0}},
+		{"kmeans", 4, 110,
+			SkipStats{1090093, 415432, 753799, 276859, 1090093, 410596, 753799, 276859, 753799, 276855, 33928, 0},
+			SkipStats{1090093, 415432, 756413, 279473, 1090093, 410596, 756413, 279473, 756413, 279469, 33928, 0}},
+		{"facedetection", 8, 114,
+			SkipStats{669986, 250722, 413714, 172661, 669473, 249660, 413714, 172568, 413714, 172568, 0, 0},
+			SkipStats{669986, 250722, 423026, 172661, 669473, 249660, 422930, 172568, 422930, 172568, 0, 0}},
+		{"FT", 8, 76,
+			SkipStats{283050, 98595, 229606, 67716, 283050, 94425, 229606, 67716, 229606, 67655, 61, 0},
+			SkipStats{283050, 98595, 229606, 67716, 283050, 94425, 229606, 67716, 229606, 67655, 61, 0}},
+		{"histogram", 8, 47,
+			SkipStats{240453, 120198, 193124, 72888, 240453, 96159, 193124, 72888, 193124, 72888, 0, 0},
+			SkipStats{240453, 120198, 193897, 73661, 240453, 96159, 193897, 73661, 193897, 73661, 0, 0}},
+		{"rotate", 8, 15,
+			SkipStats{192002, 96002, 167988, 47996, 192002, 48000, 167988, 47996, 167988, 47996, 0, 0},
+			SkipStats{192002, 96002, 167988, 47996, 192002, 48000, 167988, 47996, 167988, 47996, 0, 0}},
+		// None of the seven takes the shadow-update special case (§2.4.3); LU does.
+		{"LU", 1, 49,
+			SkipStats{43287, 12300, 29261, 6053, 43287, 10758, 29261, 6053, 29261, 6053, 0, 6624},
+			SkipStats{43287, 12300, 29261, 6053, 43287, 10758, 29261, 6053, 29261, 6053, 0, 6624}},
+	}
+	for i, g := range golden {
+		if testing.Short() && i%3 != 0 {
+			continue
+		}
+		for _, mode := range []struct {
+			workers int
+			want    SkipStats
+		}{{0, g.serial}, {2, g.workers2}} {
+			res := Profile(workloads.MustBuild(g.name, g.scale).M, Options{Skip: true, Workers: mode.workers})
+			if res.Skip != mode.want {
+				t.Errorf("%s@%d, Workers: %d: skip counters\n got %+v\nwant %+v", g.name, g.scale, mode.workers, res.Skip, mode.want)
+			}
+			if len(res.Deps) != g.deps {
+				t.Errorf("%s@%d, Workers: %d: %d dependences, want %d", g.name, g.scale, mode.workers, len(res.Deps), g.deps)
+			}
+		}
+	}
+}
+
+// TestNegativeSlotsPanic: a negative slot count is a caller's bug and says so,
+// instead of silently profiling with the smallest signature.
+func TestNegativeSlotsPanic(t *testing.T) {
+	defer func() {
+		if r, _ := recover().(string); !strings.Contains(r, "Options.Slots") {
+			t.Errorf("New with Slots: -5 panicked with %q, want a message naming Options.Slots", r)
+		}
+	}()
+	New(synthModule(), Options{Store: StoreSignature, Slots: -5})
+	t.Error("New accepted Slots: -5")
+}
+
 // TestFTDummyWAW: FT's dummy variable produces the WAW chain of
 // Figure 2.14.
 func TestFTDummyWAW(t *testing.T) {

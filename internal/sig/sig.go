@@ -15,6 +15,7 @@ package sig
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"unsafe"
 )
 
@@ -41,38 +42,74 @@ type Cell struct {
 
 const cellBytes = int64(unsafe.Sizeof(Cell{})) // 48
 
-// Signature is the approximate store: a fixed-length array addressed by a
-// single hash function. Hash collisions overwrite foreign state, producing
-// the false positives and false negatives quantified in Section 2.5.1.
-// Because there is only one hash function, removal is a single slot clear.
+// Signature geometry: cells live in blocks of blockCells, and it is the block
+// that is hashed. An address keeps its offset inside its block, so
+// neighbouring elements share cache lines as they do in Perfect, and a block
+// is allocated when it is first touched.
+const (
+	blockShift = 6
+	blockCells = 1 << blockShift // 3 KB of cells
+	blockMask  = blockCells - 1
+)
+
+type block [blockCells]Cell
+
+// Signature is the approximate store: a fixed-length table of blocks
+// addressed by a single hash function of the block number addr>>blockShift.
+// Two addresses whose blocks hash to one table entry and whose offsets agree
+// overwrite each other's state, producing the false positives and false
+// negatives quantified in Section 2.5.1. Because there is only one hash
+// function, removal is a clear of the cell. The table length is the
+// signature's capacity and never changes; blocks materialise on first touch,
+// so the memory in use follows the footprint of the profiled program.
 type Signature struct {
-	cells []Cell
+	blocks []*block // nil = never touched
+	live   int      // materialised blocks
+	// stride > 1 numbers one residue class densely: the store is one of
+	// stride workers' and sees (almost) only addresses of one class modulo
+	// stride (Formula 2.1), which would otherwise use 1/stride of every block.
+	stride uint64
 }
 
-// NewSignature returns a signature with n slots, each holding a read and a
-// write status.
+// NewSignature returns a signature with room for n cells, each holding a
+// read and a write status.
 func NewSignature(n int) *Signature {
-	s := MakeSignature(n)
+	s := MakeSignature(n, 1)
 	return &s
 }
 
-// MakeSignature returns a signature with n slots by value, for embedding
-// in generic engines.
-func MakeSignature(n int) Signature {
-	if n <= 0 {
-		panic("sig: signature size must be positive")
+// MakeSignature returns, by value for embedding in generic engines, a
+// signature with room for n cells — rounded down to whole blocks, one block
+// at least — for one of w workers: with w > 1 it numbers addresses by their
+// quotient addr / w, the dense numbering of one residue class modulo w.
+func MakeSignature(n, w int) Signature {
+	if n <= 0 || w <= 0 {
+		panic("sig: signature size and worker count must be positive")
 	}
-	return Signature{cells: make([]Cell, n)}
+	return Signature{blocks: make([]*block, max(n>>blockShift, 1)), stride: uint64(w)}
 }
 
-// Cell returns the slot addr hashes to.
+// index returns the table entry of the block holding (dense) address addr:
+// a multiplicative hash of the block number, reduced to the table length by
+// taking the high word of the product — no division, for any table length.
+func (s *Signature) index(addr uint64) uint64 {
+	i, _ := bits.Mul64((addr>>blockShift)*0x9E3779B97F4A7C15, uint64(len(s.blocks)))
+	return i
+}
+
+// Cell returns the cell addr maps to, materialising its block on first touch.
 func (s *Signature) Cell(addr uint64) *Cell {
-	// Fibonacci multiplicative hashing followed by a modulo so that
-	// arbitrary (non-power-of-two) slot counts such as 1e6/1e7/1e8 from
-	// Table 2.6 are usable.
-	h := addr * 0x9E3779B97F4A7C15
-	h ^= h >> 29
-	return &s.cells[h%uint64(len(s.cells))]
+	if s.stride > 1 {
+		addr /= s.stride
+	}
+	i := s.index(addr)
+	b := s.blocks[i]
+	if b == nil {
+		b = new(block)
+		s.blocks[i] = b
+		s.live++
+	}
+	return &b[addr&blockMask]
 }
 
 // GetSet records e as the latest write status of addr and returns the
@@ -84,16 +121,31 @@ func (s *Signature) GetSet(addr uint64, e Entry) Entry {
 	return old
 }
 
-// Remove clears the slots of the n addresses starting at addr (variable
-// lifetime analysis).
+// Remove clears the cells of the n addresses starting at addr (variable
+// lifetime analysis): one span clear per block the range overlaps. Blocks
+// that were never touched stay unmaterialised.
 func (s *Signature) Remove(addr uint64, n int) {
-	for end := addr + uint64(n); addr < end; addr++ {
-		*s.Cell(addr) = Cell{}
+	if n <= 0 {
+		return
+	}
+	end := addr + uint64(n)
+	if s.stride > 1 {
+		addr, end = addr/s.stride, (end-1)/s.stride+1
+	}
+	for addr < end {
+		next := min((addr|blockMask)+1, end)
+		if b := s.blocks[s.index(addr)]; b != nil {
+			clear(b[addr&blockMask : (next-1)&blockMask+1])
+		}
+		addr = next
 	}
 }
 
-// MemBytes returns the memory footprint of the signature in bytes.
-func (s *Signature) MemBytes() int64 { return int64(len(s.cells)) * cellBytes }
+// MemBytes returns the memory footprint of the signature in bytes: the
+// materialised blocks plus the block table.
+func (s *Signature) MemBytes() int64 {
+	return int64(s.live)*blockCells*cellBytes + int64(len(s.blocks))*8
+}
 
 // Shadow-memory geometry. Simulated addresses are dense element indices
 // (globals, then the thread stacks, then a bump-allocated heap), so a page

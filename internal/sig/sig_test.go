@@ -223,8 +223,13 @@ func TestSignatureBasics(t *testing.T) {
 	if c := *s.Cell(12345); c != (Cell{}) {
 		t.Fatalf("cell after Remove = %+v", c)
 	}
-	if s.MemBytes() != 97*cellBytes {
-		t.Fatalf("MemBytes = %d", s.MemBytes())
+	// 97 cells are one whole block; one address materialised it, and the
+	// removal did not give it back.
+	if want := blockCells*cellBytes + 8; s.MemBytes() != want {
+		t.Fatalf("MemBytes = %d, want %d (one block and a one-entry table)", s.MemBytes(), want)
+	}
+	if empty := NewSignature(1 << 21); empty.MemBytes() != 8<<(21-blockShift) {
+		t.Fatalf("an untouched signature of 1<<21 cells reports %d bytes, want its 256 KB table", empty.MemBytes())
 	}
 }
 
@@ -250,9 +255,156 @@ func TestSignatureCollisionProperty(t *testing.T) {
 	}
 }
 
+// cellID names one cell of a signature: its block's table entry and its
+// offset there. The reference model of applySigOps is keyed by it.
+type cellID struct{ block, off uint64 }
+
+func (s *Signature) id(addr uint64) cellID {
+	addr /= s.stride
+	return cellID{s.index(addr), addr & blockMask}
+}
+
+// sigShapes are the signatures applySigOps drives: one block, a cell count
+// that is not a multiple of the block size, a prime table length, and the
+// dense numbering of one worker out of 2, 3 and 16.
+var sigShapes = []struct{ n, w int }{{64, 1}, {97, 1}, {1000, 1}, {4096, 1}, {13 * blockCells, 1}, {256, 2}, {1000, 3}, {4096, 16}}
+
+// applySigOps is applyOps for the signature: the same operation stream — set
+// the read half, get-and-set the write half, read a cell, remove a range —
+// applied to a Signature and to a map keyed by cell identity. Identical
+// behaviour after every operation is the collision property: two addresses
+// share a cell entirely (one identity, every access of either seen by both)
+// or not at all. On top of it: a removal never materialises a block, an
+// address whose block was never touched is one the model holds nothing for,
+// and the footprint never exceeds the cell count the signature was built
+// with, whatever the stream.
+func applySigOps(t *testing.T, shape uint8, ops []byte) {
+	t.Helper()
+	sh := sigShapes[int(shape)%len(sigShapes)]
+	s := MakeSignature(sh.n, sh.w)
+	table := len(s.blocks)
+	bound := int64(sh.n)*cellBytes + int64(table)*8
+	ref := map[cellID]Cell{}
+	bases := farBases()
+	for i := 0; i+opBytes <= len(ops); i += opBytes {
+		o := ops[i : i+opBytes]
+		addr := bases[int(o[1])%len(bases)] + (uint64(o[2]) | uint64(o[3]&7)<<8)
+		id := s.id(addr)
+		e := Entry{Info: uint64(o[5])<<8 | 1, Ctx: int32(i), Op: int32(o[5]), TS: uint64(i)}
+		switch o[0] % 4 {
+		case 0:
+			s.Cell(addr).R = e
+			c := ref[id]
+			c.R = e
+			ref[id] = c
+		case 1:
+			c := ref[id]
+			if got := s.GetSet(addr, e); got != c.W {
+				t.Fatalf("op %d: GetSet(%d) returned %+v, want %+v", i/opBytes, addr, got, c.W)
+			}
+			c.W = e
+			ref[id] = c
+		case 2:
+			if s.blocks[id.block] == nil {
+				if c, held := ref[id]; held && c != (Cell{}) {
+					t.Fatalf("op %d: address %d lies in a block never materialised, the model holds %+v", i/opBytes, addr, c)
+				}
+			} else if got, want := *s.Cell(addr), ref[id]; got != want {
+				t.Fatalf("op %d: Cell(%d) = %+v, want %+v", i/opBytes, addr, got, want)
+			}
+		case 3:
+			n := int(o[4]) << (o[0] >> 2 & 7) // up to 32640 addresses
+			live := s.live
+			s.Remove(addr, n)
+			if s.live != live {
+				t.Fatalf("op %d: Remove(%d, %d) materialised %d blocks", i/opBytes, addr, n, s.live-live)
+			}
+			for j := 0; j < n; j++ {
+				delete(ref, s.id(addr+uint64(j)))
+			}
+		}
+		if got := s.MemBytes(); got > bound {
+			t.Fatalf("op %d: MemBytes = %d, above the %d bytes of %d cells and the table", i/opBytes, got, bound, sh.n)
+		}
+	}
+	if len(s.blocks) != table {
+		t.Fatalf("the table grew from %d to %d entries", table, len(s.blocks))
+	}
+	// Every cell the store holds is one the reference holds, and vice versa.
+	live := 0
+	for i, b := range s.blocks {
+		if b == nil {
+			continue
+		}
+		live++
+		for j := range b {
+			id := cellID{uint64(i), uint64(j)}
+			if b[j] != ref[id] {
+				t.Fatalf("final: cell %+v = %+v, want %+v", id, b[j], ref[id])
+			}
+			delete(ref, id)
+		}
+	}
+	if live != s.live {
+		t.Fatalf("live = %d, the table holds %d blocks", s.live, live)
+	}
+	for id, want := range ref {
+		if want != (Cell{}) {
+			t.Fatalf("final: cell %+v = %+v lies in no materialised block", id, want)
+		}
+	}
+}
+
+// TestSignatureMatchesReference drives every signature shape and its
+// cell-identity model with one seeded random operation sequence each.
+func TestSignatureMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	ops := make([]byte, 15000*opBytes)
+	for shape := range sigShapes {
+		rng.Read(ops)
+		applySigOps(t, uint8(shape), ops)
+	}
+}
+
+// FuzzSignatureOps is applySigOps over fuzzer-chosen shapes and operation
+// streams.
+func FuzzSignatureOps(f *testing.F) {
+	f.Add(uint8(0), []byte{1, 0, 5, 0, 0, 7, 1, 0, 69, 0, 0, 9, 2, 0, 5, 0, 0, 0})                  // two addresses, one cell
+	f.Add(uint8(5), []byte{0, 3, 8, 1, 0, 3, 1, 3, 9, 1, 0, 4, 3, 3, 8, 1, 2, 0, 2, 3, 9, 1, 0, 0}) // neighbours under w = 2, removed
+	f.Add(uint8(7), []byte{31, 1, 0, 0, 255, 0, 1, 4, 1, 2, 0, 1, 31, 4, 0, 0, 255, 0})             // long removals of untouched ranges
+	f.Fuzz(applySigOps)
+}
+
+// TestSignatureLocality: the 64 addresses of an aligned block are the 64
+// cells of one materialised block, in order — neighbouring elements share
+// cache lines — wherever in the address space the block lies; under dense
+// numbering the same holds for 64 consecutive addresses of one residue class.
+func TestSignatureLocality(t *testing.T) {
+	for _, w := range []uint64{1, 8} {
+		s := MakeSignature(1<<12, int(w))
+		class := 3 % w
+		for _, base := range farBases() {
+			base &^= blockMask // a block-aligned dense number
+			addr := func(i uint64) uint64 { return (base+i)*w + class }
+			s.Cell(addr(0))
+			blk := s.blocks[s.index(base)]
+			for i := uint64(0); i < blockCells; i++ {
+				if s.Cell(addr(i)) != &blk[i] {
+					t.Fatalf("w=%d: address %d is not cell %d of the block of address %d", w, addr(i), i, addr(0))
+				}
+			}
+		}
+		if runs := len(farBases()); s.live > runs {
+			t.Fatalf("w=%d: %d aligned runs materialised %d blocks", w, runs, s.live)
+		}
+	}
+}
+
 // TestEstimateFPR checks Formula 2.2 empirically: insert n random
 // addresses into an m-slot signature and compare occupancy of a probe slot
-// with the analytic estimate.
+// with the analytic estimate. The addresses are any 64-bit values: an address
+// keeps its low bits as its offset in a block, so a draw of odd addresses
+// only would use half of every block and read 0.75 against the formula's 0.50.
 func TestEstimateFPR(t *testing.T) {
 	m, n := 1024, 700
 	est := EstimateFPR(m, n)
@@ -261,10 +413,10 @@ func TestEstimateFPR(t *testing.T) {
 	for tr := 0; tr < trials; tr++ {
 		s := NewSignature(m)
 		for i := 0; i < n; i++ {
-			s.Cell(rng.Uint64() | 1).W = Entry{Info: 1}
+			s.Cell(rng.Uint64()).W = Entry{Info: 1}
 		}
 		// Probe a fresh address: occupied slot = would-be false positive.
-		if !s.Cell(rng.Uint64() | 1).W.Empty() {
+		if !s.Cell(rng.Uint64()).W.Empty() {
 			hits++
 		}
 	}
