@@ -59,8 +59,8 @@ const (
 // access, in stream order, is the count of access events seen, which a
 // consumer that needs one keeps itself (the profiler does). Keeping the
 // record at 32 bytes — half a cache line, no padding — is worth the
-// packing: the append is the hottest store in the traced VM loop, and the
-// consumer re-reads every byte.
+// packing: writing it is the hottest store in the traced VM loop (emit), and
+// the consumer re-reads every byte.
 type Ev struct {
 	Addr uint64
 	Sink uint64
@@ -102,9 +102,8 @@ const evBatchSize = 2048
 
 // flushEvents hands the buffered events to the tracer. It is called on
 // buffer-full, at the end of Run, and by panicf so that the events preceding
-// a runtime error are observed. It is the cold half of pushEv and is kept
-// out of line: inlined, it pushes pushEv over the inlining budget, and the
-// per-access append in vmLoop becomes a call (+2 ns per access, measured).
+// a runtime error are observed. It is the cold half of emit and is kept out
+// of line, so that what runs per event is emit's five stores and one compare.
 //
 //go:noinline
 func (it *Interp) flushEvents() {
@@ -115,9 +114,25 @@ func (it *Interp) flushEvents() {
 	it.evs = it.evs[:0]
 }
 
-func (it *Interp) pushEv(e Ev) {
-	it.evs = append(it.evs, e)
-	if len(it.evs) == cap(it.evs) {
+// emit is the one place an event is written: it extends the buffer by one
+// slot and stores the fields straight into it. It takes the fields, not an
+// Ev: an Ev argument is assembled in a stack temporary with 8- and 4-byte
+// stores and then copied into the buffer with two 16-byte loads, neither of
+// which the store buffer can forward — two stalls per event, a fifth of a
+// traced run (EXPERIMENTS.md, PR 19). Every field is written every time (the
+// slot is recycled), so the stream does not depend on what a slot held
+// before. The buffer always has room: a full one is flushed before emit
+// returns.
+func (it *Interp) emit(addr, sink uint64, loc ir.Loc, a, b int32) {
+	n := len(it.evs)
+	it.evs = it.evs[:n+1]
+	e := &it.evs[n]
+	e.Addr = addr
+	e.Sink = sink
+	e.Loc = loc
+	e.A = a
+	e.B = b
+	if n+1 == cap(it.evs) {
 		it.flushEvents()
 	}
 }
@@ -126,48 +141,47 @@ func (it *Interp) pushEv(e Ev) {
 // event, on both engines. Callers keep the `it.tracer != nil` guard.
 
 func (it *Interp) evEnterRegion(r *ir.Region, tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvEnterRegion, tid), A: int32(r.ID)})
+	it.emit(0, evMeta(EvEnterRegion, tid), ir.Loc{}, int32(r.ID), 0)
 }
 
 func (it *Interp) evExitRegion(r *ir.Region, iters, instrs int64, tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvExitRegion, tid), A: int32(r.ID),
-		Addr: uint64(iters), Loc: packI64(instrs)})
+	it.emit(uint64(iters), evMeta(EvExitRegion, tid), packI64(instrs), int32(r.ID), 0)
 }
 
 func (it *Interp) evLoopIter(r *ir.Region, iter int64, tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvLoopIter, tid), A: int32(r.ID), Addr: uint64(iter)})
+	it.emit(uint64(iter), evMeta(EvLoopIter, tid), ir.Loc{}, int32(r.ID), 0)
 }
 
 func (it *Interp) evEnterFunc(f *ir.Func, callLoc ir.Loc, tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvEnterFunc, tid), A: int32(f.ID), Loc: callLoc})
+	it.emit(0, evMeta(EvEnterFunc, tid), callLoc, int32(f.ID), 0)
 }
 
 func (it *Interp) evExitFunc(f *ir.Func, instrs int64, tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvExitFunc, tid), A: int32(f.ID), Addr: uint64(instrs)})
+	it.emit(uint64(instrs), evMeta(EvExitFunc, tid), ir.Loc{}, int32(f.ID), 0)
 }
 
 func (it *Interp) evBindVar(v *ir.Var, base uint64, elems int, tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvBindVar, tid), A: int32(v.ID), Addr: base, B: int32(elems)})
+	it.emit(base, evMeta(EvBindVar, tid), ir.Loc{}, int32(v.ID), int32(elems))
 }
 
 func (it *Interp) evFreeVar(v *ir.Var, base uint64, elems int, tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvFreeVar, tid), A: int32(v.ID), Addr: base, B: int32(elems)})
+	it.emit(base, evMeta(EvFreeVar, tid), ir.Loc{}, int32(v.ID), int32(elems))
 }
 
 func (it *Interp) evLock(id int, tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvLock, tid), A: int32(id)})
+	it.emit(0, evMeta(EvLock, tid), ir.Loc{}, int32(id), 0)
 }
 
 func (it *Interp) evUnlock(id int, tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvUnlock, tid), A: int32(id)})
+	it.emit(0, evMeta(EvUnlock, tid), ir.Loc{}, int32(id), 0)
 }
 
 func (it *Interp) evThreadStart(tid, parent int32) {
-	it.pushEv(Ev{Sink: evMeta(EvThreadStart, tid), B: parent})
+	it.emit(0, evMeta(EvThreadStart, tid), ir.Loc{}, 0, parent)
 }
 
 func (it *Interp) evThreadEnd(tid int32) {
-	it.pushEv(Ev{Sink: evMeta(EvThreadEnd, tid)})
+	it.emit(0, evMeta(EvThreadEnd, tid), ir.Loc{}, 0, 0)
 }
 
 // sinkOf packs the full sink identity of an access at run time — the walker's

@@ -233,8 +233,7 @@ func (it *Interp) load(t *thread, addr uint64, loc ir.Loc, v *ir.Var, op int32) 
 		it.panicf("load out of range: %s[%d] at %s", v.Name, addr, loc)
 	}
 	if it.tracer != nil {
-		it.pushEv(Ev{Addr: addr, Sink: sinkOf(loc, v, t.id),
-			Loc: loc, A: op, B: int32(v.ID)})
+		it.emit(addr, sinkOf(loc, v, t.id), loc, op, int32(v.ID))
 	}
 	return it.space.Load(addr)
 }
@@ -245,8 +244,7 @@ func (it *Interp) store(t *thread, addr uint64, val float64, loc ir.Loc, v *ir.V
 		it.panicf("store out of range: %s[%d] at %s", v.Name, addr, loc)
 	}
 	if it.tracer != nil {
-		it.pushEv(Ev{Addr: addr, Sink: sinkOf(loc, v, t.id) | evStoreBit,
-			Loc: loc, A: op, B: int32(v.ID)})
+		it.emit(addr, sinkOf(loc, v, t.id)|evStoreBit, loc, op, int32(v.ID))
 	}
 	it.space.Store(addr, val)
 }

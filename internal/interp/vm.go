@@ -187,7 +187,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr1[pc] | thr, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(addr, tr1[pc]|thr, in.Loc, in.C, in.B)
 				}
 			}
 			stack[sp] = v
@@ -200,7 +200,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr1[pc] | thr, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(addr, tr1[pc]|thr, in.Loc, in.C, in.B)
 				}
 			}
 			stack[sp] = v
@@ -222,7 +222,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr1[pc] | thr, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(addr, tr1[pc]|thr, in.Loc, in.C, in.B)
 				}
 			}
 			stack[sp-1] = val
@@ -234,7 +234,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Stores++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr1[pc] | thr | evStoreBit, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(addr, tr1[pc]|thr|evStoreBit, in.Loc, in.C, in.B)
 				}
 			}
 			if it.mt {
@@ -248,7 +248,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Stores++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr1[pc] | thr | evStoreBit, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(addr, tr1[pc]|thr|evStoreBit, in.Loc, in.C, in.B)
 				}
 			}
 			if it.mt {
@@ -271,7 +271,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Stores++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr1[pc] | thr | evStoreBit, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(addr, tr1[pc]|thr|evStoreBit, in.Loc, in.C, in.B)
 				}
 			}
 			if it.mt {
@@ -407,7 +407,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: c.ivAddr, Sink: tr1[pc] | thr, Loc: in.Loc, A: -4*in.B - 2, B: in.A})
+					it.emit(c.ivAddr, tr1[pc]|thr, in.Loc, -4*in.B-2, in.A)
 				}
 			}
 			if !(cur < to) {
@@ -432,7 +432,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: c.ivAddr, Sink: tr1[pc] | thr, Loc: in.Loc, A: -4*in.B - 3, B: in.A})
+					it.emit(c.ivAddr, tr1[pc]|thr, in.Loc, -4*in.B-3, in.A)
 				}
 			}
 			next := cur + stack[sp]
@@ -441,7 +441,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Stores++
 				if bt {
-					it.pushEv(Ev{Addr: c.ivAddr, Sink: tr2[pc] | thr | evStoreBit, Loc: in.Loc, A: -4*in.B - 4, B: in.A})
+					it.emit(c.ivAddr, tr2[pc]|thr|evStoreBit, in.Loc, -4*in.B-4, in.A)
 				}
 			}
 			c.iters++
@@ -544,7 +544,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 				} else {
 					it.Loads++
 					if bt {
-						it.pushEv(Ev{Addr: addr, Sink: tr1[pc] | thr, Loc: in.Loc, A: in.F, B: in.E})
+						it.emit(addr, tr1[pc]|thr, in.Loc, in.F, in.E)
 					}
 				}
 			}
@@ -554,7 +554,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: c.ivAddr, Sink: tr2[pc] | thr, Loc: in.Loc, A: -4*in.B - 2, B: in.A})
+					it.emit(c.ivAddr, tr2[pc]|thr, in.Loc, -4*in.B-2, in.A)
 				}
 			}
 			if !(cur < to) {
@@ -578,7 +578,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: c.ivAddr, Sink: tr1[pc] | thr, Loc: in.Loc, A: -4*in.B - 3, B: in.A})
+					it.emit(c.ivAddr, tr1[pc]|thr, in.Loc, -4*in.B-3, in.A)
 				}
 			}
 			next := cur + in.Val
@@ -587,7 +587,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Stores++
 				if bt {
-					it.pushEv(Ev{Addr: c.ivAddr, Sink: tr2[pc] | thr | evStoreBit, Loc: in.Loc, A: -4*in.B - 4, B: in.A})
+					it.emit(c.ivAddr, tr2[pc]|thr|evStoreBit, in.Loc, -4*in.B-4, in.A)
 				}
 			}
 			c.iters++
@@ -614,7 +614,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Stores++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr1[pc] | thr | evStoreBit, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(addr, tr1[pc]|thr|evStoreBit, in.Loc, in.C, in.B)
 				}
 			}
 			if it.mt {
@@ -630,7 +630,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Stores++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr1[pc] | thr | evStoreBit, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(addr, tr1[pc]|thr|evStoreBit, in.Loc, in.C, in.B)
 				}
 			}
 			if it.mt {
@@ -644,7 +644,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: a1, Sink: tr1[pc] | thr, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(a1, tr1[pc]|thr, in.Loc, in.C, in.B)
 				}
 			}
 			v2, ok2 := space.TryLoad(a2)
@@ -653,7 +653,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: a2, Sink: tr2[pc] | thr, Loc: in.Loc, A: in.F, B: in.E})
+					it.emit(a2, tr2[pc]|thr, in.Loc, in.F, in.E)
 				}
 			}
 			stack[sp] = v1
@@ -667,7 +667,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: ia, Sink: tr1[pc] | thr, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(ia, tr1[pc]|thr, in.Loc, in.C, in.B)
 				}
 			}
 			idx := int64(iv)
@@ -686,7 +686,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr2[pc] | thr, Loc: in.Loc, A: in.F, B: in.E})
+					it.emit(addr, tr2[pc]|thr, in.Loc, in.F, in.E)
 				}
 			}
 			stack[sp] = val
@@ -699,7 +699,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Loads++
 				if bt {
-					it.pushEv(Ev{Addr: ia, Sink: tr1[pc] | thr, Loc: in.Loc, A: in.C, B: in.B})
+					it.emit(ia, tr1[pc]|thr, in.Loc, in.C, in.B)
 				}
 			}
 			idx := int64(iv)
@@ -718,7 +718,7 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 			} else {
 				it.Stores++
 				if bt {
-					it.pushEv(Ev{Addr: addr, Sink: tr2[pc] | thr | evStoreBit, Loc: in.Loc, A: in.F, B: in.E})
+					it.emit(addr, tr2[pc]|thr|evStoreBit, in.Loc, in.F, in.E)
 				}
 			}
 			if it.mt {

@@ -38,7 +38,7 @@ const (
 
 // Layout is the static segment layout of one module: pure sizes, no
 // storage. Two modules with the same number of global elements share a
-// layout, which is what keys arena pooling.
+// layout.
 type Layout struct {
 	// GlobalsEnd is the first address after the last global (globals start
 	// at address 1).
@@ -221,6 +221,22 @@ func (s *Space) Reset() {
 	s.heapNext = s.layout.HeapBase
 	s.maxHeap = 0
 	clear(s.free)
+}
+
+// retarget makes a Reset space a space for layout l, as NewSpace(l) would
+// have built it: Reset left no page attached and the heap state empty, so the
+// layout is the three boundaries, the heap cursor and the length of the page
+// table. The table keeps its backing array when that is long enough — every
+// entry up to its capacity is nil, Reset having detached each page that ever
+// was attached — and the spare pages stay, which is the point of recycling.
+func (s *Space) retarget(l Layout) {
+	s.layout = l
+	s.heapNext = l.HeapBase
+	if n := pagesFor(l.HeapBase); n <= cap(s.pages) {
+		s.pages = s.pages[:n]
+	} else {
+		s.pages = make([][]float64, n)
+	}
 }
 
 // StackPagesTouched counts the materialized thread-stack segments — the

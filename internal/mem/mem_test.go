@@ -189,3 +189,114 @@ func TestPoolStatsConcurrent(t *testing.T) {
 		t.Fatalf("Fresh %d out of range [1, %d]", st.Fresh, st.Gets)
 	}
 }
+
+// dirtySpace leaves marks in every segment of s and in its heap state: what a
+// run leaves behind for Reset.
+func dirtySpace(s *Space) {
+	l := s.Layout()
+	s.Store(1, 1)
+	s.Store(l.GlobalsEnd-1, 2)
+	s.Store(l.StackBase(0)+5, 3)
+	s.Store(l.StackBase(7), 4)
+	base := s.Alloc(2*PageSize + 9) // grows the page table
+	s.Store(base, 5)
+	s.Store(base+2*PageSize+8, 6)
+	s.Free(base, 2*PageSize+9)
+	s.Store(s.Alloc(3), 7)
+}
+
+// checkLikeNew fails unless s cannot be told from NewSpace(l).
+func checkLikeNew(t *testing.T, s *Space, l Layout) {
+	t.Helper()
+	ref := NewSpace(l)
+	if s.Layout() != l || s.Bound() != ref.Bound() {
+		t.Fatalf("layout %+v bound %d, want %+v bound %d", s.Layout(), s.Bound(), l, ref.Bound())
+	}
+	if len(s.pages) != len(ref.pages) || s.Footprint() != 0 || s.MaxHeap() != 0 || s.StackPagesTouched() != 0 {
+		t.Fatalf("page table of %d entries, footprint %d, max heap %d, %d stack pages; a new space has %d entries and nothing else",
+			len(s.pages), s.Footprint(), s.MaxHeap(), s.StackPagesTouched(), len(ref.pages))
+	}
+	for addr := uint64(0); addr < s.Bound(); addr += 1021 {
+		if v, ok := s.TryLoad(addr); !ok || v != 0 || s.Load(addr) != 0 {
+			t.Fatalf("address %d reads %v (in range: %v), want 0", addr, v, ok)
+		}
+	}
+	if _, ok := s.TryLoad(s.Bound()); ok {
+		t.Fatalf("address %d, the bound, is readable", s.Bound())
+	}
+	// Globals, stacks and a heap that grows, frees and reuses.
+	s.Store(l.GlobalsEnd-1, 1.5)
+	s.Store(l.StackBase(2)+1, 2.5)
+	if s.Load(l.GlobalsEnd-1) != 1.5 || s.Load(l.StackBase(2)+1) != 2.5 || s.StackPagesTouched() != 1 {
+		t.Fatalf("stores into globals and a stack segment did not land")
+	}
+	base := s.Alloc(3 * PageSize)
+	if base != l.HeapBase {
+		t.Fatalf("first allocation at %d, want the heap base %d", base, l.HeapBase)
+	}
+	last := base + 3*PageSize - 1
+	if s.Bound() != last+1 {
+		t.Fatalf("bound %d after allocating up to %d", s.Bound(), last)
+	}
+	s.Store(last, 3.5)
+	if s.Load(last) != 3.5 || s.MaxHeap() != 3*PageSize {
+		t.Fatalf("heap store across grown pages reads %v, max heap %d", s.Load(last), s.MaxHeap())
+	}
+	s.Free(base, 3*PageSize)
+	if again := s.Alloc(3 * PageSize); again != base {
+		t.Fatalf("freed block not reused: %d, want %d", again, base)
+	}
+	if next := s.Alloc(5); next != last+1 {
+		t.Fatalf("allocation after the block at %d, want %d", next, last+1)
+	}
+}
+
+// TestPoolServesAnyLayout: a returned space serves the next Get whatever
+// layout it asks for — towards a longer page table and towards a shorter one
+// — and the result cannot be told from NewSpace; a pool that sees nothing but
+// distinct layouts still recycles. (Under the old key, exact Layout, the
+// first could not happen and the second allocated an arena, a sync.Pool and a
+// map entry per Get.) sync.Pool may drop a Put — it does so on purpose under
+// the race detector — so one recycled checkout must be seen within a few
+// attempts, not on the first.
+func TestPoolServesAnyLayout(t *testing.T) {
+	small, large := NewLayout(64), NewLayout(5*PageSize+3)
+	for _, c := range []struct {
+		name     string
+		from, to Layout
+	}{{"longer page table", small, large}, {"shorter page table", large, small}} {
+		t.Run(c.name, func(t *testing.T) {
+			p := NewPool()
+			recycled := false
+			for try := 0; try < 100 && !recycled; try++ {
+				s := p.Get(c.from)
+				dirtySpace(s)
+				p.Put(s)
+				fresh := p.Stats().Fresh
+				got := p.Get(c.to)
+				recycled = p.Stats().Fresh == fresh
+				checkLikeNew(t, got, c.to)
+			}
+			if !recycled {
+				t.Fatalf("a returned space never served a Get of another layout: %+v", p.Stats())
+			}
+		})
+	}
+	p := NewPool()
+	const gets = 10_000
+	for i := uint64(0); i < gets; i++ {
+		l := NewLayout(2 + i*7919%10007*97) // distinct; one to fifteen pages of globals, in no order
+		s := p.Get(l)
+		if s.Layout() != l || s.Bound() != l.HeapBase || len(s.pages) != pagesFor(l.HeapBase) {
+			t.Fatalf("checkout %d: layout %+v bound %d pages %d, asked for %+v", i, s.Layout(), s.Bound(), len(s.pages), l)
+		}
+		if i%64 == 0 {
+			s.Store(l.GlobalsEnd-1, 1) // the last page of a table the next, shorter one lacks
+		}
+		p.Put(s)
+	}
+	// A dropped Put costs one fresh arena; the race detector drops one in four.
+	if st := p.Stats(); st.Gets != gets || st.Puts != gets || st.Fresh > gets/2 {
+		t.Fatalf("%d distinct layouts: %+v, want Fresh far below Gets", gets, st)
+	}
+}

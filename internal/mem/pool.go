@@ -5,27 +5,27 @@ import (
 	"sync/atomic"
 )
 
-// Pool recycles Spaces across runs, keyed by segment layout: a space can
-// only be handed to a module whose layout it was built for, because the
-// globals/stacks/heap boundaries are baked into every address the module
-// computes. Batch workers draw from one shared pool so each job pays a
-// Reset of the previous job's touched pages instead of allocating and
-// zeroing a fresh arena.
+// Pool recycles Spaces across runs. There is one pool for every layout: a
+// returned space is Reset — page table all nil, dirtied pages zeroed and kept
+// as spares — and what remains of its layout is three numbers, so Get
+// re-targets whatever space it draws (Space.retarget) instead of waiting for
+// a module with the same number of global elements to come by. Batch workers
+// draw from one shared pool, so a job pays a Reset of its predecessor's
+// touched pages instead of allocating and zeroing an arena of its own,
+// whichever module that predecessor ran.
 //
-// Pools are concurrency-safe. Spaces are returned clean: Put resets before
-// pooling, so Get always hands out a space indistinguishable from a fresh
-// NewSpace. Pooled space storage is under sync.Pool and GC-reclaimed; the
-// per-layout index entry itself is a few words and persists, which is fine
-// at the realistic number of distinct module layouts per process.
+// Pools are concurrency-safe. Put resets before pooling, so Get always hands
+// out a space indistinguishable from a fresh NewSpace of the requested
+// layout. Pooled spaces sit in a sync.Pool and are reclaimed by the garbage
+// collector when nothing draws them; the pool holds nothing else.
 //
 // The pool keeps three lifetime counters (Stats): Gets and Puts count the
-// checkout/return traffic, Fresh counts the Gets that could not be served
-// from a recycled space and allocated a new arena. Gets − Fresh is the
-// number of recycled checkouts; Gets − Puts is the number of spaces
-// currently checked out (assuming every Get is eventually Put).
+// checkout/return traffic, Fresh counts the Gets that found the pool empty
+// and allocated a new arena. Gets − Fresh is the number of recycled
+// checkouts; Gets − Puts is the number of spaces currently checked out
+// (assuming every Get is eventually Put).
 type Pool struct {
-	mu    sync.Mutex
-	pools map[Layout]*sync.Pool
+	spaces sync.Pool // of *Space, each Reset
 
 	gets, puts, fresh atomic.Int64
 }
@@ -37,8 +37,8 @@ type PoolStats struct {
 	// Puts is the number of spaces returned.
 	Puts int64
 	// Fresh is the number of Gets that allocated a new space because no
-	// recycled one was available (a sync.Pool miss, including GC-reclaimed
-	// arenas).
+	// recycled one was available (an empty pool, including arenas the
+	// collector reclaimed).
 	Fresh int64
 }
 
@@ -47,39 +47,28 @@ type PoolStats struct {
 var Default = NewPool()
 
 // NewPool returns an empty pool.
-func NewPool() *Pool {
-	return &Pool{pools: map[Layout]*sync.Pool{}}
-}
+func NewPool() *Pool { return &Pool{} }
 
-func (p *Pool) forLayout(l Layout) *sync.Pool {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	sp := p.pools[l]
-	if sp == nil {
-		sp = &sync.Pool{New: func() any {
-			p.fresh.Add(1)
-			return NewSpace(l)
-		}}
-		p.pools[l] = sp
-	}
-	return sp
-}
-
-// Get returns a clean space for the given layout, recycled when one is
-// available.
+// Get returns a clean space for the given layout, recycled when the pool
+// holds one — of any layout.
 func (p *Pool) Get(l Layout) *Space {
 	p.gets.Add(1)
-	return p.forLayout(l).Get().(*Space)
+	if s, ok := p.spaces.Get().(*Space); ok {
+		s.retarget(l)
+		return s
+	}
+	p.fresh.Add(1)
+	return NewSpace(l)
 }
 
-// Put resets s and returns it to the pool for its layout.
+// Put resets s and returns it to the pool.
 func (p *Pool) Put(s *Space) {
 	if s == nil {
 		return
 	}
 	p.puts.Add(1)
 	s.Reset()
-	p.forLayout(s.layout).Put(s)
+	p.spaces.Put(s)
 }
 
 // Stats returns a snapshot of the pool's lifetime counters. It is safe to

@@ -137,8 +137,12 @@ func (b *Builder) child(parent *Node, kind NodeKind, f *ir.Func, r *ir.Region,
 func (b *Builder) ProcessBatch(m *ir.Module, evs []interp.Ev) {
 	for i := range evs {
 		ev := &evs[i]
+		kind := ev.Kind()
+		if kind <= interp.EvStore {
+			continue // an access: nine events in ten
+		}
 		tid := ev.Tid()
-		switch ev.Kind() {
+		switch kind {
 		case interp.EvEnterFunc:
 			f := m.Funcs[ev.A]
 			b.push(tid, b.child(b.top(tid), NFunc, f, nil, f.Loc, ECall))

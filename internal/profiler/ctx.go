@@ -1,5 +1,7 @@
 package profiler
 
+import "math/bits"
+
 // The loop-context table interns the active loop nest at the time of each
 // access as a node in a tree, one node per dynamic loop iteration. An
 // access's context is a single int32, and classifying a dependence as
@@ -9,87 +11,98 @@ package profiler
 // equal region implies different iterations). This is the execution-index
 // idea Parwiz and Alchemist build full trees for, kept O(depth) here.
 
+// ctxNode is one dynamic loop iteration: 12 bytes, so a tight loop's fresh
+// node per iteration costs a fifth of a cache line.
 type ctxNode struct {
 	parent int32
 	region int32
-	iter   int64
 	depth  int32
 }
 
+// Block k of the table holds ctxBlock0<<k nodes, so node i lives in the block
+// numbered by the bit length of i+ctxBlock0: 22 blocks cover every int32
+// index, the first is 12 KB, and a table never holds less than half of what
+// it allocated.
 const (
-	ctxBlockBits = 16
-	ctxBlockSize = 1 << ctxBlockBits
-	ctxMaxBlocks = 1 << 14
+	ctxBlock0Bits = 10
+	ctxBlock0     = 1 << ctxBlock0Bits
+	ctxBlocks     = 32 - ctxBlock0Bits
 )
 
-// ctxTable is an append-only block list. A single writer (the routing
-// thread) appends; a worker resolves only indices it read from a chunk. The
-// single-writer / reader-after-acquire argument rests on the chunk hand-over
-// alone — the SPSC push's release store of tail (or the locked queue's
-// unlock) after the node and its block header were written, the pop's
-// acquire load before the worker touches the chunk — since no record crosses
-// to a worker by any other way.
+// ctxTable is an append-only list of geometrically growing blocks. A block,
+// once allocated, never moves and its directory entry is never rewritten,
+// which is what lets workers read the table without a lock: a single writer
+// (the routing thread) appends; a worker resolves only indices it read from a
+// chunk. The single-writer / reader-after-acquire argument rests on the chunk
+// hand-over alone — the SPSC push's release store of tail (or the locked
+// queue's unlock) after the node and its block's directory entry were
+// written, the pop's acquire load before the worker touches the chunk — since
+// no record crosses to a worker by any other way.
 type ctxTable struct {
-	blocks [ctxMaxBlocks][]ctxNode
+	blocks [ctxBlocks][]ctxNode
 	n      int32
 }
 
-func (t *ctxTable) add(parent, region int32, iter int64) int32 {
+// ctxSlot locates node i: block k, offset off within it.
+func ctxSlot(i int32) (k int, off uint32) {
+	j := uint32(i) + ctxBlock0
+	k = bits.Len32(j) - ctxBlock0Bits - 1
+	return k, j - ctxBlock0<<k
+}
+
+// add appends the context of one iteration of loop region entered from
+// context parent (-1: outside any loop).
+func (t *ctxTable) add(parent, region int32) int32 {
 	i := t.n
-	b := i >> ctxBlockBits
-	if t.blocks[b] == nil {
-		t.blocks[b] = make([]ctxNode, ctxBlockSize)
+	k, off := ctxSlot(i)
+	if off == 0 {
+		t.blocks[k] = make([]ctxNode, ctxBlock0<<k)
 	}
 	d := int32(0)
 	if parent >= 0 {
 		d = t.node(parent).depth + 1
 	}
-	t.blocks[b][i&(ctxBlockSize-1)] = ctxNode{parent: parent, region: region, iter: iter, depth: d}
+	t.blocks[k][off] = ctxNode{parent: parent, region: region, depth: d}
 	t.n++
 	return i
 }
 
-func (t *ctxTable) node(i int32) ctxNode {
-	return t.blocks[i>>ctxBlockBits][i&(ctxBlockSize-1)]
+// node resolves context i (0 <= i < n). The pointer stays valid, and what it
+// points to unchanged, for the table's lifetime.
+func (t *ctxTable) node(i int32) *ctxNode {
+	k, off := ctxSlot(i)
+	return &t.blocks[k][off]
 }
 
-// carriedBy determines whether two accesses with contexts a and b form a
-// loop-carried dependence, returning the carrying region. Contexts of -1
-// denote "outside any loop".
-func (t *ctxTable) carriedBy(a, b int32) (int32, bool) {
-	if a == b {
-		return -1, false
+// carriedBy returns the loop region that carries a dependence between two
+// accesses with contexts a and b, or -1 when it is not loop-carried (-1 as a
+// context denotes "outside any loop", an ancestor of everything).
+// It brings the deeper context up to the other's depth and then both up
+// until they have one parent: the nodes reached are the two children of the
+// lowest common ancestor, or one node if a context was an ancestor of the
+// other. In a loop body the two are siblings to begin with — iterations of
+// loops entered from one place — and neither climb takes a step: two node
+// reads and two compares decide. No result is remembered: a context is new
+// every iteration, so a pair does not come back, and nests here are at most
+// seven deep.
+func (t *ctxTable) carriedBy(a, b int32) int32 {
+	if a < 0 || b < 0 {
+		return -1
 	}
-	lastA, lastB := int32(-1), int32(-1)
-	da, db := int32(-1), int32(-1)
-	if a >= 0 {
-		da = t.node(a).depth
+	na, nb := t.node(a), t.node(b)
+	for na.depth > nb.depth {
+		na = t.node(na.parent)
 	}
-	if b >= 0 {
-		db = t.node(b).depth
+	for nb.depth > na.depth {
+		nb = t.node(nb.parent)
 	}
-	for da > db {
-		lastA, a = a, t.node(a).parent
-		da--
+	for na.parent != nb.parent {
+		na, nb = t.node(na.parent), t.node(nb.parent)
 	}
-	for db > da {
-		lastB, b = b, t.node(b).parent
-		db--
+	// Blocks never move, so one node is one pointer. Two nodes of one region
+	// under one parent are different iterations of one loop: carried by it.
+	if na != nb && na.region == nb.region {
+		return na.region
 	}
-	for a != b {
-		lastA, a = a, t.node(a).parent
-		lastB, b = b, t.node(b).parent
-	}
-	if lastA < 0 || lastB < 0 {
-		// One access's context is an ancestor of the other's: both are in
-		// the same iteration of every shared loop.
-		return -1, false
-	}
-	na, nb := t.node(lastA), t.node(lastB)
-	if na.region == nb.region {
-		// Same loop, necessarily different iterations (nodes are unique
-		// per iteration): carried by this loop.
-		return na.region, true
-	}
-	return -1, false
+	return -1
 }

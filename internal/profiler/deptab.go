@@ -77,7 +77,7 @@ func packDep(d Dep) (hi, lo uint64) {
 }
 
 // unpackDep is the inverse of packDep, reconstructing the canonical Dep the
-// seed implementation would have built in engine.addDep.
+// seed implementation would have built per access.
 func unpackDep(hi, lo uint64) Dep {
 	d := Dep{
 		Sink:    locFromBits(hi >> 32),

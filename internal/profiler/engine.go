@@ -135,37 +135,10 @@ type engine[S any, PS storeOps[S]] struct {
 	tab  *ctxTable
 	mt   bool
 
-	// cc memoizes carriedBy results per (sink ctx, source ctx) pair in a
-	// small direct-mapped cache: consecutive accesses of a loop repeat the
-	// same few context pairs, and the LCA climb is a pointer chase per
-	// level. Context nodes are append-only and immutable, so entries never
-	// go stale; the cache is engine-local, so no synchronization is needed.
-	cc [carryCacheSize]carryMemo
-
 	// Skip optimization (enabled when ops != nil), indexed via lay.
 	ops   []opSkip
 	lay   opLayout
 	stats SkipStats
-}
-
-const carryCacheSize = 256
-
-// carryMemo is one carriedBy cache entry. The zero value is safe: it only
-// matches the query (0, 0), for which carried == false is the right answer
-// (equal contexts are never loop-carried) and reg is then ignored.
-type carryMemo struct {
-	a, b, reg int32
-	carried   bool
-}
-
-// carried is carriedBy through the engine's memo cache.
-func (e *engine[S, PS]) carried(a, b int32) (int32, bool) {
-	m := &e.cc[(uint32(a)*0x9E3779B9+uint32(b))&(carryCacheSize-1)]
-	if m.a != a || m.b != b {
-		reg, ok := e.tab.carriedBy(a, b)
-		*m = carryMemo{a: a, b: b, reg: reg, carried: ok}
-	}
-	return m.reg, m.carried
 }
 
 // newEngine builds one of p's engines over the store st. With Options.Skip
@@ -211,8 +184,9 @@ func (e *engine[S, PS]) opIdx(op int32) int32 { return e.lay.index(op) }
 // The identity comes directly from the packed access info words — the
 // sink/source location halves are single shifts of info/src.Info — and is
 // merged into the packed accumulator; no Dep struct or map insert exists on
-// this path.
-func depKey(t DepType, info, ts uint64, src sig.Entry, mt bool) (hi, lo uint64) {
+// this path. src points into the store's cell: a 24-byte sig.Entry passed by
+// value through the calls below is copied at every level.
+func depKey(t DepType, info, ts uint64, src *sig.Entry, mt bool) (hi, lo uint64) {
 	hi = info &^ 0xFFFFFFFF // sink file|line in the upper half
 	lo = uint64(t) << depTypeShift
 	if t != INIT {
@@ -237,38 +211,26 @@ func carriedBits(reg int32) uint64 {
 	return depCarriedBit | uint64(uint32(reg+1))&depCarryMask
 }
 
-// addDep builds and merges one dependence whose sink is the current access
-// (info, ctx, ts) and whose source is the status entry src.
-func (e *engine[S, PS]) addDep(t DepType, info uint64, ctx int32, ts uint64, src sig.Entry) {
-	hi, lo := depKey(t, info, ts, src, e.mt)
-	if t != INIT {
-		if reg, carried := e.carried(ctx, src.Ctx); carried {
-			lo |= carriedBits(reg)
-		}
-	}
-	e.deps.add(hi, lo, 1)
-}
-
 // carryRegion returns the loop carrying a would-be dependence between the
 // current context and a status entry's context: its region ID, or -1 when the
 // dependence is not loop-carried or there is no entry (present == false). It
-// is written to stay under the inlining budget: as a call of its own in
-// loadSkip/storeSkip it costs what skipping saves (fig 2.12 reads -2 % with
-// the call, +4 % without; go build -gcflags=-m says which it is).
+// is written to stay under the inlining budget, so that the equal-context
+// test — source and sink in one iteration, never carried — is made at the
+// call site and costs no call (go build -gcflags=-m says whether it still
+// inlines; as a call of its own in loadSkip/storeSkip it costs what skipping
+// saves).
 func (e *engine[S, PS]) carryRegion(cur, src int32, present bool) (reg int32) {
 	reg = -1
-	if present && cur != src { // equal contexts are one iteration: never loop-carried
-		// carriedBy's region is -1 whenever the dependence is not carried, and
-		// the memo's zero entry (region 0, not carried) answers the query
-		// (0, 0) only, which never gets here.
-		reg, _ = e.carried(cur, src)
+	if present && cur != src {
+		reg = e.tab.carriedBy(cur, src)
 	}
 	return reg
 }
 
-// insertDep is addDep for a caller that has resolved the carrying loop
-// already (carry: see carryRegion).
-func (e *engine[S, PS]) insertDep(t DepType, info, ts uint64, src sig.Entry, carry int32) {
+// insertDep builds and merges one dependence whose sink is the current access
+// (info, ts), whose source is the status entry src and which loop region
+// carry carries (-1: none; see carryRegion).
+func (e *engine[S, PS]) insertDep(t DepType, info, ts uint64, src *sig.Entry, carry int32) {
 	hi, lo := depKey(t, info, ts, src, e.mt)
 	if carry >= 0 {
 		lo |= carriedBits(carry)
@@ -278,14 +240,20 @@ func (e *engine[S, PS]) insertDep(t DepType, info, ts uint64, src sig.Entry, car
 
 // loadAcc is the read half of Algorithm 2 without skip state. The access
 // identity arrives in registers instead of through a rec, so the batched
-// serial consumer pays no record round trip. Callers must ensure
-// e.ops == nil (skip disabled).
+// serial consumer pays no record round trip, and the RAW is keyed from the
+// cell in place. Callers must ensure e.ops == nil (skip disabled).
 func (e *engine[S, PS]) loadAcc(addr, info, ts uint64, op, ctx int32) {
 	e.stats.Reads++
 	c := e.shadow().Cell(addr)
-	if !c.W.Empty() {
+	if w := &c.W; !w.Empty() {
 		e.stats.DepReads++
-		e.addDep(RAW, info, ctx, ts, c.W)
+		// insertDep by hand: the most frequent dependence of a run gets its
+		// key built here, with the type a constant, and costs one call less.
+		hi, lo := depKey(RAW, info, ts, w, e.mt)
+		if reg := e.carryRegion(ctx, w.Ctx, true); reg >= 0 {
+			lo |= carriedBits(reg)
+		}
+		e.deps.add(hi, lo, 1)
 	}
 	c.R = sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
 }
@@ -297,19 +265,19 @@ func (e *engine[S, PS]) loadAcc(addr, info, ts uint64, op, ctx int32) {
 func (e *engine[S, PS]) storeAcc(addr, info, ts uint64, op, ctx int32) {
 	e.stats.Writes++
 	c := e.shadow().Cell(addr)
-	re, we := c.R, c.W
-	c.W = sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
-	if we.Empty() {
-		e.addDep(INIT, info, ctx, ts, we)
-		return
+	r, w := &c.R, &c.W
+	if w.Empty() {
+		e.insertDep(INIT, info, ts, w, -1)
+	} else {
+		e.stats.DepWrites++
+		if !r.Empty() {
+			e.insertDep(WAR, info, ts, r, e.carryRegion(ctx, r.Ctx, true))
+		}
+		if r.Empty() || r.TS < w.TS {
+			e.insertDep(WAW, info, ts, w, e.carryRegion(ctx, w.Ctx, true))
+		}
 	}
-	e.stats.DepWrites++
-	if !re.Empty() {
-		e.addDep(WAR, info, ctx, ts, re)
-	}
-	if re.Empty() || re.TS < we.TS {
-		e.addDep(WAW, info, ctx, ts, we)
-	}
+	*w = sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
 }
 
 // consume runs one chunk of access records through Algorithm 2: the worker
@@ -399,7 +367,7 @@ func (e *engine[S, PS]) loadSkip(addr, info, ts uint64, op, ctx int32) {
 		st.lastW = c.W.Op
 		st.lastWCarry = wc
 		if wouldRAW {
-			e.insertDep(RAW, info, ts, c.W, wc)
+			e.insertDep(RAW, info, ts, &c.W, wc)
 		}
 	}
 	c.R = sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}
@@ -441,13 +409,13 @@ func (e *engine[S, PS]) storeSkip(addr, info, ts uint64, op, ctx int32) {
 		*st = opSkip{lastAddr: addr, lastR: c.R.Op, lastW: c.W.Op,
 			lastRCarry: rc, lastWCarry: wc, lastOrder: order}
 		if !hasW {
-			e.insertDep(INIT, info, ts, c.W, -1)
+			e.insertDep(INIT, info, ts, &c.W, -1)
 		}
 		if wouldWAR {
-			e.insertDep(WAR, info, ts, c.R, rc)
+			e.insertDep(WAR, info, ts, &c.R, rc)
 		}
 		if wouldWAW {
-			e.insertDep(WAW, info, ts, c.W, wc)
+			e.insertDep(WAW, info, ts, &c.W, wc)
 		}
 	}
 	c.W = sig.Entry{Info: info, Ctx: ctx, Op: op, TS: ts}

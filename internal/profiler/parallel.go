@@ -241,8 +241,7 @@ func (pl *pipeline) routeBatch(p *Profiler, m *ir.Module, evs []interp.Ev) {
 					pl.counts[ev.Addr]++
 				}
 			}
-			pl.put(rec{addr: ev.Addr, info: ev.Sink, ts: p.ts,
-				op: ev.A, ctx: p.cur[ev.Sink>>8&0xFF]})
+			pl.put(ev.Addr, ev.Sink, p.ts, ev.A, p.cur[ev.Sink>>8&0xFF])
 		case interp.EvFreeVar:
 			// Each address is removed at its owner only: a range clear on
 			// another worker would erase an aliased slot of its signature.
@@ -250,7 +249,7 @@ func (pl *pipeline) routeBatch(p *Profiler, m *ir.Module, evs []interp.Ev) {
 			// the serial path.
 			p.accesses += int64(ev.B)
 			for a, end := ev.Addr, ev.Addr+uint64(ev.B); a < end; a++ {
-				pl.put(rec{addr: a, info: uint64(recRemove)})
+				pl.put(a, uint64(recRemove), 0, 0, 0)
 			}
 		case interp.EvLock, interp.EvUnlock, interp.EvThreadEnd:
 			if pl.mt {
@@ -262,12 +261,18 @@ func (pl *pipeline) routeBatch(p *Profiler, m *ir.Module, evs []interp.Ev) {
 	}
 }
 
-// put appends r to its owner's chunk and hands the chunk over when full.
-func (pl *pipeline) put(r rec) {
-	w := pl.owner(r.addr)
+// put writes one record into the next slot of its owner's chunk — field by
+// field, like interp's emit and for its reason: a rec argument would be built
+// on the stack and copied — and hands the chunk over when full. A partial
+// chunk always has room.
+func (pl *pipeline) put(addr, info, ts uint64, op, ctx int32) {
+	w := pl.owner(addr)
 	c := pl.cur[w]
-	c.recs = append(c.recs, r)
-	if len(c.recs) == cap(c.recs) {
+	n := len(c.recs)
+	c.recs = c.recs[:n+1]
+	r := &c.recs[n]
+	r.addr, r.info, r.ts, r.op, r.ctx = addr, info, ts, op, ctx
+	if n+1 == cap(c.recs) {
 		pl.reraise()
 		pl.flush(w)
 		if pl.interval > 0 && pl.chunksPushed%pl.interval == 0 {

@@ -50,3 +50,56 @@ func TestPooledArenaDifferential(t *testing.T) {
 		}
 	}
 }
+
+// TestPooledArenaAcrossModules: an arena dirtied by one module and drawn by
+// another — of another layout, which the pool re-targets — gives the profile
+// a fresh arena gives. (TestPooledArenaDifferential recycles one module's
+// arena for the same module, under the old pool key the only reachable case.)
+// The pool may drop a returned arena, so a pair is retried until the second
+// run was seen to draw a recycled one.
+func TestPooledArenaAcrossModules(t *testing.T) {
+	opts := []Options{
+		{Store: StorePerfect},
+		{Store: StorePerfect, Skip: true},
+		{Store: StoreSignature, Slots: 1 << 16},
+	}
+	run := func(name string, opt Options, pool *mem.Pool) (*Result, mem.Layout) {
+		m := workloads.MustBuild(name, 1).M
+		p := New(m, opt)
+		var iopts []interp.Option
+		if pool != nil {
+			iopts = append(iopts, interp.WithPool(pool))
+		}
+		in := interp.New(m, p, iopts...)
+		defer in.Release()
+		layout := in.Space().Layout()
+		in.Run()
+		return p.Result(), layout
+	}
+	// Each program after its predecessor: towards more globals and towards fewer.
+	names := []string{"CG", "histogram", "kmeans", "CG"}
+	for _, opt := range opts {
+		for i := 1; i < len(names); i++ {
+			prev, name := names[i-1], names[i]
+			fresh, layout := run(name, opt, nil)
+			recycled := false
+			for try := 0; try < 20 && !recycled; try++ {
+				pool := mem.NewPool()
+				_, prevLayout := run(prev, opt, pool)
+				if prevLayout == layout {
+					t.Fatalf("%s and %s share a layout: the pair tests nothing", prev, name)
+				}
+				before := pool.Stats().Fresh
+				got, _ := run(name, opt, pool)
+				recycled = pool.Stats().Fresh == before
+				if fresh.Accesses != got.Accesses || !reflect.DeepEqual(fresh.Deps, got.Deps) {
+					t.Fatalf("%s after %s, %+v: a recycled arena changed the profile (%d vs %d accesses, %d vs %d deps)",
+						name, prev, opt, got.Accesses, fresh.Accesses, len(got.Deps), len(fresh.Deps))
+				}
+			}
+			if !recycled {
+				t.Fatalf("%s after %s: the pool never handed %s's arena on", name, prev, prev)
+			}
+		}
+	}
+}

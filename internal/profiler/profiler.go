@@ -74,7 +74,7 @@ type Profiler struct {
 	cur       [interp.MaxThreads]int32
 	loopStack [interp.MaxThreads][]int32
 
-	regions map[int]*RegionExec
+	regions []*RegionExec // by region ID; nil until first entered
 	funcs   map[*ir.Func]int64
 	depth   [interp.MaxThreads]int
 	total   int64
@@ -129,7 +129,7 @@ func newProfiler(m *ir.Module, opt Options) *Profiler {
 	}
 	opt.defaults()
 	p := &Profiler{mod: m, opt: opt, tab: &ctxTable{},
-		regions: map[int]*RegionExec{}, funcs: map[*ir.Func]int64{}}
+		regions: make([]*RegionExec, len(m.Regions)), funcs: map[*ir.Func]int64{}}
 	for i := range p.cur {
 		p.cur[i] = -1
 	}
@@ -250,10 +250,10 @@ func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 	tid := ev.Tid()
 	switch ev.Kind() {
 	case interp.EvEnterRegion:
-		re := p.regions[int(ev.A)]
+		re := p.regions[ev.A]
 		if re == nil {
 			re = &RegionExec{Region: m.Regions[ev.A]}
-			p.regions[int(ev.A)] = re
+			p.regions[ev.A] = re
 		}
 		re.Entries++
 		if re.Region.Kind == ir.RLoop {
@@ -267,9 +267,9 @@ func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 		if len(ls) > 0 {
 			parent = ls[len(ls)-1]
 		}
-		p.cur[tid] = p.tab.add(parent, ev.A, int64(ev.Addr))
+		p.cur[tid] = p.tab.add(parent, ev.A)
 	case interp.EvExitRegion:
-		re := p.regions[int(ev.A)]
+		re := p.regions[ev.A]
 		re.Iters += int64(ev.Addr)
 		re.Instrs += interp.UnpackI64(ev.Loc)
 		if re.Region.Kind == ir.RLoop {
@@ -330,9 +330,15 @@ func (p *Profiler) Result() *Result {
 	for loc, n := range p.spillLines {
 		lines[loc] += n
 	}
+	regions := make(map[int]*RegionExec)
+	for id, re := range p.regions {
+		if re != nil {
+			regions[id] = re
+		}
+	}
 	res := &Result{
 		Mod:         p.mod,
-		Regions:     p.regions,
+		Regions:     regions,
 		Lines:       lines,
 		FuncInstrs:  p.funcs,
 		TotalInstrs: p.total,
