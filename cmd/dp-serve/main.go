@@ -62,88 +62,108 @@ import (
 
 func main() { os.Exit(run()) }
 
-func run() int {
-	var (
-		addr      = flag.String("addr", ":8080", "listen address (host:port; port 0 picks a free port)")
-		jobs      = flag.Int("jobs", 0, "concurrent analysis workers (0 = one per CPU)")
-		cacheSize = flag.Int("cache-size", 1024, "profile cache entries (0 = unbounded)")
-		queue     = flag.Int("queue", 64, "pending submissions accepted before 503")
-		threads   = flag.Int("threads", 16, "default thread count for local-speedup ranking")
-		drainFor  = flag.Duration("drain-timeout", time.Minute, "max time to wait for in-flight jobs on shutdown")
-		peers     = flag.String("peers", "", "comma-separated worker URLs; run as a fleet coordinator")
+// config is the parsed command line: the service's configuration and what
+// run itself acts on.
+type config struct {
+	addr      string
+	debugAddr string
+	drainFor  time.Duration
+	srv       server.Config
+	prof      *profflag.Flags
+}
 
-		tokens      = flag.String("tokens", "", "inline token map: tok=client[,tok=client...]; enables /v1 auth")
-		tokenFile   = flag.String("token-file", "", "file of \"token client\" lines; enables /v1 auth")
-		peerToken   = flag.String("peer-token", "", "bearer token this coordinator presents to its -peers")
-		journalPath = flag.String("journal", "", "append-only job journal path; replayed on boot for crash recovery")
-		journalMaxB = flag.Int64("journal-max-bytes", 0, "compact the journal past this size (0 = 64MiB, negative = never by size)")
-		journalMaxR = flag.Int64("journal-max-records", 0, "compact the journal past this many records (0 = 8192, negative = never by count)")
-		rate        = flag.Float64("rate", 0, "per-client submissions per second (0 = unlimited)")
-		burst       = flag.Int("burst", 0, "per-client submission burst (0 = 4x rate)")
-		maxInflight = flag.Int("max-inflight", 0, "per-client accepted-but-unfinished job cap (0 = unlimited)")
-		quotaInstrs = flag.Float64("quota-instrs", 0, "per-client interpreted instructions per second (0 = unlimited)")
-		maxModuleKB = flag.Int("max-module-kb", 0, "per-submission serialized-module payload cap in KiB (0 = codec limits only)")
-		debugAddr   = flag.String("debug-addr", "", "serve net/http/pprof on this separate address (never on the API listener)")
-	)
-	pf := profflag.Register(flag.CommandLine)
-	flag.Parse()
-	if err := pf.Start(); err != nil {
+// usageError is a command line the flag package accepts and dp-serve does
+// not; the flag package reports its own errors (and -h) itself.
+type usageError string
+
+func (e usageError) Error() string { return string(e) }
+
+// parse reads and validates the command line (without the program name).
+func parse(args []string) (config, error) {
+	var c config
+	var cacheSize, maxModuleKB int
+	var peers, tokens, tokenFile string
+	fs := flag.NewFlagSet("dp-serve", flag.ContinueOnError)
+	fs.StringVar(&c.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
+	fs.IntVar(&c.srv.Workers, "jobs", 0, "concurrent analysis workers (0 = one per CPU)")
+	fs.IntVar(&cacheSize, "cache-size", 1024, "profile cache entries (0 = unbounded)")
+	fs.IntVar(&c.srv.QueueDepth, "queue", 64, "pending submissions accepted before 503")
+	fs.IntVar(&c.srv.Threads, "threads", 16, "default thread count for local-speedup ranking")
+	fs.DurationVar(&c.drainFor, "drain-timeout", time.Minute, "max time to wait for in-flight jobs on shutdown")
+	fs.StringVar(&peers, "peers", "", "comma-separated worker URLs; run as a fleet coordinator")
+
+	fs.StringVar(&tokens, "tokens", "", "inline token map: tok=client[,tok=client...]; enables /v1 auth")
+	fs.StringVar(&tokenFile, "token-file", "", "file of \"token client\" lines; enables /v1 auth")
+	fs.StringVar(&c.srv.Remote.Token, "peer-token", "", "bearer token this coordinator presents to its -peers")
+	fs.StringVar(&c.srv.JournalPath, "journal", "", "append-only job journal path; replayed on boot for crash recovery")
+	fs.Int64Var(&c.srv.JournalMaxBytes, "journal-max-bytes", 0, "compact the journal past this size (0 = 64MiB, negative = never by size)")
+	fs.Int64Var(&c.srv.JournalMaxRecords, "journal-max-records", 0, "compact the journal past this many records (0 = 8192, negative = never by count)")
+	fs.Float64Var(&c.srv.Quotas.SubmitRate, "rate", 0, "per-client submissions per second (0 = unlimited)")
+	fs.IntVar(&c.srv.Quotas.SubmitBurst, "burst", 0, "per-client submission burst (0 = 4x rate)")
+	fs.IntVar(&c.srv.Quotas.MaxInflight, "max-inflight", 0, "per-client accepted-but-unfinished job cap (0 = unlimited)")
+	fs.Float64Var(&c.srv.Quotas.InstrRate, "quota-instrs", 0, "per-client interpreted instructions per second (0 = unlimited)")
+	fs.IntVar(&maxModuleKB, "max-module-kb", 0, "per-submission serialized-module payload cap in KiB (0 = codec limits only)")
+	fs.StringVar(&c.debugAddr, "debug-addr", "", "serve net/http/pprof on this separate address (never on the API listener)")
+	c.prof = profflag.Register(fs)
+	if err := fs.Parse(args); err != nil {
+		return c, err
+	}
+	c.srv.CacheEntries = cacheSize
+	if cacheSize == 0 {
+		c.srv.CacheEntries = -1 // Config: negative = unbounded
+	}
+	c.srv.Quotas.MaxModuleBytes = maxModuleKB << 10
+	if peers != "" {
+		c.srv.Peers = strings.Split(peers, ",")
+	}
+	var err error
+	if c.srv.Tokens, err = loadTokens(tokens, tokenFile); err != nil {
+		return c, usageError("dp-serve: " + err.Error())
+	}
+	return c, nil
+}
+
+func run() int {
+	c, err := parse(os.Args[1:])
+	if errors.Is(err, flag.ErrHelp) {
+		return 0
+	}
+	if err != nil {
+		if _, own := err.(usageError); own {
+			fmt.Fprintln(os.Stderr, err)
+		}
+		return 2
+	}
+	return serve(c)
+}
+
+// serve runs the service until a signal drains it.
+func serve(c config) int {
+	if err := c.prof.Start(); err != nil {
 		log.Print("dp-serve: ", err)
 		return 1
 	}
-	defer pf.Stop()
+	defer c.prof.Stop()
 
-	cacheEntries := *cacheSize
-	if cacheEntries == 0 {
-		cacheEntries = -1 // Config: negative = unbounded
-	}
-	var peerList []string
-	if *peers != "" {
-		peerList = strings.Split(*peers, ",")
-	}
-	tokenMap, err := loadTokens(*tokens, *tokenFile)
+	svc, err := server.New(c.srv)
 	if err != nil {
 		log.Printf("dp-serve: %v", err)
 		return 1
 	}
-	cfg := server.Config{
-		Workers:           *jobs,
-		CacheEntries:      cacheEntries,
-		QueueDepth:        *queue,
-		Threads:           *threads,
-		Peers:             peerList,
-		Tokens:            tokenMap,
-		JournalPath:       *journalPath,
-		JournalMaxBytes:   *journalMaxB,
-		JournalMaxRecords: *journalMaxR,
-		Quotas: server.Quotas{
-			SubmitRate:     *rate,
-			SubmitBurst:    *burst,
-			MaxInflight:    *maxInflight,
-			InstrRate:      *quotaInstrs,
-			MaxModuleBytes: *maxModuleKB << 10,
-		},
+	if n := len(c.srv.Peers); n > 0 {
+		log.Printf("dp-serve: coordinating a %d-peer fleet: %s", n, strings.Join(c.srv.Peers, ","))
 	}
-	cfg.Remote.Token = *peerToken
-	svc, err := server.New(cfg)
-	if err != nil {
-		log.Printf("dp-serve: %v", err)
-		return 1
+	if n := len(c.srv.Tokens); n > 0 {
+		log.Printf("dp-serve: /v1 auth enabled for %d token(s)", n)
 	}
-	if len(peerList) > 0 {
-		log.Printf("dp-serve: coordinating a %d-peer fleet: %s", len(peerList), *peers)
+	if c.srv.JournalPath != "" {
+		log.Printf("dp-serve: journaling jobs to %s", c.srv.JournalPath)
 	}
-	if len(tokenMap) > 0 {
-		log.Printf("dp-serve: /v1 auth enabled for %d token(s)", len(tokenMap))
-	}
-	if *journalPath != "" {
-		log.Printf("dp-serve: journaling jobs to %s", *journalPath)
-	}
-	if *debugAddr != "" {
+	if c.debugAddr != "" {
 		// The profiling endpoints run on their own listener with their own
 		// mux: the API listener stays free of unauthenticated debug
 		// handlers, and an operator binds this one to localhost.
-		dln, err := net.Listen("tcp", *debugAddr)
+		dln, err := net.Listen("tcp", c.debugAddr)
 		if err != nil {
 			log.Printf("dp-serve: debug listener: %v", err)
 			return 1
@@ -158,7 +178,7 @@ func run() int {
 		go http.Serve(dln, dmux)
 	}
 
-	ln, err := net.Listen("tcp", *addr)
+	ln, err := net.Listen("tcp", c.addr)
 	if err != nil {
 		log.Printf("dp-serve: %v", err)
 		return 1
@@ -181,7 +201,7 @@ func run() int {
 		return 1
 	}
 
-	ctx, cancel := context.WithTimeout(context.Background(), *drainFor)
+	ctx, cancel := context.WithTimeout(context.Background(), c.drainFor)
 	defer cancel()
 	go func() {
 		<-sigs

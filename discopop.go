@@ -93,10 +93,10 @@ type (
 	Engine = pipeline.Engine
 	// FleetStats aggregates counters across an engine's completed jobs.
 	FleetStats = pipeline.FleetStats
-	// ProfileCache memoizes the Profile stage across jobs keyed by
-	// (Options.CacheKey, profiling options): sweeps that re-analyze the
-	// same workload skip re-profiling entirely. Bounded: least recently
-	// used entries are evicted beyond the entry cap.
+	// ProfileCache memoizes the Profile stage across jobs keyed by (module
+	// content hash, profiling options, instruction budget): sweeps that
+	// re-analyze the same workload skip re-profiling entirely. Bounded:
+	// least recently used entries are evicted beyond the entry cap.
 	ProfileCache = pipeline.ProfileCache
 	// LatencyHist summarizes the per-job queue latency distribution on
 	// FleetStats (exact min/max/mean, fixed-bucket histogram, estimated
@@ -150,8 +150,8 @@ func NewEngine(opt Options) *Engine {
 
 // NewProfileCache returns an empty Profile-stage cache with the default
 // entry cap. Share one instance across the Options of every job in a sweep
-// (set Options.Cache and a per-workload Options.CacheKey); jobs with
-// identical (CacheKey, Profiler options) then profile once.
+// (set Options.Cache); jobs whose modules have equal content and whose
+// Profiler options and MaxInstrs agree then profile once.
 func NewProfileCache() *ProfileCache {
 	return pipeline.NewProfileCache()
 }

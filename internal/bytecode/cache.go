@@ -1,39 +1,27 @@
 package bytecode
 
 import (
-	"container/list"
-	"sync"
 	"time"
 
 	"discopop/internal/ir"
+	"discopop/internal/lru"
 )
 
-// Cache memoizes compiled Programs, keyed by module content-hash. It sits
-// alongside pipeline.ProfileCache in the service stack but one level
-// lower: the profile cache memoizes whole instrumented runs per (cache
-// key, options) pair, while this cache memoizes the compilation itself, so
-// content-identical modules arriving under different job keys (rebuilt
-// workloads, repeated inline submissions, different thread configs) still
-// compile exactly once.
-//
-// Concurrent misses on one hash coalesce through a per-entry sync.Once:
-// the first caller compiles, the rest block until the Program is ready.
-// The cache is LRU-bounded; in-flight entries are never evicted (a caller
-// is blocked on their once), mirroring the profile cache's discipline.
-type Cache struct {
-	mu  sync.Mutex
-	max int
-	m   map[[32]byte]*list.Element
-	lru list.List // front = most recently used; values are *cacheEntry
+// ModuleHash forwards to (*ir.Module).ContentHash. It remains only for
+// bench/, which the next [benchmark] PR switches over (ROADMAP).
+func ModuleHash(m *ir.Module) [32]byte { return m.ContentHash() }
 
-	hits, misses, evictions int64
+// Cache memoizes compiled Programs by module content hash, one level below
+// pipeline.ProfileCache: that one memoizes whole instrumented runs per
+// (content hash, options), this one the compilation alone, so one module
+// profiled under different options, or arriving as a rebuilt workload and
+// as a decoded submission, still compiles exactly once. Single flight and
+// eviction are lru.Cache's.
+type Cache struct {
+	c *lru.Cache[[32]byte, compiled]
 }
 
-type cacheEntry struct {
-	key  [32]byte
-	once sync.Once
-	done bool
-
+type compiled struct {
 	prog *Program
 	dur  time.Duration
 }
@@ -50,78 +38,32 @@ var Shared = NewCache(DefaultCacheEntries)
 // NewCache returns an empty cache evicting least-recently-used completed
 // entries beyond max (0 = unbounded).
 func NewCache(max int) *Cache {
-	return &Cache{max: max, m: make(map[[32]byte]*list.Element)}
+	return &Cache{c: lru.New[[32]byte, compiled](max)}
 }
 
 // Get returns the compiled program for m, compiling it on first sight. The
 // hit flag reports whether compilation was skipped; dur is the compile
 // time actually spent by this call (zero on a hit).
 func (c *Cache) Get(m *ir.Module) (prog *Program, hit bool, dur time.Duration) {
-	e := c.entry(ModuleHash(m))
-	hit = true
-	e.once.Do(func() {
-		hit = false
+	v, hit := c.c.Do(m.ContentHash(), func() compiled {
 		start := time.Now()
-		e.prog = Compile(m)
-		e.dur = time.Since(start)
+		p := Compile(m)
+		return compiled{p, time.Since(start)}
 	})
-	c.finish(e, hit)
-	if !hit {
-		dur = e.dur
-	}
-	return e.prog, hit, dur
-}
-
-func (c *Cache) entry(key [32]byte) *cacheEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*cacheEntry)
-	}
-	e := &cacheEntry{key: key}
-	c.m[key] = c.lru.PushFront(e)
-	for c.max > 0 && c.lru.Len() > c.max {
-		evicted := false
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			slot := el.Value.(*cacheEntry)
-			if !slot.done {
-				continue
-			}
-			delete(c.m, slot.key)
-			c.lru.Remove(el)
-			c.evictions++
-			evicted = true
-			break
-		}
-		if !evicted {
-			break
-		}
-	}
-	return e
-}
-
-func (c *Cache) finish(e *cacheEntry, hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e.done = true
 	if hit {
-		c.hits++
-	} else {
-		c.misses++
+		return v.prog, true, 0
 	}
+	return v.prog, false, v.dur
 }
 
 // Stats returns the hit/miss counters and the live entry count.
 func (c *Cache) Stats() (hits, misses int64, entries int) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses, len(c.m)
+	hits, misses, _, entries = c.c.Stats()
+	return
 }
 
 // Evictions returns the number of entries dropped by the LRU bound.
 func (c *Cache) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
+	_, _, ev, _ := c.c.Stats()
+	return ev
 }

@@ -16,11 +16,7 @@ import (
 // through analyzeStream instead.
 func analyzeOne(name string, scale int) (*workloads.Program, *discopop.Report) {
 	prog := buildWorkload(name, scale)
-	opt := jobOpt(name, scale)
-	if opt == nil {
-		opt = &discopop.Options{}
-	}
-	return prog, discopop.Analyze(prog.M, *opt)
+	return prog, discopop.Analyze(prog.M, discopop.Options{Cache: Cache})
 }
 
 func isParallelKind(k discovery.Kind) bool {
@@ -228,7 +224,7 @@ func Table4_4(scale int) *Result {
 	}
 	type row struct{ want, got discovery.Kind }
 	rows := make([]row, len(progs))
-	analyzeStreamProgs(progs, scale, func(i int, prog *workloads.Program, rep *discopop.Report) {
+	analyzeStreamProgs(progs, func(i int, prog *workloads.Program, rep *discopop.Report) {
 		rows[i] = row{
 			want: truthKind(prog.Truth, prog.Truth.Hot),
 			got:  kindFor(rep, prog.Truth.Hot),

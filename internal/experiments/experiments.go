@@ -85,17 +85,13 @@ var (
 	progCache = map[string]*workloads.Program{}
 )
 
-func cacheKey(name string, scale int) string {
-	return fmt.Sprintf("%s@%d", name, scale)
-}
-
 // buildWorkload builds a workload, memoized per (name, scale) when the
 // profile cache is active.
 func buildWorkload(name string, scale int) *workloads.Program {
 	if Cache == nil {
 		return workloads.MustBuild(name, scale)
 	}
-	key := cacheKey(name, scale)
+	key := fmt.Sprintf("%s@%d", name, scale)
 	progMu.Lock()
 	defer progMu.Unlock()
 	if p := progCache[key]; p != nil {
@@ -104,15 +100,6 @@ func buildWorkload(name string, scale int) *workloads.Program {
 	p := workloads.MustBuild(name, scale)
 	progCache[key] = p
 	return p
-}
-
-// jobOpt returns the per-job pipeline options: cache wiring when the sweep
-// cache is active, defaults otherwise.
-func jobOpt(name string, scale int) *discopop.Options {
-	if Cache == nil {
-		return nil
-	}
-	return &discopop.Options{Cache: Cache, CacheKey: cacheKey(name, scale)}
 }
 
 // analyzeStream builds the named workloads, analyzes them concurrently,
@@ -128,19 +115,19 @@ func analyzeStream(names []string, scale int,
 	for i, name := range names {
 		progs[i] = buildWorkload(name, scale)
 	}
-	analyzeStreamProgs(progs, scale, fn)
+	analyzeStreamProgs(progs, fn)
 }
 
 // analyzeStreamProgs is analyzeStream over prebuilt workloads (they must
-// come from buildWorkload at the same scale for the sweep cache to apply).
-// A failing job panics: the evaluation workloads are all expected to
-// analyze cleanly.
-func analyzeStreamProgs(progs []*workloads.Program, scale int,
+// come from buildWorkload: a report served by the sweep cache points into
+// the instance that was profiled). A failing job panics: the evaluation
+// workloads are all expected to analyze cleanly.
+func analyzeStreamProgs(progs []*workloads.Program,
 	fn func(i int, prog *workloads.Program, rep *discopop.Report)) {
-	e := discopop.NewEngine(discopop.Options{BatchWorkers: BatchWorkers})
+	e := discopop.NewEngine(discopop.Options{BatchWorkers: BatchWorkers, Cache: Cache})
 	go func() {
 		for _, p := range progs {
-			e.Submit(discopop.Job{Name: p.Name, Mod: p.M, Opt: jobOpt(p.Name, scale)})
+			e.Submit(discopop.Job{Name: p.Name, Mod: p.M})
 		}
 		e.Close()
 	}()

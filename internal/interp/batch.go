@@ -119,7 +119,7 @@ func (it *Interp) flushEvents() {
 // Ev: an Ev argument is assembled in a stack temporary with 8- and 4-byte
 // stores and then copied into the buffer with two 16-byte loads, neither of
 // which the store buffer can forward — two stalls per event, a fifth of a
-// traced run (EXPERIMENTS.md, PR 19). Every field is written every time (the
+// traced run (docs/runs/PR19.md). Every field is written every time (the
 // slot is recycled), so the stream does not depend on what a slot held
 // before. The buffer always has room: a full one is flushed before emit
 // returns.

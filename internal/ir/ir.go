@@ -11,8 +11,11 @@
 package ir
 
 import (
+	"crypto/sha256"
+	"encoding/binary"
 	"fmt"
 	"sync"
+	"sync/atomic"
 )
 
 // Type is the scalar type of a variable. The runtime representation is
@@ -203,10 +206,7 @@ type Module struct {
 	opsOnce sync.Once
 	numOps  int32
 
-	// hashOnce guards the one-time structural content hash (see
-	// ContentHash). The hash keys the bytecode compile cache: two module
-	// instances built from the same workload spec hash identically, so a
-	// program compiled for one replays on the other.
+	// hashOnce guards the one-time content hash (see ContentHash).
 	hashOnce sync.Once
 	hash     [32]byte
 }
@@ -220,14 +220,32 @@ func (m *Module) NumberOps(number func(*Module) int32) int32 {
 	return m.numOps
 }
 
-// ContentHash computes the module's structural content hash exactly once
-// per instance (synchronized) and returns the recorded digest on every
-// call. The hash function must be deterministic and must cover everything
-// that affects execution; bytecode.ModuleHash is the canonical caller.
-func (m *Module) ContentHash(hash func(*Module) [32]byte) [32]byte {
-	m.hashOnce.Do(func() { m.hash = hash(m) })
+// ContentHash is the module's identity: sha256 over its canonical encoding
+// (Encode), computed once per instance. Two instances with equal hashes are
+// the same program — a compiled Program or a recorded profile of one serves
+// the other — whether they were built twice from one workload spec or
+// decoded from the wire, and it is the only key the compile and profile
+// caches use. The module must not change after the first call.
+//
+// A module Encode refuses (a forward-declared function never defined,
+// nesting deeper than Decode accepts) has no canonical bytes; it gets a
+// digest no other instance in the process shares, so it still compiles and
+// profiles, as uncached as if it had no key, and can never be mistaken for
+// another module.
+func (m *Module) ContentHash() [32]byte {
+	m.hashOnce.Do(func() {
+		if enc, err := Encode(m); err == nil {
+			m.hash = sha256.Sum256(enc)
+		} else {
+			m.hash = sha256.Sum256(binary.LittleEndian.AppendUint64(
+				[]byte("DPIR unencodable module #"), unencodable.Add(1)))
+		}
+	})
 	return m.hash
 }
+
+// unencodable numbers the modules ContentHash could not encode.
+var unencodable atomic.Uint64
 
 // FuncByName returns the function with the given name, or nil.
 func (m *Module) FuncByName(name string) *Func {

@@ -479,7 +479,7 @@ func TestCloseFlusherRace(t *testing.T) {
 // BenchmarkBootReplay measures what compaction buys at boot: Open over a
 // long-history log versus the same store after one Compact. The history
 // holds 25k settled jobs (50k records); the live store retains the last
-// 512 of them — the EXPERIMENTS.md before/after numbers come from here.
+// 512 of them — the before/after numbers in docs/runs/PR10.md come from here.
 func BenchmarkBootReplay(b *testing.B) {
 	const jobs, live = 25000, 512
 	res := json.RawMessage(`{"instrs":4849665,"deps":11,"cus":4,"elapsed_ms":55.3,"suggestions":[{"rank":1,"kind":"DOALL","loc":"3:7","coverage":0.92,"speedup":14.1,"imbalance":0.02,"score":11.8}]}`)

@@ -1,60 +1,36 @@
 package pipeline
 
 import (
-	"container/list"
 	"fmt"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"discopop/internal/ir"
+	"discopop/internal/lru"
 	"discopop/internal/pet"
 	"discopop/internal/profiler"
 )
 
-// ProfileCache memoizes the Profile stage across jobs, keyed by (module
-// identity, profiling options). Experiment sweeps that re-analyze the same
-// workload across many tables (the ch4/ch5 suites) profile each (module,
-// options) pair once and replay the result for every later analysis; the
-// downstream stages (CU construction, discovery, ranking) still run per
-// job.
+// ProfileCache memoizes the Profile stage across jobs. A dynamic profile
+// is a function of (program, input), and a module bakes its input in, so
+// the key is everything that can change the outcome and nothing a caller
+// has to make up: the module's content hash, the profiling options, and
+// the instruction budget (a budgeted run can fail where an unbudgeted one
+// succeeds). Experiment sweeps that re-analyze one workload across many
+// tables, and a service seeing one module under a registry name and as a
+// serialized submission, profile it once; the downstream stages (CU
+// construction, discovery, ranking) still run per job.
 //
-// The module identity is a caller-chosen string (Options.CacheKey, e.g.
-// "CG@1"): pointer identity would defeat the cache exactly where it
-// matters, because sweeps typically rebuild their workloads per table. On
-// a hit the Context's module is replaced by the instance that was actually
-// profiled, so region and function pointers in the profile, the PET, and
-// everything built on top agree — callers sharing a cache must therefore
-// also share built modules per key (or treat the report's Mod as
-// authoritative), and must not mutate modules after submission.
+// On a hit the Context's module is replaced by the instance that was
+// actually profiled, so region and function pointers in the profile, the
+// PET, and everything built on top agree — callers treat the report's Mod
+// as authoritative, and must not mutate modules after submission.
 //
-// Concurrent misses on one key coalesce: the first job profiles, the rest
-// block on the entry until the result is ready (per-entry once), so a
-// batch engine never profiles one key twice. Entries still in flight are
-// never evicted — two concurrent profiles of one key would race on the
-// shared module's operation numbering — so the guarantee holds at any cap
-// (the cache may transiently exceed its cap by the number of in-flight
-// profiles).
-//
-// The cache is bounded: once it holds more than its entry cap, the least
-// recently used completed entry is evicted, so a long-lived analysis
-// service cannot grow without bound. Eviction only forgets the memoization
-// — jobs already holding the evicted entry are unaffected, and a later
-// request for the key simply re-profiles.
+// Single flight (a batch engine never profiles one key twice, and two
+// profiles of one module never race on its operation numbering) and the
+// bound (least recently used completed entry first, so a long-lived
+// service cannot grow without limit) are lru.Cache's.
 type ProfileCache struct {
-	mu  sync.Mutex
-	max int // entry cap; 0 = unbounded
-	m   map[profileKey]*list.Element
-	lru list.List // front = most recently used; Values are *cacheSlot
-
-	hits, misses, evictions int64
-}
-
-// cacheSlot is one LRU node: the key (needed to unmap on eviction) plus the
-// memoized entry.
-type cacheSlot struct {
-	key profileKey
-	e   *profileEntry
+	c *lru.Cache[profileKey, *profileEntry]
 }
 
 // DefaultCacheEntries is the entry cap of NewProfileCache — generous enough
@@ -65,16 +41,12 @@ const DefaultCacheEntries = 1024
 // profileKey identifies one memoized profile. profiler.Options is a
 // comparable all-scalar struct, so it participates in the key directly.
 type profileKey struct {
-	mod string
-	opt profiler.Options
+	mod       [32]byte
+	opt       profiler.Options
+	maxInstrs int64
 }
 
 type profileEntry struct {
-	once sync.Once
-	// done flips after the once completes; the LRU never evicts an entry
-	// still in flight (see the ProfileCache doc).
-	done atomic.Bool
-
 	mod      *ir.Module
 	res      *profiler.Result
 	tree     *pet.Tree
@@ -91,92 +63,43 @@ func NewProfileCache() *ProfileCache {
 // NewProfileCacheSize returns an empty cache evicting least-recently-used
 // entries beyond max (0 = unbounded).
 func NewProfileCacheSize(max int) *ProfileCache {
-	return &ProfileCache{max: max, m: map[profileKey]*list.Element{}}
+	return &ProfileCache{c: lru.New[profileKey, *profileEntry](max)}
 }
 
 // Stats returns the hit/miss counters.
 func (c *ProfileCache) Stats() (hits, misses int64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.hits, c.misses
+	hits, misses, _, _ = c.c.Stats()
+	return
 }
 
 // Evictions returns the number of entries dropped by the LRU bound.
 func (c *ProfileCache) Evictions() int64 {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.evictions
+	_, _, ev, _ := c.c.Stats()
+	return ev
 }
 
 // Len returns the number of live entries.
 func (c *ProfileCache) Len() int {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return len(c.m)
+	_, _, _, n := c.c.Stats()
+	return n
 }
 
-func (c *ProfileCache) entry(key profileKey) *profileEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if el, ok := c.m[key]; ok {
-		c.lru.MoveToFront(el)
-		return el.Value.(*cacheSlot).e
-	}
-	e := &profileEntry{}
-	c.m[key] = c.lru.PushFront(&cacheSlot{key: key, e: e})
-	// Evict least-recently-used completed entries down to the cap; entries
-	// still in flight are skipped (they may exceed the cap transiently).
-	for c.max > 0 && c.lru.Len() > c.max {
-		evicted := false
-		for el := c.lru.Back(); el != nil; el = el.Prev() {
-			slot := el.Value.(*cacheSlot)
-			if !slot.e.done.Load() {
-				continue
-			}
-			delete(c.m, slot.key)
-			c.lru.Remove(el)
-			c.evictions++
-			evicted = true
-			break
-		}
-		if !evicted {
-			break
-		}
-	}
-	return e
-}
-
-func (c *ProfileCache) count(hit bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if hit {
-		c.hits++
-	} else {
-		c.misses++
-	}
-}
-
-// lookup returns the memoized profile for (key, opt), running the
-// instrumented execution on mod if this is the first request. The returned
-// hit flag reports whether profiling was skipped.
-func (c *ProfileCache) lookup(key string, opt profiler.Options, mod *ir.Module, maxInstrs int64) (*profileEntry, bool) {
-	e := c.entry(profileKey{mod: key, opt: opt})
-	hit := true
-	e.once.Do(func() {
-		hit = false
-		e.run(mod, opt, maxInstrs)
+// lookup returns the memoized profile of mod under (opt, maxInstrs),
+// running the instrumented execution on mod if this is the first request.
+// The returned hit flag reports whether profiling was skipped.
+func (c *ProfileCache) lookup(mod *ir.Module, opt profiler.Options, maxInstrs int64) (*profileEntry, bool) {
+	return c.c.Do(profileKey{mod.ContentHash(), opt, maxInstrs}, func() *profileEntry {
+		return runProfile(mod, opt, maxInstrs)
 	})
-	e.done.Store(true)
-	c.count(hit)
-	return e, hit
 }
 
-// run executes the instrumented run that the Profile and BuildPET stages
-// would have performed (same execInstrumented/buildTree code paths, so
-// cached and uncached analyses cannot diverge). A panicking target program
-// is captured as the entry's error so every job sharing the key fails with
-// the same cause instead of re-panicking half-initialized state.
-func (e *profileEntry) run(mod *ir.Module, opt profiler.Options, maxInstrs int64) {
+// runProfile executes the instrumented run that the Profile and BuildPET
+// stages would have performed (same execInstrumented/buildTree code paths,
+// so cached and uncached analyses cannot diverge). A panicking target
+// program is captured as the entry's error so every job sharing the key
+// fails with the same cause instead of re-panicking half-initialized state.
+func runProfile(mod *ir.Module, opt profiler.Options, maxInstrs int64) (e *profileEntry) {
+	e = &profileEntry{}
 	prof := profiler.New(mod, opt)
 	defer func() {
 		if r := recover(); r != nil {
@@ -190,4 +113,5 @@ func (e *profileEntry) run(mod *ir.Module, opt profiler.Options, maxInstrs int64
 	e.execTime = execTime
 	res := prof.Result()
 	e.mod, e.res, e.tree, e.instrs = mod, res, buildTree(ex.pb, ex.instrs, res), ex.instrs
+	return e
 }

@@ -4,17 +4,19 @@ import (
 	"reflect"
 	"testing"
 
+	"discopop/internal/ir"
 	"discopop/internal/profiler"
 	"discopop/internal/workloads"
 )
 
 // TestProfileCacheSkipsSecondProfiling is the contract of the Profile-stage
-// cache: the second analysis of an identical (module key, profiling
-// options) pair must not re-run the instrumented execution — it reuses the
-// recorded profile and PET — and must produce an identical report.
+// cache: the second analysis of an identical (module content, profiling
+// options) pair — here a second build of the workload, another instance —
+// must not re-run the instrumented execution — it reuses the recorded
+// profile and PET — and must produce an identical report.
 func TestProfileCacheSkipsSecondProfiling(t *testing.T) {
 	cache := NewProfileCache()
-	opt := Options{Cache: cache, CacheKey: "histogram@1"}
+	opt := Options{Cache: cache}
 	run := func() *Context {
 		ctx := &Context{Mod: workloads.MustBuild("histogram", 1).M, Opt: opt}
 		if err := New().Run(ctx); err != nil {
@@ -59,11 +61,11 @@ func TestProfileCacheSkipsSecondProfiling(t *testing.T) {
 
 func depCounts(ctx *Context) map[profiler.Dep]int64 { return ctx.Profile.Deps }
 
-// TestProfileCacheDistinguishesOptions: the same module key with different
+// TestProfileCacheDistinguishesOptions: the same module with different
 // profiling options must profile separately.
 func TestProfileCacheDistinguishesOptions(t *testing.T) {
 	cache := NewProfileCache()
-	base := Options{Cache: cache, CacheKey: "kmeans@1"}
+	base := Options{Cache: cache}
 	skip := base
 	skip.Profiler.Skip = true
 	for _, o := range []Options{base, skip} {
@@ -85,7 +87,7 @@ func TestProfileCacheDistinguishesOptions(t *testing.T) {
 func TestEngineCountsCacheHits(t *testing.T) {
 	cache := NewProfileCache()
 	mod := workloads.MustBuild("histogram", 1).M
-	opt := Options{Cache: cache, CacheKey: "histogram@1"}
+	opt := Options{Cache: cache}
 	jobs := make([]Job, 6)
 	for i := range jobs {
 		// All jobs share the module: only the first to claim the cache
@@ -143,8 +145,7 @@ func TestFleetDepsStreamsJobDeps(t *testing.T) {
 func TestProfileCacheLRUEviction(t *testing.T) {
 	cache := NewProfileCacheSize(2)
 	profile := func(name string) {
-		ctx := &Context{Mod: workloads.MustBuild(name, 1).M,
-			Opt: Options{Cache: cache, CacheKey: name + "@1"}}
+		ctx := &Context{Mod: workloads.MustBuild(name, 1).M, Opt: Options{Cache: cache}}
 		if err := New().Run(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -175,8 +176,7 @@ func TestProfileCacheLRUEviction(t *testing.T) {
 func TestProfileCacheUnboundedWithZeroCap(t *testing.T) {
 	cache := NewProfileCacheSize(0)
 	for _, name := range []string{"histogram", "kmeans", "EP", "IS"} {
-		ctx := &Context{Mod: workloads.MustBuild(name, 1).M,
-			Opt: Options{Cache: cache, CacheKey: name + "@1"}}
+		ctx := &Context{Mod: workloads.MustBuild(name, 1).M, Opt: Options{Cache: cache}}
 		if err := New().Run(ctx); err != nil {
 			t.Fatal(err)
 		}
@@ -196,7 +196,7 @@ func TestFleetStatsCacheEvictions(t *testing.T) {
 	names := []string{"histogram", "kmeans", "EP"}
 	jobs := make([]Job, len(names))
 	for i, name := range names {
-		opt := Options{Cache: cache, CacheKey: name + "@1"}
+		opt := Options{Cache: cache}
 		jobs[i] = Job{Name: name, Mod: workloads.MustBuild(name, 1).M, Opt: &opt}
 	}
 	// One worker: jobs complete in sequence, so each insertion beyond the
@@ -211,26 +211,54 @@ func TestFleetStatsCacheEvictions(t *testing.T) {
 	}
 }
 
-// TestLRUNeverEvictsInFlightEntries: an entry whose profiling run has not
-// completed is exempt from eviction — evicting it would let a concurrent
-// request re-profile the same key (racing on the shared module's operation
-// numbering). The cap may be exceeded transiently instead.
-func TestLRUNeverEvictsInFlightEntries(t *testing.T) {
-	c := NewProfileCacheSize(1)
-	e1 := c.entry(profileKey{mod: "a"}) // in flight: done not yet set
-	c.entry(profileKey{mod: "b"})       // over cap, but nothing evictable
-	if n, ev := c.Len(), c.Evictions(); n != 2 || ev != 0 {
-		t.Fatalf("in-flight entry evicted: len=%d evictions=%d", n, ev)
+// TestProfileCacheIsKeyedOnContent holds the cache to the two cases a
+// caller-chosen key string got wrong by construction: one name on two
+// programs must not share a profile, and one program under two names (a
+// registry workload, and the same module decoded from its encoding under
+// whatever label the sender chose) must.
+func TestProfileCacheIsKeyedOnContent(t *testing.T) {
+	cache := NewProfileCache()
+	run := func(mod *ir.Module) *Context {
+		ctx := &Context{Mod: mod, Opt: Options{Cache: cache}}
+		if err := New().Run(ctx); err != nil {
+			t.Fatal(err)
+		}
+		return ctx
 	}
-	e1.done.Store(true)
-	c.entry(profileKey{mod: "c"}) // now "a" (completed, least recent) goes
-	if n, ev := c.Len(), c.Evictions(); n != 2 || ev != 1 {
-		t.Fatalf("completed entry not evicted: len=%d evictions=%d", n, ev)
+	small, large := run(workloads.MustBuild("CG", 1).M), run(workloads.MustBuild("CG", 2).M)
+	if large.CacheHit || large.Instrs == small.Instrs {
+		t.Fatalf("CG@2 was served CG@1's profile (hit=%v, %d vs %d instrs)", large.CacheHit, large.Instrs, small.Instrs)
 	}
-	if _, ok := c.m[profileKey{mod: "a"}]; ok {
-		t.Fatal("completed LRU entry still mapped")
+	enc, err := ir.Encode(workloads.MustBuild("CG", 1).M)
+	if err != nil {
+		t.Fatal(err)
 	}
-	if _, ok := c.m[profileKey{mod: "b"}]; !ok {
-		t.Fatal("in-flight entry was dropped")
+	dec, err := ir.Decode(enc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if wire := run(dec); !wire.CacheHit || wire.Profile != small.Profile {
+		t.Fatal("the decoded encoding of CG@1 did not hit CG@1's profile")
+	}
+}
+
+// TestProfileCacheIsKeyedOnBudget: the instruction budget is part of the key.
+// A budget-exhausted failure memoized for a module must not be served to a
+// job analyzing the same content unbudgeted.
+func TestProfileCacheIsKeyedOnBudget(t *testing.T) {
+	cache := NewProfileCache()
+	run := func(maxInstrs int64) error {
+		ctx := &Context{Mod: workloads.MustBuild("CG", 1).M,
+			Opt: Options{Cache: cache, MaxInstrs: maxInstrs}}
+		return New().Run(ctx)
+	}
+	if err := run(1000); err == nil {
+		t.Fatal("CG@1 finished within 1000 instructions")
+	}
+	if err := run(0); err != nil {
+		t.Fatalf("unbudgeted job was served the budgeted failure: %v", err)
+	}
+	if n := cache.Len(); n != 2 {
+		t.Fatalf("live entries = %d, want 2 (one per budget)", n)
 	}
 }

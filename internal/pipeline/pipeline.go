@@ -52,13 +52,13 @@ type Options struct {
 	// spin-waiting worker goroutines, and oversubscribing the cores
 	// starves the producers). It has no effect on a single Analyze call.
 	BatchWorkers int
-	// Cache, when non-nil together with a CacheKey, memoizes the Profile
-	// stage: a job whose (CacheKey, Profiler) pair was analyzed before
-	// reuses the recorded profile and PET and skips the instrumented
-	// execution entirely.
+	// Cache, when non-nil, memoizes the Profile stage: a job whose (module
+	// content hash, Profiler, MaxInstrs) triple was analyzed before reuses
+	// the recorded profile and PET and skips the instrumented execution
+	// entirely. Leave it nil for a job that should always profile.
 	Cache *ProfileCache
-	// CacheKey identifies the module for cache lookups (e.g. "CG@1").
-	// Empty disables caching for the job.
+	// CacheKey is ignored: the cache keys on the module's content. The
+	// field remains only until bench/ stops setting it (ROADMAP).
 	CacheKey string
 	// CollectFleetDeps makes the Engine stream every completed job's
 	// dependence map into a fleet-level sharded accumulator, available
@@ -67,8 +67,7 @@ type Options struct {
 	// MaxInstrs aborts the instrumented execution (as a job error) after
 	// this many leaf statements. 0 = unbounded. Servers set it for
 	// untrusted submissions so a tiny module with an effectively infinite
-	// loop cannot pin an engine worker; it is not part of the profile
-	// cache key, so jobs sharing a CacheKey must share a budget.
+	// loop cannot pin an engine worker.
 	MaxInstrs int64
 }
 
@@ -217,8 +216,8 @@ func (Profile) Name() string { return "profile" }
 
 // Run implements Stage.
 func (Profile) Run(ctx *Context) error {
-	if c := ctx.Opt.Cache; c != nil && ctx.Opt.CacheKey != "" {
-		e, hit := c.lookup(ctx.Opt.CacheKey, ctx.Opt.Profiler, ctx.Mod, ctx.Opt.MaxInstrs)
+	if c := ctx.Opt.Cache; c != nil {
+		e, hit := c.lookup(ctx.Mod, ctx.Opt.Profiler, ctx.Opt.MaxInstrs)
 		if e.err != nil {
 			return e.err
 		}

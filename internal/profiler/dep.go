@@ -8,8 +8,9 @@
 package profiler
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 
 	"discopop/internal/ir"
@@ -117,35 +118,35 @@ type Result struct {
 	Races int
 }
 
-// DepList returns the merged dependences sorted by sink, type, source.
+// DepList returns the merged dependences sorted by sink, type, source,
+// variable, and then every remaining field: a total order, so two runs
+// that found the same dependences list them identically.
 func (r *Result) DepList() []Dep {
 	out := make([]Dep, 0, len(r.Deps))
 	for d := range r.Deps {
 		out = append(out, d)
 	}
-	sort.Slice(out, func(i, j int) bool {
-		a, b := out[i], out[j]
-		if a.Sink != b.Sink {
-			if a.Sink.File != b.Sink.File {
-				return a.Sink.File < b.Sink.File
-			}
-			return a.Sink.Line < b.Sink.Line
-		}
-		if a.Type != b.Type {
-			return a.Type < b.Type
-		}
-		if a.Source != b.Source {
-			if a.Source.File != b.Source.File {
-				return a.Source.File < b.Source.File
-			}
-			return a.Source.Line < b.Source.Line
-		}
-		if a.Var != b.Var {
-			return a.Var < b.Var
-		}
-		return a.SinkThr < b.SinkThr
+	slices.SortFunc(out, func(a, b Dep) int {
+		return cmp.Or(
+			cmp.Compare(a.Sink.File, b.Sink.File), cmp.Compare(a.Sink.Line, b.Sink.Line),
+			cmp.Compare(a.Type, b.Type),
+			cmp.Compare(a.Source.File, b.Source.File), cmp.Compare(a.Source.Line, b.Source.Line),
+			cmp.Compare(a.Var, b.Var),
+			cmp.Compare(a.SinkThr, b.SinkThr), cmp.Compare(a.SrcThr, b.SrcThr),
+			cmp.Compare(a.CarriedBy, b.CarriedBy),
+			cmpBool(a.Carried, b.Carried), cmpBool(a.Reversed, b.Reversed))
 	})
 	return out
+}
+
+func cmpBool(a, b bool) int {
+	switch {
+	case a == b:
+		return 0
+	case b:
+		return -1
+	}
+	return 1
 }
 
 // VarName resolves a dependence's variable name ("*" for INIT).
@@ -222,7 +223,8 @@ func (r *Result) WriteDepFile(sb *strings.Builder, mt bool) {
 			seen[k] = true
 		}
 	}
-	sort.Slice(lines, func(i, j int) bool { return lessKey(lines[i], lines[j], mt) })
+	// Keys order as (file, line, thread): locations are never negative.
+	slices.Sort(lines)
 	for _, k := range lines {
 		g := groups[k]
 		var loc ir.Loc
@@ -269,20 +271,6 @@ func (r *Result) WriteDepFile(sb *strings.Builder, mt bool) {
 			}
 		}
 	}
-}
-
-func lessKey(a, b uint64, mt bool) bool {
-	if mt {
-		a, b = a>>8, b>>8
-	}
-	la, lb := ir.LocFromKey(a), ir.LocFromKey(b)
-	if la.File != lb.File {
-		return la.File < lb.File
-	}
-	if la.Line != lb.Line {
-		return la.Line < lb.Line
-	}
-	return a < b
 }
 
 // DiffDeps compares two dependence sets at full granularity (everything

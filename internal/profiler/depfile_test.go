@@ -65,6 +65,23 @@ func TestDepFileRoundTripMT(t *testing.T) {
 	}
 }
 
+// TestDepFileMTByteDeterministic: two profiles of one multi-threaded target
+// write the same bytes. Sinks of one location on different threads, and
+// dependences differing only in source thread or race flag, used to come
+// out in map order.
+func TestDepFileMTByteDeterministic(t *testing.T) {
+	for _, name := range []string{"md5-mt", "kmeans-mt", "c-ray-mt"} {
+		var runs [2]strings.Builder
+		for i := range runs {
+			res := Profile(workloads.MustBuild(name, 1).M, Options{MT: true, Workers: 4})
+			res.WriteDepFile(&runs[i], true)
+		}
+		if runs[0].String() != runs[1].String() {
+			t.Errorf("%s: two -mt dependence files differ", name)
+		}
+	}
+}
+
 // TestDepFileLoopMarkers: BGN/END markers carry iteration counts.
 func TestDepFileLoopMarkers(t *testing.T) {
 	prog := workloads.MustBuild("MG", 1)

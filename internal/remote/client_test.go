@@ -13,6 +13,7 @@ import (
 	"testing"
 	"time"
 
+	"discopop/internal/ir"
 	"discopop/internal/pipeline"
 	"discopop/internal/remote"
 	"discopop/internal/workloads"
@@ -149,7 +150,7 @@ func encodedModule(t *testing.T) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := remote.Encode(prog.M)
+	enc, err := ir.Encode(prog.M)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,1367 +1,27 @@
-// Package remote moves analysis work between dp-serve nodes: a versioned
-// binary codec turns an ir.Module into bytes that survive the wire, a
-// Client submits encoded modules to peer workers over the dp-serve HTTP
-// API with health tracking and failover, and Stage plugs the whole
-// exchange into the local pipeline as one pipeline.Stage — the first step
-// from a single analysis process to a fleet.
-//
-// # Wire format
-//
-// An encoded module is
-//
-//	"DPIR" | version | name | files | regions | func headers | vars |
-//	globals | main | func bodies
-//
-// with all integers as unsigned varints, strings as length-prefixed
-// bytes, and float64 constants as 8 little-endian bytes of their IEEE
-// bits. Cross-references (a statement naming a variable, a region naming
-// its parent) are table indices, so the pointer graph of the in-memory
-// module flattens deterministically: encoding the same module always
-// yields the same bytes, and a module that round-trips through
-// Decode(Encode(m)) re-encodes to identical bytes. Derived fields
-// (static operation numbers, profiling state) are not part of the
-// format; the receiving side recomputes them.
-//
-// Decode is strict: every index is bounds-checked, every count is
-// capped by Limits before allocation, nesting depth is bounded, and the
-// region/statement cross-links are validated (a loop statement must
-// claim exactly one loop region of its own function). Arbitrary input
-// bytes produce an error, never a panic.
+// Package remote moves analysis work between dp-serve nodes: a Client
+// submits encoded modules (ir.Encode, the one module serialisation) to peer
+// workers over the dp-serve HTTP API with health tracking and failover, and
+// Stage plugs the whole exchange into the local pipeline as one
+// pipeline.Stage — the first step from a single analysis process to a
+// fleet.
 package remote
 
-import (
-	"bytes"
-	"encoding/binary"
-	"fmt"
-	"math"
+import "discopop/internal/ir"
 
-	"discopop/internal/ir"
-)
+// The codec lives in internal/ir. These forwards remain only for bench/,
+// which the next [benchmark] PR switches to the ir names (ROADMAP).
 
-// magic identifies an encoded module; version is bumped on any change to
-// the byte layout.
-const (
-	magic   = "DPIR"
-	version = 1
-)
+// Limits bounds what Decode will accept.
+type Limits = ir.Limits
 
-// Limits bounds what Decode will accept. Every count read from the wire
-// is checked against its limit before memory is allocated for it, so a
-// hostile payload cannot make the decoder allocate more than the limits
-// allow.
-type Limits struct {
-	// MaxBytes caps the encoded size.
-	MaxBytes int
-	// MaxFiles caps the source-file table.
-	MaxFiles int
-	// MaxVars caps the variable table.
-	MaxVars int
-	// MaxFuncs caps the function table.
-	MaxFuncs int
-	// MaxRegions caps the region table.
-	MaxRegions int
-	// MaxNodes caps the total number of statement and expression nodes.
-	MaxNodes int
-	// MaxDepth caps statement/expression nesting.
-	MaxDepth int
-	// MaxNameLen caps any single name or file string.
-	MaxNameLen int
-	// MaxTotalElems caps the summed element count of all variables — the
-	// simulated memory footprint a decoded module can demand (the remote
-	// analogue of the server's workload-scale cap).
-	MaxTotalElems int64
-}
+// DefaultLimits forwards to ir.DefaultLimits.
+func DefaultLimits() Limits { return ir.DefaultLimits() }
 
-// maxEncodeDepth bounds nesting on the encoding side, mirroring the
-// decoder's default so Encode never produces bytes Decode would reject.
-const maxEncodeDepth = 200
+// Encode forwards to ir.Encode.
+func Encode(m *ir.Module) ([]byte, error) { return ir.Encode(m) }
 
-// DefaultLimits are generous enough for every bundled workload at the
-// server's maximum scale while keeping a hostile payload's footprint
-// bounded to a few tens of megabytes.
-func DefaultLimits() Limits {
-	return Limits{
-		MaxBytes:      8 << 20,
-		MaxFiles:      256,
-		MaxVars:       1 << 16,
-		MaxFuncs:      1024,
-		MaxRegions:    1 << 16,
-		MaxNodes:      1 << 20,
-		MaxDepth:      maxEncodeDepth,
-		MaxNameLen:    256,
-		MaxTotalElems: 8 << 20, // 8M float64 elements = 64MB simulated memory
-	}
-}
+// Decode forwards to ir.Decode.
+func Decode(data []byte) (*ir.Module, error) { return ir.Decode(data) }
 
-// statement and expression tags. Zero is reserved so a truncated read
-// cannot alias a valid node.
-const (
-	tsAssign = iota + 1
-	tsIf
-	tsFor
-	tsWhile
-	tsCall
-	tsReturn
-	tsSpawn
-	tsSync
-	tsLock
-	tsFree
-)
-
-const (
-	teConst = iota + 1
-	teRef
-	teBin
-	teUn
-	teRand
-	teCall
-)
-
-// ---------------------------------------------------------------------------
-// Encoding
-
-// Encode serializes m into the versioned wire format. It validates the
-// module's cross-reference invariants first (table IDs matching indices,
-// parents preceding children), so a successful Encode guarantees the
-// bytes decode back into an equivalent module.
-func Encode(m *ir.Module) ([]byte, error) {
-	if m == nil {
-		return nil, fmt.Errorf("remote: encode nil module")
-	}
-	e := &encoder{
-		varIdx: make(map[*ir.Var]int, len(m.Vars)),
-		funIdx: make(map[*ir.Func]int, len(m.Funcs)),
-		regIdx: make(map[*ir.Region]int, len(m.Regions)),
-	}
-	for i, v := range m.Vars {
-		if v == nil || v.ID != i {
-			return nil, fmt.Errorf("remote: var table corrupt at %d", i)
-		}
-		e.varIdx[v] = i
-	}
-	for i, f := range m.Funcs {
-		if f == nil {
-			return nil, fmt.Errorf("remote: nil func at %d", i)
-		}
-		e.funIdx[f] = i
-	}
-	for i, r := range m.Regions {
-		if r == nil {
-			return nil, fmt.Errorf("remote: nil region at %d", i)
-		}
-		e.regIdx[r] = i
-	}
-
-	e.buf.WriteString(magic)
-	e.uint(version)
-	if err := e.encodeModule(m); err != nil {
-		return nil, err
-	}
-	return e.buf.Bytes(), nil
-}
-
-type encoder struct {
-	buf    bytes.Buffer
-	varIdx map[*ir.Var]int
-	funIdx map[*ir.Func]int
-	regIdx map[*ir.Region]int
-}
-
-func (e *encoder) uint(v uint64) {
-	var tmp [binary.MaxVarintLen64]byte
-	n := binary.PutUvarint(tmp[:], v)
-	e.buf.Write(tmp[:n])
-}
-
-func (e *encoder) str(s string) {
-	e.uint(uint64(len(s)))
-	e.buf.WriteString(s)
-}
-
-func (e *encoder) bool(b bool) {
-	if b {
-		e.buf.WriteByte(1)
-	} else {
-		e.buf.WriteByte(0)
-	}
-}
-
-func (e *encoder) f64(v float64) {
-	var tmp [8]byte
-	binary.LittleEndian.PutUint64(tmp[:], math.Float64bits(v))
-	e.buf.Write(tmp[:])
-}
-
-func (e *encoder) loc(l ir.Loc) error {
-	if l.File < 0 || l.Line < 0 {
-		return fmt.Errorf("remote: negative location %v", l)
-	}
-	e.uint(uint64(l.File))
-	e.uint(uint64(l.Line))
-	return nil
-}
-
-// opt encodes an optional table index: 0 for nil, index+1 otherwise.
-func (e *encoder) opt(isNil bool, lookup func() (int, bool), what string) error {
-	if isNil {
-		e.uint(0)
-		return nil
-	}
-	i, ok := lookup()
-	if !ok {
-		return fmt.Errorf("remote: %s not in module table", what)
-	}
-	e.uint(uint64(i) + 1)
-	return nil
-}
-
-func (e *encoder) varRef(v *ir.Var) error {
-	i, ok := e.varIdx[v]
-	if !ok {
-		return fmt.Errorf("remote: var reference outside module table")
-	}
-	e.uint(uint64(i))
-	return nil
-}
-
-func (e *encoder) funcRef(f *ir.Func) error {
-	i, ok := e.funIdx[f]
-	if !ok {
-		return fmt.Errorf("remote: func reference outside module table")
-	}
-	e.uint(uint64(i))
-	return nil
-}
-
-func (e *encoder) regionRef(r *ir.Region) error {
-	i, ok := e.regIdx[r]
-	if !ok {
-		return fmt.Errorf("remote: region reference outside module table")
-	}
-	e.uint(uint64(i))
-	return nil
-}
-
-func (e *encoder) encodeModule(m *ir.Module) error {
-	e.str(m.Name)
-
-	e.uint(uint64(len(m.Files)))
-	for _, f := range m.Files {
-		e.str(f)
-	}
-
-	// Region table. Parents must precede children so the decoder can wire
-	// the tree in one pass.
-	e.uint(uint64(len(m.Regions)))
-	for i, r := range m.Regions {
-		e.buf.WriteByte(byte(r.Kind))
-		if err := e.loc(r.Start); err != nil {
-			return err
-		}
-		if err := e.loc(r.End); err != nil {
-			return err
-		}
-		if r.Parent == nil {
-			e.uint(0)
-		} else {
-			pi, ok := e.regIdx[r.Parent]
-			if !ok || pi >= i {
-				return fmt.Errorf("remote: region %d parent out of order", i)
-			}
-			e.uint(uint64(pi) + 1)
-		}
-		if err := e.opt(r.Func == nil, func() (int, bool) { i, ok := e.funIdx[r.Func]; return i, ok }, "region func"); err != nil {
-			return err
-		}
-	}
-
-	// Function headers (bodies follow at the end, once the var table is
-	// known).
-	e.uint(uint64(len(m.Funcs)))
-	for _, f := range m.Funcs {
-		e.str(f.Name)
-		e.bool(f.HasRet)
-		e.buf.WriteByte(byte(f.RetTyp))
-		if err := e.loc(f.Loc); err != nil {
-			return err
-		}
-		if err := e.loc(f.EndLoc); err != nil {
-			return err
-		}
-		if f.Region == nil {
-			return fmt.Errorf("remote: func %s has no region", f.Name)
-		}
-		if err := e.regionRef(f.Region); err != nil {
-			return err
-		}
-	}
-
-	// Variable table.
-	e.uint(uint64(len(m.Vars)))
-	for _, v := range m.Vars {
-		e.str(v.Name)
-		e.buf.WriteByte(byte(v.Kind))
-		e.buf.WriteByte(byte(v.Type))
-		if v.Elems < 1 {
-			return fmt.Errorf("remote: var %s has %d elems", v.Name, v.Elems)
-		}
-		e.uint(uint64(v.Elems))
-		e.bool(v.ByValue)
-		e.bool(v.Heap)
-		if err := e.loc(v.Decl); err != nil {
-			return err
-		}
-		if err := e.opt(v.DeclRegion == nil, func() (int, bool) { i, ok := e.regIdx[v.DeclRegion]; return i, ok }, "var region"); err != nil {
-			return err
-		}
-		if err := e.opt(v.Func == nil, func() (int, bool) { i, ok := e.funIdx[v.Func]; return i, ok }, "var func"); err != nil {
-			return err
-		}
-	}
-
-	// Globals, by index, in declaration order.
-	e.uint(uint64(len(m.Globals)))
-	for _, g := range m.Globals {
-		if err := e.varRef(g); err != nil {
-			return err
-		}
-	}
-
-	if m.Main == nil {
-		return fmt.Errorf("remote: module has no main function")
-	}
-	if err := e.funcRef(m.Main); err != nil {
-		return err
-	}
-
-	// Function bodies.
-	for _, f := range m.Funcs {
-		e.uint(uint64(len(f.Params)))
-		for _, p := range f.Params {
-			if err := e.varRef(p); err != nil {
-				return err
-			}
-		}
-		e.uint(uint64(len(f.Locals)))
-		for _, l := range f.Locals {
-			if err := e.varRef(l); err != nil {
-				return err
-			}
-		}
-		if f.Body == nil {
-			return fmt.Errorf("remote: func %s has no body", f.Name)
-		}
-		if err := e.encodeBlock(f.Body, 0); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *encoder) encodeBlock(b *ir.BlockStmt, depth int) error {
-	if depth > maxEncodeDepth {
-		return fmt.Errorf("remote: statement nesting too deep to encode")
-	}
-	if err := e.loc(b.Loc); err != nil {
-		return err
-	}
-	e.uint(uint64(len(b.Decls)))
-	for _, d := range b.Decls {
-		if err := e.varRef(d); err != nil {
-			return err
-		}
-	}
-	e.uint(uint64(len(b.List)))
-	for _, s := range b.List {
-		if err := e.encodeStmt(s, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *encoder) encodeStmt(s ir.Stmt, depth int) error {
-	switch n := s.(type) {
-	case *ir.Assign:
-		e.buf.WriteByte(tsAssign)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		if err := e.encodeRef(n.Dst, depth); err != nil {
-			return err
-		}
-		return e.encodeExpr(n.Src, depth)
-	case *ir.If:
-		e.buf.WriteByte(tsIf)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		if err := e.regionRef(n.Region); err != nil {
-			return err
-		}
-		if err := e.encodeExpr(n.Cond, depth); err != nil {
-			return err
-		}
-		if err := e.encodeBlock(n.Then, depth); err != nil {
-			return err
-		}
-		e.bool(n.Else != nil)
-		if n.Else != nil {
-			return e.encodeBlock(n.Else, depth)
-		}
-		return nil
-	case *ir.For:
-		e.buf.WriteByte(tsFor)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		if err := e.loc(n.EndLoc); err != nil {
-			return err
-		}
-		if err := e.regionRef(n.Region); err != nil {
-			return err
-		}
-		if err := e.varRef(n.IndVar); err != nil {
-			return err
-		}
-		if err := e.encodeExpr(n.From, depth); err != nil {
-			return err
-		}
-		if err := e.encodeExpr(n.To, depth); err != nil {
-			return err
-		}
-		if err := e.encodeExpr(n.Step, depth); err != nil {
-			return err
-		}
-		return e.encodeBlock(n.Body, depth)
-	case *ir.While:
-		e.buf.WriteByte(tsWhile)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		if err := e.loc(n.EndLoc); err != nil {
-			return err
-		}
-		if err := e.regionRef(n.Region); err != nil {
-			return err
-		}
-		if err := e.encodeExpr(n.Cond, depth); err != nil {
-			return err
-		}
-		return e.encodeBlock(n.Body, depth)
-	case *ir.CallStmt:
-		e.buf.WriteByte(tsCall)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		return e.encodeCall(n.Call, depth)
-	case *ir.Return:
-		e.buf.WriteByte(tsReturn)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		e.bool(n.Val != nil)
-		if n.Val != nil {
-			return e.encodeExpr(n.Val, depth)
-		}
-		return nil
-	case *ir.Spawn:
-		e.buf.WriteByte(tsSpawn)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		return e.encodeCall(n.Call, depth)
-	case *ir.Sync:
-		e.buf.WriteByte(tsSync)
-		return e.loc(n.Loc)
-	case *ir.LockRegion:
-		e.buf.WriteByte(tsLock)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		if n.MutexID < 0 {
-			return fmt.Errorf("remote: negative mutex id %d", n.MutexID)
-		}
-		e.uint(uint64(n.MutexID))
-		return e.encodeBlock(n.Body, depth)
-	case *ir.Free:
-		e.buf.WriteByte(tsFree)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		return e.varRef(n.Var)
-	case *ir.BlockStmt:
-		return fmt.Errorf("remote: bare block statement is not encodable")
-	default:
-		return fmt.Errorf("remote: unknown statement type %T", s)
-	}
-}
-
-func (e *encoder) encodeRef(r *ir.Ref, depth int) error {
-	if r == nil {
-		return fmt.Errorf("remote: nil ref")
-	}
-	if err := e.loc(r.Loc); err != nil {
-		return err
-	}
-	if err := e.varRef(r.Var); err != nil {
-		return err
-	}
-	e.bool(r.Index != nil)
-	if r.Index != nil {
-		return e.encodeExpr(r.Index, depth+1)
-	}
-	return nil
-}
-
-func (e *encoder) encodeCall(c *ir.CallExpr, depth int) error {
-	if c == nil {
-		return fmt.Errorf("remote: nil call")
-	}
-	if err := e.loc(c.Loc); err != nil {
-		return err
-	}
-	if err := e.funcRef(c.Callee); err != nil {
-		return err
-	}
-	e.uint(uint64(len(c.Args)))
-	for _, a := range c.Args {
-		if err := e.encodeExpr(a, depth+1); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-func (e *encoder) encodeExpr(x ir.Expr, depth int) error {
-	if depth > maxEncodeDepth {
-		return fmt.Errorf("remote: expression nesting too deep to encode")
-	}
-	switch n := x.(type) {
-	case *ir.Const:
-		e.buf.WriteByte(teConst)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		e.buf.WriteByte(byte(n.Typ))
-		e.f64(n.Val)
-		return nil
-	case *ir.Ref:
-		e.buf.WriteByte(teRef)
-		return e.encodeRef(n, depth)
-	case *ir.Bin:
-		e.buf.WriteByte(teBin)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		e.buf.WriteByte(byte(n.Op))
-		if err := e.encodeExpr(n.L, depth+1); err != nil {
-			return err
-		}
-		return e.encodeExpr(n.R, depth+1)
-	case *ir.Un:
-		e.buf.WriteByte(teUn)
-		if err := e.loc(n.Loc); err != nil {
-			return err
-		}
-		e.buf.WriteByte(byte(n.Op))
-		return e.encodeExpr(n.X, depth+1)
-	case *ir.Rand:
-		e.buf.WriteByte(teRand)
-		return e.loc(n.Loc)
-	case *ir.CallExpr:
-		e.buf.WriteByte(teCall)
-		return e.encodeCall(n, depth)
-	default:
-		return fmt.Errorf("remote: unknown expression type %T", x)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Decoding
-
-// Decode parses an encoded module under DefaultLimits.
-func Decode(data []byte) (*ir.Module, error) {
-	return DecodeLimits(data, DefaultLimits())
-}
-
-// DecodeLimits parses an encoded module, rejecting anything beyond lim.
-// It never panics: malformed input yields an error.
-func DecodeLimits(data []byte, lim Limits) (*ir.Module, error) {
-	if lim.MaxBytes > 0 && len(data) > lim.MaxBytes {
-		return nil, fmt.Errorf("remote: module of %d bytes exceeds limit %d", len(data), lim.MaxBytes)
-	}
-	d := &decoder{data: data, lim: lim, nodes: lim.MaxNodes}
-	if string(d.take(len(magic))) != magic {
-		return nil, fmt.Errorf("remote: bad magic (not an encoded module)")
-	}
-	v, err := d.uint()
-	if err != nil {
-		return nil, err
-	}
-	if v != version {
-		return nil, fmt.Errorf("remote: unsupported wire version %d (have %d)", v, version)
-	}
-	m, err := d.decodeModule()
-	if err != nil {
-		return nil, err
-	}
-	if d.off != len(d.data) {
-		return nil, fmt.Errorf("remote: %d trailing bytes after module", len(d.data)-d.off)
-	}
-	return m, nil
-}
-
-type decoder struct {
-	data  []byte
-	off   int
-	lim   Limits
-	nodes int // remaining statement/expression node budget
-
-	m    *ir.Module
-	funs []*ir.Func
-	regs []*ir.Region
-	vars []*ir.Var
-	// regFunc records each region's encoded owner index for validation.
-	regFunc []int
-	// curFunc is the function whose body is being decoded.
-	curFunc *ir.Func
-}
-
-// take returns the next n raw bytes (nil when the input is short; callers
-// that need them check length or go through typed readers that error).
-func (d *decoder) take(n int) []byte {
-	if n < 0 || d.off+n > len(d.data) {
-		return nil
-	}
-	b := d.data[d.off : d.off+n]
-	d.off += n
-	return b
-}
-
-func (d *decoder) uint() (uint64, error) {
-	v, n := binary.Uvarint(d.data[d.off:])
-	if n <= 0 {
-		return 0, fmt.Errorf("remote: truncated varint at offset %d", d.off)
-	}
-	d.off += n
-	return v, nil
-}
-
-// count reads a length and checks it against max before the caller
-// allocates.
-func (d *decoder) count(max int, what string) (int, error) {
-	v, err := d.uint()
-	if err != nil {
-		return 0, err
-	}
-	if v > uint64(max) {
-		return 0, fmt.Errorf("remote: %s count %d exceeds limit %d", what, v, max)
-	}
-	return int(v), nil
-}
-
-func (d *decoder) byte() (byte, error) {
-	b := d.take(1)
-	if b == nil {
-		return 0, fmt.Errorf("remote: truncated input at offset %d", d.off)
-	}
-	return b[0], nil
-}
-
-func (d *decoder) bool() (bool, error) {
-	b, err := d.byte()
-	if err != nil {
-		return false, err
-	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("remote: bad bool byte %d", b)
-}
-
-func (d *decoder) f64() (float64, error) {
-	b := d.take(8)
-	if b == nil {
-		return 0, fmt.Errorf("remote: truncated float at offset %d", d.off)
-	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
-}
-
-func (d *decoder) str() (string, error) {
-	n, err := d.count(d.lim.MaxNameLen, "string length")
-	if err != nil {
-		return "", err
-	}
-	b := d.take(n)
-	if b == nil {
-		return "", fmt.Errorf("remote: truncated string at offset %d", d.off)
-	}
-	return string(b), nil
-}
-
-func (d *decoder) loc() (ir.Loc, error) {
-	f, err := d.uint()
-	if err != nil {
-		return ir.Loc{}, err
-	}
-	l, err := d.uint()
-	if err != nil {
-		return ir.Loc{}, err
-	}
-	if f > math.MaxInt32 || l > math.MaxInt32 {
-		return ir.Loc{}, fmt.Errorf("remote: location %d:%d out of range", f, l)
-	}
-	return ir.Loc{File: int32(f), Line: int32(l)}, nil
-}
-
-// idx reads a required table index in [0, n).
-func (d *decoder) idx(n int, what string) (int, error) {
-	v, err := d.uint()
-	if err != nil {
-		return 0, err
-	}
-	if v >= uint64(n) {
-		return 0, fmt.Errorf("remote: %s index %d out of range (table has %d)", what, v, n)
-	}
-	return int(v), nil
-}
-
-// optIdx reads an optional index: -1 for absent, else [0, n).
-func (d *decoder) optIdx(n int, what string) (int, error) {
-	v, err := d.uint()
-	if err != nil {
-		return 0, err
-	}
-	if v == 0 {
-		return -1, nil
-	}
-	if v-1 >= uint64(n) {
-		return 0, fmt.Errorf("remote: %s index %d out of range (table has %d)", what, v-1, n)
-	}
-	return int(v - 1), nil
-}
-
-// node charges one statement/expression node against the budget.
-func (d *decoder) node() error {
-	d.nodes--
-	if d.nodes < 0 {
-		return fmt.Errorf("remote: module exceeds %d-node budget", d.lim.MaxNodes)
-	}
-	return nil
-}
-
-func (d *decoder) decodeModule() (*ir.Module, error) {
-	name, err := d.str()
-	if err != nil {
-		return nil, err
-	}
-	d.m = &ir.Module{Name: name}
-
-	nf, err := d.count(d.lim.MaxFiles, "file")
-	if err != nil {
-		return nil, err
-	}
-	d.m.Files = make([]string, nf)
-	for i := range d.m.Files {
-		if d.m.Files[i], err = d.str(); err != nil {
-			return nil, err
-		}
-	}
-
-	// Regions: structure first, function owners and statements wired later.
-	nr, err := d.count(d.lim.MaxRegions, "region")
-	if err != nil {
-		return nil, err
-	}
-	d.regs = make([]*ir.Region, nr)
-	d.regFunc = make([]int, nr)
-	for i := range d.regs {
-		kind, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if kind > byte(ir.RBranch) {
-			return nil, fmt.Errorf("remote: region %d has bad kind %d", i, kind)
-		}
-		start, err := d.loc()
-		if err != nil {
-			return nil, err
-		}
-		end, err := d.loc()
-		if err != nil {
-			return nil, err
-		}
-		parent, err := d.optIdx(nr, "region parent")
-		if err != nil {
-			return nil, err
-		}
-		if parent >= i {
-			return nil, fmt.Errorf("remote: region %d references parent %d out of order", i, parent)
-		}
-		r := &ir.Region{ID: i, Kind: ir.RegionKind(kind), Start: start, End: end}
-		if parent >= 0 {
-			r.Parent = d.regs[parent]
-			d.regs[parent].Children = append(d.regs[parent].Children, r)
-		}
-		if d.regFunc[i], err = d.optIdx(d.lim.MaxFuncs, "region func"); err != nil {
-			return nil, err
-		}
-		d.regs[i] = r
-	}
-	d.m.Regions = d.regs
-
-	// Function headers.
-	nfn, err := d.count(d.lim.MaxFuncs, "func")
-	if err != nil {
-		return nil, err
-	}
-	d.funs = make([]*ir.Func, nfn)
-	funcRegions := make([]int, nfn)
-	for i := range d.funs {
-		f := &ir.Func{ID: i, Module: d.m}
-		if f.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-		if f.HasRet, err = d.bool(); err != nil {
-			return nil, err
-		}
-		typ, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if typ > byte(ir.F64) {
-			return nil, fmt.Errorf("remote: func %s has bad return type %d", f.Name, typ)
-		}
-		f.RetTyp = ir.Type(typ)
-		if f.Loc, err = d.loc(); err != nil {
-			return nil, err
-		}
-		if f.EndLoc, err = d.loc(); err != nil {
-			return nil, err
-		}
-		if funcRegions[i], err = d.idx(nr, "func region"); err != nil {
-			return nil, err
-		}
-		d.funs[i] = f
-	}
-	d.m.Funcs = d.funs
-
-	// Wire regions to their owner functions, and functions to their body
-	// regions, validating both directions.
-	for i, r := range d.regs {
-		fi := d.regFunc[i]
-		if fi < 0 {
-			if r.Kind != ir.RFunc {
-				return nil, fmt.Errorf("remote: region %d (%s) has no function", i, r.Kind)
-			}
-			continue
-		}
-		if fi >= nfn {
-			return nil, fmt.Errorf("remote: region %d references func %d of %d", i, fi, nfn)
-		}
-		r.Func = d.funs[fi]
-	}
-	claimed := make([]bool, nr)
-	for i, f := range d.funs {
-		ri := funcRegions[i]
-		r := d.regs[ri]
-		if r.Kind != ir.RFunc {
-			return nil, fmt.Errorf("remote: func %s claims non-function region %d", f.Name, ri)
-		}
-		if claimed[ri] {
-			return nil, fmt.Errorf("remote: region %d claimed by two functions", ri)
-		}
-		if r.Func != f {
-			return nil, fmt.Errorf("remote: func %s and region %d disagree on ownership", f.Name, ri)
-		}
-		claimed[ri] = true
-		f.Region = r
-	}
-	for i, r := range d.regs {
-		if r.Kind == ir.RFunc && !claimed[i] {
-			return nil, fmt.Errorf("remote: orphan function region %d", i)
-		}
-	}
-
-	// Variable table.
-	nv, err := d.count(d.lim.MaxVars, "var")
-	if err != nil {
-		return nil, err
-	}
-	d.vars = make([]*ir.Var, nv)
-	var totalElems uint64
-	for i := range d.vars {
-		v := &ir.Var{ID: i}
-		if v.Name, err = d.str(); err != nil {
-			return nil, err
-		}
-		kind, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if kind > byte(ir.KLocal) {
-			return nil, fmt.Errorf("remote: var %s has bad kind %d", v.Name, kind)
-		}
-		v.Kind = ir.VarKind(kind)
-		typ, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if typ > byte(ir.F64) {
-			return nil, fmt.Errorf("remote: var %s has bad type %d", v.Name, typ)
-		}
-		v.Type = ir.Type(typ)
-		elems, err := d.uint()
-		if err != nil {
-			return nil, err
-		}
-		// Compare in uint64 before any signed cast: a wire value >= 2^63
-		// would go negative as int64 and slip past both the per-var and
-		// the running-total caps.
-		if elems < 1 || elems > uint64(d.lim.MaxTotalElems) {
-			return nil, fmt.Errorf("remote: var %s has %d elems", v.Name, elems)
-		}
-		v.Elems = int(elems)
-		// Each addend is bounded by MaxTotalElems and the sum is checked
-		// every iteration, so totalElems never exceeds 2*MaxTotalElems and
-		// cannot wrap a uint64.
-		totalElems += elems
-		if totalElems > uint64(d.lim.MaxTotalElems) {
-			return nil, fmt.Errorf("remote: module footprint exceeds %d elements", d.lim.MaxTotalElems)
-		}
-		if v.ByValue, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if v.Heap, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if v.Decl, err = d.loc(); err != nil {
-			return nil, err
-		}
-		ri, err := d.optIdx(nr, "var region")
-		if err != nil {
-			return nil, err
-		}
-		if ri >= 0 {
-			v.DeclRegion = d.regs[ri]
-		}
-		fi, err := d.optIdx(nfn, "var func")
-		if err != nil {
-			return nil, err
-		}
-		if fi >= 0 {
-			v.Func = d.funs[fi]
-		}
-		d.vars[i] = v
-	}
-	d.m.Vars = d.vars
-
-	// Globals.
-	ng, err := d.count(nv, "global")
-	if err != nil {
-		return nil, err
-	}
-	d.m.Globals = make([]*ir.Var, ng)
-	for i := range d.m.Globals {
-		gi, err := d.idx(nv, "global")
-		if err != nil {
-			return nil, err
-		}
-		if d.vars[gi].Kind != ir.KGlobal {
-			return nil, fmt.Errorf("remote: global list names %s var %s", d.vars[gi].Kind, d.vars[gi].Name)
-		}
-		d.m.Globals[i] = d.vars[gi]
-	}
-
-	mi, err := d.idx(nfn, "main func")
-	if err != nil {
-		return nil, err
-	}
-	d.m.Main = d.funs[mi]
-
-	// Function bodies.
-	for _, f := range d.funs {
-		d.curFunc = f
-		np, err := d.count(nv, "param")
-		if err != nil {
-			return nil, err
-		}
-		f.Params = make([]*ir.Var, np)
-		for i := range f.Params {
-			pi, err := d.idx(nv, "param")
-			if err != nil {
-				return nil, err
-			}
-			p := d.vars[pi]
-			if p.Kind != ir.KParam || p.Func != f {
-				return nil, fmt.Errorf("remote: func %s claims foreign param %s", f.Name, p.Name)
-			}
-			f.Params[i] = p
-		}
-		nl, err := d.count(nv, "local")
-		if err != nil {
-			return nil, err
-		}
-		f.Locals = make([]*ir.Var, nl)
-		for i := range f.Locals {
-			li, err := d.idx(nv, "local")
-			if err != nil {
-				return nil, err
-			}
-			l := d.vars[li]
-			if l.Kind != ir.KLocal || l.Func != f {
-				return nil, fmt.Errorf("remote: func %s claims foreign local %s", f.Name, l.Name)
-			}
-			f.Locals[i] = l
-		}
-		if f.Body, err = d.decodeBlock(0); err != nil {
-			return nil, fmt.Errorf("%w (in func %s)", err, f.Name)
-		}
-	}
-
-	if len(d.m.Main.Params) != 0 {
-		return nil, fmt.Errorf("remote: main function takes parameters")
-	}
-	// Every loop and branch region must have been claimed by exactly one
-	// statement; decodeStmt enforces single claims, this catches orphans.
-	for i, r := range d.regs {
-		if r.Kind != ir.RFunc && r.Stmt == nil {
-			return nil, fmt.Errorf("remote: %s region %d has no defining statement", r.Kind, i)
-		}
-	}
-	return d.m, nil
-}
-
-func (d *decoder) decodeBlock(depth int) (*ir.BlockStmt, error) {
-	if depth > d.lim.MaxDepth {
-		return nil, fmt.Errorf("remote: statement nesting exceeds depth %d", d.lim.MaxDepth)
-	}
-	if err := d.node(); err != nil {
-		return nil, err
-	}
-	loc, err := d.loc()
-	if err != nil {
-		return nil, err
-	}
-	b := &ir.BlockStmt{Loc: loc}
-	nd, err := d.count(len(d.vars), "block decl")
-	if err != nil {
-		return nil, err
-	}
-	b.Decls = make([]*ir.Var, nd)
-	for i := range b.Decls {
-		di, err := d.idx(len(d.vars), "block decl")
-		if err != nil {
-			return nil, err
-		}
-		v := d.vars[di]
-		if v.Kind != ir.KLocal || v.Func != d.curFunc {
-			return nil, fmt.Errorf("remote: block declares foreign var %s", v.Name)
-		}
-		b.Decls[i] = v
-	}
-	ns, err := d.count(d.nodes+1, "block statement")
-	if err != nil {
-		return nil, err
-	}
-	b.List = make([]ir.Stmt, ns)
-	for i := range b.List {
-		if b.List[i], err = d.decodeStmt(depth + 1); err != nil {
-			return nil, err
-		}
-	}
-	return b, nil
-}
-
-// claimRegion resolves a region index for a loop or branch statement,
-// enforcing kind, ownership, and single use.
-func (d *decoder) claimRegion(kind ir.RegionKind, s ir.Stmt) (*ir.Region, error) {
-	ri, err := d.idx(len(d.regs), "statement region")
-	if err != nil {
-		return nil, err
-	}
-	r := d.regs[ri]
-	if r.Kind != kind {
-		return nil, fmt.Errorf("remote: statement claims %s region %d as %s", r.Kind, ri, kind)
-	}
-	if r.Stmt != nil {
-		return nil, fmt.Errorf("remote: region %d claimed by two statements", ri)
-	}
-	if r.Func != d.curFunc {
-		return nil, fmt.Errorf("remote: statement claims region %d of another function", ri)
-	}
-	r.Stmt = s
-	return r, nil
-}
-
-func (d *decoder) decodeStmt(depth int) (ir.Stmt, error) {
-	if depth > d.lim.MaxDepth {
-		return nil, fmt.Errorf("remote: statement nesting exceeds depth %d", d.lim.MaxDepth)
-	}
-	if err := d.node(); err != nil {
-		return nil, err
-	}
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	loc, err := d.loc()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case tsAssign:
-		dst, err := d.decodeRef(depth)
-		if err != nil {
-			return nil, err
-		}
-		src, err := d.decodeExpr(depth)
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Assign{Loc: loc, Dst: dst, Src: src}, nil
-	case tsIf:
-		n := &ir.If{Loc: loc}
-		if n.Region, err = d.claimRegion(ir.RBranch, n); err != nil {
-			return nil, err
-		}
-		if n.Cond, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.Then, err = d.decodeBlock(depth); err != nil {
-			return nil, err
-		}
-		hasElse, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
-		if hasElse {
-			if n.Else, err = d.decodeBlock(depth); err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
-	case tsFor:
-		n := &ir.For{Loc: loc}
-		if n.EndLoc, err = d.loc(); err != nil {
-			return nil, err
-		}
-		if n.Region, err = d.claimRegion(ir.RLoop, n); err != nil {
-			return nil, err
-		}
-		ii, err := d.idx(len(d.vars), "induction var")
-		if err != nil {
-			return nil, err
-		}
-		n.IndVar = d.vars[ii]
-		if n.IndVar.Func != d.curFunc {
-			return nil, fmt.Errorf("remote: loop claims foreign induction var %s", n.IndVar.Name)
-		}
-		if n.From, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.To, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.Step, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.Body, err = d.decodeBlock(depth); err != nil {
-			return nil, err
-		}
-		return n, nil
-	case tsWhile:
-		n := &ir.While{Loc: loc}
-		if n.EndLoc, err = d.loc(); err != nil {
-			return nil, err
-		}
-		if n.Region, err = d.claimRegion(ir.RLoop, n); err != nil {
-			return nil, err
-		}
-		if n.Cond, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.Body, err = d.decodeBlock(depth); err != nil {
-			return nil, err
-		}
-		return n, nil
-	case tsCall:
-		call, err := d.decodeCall(depth)
-		if err != nil {
-			return nil, err
-		}
-		return &ir.CallStmt{Loc: loc, Call: call}, nil
-	case tsReturn:
-		hasVal, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
-		n := &ir.Return{Loc: loc}
-		if hasVal {
-			if n.Val, err = d.decodeExpr(depth); err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
-	case tsSpawn:
-		call, err := d.decodeCall(depth)
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Spawn{Loc: loc, Call: call}, nil
-	case tsSync:
-		return &ir.Sync{Loc: loc}, nil
-	case tsLock:
-		id, err := d.uint()
-		if err != nil {
-			return nil, err
-		}
-		if id > 1<<16 {
-			return nil, fmt.Errorf("remote: mutex id %d out of range", id)
-		}
-		n := &ir.LockRegion{Loc: loc, MutexID: int(id)}
-		if n.Body, err = d.decodeBlock(depth); err != nil {
-			return nil, err
-		}
-		return n, nil
-	case tsFree:
-		vi, err := d.idx(len(d.vars), "freed var")
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Free{Loc: loc, Var: d.vars[vi]}, nil
-	default:
-		return nil, fmt.Errorf("remote: unknown statement tag %d", tag)
-	}
-}
-
-func (d *decoder) decodeRef(depth int) (*ir.Ref, error) {
-	loc, err := d.loc()
-	if err != nil {
-		return nil, err
-	}
-	vi, err := d.idx(len(d.vars), "ref var")
-	if err != nil {
-		return nil, err
-	}
-	r := &ir.Ref{Loc: loc, Var: d.vars[vi]}
-	hasIdx, err := d.bool()
-	if err != nil {
-		return nil, err
-	}
-	if hasIdx {
-		if r.Index, err = d.decodeExpr(depth + 1); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
-}
-
-func (d *decoder) decodeCall(depth int) (*ir.CallExpr, error) {
-	loc, err := d.loc()
-	if err != nil {
-		return nil, err
-	}
-	fi, err := d.idx(len(d.funs), "callee")
-	if err != nil {
-		return nil, err
-	}
-	c := &ir.CallExpr{Loc: loc, Callee: d.funs[fi]}
-	na, err := d.count(d.nodes+1, "call args")
-	if err != nil {
-		return nil, err
-	}
-	c.Args = make([]ir.Expr, na)
-	for i := range c.Args {
-		if c.Args[i], err = d.decodeExpr(depth + 1); err != nil {
-			return nil, err
-		}
-	}
-	return c, nil
-}
-
-func (d *decoder) decodeExpr(depth int) (ir.Expr, error) {
-	if depth > d.lim.MaxDepth {
-		return nil, fmt.Errorf("remote: expression nesting exceeds depth %d", d.lim.MaxDepth)
-	}
-	if err := d.node(); err != nil {
-		return nil, err
-	}
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
-	case teConst:
-		loc, err := d.loc()
-		if err != nil {
-			return nil, err
-		}
-		typ, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if typ > byte(ir.F64) {
-			return nil, fmt.Errorf("remote: const has bad type %d", typ)
-		}
-		val, err := d.f64()
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Const{Loc: loc, Typ: ir.Type(typ), Val: val}, nil
-	case teRef:
-		return d.decodeRef(depth)
-	case teBin:
-		loc, err := d.loc()
-		if err != nil {
-			return nil, err
-		}
-		op, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if op > byte(ir.OpMax) {
-			return nil, fmt.Errorf("remote: bad binary op %d", op)
-		}
-		l, err := d.decodeExpr(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		r, err := d.decodeExpr(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Bin{Loc: loc, Op: ir.BinOp(op), L: l, R: r}, nil
-	case teUn:
-		loc, err := d.loc()
-		if err != nil {
-			return nil, err
-		}
-		op, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if op > byte(ir.OpFloor) {
-			return nil, fmt.Errorf("remote: bad unary op %d", op)
-		}
-		x, err := d.decodeExpr(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Un{Loc: loc, Op: ir.UnOp(op), X: x}, nil
-	case teRand:
-		loc, err := d.loc()
-		if err != nil {
-			return nil, err
-		}
-		return &ir.Rand{Loc: loc}, nil
-	case teCall:
-		return d.decodeCall(depth)
-	default:
-		return nil, fmt.Errorf("remote: unknown expression tag %d", tag)
-	}
-}
+// DecodeLimits forwards to ir.DecodeLimits.
+func DecodeLimits(data []byte, lim Limits) (*ir.Module, error) { return ir.DecodeLimits(data, lim) }

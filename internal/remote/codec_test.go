@@ -22,11 +22,11 @@ func TestCodecRoundTripRegistry(t *testing.T) {
 		if err != nil {
 			t.Fatalf("build %s: %v", info.Name, err)
 		}
-		enc, err := Encode(prog.M)
+		enc, err := ir.Encode(prog.M)
 		if err != nil {
 			t.Fatalf("encode %s: %v", info.Name, err)
 		}
-		dec, err := Decode(enc)
+		dec, err := ir.Decode(enc)
 		if err != nil {
 			t.Fatalf("decode %s: %v", info.Name, err)
 		}
@@ -34,14 +34,14 @@ func TestCodecRoundTripRegistry(t *testing.T) {
 			t.Fatalf("%s: decoded module prints differently:\n got: %.400s\nwant: %.400s",
 				info.Name, got, want)
 		}
-		enc2, err := Encode(dec)
+		enc2, err := ir.Encode(dec)
 		if err != nil {
 			t.Fatalf("re-encode %s: %v", info.Name, err)
 		}
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("%s: re-encoded bytes differ (len %d vs %d)", info.Name, len(enc), len(enc2))
 		}
-		if len(enc) > DefaultLimits().MaxBytes {
+		if len(enc) > ir.DefaultLimits().MaxBytes {
 			t.Fatalf("%s: encoded size %d exceeds default byte limit", info.Name, len(enc))
 		}
 	}
@@ -55,11 +55,11 @@ func TestCodecPreservesStructure(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := Encode(prog.M)
+	enc, err := ir.Encode(prog.M)
 	if err != nil {
 		t.Fatal(err)
 	}
-	dec, err := Decode(enc)
+	dec, err := ir.Decode(enc)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -122,11 +122,11 @@ func TestEncodeDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ea, err := Encode(a.M)
+	ea, err := ir.Encode(a.M)
 	if err != nil {
 		t.Fatal(err)
 	}
-	eb, err := Encode(b.M)
+	eb, err := ir.Encode(b.M)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,7 +142,7 @@ func TestDecodeRejects(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	valid, err := Encode(prog.M)
+	valid, err := ir.Encode(prog.M)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -154,12 +154,12 @@ func TestDecodeRejects(t *testing.T) {
 	}{
 		{"empty", nil, "bad magic"},
 		{"bad magic", []byte("NOPE1234"), "bad magic"},
-		{"bad version", append([]byte(magic), 0xff, 0x01), "unsupported wire version"},
+		{"bad version", append([]byte("DPIR"), 0xff, 0x01), "unsupported wire version"},
 		{"truncated", valid[:len(valid)/2], ""},
 		{"trailing garbage", append(append([]byte{}, valid...), 1, 2, 3), "trailing bytes"},
 	}
 	for _, tc := range cases {
-		m, err := Decode(tc.data)
+		m, err := ir.Decode(tc.data)
 		if err == nil {
 			t.Fatalf("%s: decode succeeded (module %v)", tc.name, m.Name)
 		}
@@ -179,7 +179,7 @@ func TestDecodeRejects(t *testing.T) {
 					t.Fatalf("byte %d flip: decode panicked: %v", i, r)
 				}
 			}()
-			Decode(mut)
+			ir.Decode(mut)
 		}()
 	}
 }
@@ -192,21 +192,21 @@ func TestDecodeLimits(t *testing.T) {
 	fb := b.Func("main")
 	fb.Return(nil)
 	m := b.Build(fb.Done())
-	enc, err := Encode(m)
+	enc, err := ir.Encode(m)
 	if err != nil {
 		t.Fatal(err)
 	}
-	lim := DefaultLimits()
+	lim := ir.DefaultLimits()
 	lim.MaxTotalElems = 1 << 10
-	if _, err := DecodeLimits(enc, lim); err == nil {
+	if _, err := ir.DecodeLimits(enc, lim); err == nil {
 		t.Fatal("footprint cap did not reject a 1M-element module")
 	}
-	lim = DefaultLimits()
+	lim = ir.DefaultLimits()
 	lim.MaxBytes = 16
-	if _, err := DecodeLimits(enc, lim); err == nil {
+	if _, err := ir.DecodeLimits(enc, lim); err == nil {
 		t.Fatal("byte cap did not reject")
 	}
-	if _, err := Decode(enc); err != nil {
+	if _, err := ir.Decode(enc); err != nil {
 		t.Fatalf("default limits rejected a legitimate module: %v", err)
 	}
 }
@@ -224,7 +224,7 @@ func TestDecodeElemsOverflow(t *testing.T) {
 	b.GlobalArray("huge", ir.F64, sentinel)
 	fb := b.Func("main")
 	fb.Return(nil)
-	enc, err := Encode(b.Build(fb.Done()))
+	enc, err := ir.Encode(b.Build(fb.Done()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestDecodeElemsOverflow(t *testing.T) {
 	for _, evil := range []uint64{1 << 63, math.MaxUint64} {
 		ev := buf[:binary.PutUvarint(buf[:], evil)]
 		mut := append(append(append([]byte{}, enc[:at]...), ev...), enc[at+len(pat):]...)
-		m, err := Decode(mut)
+		m, err := ir.Decode(mut)
 		if err == nil {
 			t.Fatalf("elems %d: decode accepted module %v", evil, m.Name)
 		}

@@ -7,7 +7,6 @@ import (
 
 	"discopop/internal/interp"
 	"discopop/internal/ir"
-	"discopop/internal/remote"
 	"discopop/internal/workloads"
 )
 
@@ -51,7 +50,7 @@ func FuzzCompile(f *testing.F) {
 		if err != nil {
 			f.Fatal(err)
 		}
-		enc, err := remote.Encode(prog.M)
+		enc, err := ir.Encode(prog.M)
 		if err != nil {
 			f.Fatal(err)
 		}
@@ -62,11 +61,11 @@ func FuzzCompile(f *testing.F) {
 		// Decode twice: each engine needs its own module instance, since a
 		// run panicking mid-flight may leave parked simulated threads
 		// sharing the module's numbered state.
-		mw, err := remote.Decode(data)
+		mw, err := ir.Decode(data)
 		if err != nil {
 			return // rejected bytes: FuzzDecode's territory
 		}
-		mv, err := remote.Decode(data)
+		mv, err := ir.Decode(data)
 		if err != nil {
 			t.Fatalf("second decode of accepted bytes failed: %v", err)
 		}

@@ -85,7 +85,7 @@ func (s *Stage) Run(ctx *pipeline.Context) error {
 		s.fallbacks.Add(1)
 		return s.runLocal(ctx)
 	}
-	enc, err := Encode(ctx.Mod)
+	enc, err := ir.Encode(ctx.Mod)
 	if err != nil {
 		return fmt.Errorf("encode module: %w", err)
 	}

@@ -5,8 +5,9 @@
 // scrape Prometheus metrics while jobs are in flight.
 //
 // The service owns one pipeline.Engine (bounded worker pool), one
-// pipeline.ProfileCache (repeat submissions of the same workload@scale
-// skip re-profiling), and shares the process-wide arena pool — so every
+// pipeline.ProfileCache (repeat submissions of one module, by registry
+// name or serialized, skip re-profiling), and shares the process-wide
+// arena pool — so every
 // observability counter the batch engine accumulates (fleet stats, cache
 // hits and evictions, queue-latency histogram, pool checkout counters) is
 // reachable on /metrics at any time instead of only after a batch
@@ -30,9 +31,7 @@ package server
 
 import (
 	"context"
-	"crypto/sha256"
 	"encoding/base64"
-	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"log"
@@ -43,6 +42,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"discopop/internal/ir"
 	"discopop/internal/journal"
 	"discopop/internal/obs"
 	"discopop/internal/pipeline"
@@ -153,7 +153,7 @@ type Server struct {
 	start time.Time
 
 	// baseOpt is the per-job option template: engine defaults plus the
-	// shared cache. Each submission copies it and fills CacheKey/Threads.
+	// shared cache. Each submission copies it and fills Threads and budget.
 	baseOpt pipeline.Options
 
 	// pending decouples HTTP handlers from Engine.Submit's backpressure:
@@ -503,7 +503,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// The body cap must cover a module at the codec's byte limit after
 	// base64 expansion (4/3) plus JSON framing, or the advertised decode
 	// limit is unreachable over the wire.
-	maxBody := int64(remote.DefaultLimits().MaxBytes)*4/3 + 64<<10
+	maxBody := int64(ir.DefaultLimits().MaxBytes)*4/3 + 64<<10
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {
@@ -610,8 +610,10 @@ func (s *Server) buildJob(req *analyzeRequest) (pipeline.Job, *jobRecord, string
 		if err != nil {
 			return pipeline.Job{}, nil, rejectSpec, err
 		}
-		// Inline modules are arbitrary client input: no cache key, every
+		// Inline kernels are generated per request and rarely repeat:
+		// caching them would only evict modules that do, so every inline
 		// submission profiles.
+		opt.Cache = nil
 		opt.MaxInstrs = s.cfg.SubmissionInstrs
 		rec.Workload = "inline:" + name
 		rec.ID = s.jobs.nextID()
@@ -622,17 +624,11 @@ func (s *Server) buildJob(req *analyzeRequest) (pipeline.Job, *jobRecord, string
 			return pipeline.Job{}, nil, rejectDecode,
 				fmt.Errorf("module is not valid base64: %v", err)
 		}
-		mod, err := remote.Decode(raw)
+		mod, err := ir.Decode(raw)
 		if err != nil {
 			return pipeline.Job{}, nil, rejectDecode, err
 		}
 		opt.MaxInstrs = s.cfg.SubmissionInstrs
-		// The codec is deterministic, so the payload hash is a
-		// content-addressed cache key: resubmitting the same module (a
-		// coordinator fanning a batch out repeatedly) skips re-profiling
-		// without trusting any client-supplied identity.
-		sum := sha256.Sum256(raw)
-		opt.CacheKey = "mod:" + hex.EncodeToString(sum[:])
 		rec.Workload = "module:" + mod.Name
 		rec.ID = s.jobs.nextID()
 		return pipeline.Job{Name: rec.ID, Mod: mod, Opt: &opt}, rec, "", nil
@@ -645,7 +641,6 @@ func (s *Server) buildJob(req *analyzeRequest) (pipeline.Job, *jobRecord, string
 		if err != nil {
 			return pipeline.Job{}, nil, rejectSpec, err
 		}
-		opt.CacheKey = fmt.Sprintf("%s@%d", name, scale)
 		rec.Workload = name
 		rec.Scale = scale
 		rec.ID = s.jobs.nextID()

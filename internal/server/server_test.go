@@ -15,7 +15,6 @@ import (
 
 	"discopop/internal/ir"
 	"discopop/internal/metrics"
-	"discopop/internal/remote"
 	"discopop/internal/workloads"
 )
 
@@ -578,7 +577,7 @@ func runawayModule(t *testing.T, onWorker bool) string {
 	} else {
 		loop(fb)
 	}
-	enc, err := remote.Encode(b.Build(fb.Done()))
+	enc, err := ir.Encode(b.Build(fb.Done()))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -635,7 +634,7 @@ func TestSerializedModuleSubmission(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc, err := remote.Encode(prog.M)
+	enc, err := ir.Encode(prog.M)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -662,8 +661,15 @@ func TestSerializedModuleSubmission(t *testing.T) {
 		t.Fatalf("module suggestions differ:\n%s\n%s", av, bv)
 	}
 
-	// Resubmitting the same bytes must hit the profile cache (the cache
-	// key is the payload hash, not a client-supplied name).
+	// Same content as the job by name, but budgeted where that one was not:
+	// the two must not share a cache entry, or a budget-exhausted failure
+	// of a client's copy would be served to the registry workload.
+	if b.CacheHit {
+		t.Fatal("budgeted module submission was served the unbudgeted workload's profile")
+	}
+
+	// Resubmitting the same module must hit the profile cache (the key is
+	// the module's content hash, not a client-supplied name).
 	again := waitJob(t, ts.URL, postAnalyze(t, ts.URL,
 		fmt.Sprintf(`{"module":%q}`, modB64)))
 	if again.State != jobDone || again.Result == nil || !again.Result.CacheHit {

@@ -2,7 +2,6 @@ package discopop
 
 import (
 	"discopop/internal/ir"
-	"discopop/internal/remote"
 )
 
 // Re-exported IR construction API, so that downstream users can assemble
@@ -74,7 +73,7 @@ var (
 // and never panics on malformed input.
 var (
 	// EncodeModule serializes a module into the wire format.
-	EncodeModule = remote.Encode
+	EncodeModule = ir.Encode
 	// DecodeModule parses a wire-format module under default limits.
-	DecodeModule = remote.Decode
+	DecodeModule = ir.Decode
 )
