@@ -102,9 +102,6 @@ type (
 	// FleetStats (exact min/max/mean, fixed-bucket histogram, estimated
 	// median).
 	LatencyHist = pipeline.LatencyHist
-	// DepShards is a concurrency-safe dependence accumulator sharded by
-	// sink location (fleet-level merged dependences).
-	DepShards = profiler.DepShards
 )
 
 // Suggestion kinds, re-exported.

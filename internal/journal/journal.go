@@ -1,5 +1,5 @@
 // Package journal is the crash-safe job journal behind dp-serve's durable
-// job records. Every job transition — accepted, started, finished — is
+// job records. Every job transition — accepted, finished — is
 // appended as one length-prefixed, checksummed record; on boot the service
 // replays the journal to restore its record store, so a restart answers
 // long-polls for pre-restart jobs instead of forgetting them, and jobs
@@ -60,13 +60,15 @@ import (
 	"time"
 )
 
-// Record ops: the three job transitions the server journals, plus the
-// compaction marker.
+// Record ops: the job transitions the server journals, plus the compaction
+// marker.
 const (
 	// OpAccepted is written once a submission is acknowledged with 202:
 	// the job exists and a result is owed.
 	OpAccepted = "accepted"
-	// OpStarted is written when the job is handed to the analysis engine.
+	// OpStarted marked the hand-over from the server's queue to the engine's
+	// while there were two queues. Nothing writes it any more; replay still
+	// accepts it, because logs written before then contain it.
 	OpStarted = "started"
 	// OpFinished is written when the result (or failure) is recorded.
 	OpFinished = "finished"
@@ -79,8 +81,8 @@ const (
 // Record is one journaled job transition. Which fields are meaningful
 // depends on Op: accepted records carry the job's identity (workload,
 // client, idempotency key), finished records carry the terminal state and
-// the result summary; started records are just the op, id, and time;
-// checkpoint records carry the snapshot size in Live.
+// the result summary; started records (earlier versions) are just the op,
+// id, and time; checkpoint records carry the snapshot size in Live.
 type Record struct {
 	Op   string    `json:"op"`
 	ID   string    `json:"id"`

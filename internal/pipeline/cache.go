@@ -1,12 +1,8 @@
 package pipeline
 
 import (
-	"fmt"
-	"time"
-
 	"discopop/internal/ir"
 	"discopop/internal/lru"
-	"discopop/internal/pet"
 	"discopop/internal/profiler"
 )
 
@@ -46,15 +42,6 @@ type profileKey struct {
 	maxInstrs int64
 }
 
-type profileEntry struct {
-	mod      *ir.Module
-	res      *profiler.Result
-	tree     *pet.Tree
-	instrs   int64
-	execTime time.Duration
-	err      error
-}
-
 // NewProfileCache returns an empty cache with the default entry cap.
 func NewProfileCache() *ProfileCache {
 	return NewProfileCacheSize(DefaultCacheEntries)
@@ -84,6 +71,14 @@ func (c *ProfileCache) Len() int {
 	return n
 }
 
+// Profile returns the memoized profiling result of mod under (opt,
+// maxInstrs), running the instrumented execution if this is the first
+// request for that key. Result.Mod is the module instance that was profiled.
+func (c *ProfileCache) Profile(mod *ir.Module, opt profiler.Options, maxInstrs int64) (*profiler.Result, error) {
+	e, _ := c.lookup(mod, opt, maxInstrs)
+	return e.run.Result, e.err
+}
+
 // lookup returns the memoized profile of mod under (opt, maxInstrs),
 // running the instrumented execution on mod if this is the first request.
 // The returned hit flag reports whether profiling was skipped.
@@ -91,27 +86,4 @@ func (c *ProfileCache) lookup(mod *ir.Module, opt profiler.Options, maxInstrs in
 	return c.c.Do(profileKey{mod.ContentHash(), opt, maxInstrs}, func() *profileEntry {
 		return runProfile(mod, opt, maxInstrs)
 	})
-}
-
-// runProfile executes the instrumented run that the Profile and BuildPET
-// stages would have performed (same execInstrumented/buildTree code paths,
-// so cached and uncached analyses cannot diverge). A panicking target
-// program is captured as the entry's error so every job sharing the key
-// fails with the same cause instead of re-panicking half-initialized state.
-func runProfile(mod *ir.Module, opt profiler.Options, maxInstrs int64) (e *profileEntry) {
-	e = &profileEntry{}
-	prof := profiler.New(mod, opt)
-	defer func() {
-		if r := recover(); r != nil {
-			// Stop the profiler's worker pipelines before capturing: their
-			// spin loops would otherwise outlive the failed job.
-			prof.Stop()
-			e.err = fmt.Errorf("profile cache: target program failed: %v", r)
-		}
-	}()
-	ex, execTime := execInstrumented(mod, prof, maxInstrs, opt.TreeWalk)
-	e.execTime = execTime
-	res := prof.Result()
-	e.mod, e.res, e.tree, e.instrs = mod, res, buildTree(ex.pb, ex.instrs, res), ex.instrs
-	return e
 }

@@ -1,7 +1,6 @@
 package pipeline
 
 import (
-	"errors"
 	"fmt"
 	"runtime"
 	"sync"
@@ -11,7 +10,6 @@ import (
 	"discopop/internal/ir"
 	"discopop/internal/mem"
 	"discopop/internal/obs"
-	"discopop/internal/profiler"
 )
 
 // Job is one unit of batch work: a module to analyze, identified by name.
@@ -30,8 +28,8 @@ type Job struct {
 	// spans land in the same trace. Empty defaults to the job name.
 	TraceID string
 
-	index     int       // submission order, stamped by Submit
-	submitted time.Time // enqueue time, stamped by Submit
+	index     int       // submission order, stamped on acceptance
+	submitted time.Time // when the queue wait began, stamped on acceptance
 }
 
 // JobResult is the outcome of one job. Exactly one of Report and Err is
@@ -45,8 +43,8 @@ type JobResult struct {
 	Err    error
 	// Elapsed is the job's total wall time inside a worker.
 	Elapsed time.Duration
-	// QueueLat is the time the job waited between Submit and a worker
-	// picking it up.
+	// QueueLat is the time the job waited between its acceptance (Submit or
+	// TrySubmit) and a worker picking it up.
 	QueueLat time.Duration
 	// Trace is the job's span tree: a root "job" span over the queue wait
 	// and every pipeline stage (with any worker-side spans a remote stage
@@ -60,9 +58,11 @@ type JobResult struct {
 // while jobs are in flight — so a long-lived server can scrape it
 // concurrently with running workers.
 type FleetStats struct {
-	// Submitted is the number of jobs accepted by Submit so far; Submitted
-	// − Jobs is the engine's current in-flight depth (queued or running).
+	// Submitted is the number of jobs accepted by Submit or TrySubmit so
+	// far; Submitted − Jobs is the engine's current in-flight depth (queued
+	// or running), of which Queued wait for a worker.
 	Submitted int
+	Queued    int
 	Jobs      int // jobs completed (successfully or not)
 	Failed    int
 	// Instrs is the total number of executed IR statements.
@@ -85,17 +85,15 @@ type FleetStats struct {
 	// dropped under their LRU bound (summed over the distinct caches the
 	// engine has seen).
 	CacheEvictions int64
-	// DistinctDeps is the number of distinct dependences in the fleet-level
-	// sharded accumulator (0 unless Options.CollectFleetDeps is set).
-	DistinctDeps int
 	// CompileHits counts jobs whose instrumented execution found its
 	// bytecode program already in the shared compile cache.
 	CompileHits int
 	// CompileLat is the distribution of per-job bytecode compile time
 	// (only jobs that actually compiled are observed).
 	CompileLat LatencyHist
-	// QueueLat is the distribution of per-job queue latency (Submit to
-	// worker pickup): exact min/max/mean plus a fixed-bucket histogram.
+	// QueueLat is the distribution of per-job queue latency (acceptance by
+	// Submit or TrySubmit to worker pickup): exact min/max/mean plus a
+	// fixed-bucket histogram.
 	QueueLat LatencyHist
 	// Pool is a snapshot of the shared arena pool's lifetime counters
 	// (mem.Default — the pool every instrumented execution draws from).
@@ -117,7 +115,8 @@ type FleetStats struct {
 //	}
 //
 // Submit applies backpressure: it blocks while all workers are busy and the
-// job buffer is full. Results must be drained, or workers stall handing
+// job queue is full; TrySubmit reports a full queue instead, which is how a
+// server sheds load. Results must be drained, or workers stall handing
 // over finished reports. AnalyzeAll wraps this protocol for the common
 // submit-everything-then-collect case.
 type Engine struct {
@@ -127,15 +126,13 @@ type Engine struct {
 	results  chan *JobResult
 	wg       sync.WaitGroup
 
-	// subMu serializes Submit and Close so a submission in flight can
-	// never race the channel close.
+	// subMu serializes Submit, TrySubmit and Close so a submission in flight
+	// can never race the channel close.
 	subMu  sync.Mutex
-	next   int // submission index
 	closed bool
-	// submitted mirrors next for lock-free reads: Stats must not block on
-	// subMu, which Submit holds across its (backpressure-blocking) channel
-	// send — a /metrics scrape would otherwise stall whenever the engine
-	// is saturated.
+	// submitted counts accepted jobs and numbers them. Written under subMu
+	// but atomic, because Stats must not block on subMu, which Submit holds
+	// across its (backpressure-blocking) channel send.
 	submitted atomic.Int64
 
 	mu    sync.Mutex // guards stats and caches
@@ -145,23 +142,20 @@ type Engine struct {
 	// evictions attributable to this engine rather than a shared cache's
 	// lifetime total.
 	caches map[*ProfileCache]int64
-
-	// fleetDeps accumulates every completed job's dependences, sharded by
-	// sink location so concurrent workers stream their merges instead of
-	// serializing on one map (nil unless Options.CollectFleetDeps).
-	fleetDeps *profiler.DepShards
 }
 
 // NewEngine starts an engine running the default five-stage pipeline with
 // opt as the per-job default options. The pool has opt.BatchWorkers
-// workers (one per CPU when 0).
+// workers (one per CPU when 0) and the job queue one slot per worker.
 func NewEngine(opt Options) *Engine {
-	return NewEngineWith(New(), opt)
+	return NewEngineWith(New(), opt, 0)
 }
 
 // NewEngineWith starts an engine running a custom pipeline — e.g.
-// ProfilePipeline() for profile-only batch runs.
-func NewEngineWith(pl *Pipeline, opt Options) *Engine {
+// ProfilePipeline() for profile-only batch runs — whose job queue holds
+// queueDepth submissions that no worker has picked up yet (0 = one per
+// worker).
+func NewEngineWith(pl *Pipeline, opt Options, queueDepth int) *Engine {
 	workers := opt.BatchWorkers
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
@@ -179,14 +173,14 @@ func NewEngineWith(pl *Pipeline, opt Options) *Engine {
 			workers = 1
 		}
 	}
+	if queueDepth <= 0 {
+		queueDepth = workers
+	}
 	e := &Engine{
 		opt:      opt,
 		pipeline: pl,
-		jobs:     make(chan Job, workers),
+		jobs:     make(chan Job, queueDepth),
 		results:  make(chan *JobResult, workers),
-	}
-	if opt.CollectFleetDeps {
-		e.fleetDeps = profiler.NewDepShards(0)
 	}
 	e.stats.StageTime = map[string]time.Duration{}
 	e.caches = map[*ProfileCache]int64{}
@@ -198,17 +192,37 @@ func NewEngineWith(pl *Pipeline, opt Options) *Engine {
 }
 
 // Submit enqueues one job. It panics if the engine is closed and blocks
-// while the pool is saturated (backpressure).
+// while the queue is full (backpressure).
 func (e *Engine) Submit(j Job) {
 	e.subMu.Lock()
 	defer e.subMu.Unlock()
 	if e.closed {
 		panic("pipeline: Submit on closed engine")
 	}
-	j.index = e.next
+	e.enqueue(j)
+}
+
+// TrySubmit enqueues one job if the queue has room and reports whether it
+// did: false means the queue is full or the engine closed. It does not wait
+// for room (only for a Submit blocked on a full queue, which a caller of
+// TrySubmit alone never meets).
+func (e *Engine) TrySubmit(j Job) bool {
+	e.subMu.Lock()
+	defer e.subMu.Unlock()
+	// Senders are serialized by subMu and receivers only make room, so a
+	// queue seen with room here takes the send below without blocking.
+	if e.closed || len(e.jobs) == cap(e.jobs) {
+		return false
+	}
+	e.enqueue(j)
+	return true
+}
+
+// enqueue stamps the job's submission index and the time its queue wait
+// starts, and sends it to the workers. Callers hold subMu.
+func (e *Engine) enqueue(j Job) {
+	j.index = int(e.submitted.Add(1) - 1)
 	j.submitted = time.Now()
-	e.next++
-	e.submitted.Store(int64(e.next))
 	e.jobs <- j
 }
 
@@ -250,21 +264,9 @@ func (e *Engine) Stats() FleetStats {
 	}
 	e.mu.Unlock()
 	s.Submitted = int(e.submitted.Load())
-	if e.fleetDeps != nil {
-		s.DistinctDeps = e.fleetDeps.Distinct()
-	}
+	s.Queued = len(e.jobs)
 	s.Pool = mem.Default.Stats()
 	return s
-}
-
-// FleetDeps materializes the fleet-level dependence accumulator (nil when
-// Options.CollectFleetDeps is off). Counts are summed across all completed
-// jobs.
-func (e *Engine) FleetDeps() map[profiler.Dep]int64 {
-	if e.fleetDeps == nil {
-		return nil
-	}
-	return e.fleetDeps.Snapshot()
 }
 
 func (e *Engine) run() {
@@ -279,10 +281,7 @@ func (e *Engine) run() {
 // stage yields an error result instead of sinking the batch.
 func (e *Engine) runJob(j Job) (res *JobResult) {
 	start := time.Now()
-	res = &JobResult{Index: j.index, Name: j.Name}
-	if !j.submitted.IsZero() {
-		res.QueueLat = start.Sub(j.submitted)
-	}
+	res = &JobResult{Index: j.index, Name: j.Name, QueueLat: start.Sub(j.submitted)}
 	traceID := j.TraceID
 	if traceID == "" {
 		traceID = j.Name
@@ -290,10 +289,12 @@ func (e *Engine) runJob(j Job) (res *JobResult) {
 	rec := obs.NewRecorder(traceID)
 	root := rec.Start("job")
 	rec.AnnotateSpan(root, "name", j.Name)
-	if !j.submitted.IsZero() {
-		rec.AddInterval("queue", j.submitted, start, root)
+	rec.AddInterval("queue", j.submitted, start, root)
+	opt := e.opt
+	if j.Opt != nil {
+		opt = *j.Opt
 	}
-	var ctx *Context
+	ctx := &Context{Mod: j.Mod, Opt: opt, Rec: rec}
 	defer func() {
 		if r := recover(); r != nil {
 			res.Err = fmt.Errorf("job %q: panic: %v", j.Name, r)
@@ -303,15 +304,6 @@ func (e *Engine) runJob(j Job) (res *JobResult) {
 		res.Trace = rec.Trace()
 		e.record(res, ctx)
 	}()
-	if j.Mod == nil {
-		res.Err = errors.New("job has no module")
-		return res
-	}
-	opt := e.opt
-	if j.Opt != nil {
-		opt = *j.Opt
-	}
-	ctx = &Context{Mod: j.Mod, Opt: opt, Rec: rec}
 	if err := e.pipeline.Run(ctx); err != nil {
 		res.Err = err
 		return res
@@ -320,13 +312,8 @@ func (e *Engine) runJob(j Job) (res *JobResult) {
 	return res
 }
 
-// record folds one finished job into the fleet stats. The dependence merge
-// happens before the stats lock is taken: it contends only on the sink
-// shard being written, so concurrent workers stream their merges.
+// record folds one finished job into the fleet stats.
 func (e *Engine) record(res *JobResult, ctx *Context) {
-	if e.fleetDeps != nil && ctx != nil && ctx.Profile != nil {
-		e.fleetDeps.Merge(ctx.Profile.Deps)
-	}
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.stats.Jobs++
@@ -334,9 +321,6 @@ func (e *Engine) record(res *JobResult, ctx *Context) {
 	e.stats.QueueLat.Observe(res.QueueLat)
 	if res.Err != nil {
 		e.stats.Failed++
-	}
-	if ctx == nil {
-		return
 	}
 	if c := ctx.Opt.Cache; c != nil {
 		if _, seen := e.caches[c]; !seen {
@@ -372,31 +356,27 @@ func (e *Engine) record(res *JobResult, ctx *Context) {
 // submission order. Failing jobs are isolated: their results carry the
 // error, the rest of the batch completes normally.
 func AnalyzeAll(jobs []Job, opt Options) []*JobResult {
-	results, _ := analyzeAll(New(), jobs, opt)
+	results, _ := AnalyzeAllWith(New(), jobs, opt)
 	return results
 }
 
 // AnalyzeAllStats is AnalyzeAll plus the engine's fleet-level stats.
 func AnalyzeAllStats(jobs []Job, opt Options) ([]*JobResult, FleetStats) {
-	return analyzeAll(New(), jobs, opt)
+	return AnalyzeAllWith(New(), jobs, opt)
+}
+
+// ProfileAll runs the profile-only pipeline over the jobs concurrently,
+// returning results in submission order.
+func ProfileAll(jobs []Job, opt Options) []*JobResult {
+	results, _ := AnalyzeAllWith(ProfilePipeline(), jobs, opt)
+	return results
 }
 
 // AnalyzeAllWith runs the jobs through a custom stage sequence (e.g. a
 // remote stage shipping modules to a worker fleet) on the bounded pool,
 // returning one result per job in submission order plus fleet stats.
 func AnalyzeAllWith(pl *Pipeline, jobs []Job, opt Options) ([]*JobResult, FleetStats) {
-	return analyzeAll(pl, jobs, opt)
-}
-
-// ProfileAll runs the profile-only pipeline over the jobs concurrently,
-// returning results in submission order.
-func ProfileAll(jobs []Job, opt Options) []*JobResult {
-	results, _ := analyzeAll(ProfilePipeline(), jobs, opt)
-	return results
-}
-
-func analyzeAll(pl *Pipeline, jobs []Job, opt Options) ([]*JobResult, FleetStats) {
-	e := NewEngineWith(pl, opt)
+	e := NewEngineWith(pl, opt, 0)
 	go func() {
 		for _, j := range jobs {
 			e.Submit(j)

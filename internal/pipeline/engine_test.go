@@ -203,7 +203,7 @@ func TestEngineStreamsAndAggregates(t *testing.T) {
 // jobs are in flight — the long-lived-server pattern, guarded under -race.
 func TestStatsConcurrentWithWorkers(t *testing.T) {
 	jobs := nasJobs(t, 1)
-	e := NewEngine(Options{BatchWorkers: 3, CollectFleetDeps: true})
+	e := NewEngine(Options{BatchWorkers: 3})
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
 	wg.Add(1)

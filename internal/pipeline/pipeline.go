@@ -22,13 +22,12 @@ import (
 	"errors"
 	"fmt"
 	"strconv"
+	"sync"
 	"time"
 
 	"discopop/internal/cu"
 	"discopop/internal/discovery"
-	"discopop/internal/interp"
 	"discopop/internal/ir"
-	"discopop/internal/mem"
 	"discopop/internal/obs"
 	"discopop/internal/pet"
 	"discopop/internal/profiler"
@@ -60,10 +59,6 @@ type Options struct {
 	// CacheKey is ignored: the cache keys on the module's content. The
 	// field remains only until bench/ stops setting it (ROADMAP).
 	CacheKey string
-	// CollectFleetDeps makes the Engine stream every completed job's
-	// dependence map into a fleet-level sharded accumulator, available
-	// through Engine.FleetDeps and counted in FleetStats.DistinctDeps.
-	CollectFleetDeps bool
 	// MaxInstrs aborts the instrumented execution (as a job error) after
 	// this many leaf statements. 0 = unbounded. Servers set it for
 	// untrusted submissions so a tiny module with an effectively infinite
@@ -79,9 +74,8 @@ type Context struct {
 	Opt Options
 
 	// Stage products.
-	Prof       *profiler.Profiler
-	PETBuilder *pet.Builder
-	Instrs     int64
+	profiled *profileEntry // the Profile stage's execution, for BuildPET
+	Instrs   int64
 	// ExecTime is the wall time of the instrumented execution alone —
 	// the numerator of profiling-slowdown figures. The profile stage's
 	// StageTime additionally includes profiler setup and result merging.
@@ -208,7 +202,8 @@ func (p *Pipeline) Run(ctx *Context) error {
 
 // Profile executes the module under instrumentation: the dependence
 // profiler and the PET builder observe one event stream, exactly as Phase 1
-// runs the instrumented binary once.
+// runs the instrumented binary once. With Options.Cache the execution is
+// looked up there first; either way it is runProfile that performs it.
 type Profile struct{}
 
 // Name implements Stage.
@@ -216,93 +211,72 @@ func (Profile) Name() string { return "profile" }
 
 // Run implements Stage.
 func (Profile) Run(ctx *Context) error {
+	var e *profileEntry
 	if c := ctx.Opt.Cache; c != nil {
-		e, hit := c.lookup(ctx.Mod, ctx.Opt.Profiler, ctx.Opt.MaxInstrs)
-		if e.err != nil {
-			return e.err
-		}
-		// The profiled module instance is authoritative: downstream stages
-		// must resolve regions and functions against the module the
-		// dependences and the PET point into.
-		ctx.CacheHit = hit
-		ctx.Mod = e.mod
-		ctx.Profile = e.res
-		ctx.PET = e.tree
-		ctx.Instrs = e.instrs
-		ctx.ExecTime = e.execTime
-		annotateProfileSpan(ctx)
-		return nil
+		e, ctx.CacheHit = c.lookup(ctx.Mod, ctx.Opt.Profiler, ctx.Opt.MaxInstrs)
+	} else {
+		e = runProfile(ctx.Mod, ctx.Opt.Profiler, ctx.Opt.MaxInstrs)
 	}
-	ctx.Prof = profiler.New(ctx.Mod, ctx.Opt.Profiler)
-	// If the interpreter panics (runtime error in the target program),
-	// shut the profiler's worker pipelines down before unwinding: their
-	// spin loops would otherwise outlive the job and burn CPU for the
-	// rest of the process. On the normal path Result stops them itself.
-	defer func() {
-		if ctx.Profile == nil {
-			ctx.Prof.Stop()
-		}
-	}()
-	var ex execResult
-	ex, ctx.ExecTime = execInstrumented(ctx.Mod, ctx.Prof, ctx.Opt.MaxInstrs, ctx.Opt.Profiler.TreeWalk)
-	ctx.PETBuilder, ctx.Instrs = ex.pb, ex.instrs
-	ctx.CompileTime, ctx.CompileHit = ex.compileTime, ex.compileHit
-	ctx.Profile = ctx.Prof.Result()
-	annotateProfileSpan(ctx)
-	return nil
-}
-
-// annotateProfileSpan attaches the profile stage's key facts to its open
-// span: how the execution was served and how much work it was.
-func annotateProfileSpan(ctx *Context) {
+	if e.err != nil {
+		return e.err
+	}
+	// The profiled module instance is authoritative: downstream stages
+	// must resolve regions and functions against the module the
+	// dependences and the PET point into.
+	ctx.profiled = e
+	ctx.Mod = e.mod
+	ctx.Profile = e.run.Result
+	ctx.Instrs = e.run.Instrs
+	ctx.ExecTime = e.run.ExecTime
 	rec := ctx.Recorder()
 	rec.Annotate("cache_hit", strconv.FormatBool(ctx.CacheHit))
 	rec.Annotate("instrs", strconv.FormatInt(ctx.Instrs, 10))
-	if ctx.Profile != nil {
-		rec.Annotate("deps", strconv.Itoa(len(ctx.Profile.Deps)))
-	}
+	rec.Annotate("deps", strconv.Itoa(len(ctx.Profile.Deps)))
 	if !ctx.CacheHit {
+		// A hit paid no compilation; the job that filled the entry did.
+		ctx.CompileTime, ctx.CompileHit = e.run.CompileTime, e.run.CompileHit
 		rec.Annotate("compile_hit", strconv.FormatBool(ctx.CompileHit))
 	}
+	return nil
 }
 
-// execResult carries the products of one instrumented execution.
-type execResult struct {
-	pb          *pet.Builder
-	instrs      int64
-	compileTime time.Duration // bytecode compile time paid by this run
-	compileHit  bool          // compiled program served from the shared cache
+// profileEntry is one instrumented execution and what was observed in it:
+// the product of the Profile stage, shared by every job that hits it in a
+// ProfileCache.
+type profileEntry struct {
+	mod *ir.Module
+	run profiler.Run
+	pb  *pet.Builder
+	err error
+
+	// The tree is finished by the first BuildPET stage that asks for it.
+	treeOnce sync.Once
+	tree     *pet.Tree
 }
 
-// execInstrumented runs mod under prof and a fresh PET builder observing one
-// event stream — the Phase-1 execution shared by the Profile stage and the
-// ProfileCache. The simulated address space is
-// recycled through the shared arena pool, so batch workers stop paying an
-// arena allocation (and its zeroing) per job.
-func execInstrumented(mod *ir.Module, prof *profiler.Profiler, maxInstrs int64, treeWalk bool) (execResult, time.Duration) {
-	pb := pet.NewBuilder()
-	iopts := []interp.Option{interp.WithPool(mem.Default), interp.WithMaxInstrs(maxInstrs)}
-	if treeWalk {
-		iopts = append(iopts, interp.WithTreeWalk())
-	}
-	in := interp.New(mod, &interp.MultiTracer{Tracers: []interp.Tracer{prof, pb}}, iopts...)
-	defer in.Release()
-	start := time.Now()
-	instrs := in.Run()
-	return execResult{pb: pb, instrs: instrs,
-		compileTime: in.CompileTime, compileHit: in.CompileHit}, time.Since(start)
+// runProfile executes mod under a fresh profiler and PET builder. A target
+// program that fails at run time is captured as the entry's error, so every
+// job sharing the entry fails with the same cause.
+func runProfile(mod *ir.Module, opt profiler.Options, maxInstrs int64) *profileEntry {
+	e := &profileEntry{mod: mod, pb: pet.NewBuilder()}
+	e.run, e.err = profiler.Execute(mod, opt, maxInstrs, e.pb)
+	return e
 }
 
-// buildTree finalizes the PET and annotates it with the profile's per-sink
-// dependence counts — the BuildPET product, shared with the ProfileCache.
-func buildTree(pb *pet.Builder, instrs int64, profile *profiler.Result) *pet.Tree {
-	sinks := make(map[ir.Loc]int64, len(profile.Deps))
-	for d, n := range profile.Deps {
-		sinks[d.Sink] += n
-	}
-	tree := pb.Tree(instrs)
-	tree.AttachDeps(sinks)
-	return tree
+// petTree finalizes the PET and annotates it with the profile's per-sink
+// dependence counts.
+func (e *profileEntry) petTree() *pet.Tree {
+	e.treeOnce.Do(func() {
+		deps := e.run.Result.Deps
+		sinks := make(map[ir.Loc]int64, len(deps))
+		for d, n := range deps {
+			sinks[d.Sink] += n
+		}
+		e.tree = e.pb.Tree(e.run.Instrs)
+		e.tree.AttachDeps(sinks)
+		e.pb = nil // a cached entry lives on; the builder's per-thread stacks need not
+	})
+	return e.tree
 }
 
 // BuildPET finalizes the Program Execution Tree and annotates it with the
@@ -314,15 +288,10 @@ func (BuildPET) Name() string { return "build-pet" }
 
 // Run implements Stage.
 func (BuildPET) Run(ctx *Context) error {
-	if ctx.PET != nil {
-		// Already built (cached Profile stage delivered the finished,
-		// dependence-annotated tree).
-		return nil
-	}
-	if ctx.PETBuilder == nil || ctx.Profile == nil {
+	if ctx.profiled == nil {
 		return errors.New("requires the profile stage")
 	}
-	ctx.PET = buildTree(ctx.PETBuilder, ctx.Instrs, ctx.Profile)
+	ctx.PET = ctx.profiled.petTree()
 	return nil
 }
 

@@ -67,7 +67,7 @@ func profileOnMap(name string, opt Options) *Result {
 	}
 	p := newProfiler(m, opt)
 	attach[mapStore](p, newMapStore)
-	return p.run()
+	return p.execute(0, nil).Result
 }
 
 // TestShadowMemoryMatchesMapStore: over the full workload registry, the

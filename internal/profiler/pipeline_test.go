@@ -439,6 +439,26 @@ func TestNoGoroutineOutlivesTheProfile(t *testing.T) {
 	}
 }
 
+// TestProfileStopsWorkersOnFault: Profile of a target that faults at run time
+// stops the worker pipeline before the fault reaches its caller — nobody
+// holds the Profiler to call Stop on — for both pipeline kinds.
+func TestProfileStopsWorkersOnFault(t *testing.T) {
+	for _, opt := range []Options{{Workers: 2}, {MT: true}} {
+		before := runtime.NumGoroutine()
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("%s: the faulting target did not panic", modeName(opt))
+				}
+			}()
+			Profile(faultingModule(), opt)
+		}()
+		if n := goroutinesSettleAt(before); n > before {
+			t.Errorf("%s: %d goroutines after Profile of a faulting target, %d before", modeName(opt), n, before)
+		}
+	}
+}
+
 // faultyStore is the exact map store with a fault injected: the k-th cell
 // resolution (counted over every store of one profiler) panics, as
 // sig.Perfect does on an address beyond its range.
@@ -488,7 +508,7 @@ func TestWorkerPanicReachesTheCaller(t *testing.T) {
 					got = recover()
 					p.Stop()
 				}()
-				p.run()
+				p.execute(0, nil)
 			}()
 			if got != (storeFault{tc.k}) {
 				t.Errorf("the caller recovered %v, want the worker's %v", got, storeFault{tc.k})

@@ -1,6 +1,9 @@
 package profiler
 
 import (
+	"fmt"
+	"time"
+
 	"discopop/internal/interp"
 	"discopop/internal/ir"
 	"discopop/internal/mem"
@@ -378,20 +381,71 @@ func (s *SkipStats) add(o *SkipStats) {
 	s.ShadowSkips += o.ShadowSkips
 }
 
-// Profile is a convenience helper: it profiles module m with the given
-// options and returns the result.
-func Profile(m *ir.Module, opt Options) *Result { return New(m, opt).run() }
+// Run is what one instrumented execution produced.
+type Run struct {
+	Result *Result
+	// Instrs is the number of executed IR statements.
+	Instrs int64
+	// ExecTime is the wall time of the execution alone, without profiler
+	// setup and result merging: the numerator of slowdown figures.
+	ExecTime time.Duration
+	// CompileTime is the bytecode compile time this run paid (zero on a
+	// compile-cache hit and under TreeWalk); CompileHit reports that the
+	// shared compile cache already held the program.
+	CompileTime time.Duration
+	CompileHit  bool
+}
 
-// run executes p's module under p. The simulated address space is drawn
-// from (and recycled through) the shared arena pool, so repeated profiling
-// runs do not pay an arena allocation each.
-func (p *Profiler) run() *Result {
-	iopts := []interp.Option{interp.WithPool(mem.Default)}
+// Execute is the one way a module runs under the profiler. The simulated
+// address space is drawn from (and recycled through) the shared arena pool,
+// maxInstrs bounds the run (0 = unbounded), and the extra tracers observe
+// the same event stream as the profiler. A runtime error of the target
+// (out-of-range access, exhausted budget, deadlock) comes back as the error,
+// after the worker pipeline has been stopped.
+func Execute(m *ir.Module, opt Options, maxInstrs int64, extra ...interp.Tracer) (run Run, err error) {
+	p := New(m, opt)
+	defer func() {
+		if r := recover(); r != nil {
+			err = fmt.Errorf("profiler: target program failed: %v", r)
+		}
+	}()
+	return p.execute(maxInstrs, extra), nil
+}
+
+// execute runs p's module under p. When the run unwinds with a panic it
+// stops the worker pipeline on the way out: the workers' spin loops would
+// otherwise outlive the run and burn CPU for the rest of the process.
+func (p *Profiler) execute(maxInstrs int64, extra []interp.Tracer) (run Run) {
+	defer func() {
+		if run.Result == nil {
+			p.Stop()
+		}
+	}()
+	var tr interp.Tracer = p
+	if len(extra) > 0 {
+		tr = &interp.MultiTracer{Tracers: append([]interp.Tracer{p}, extra...)}
+	}
+	iopts := []interp.Option{interp.WithPool(mem.Default), interp.WithMaxInstrs(maxInstrs)}
 	if p.opt.TreeWalk {
 		iopts = append(iopts, interp.WithTreeWalk())
 	}
-	in := interp.New(p.mod, p, iopts...)
+	in := interp.New(p.mod, tr, iopts...)
 	defer in.Release()
-	in.Run()
-	return p.Result()
+	start := time.Now()
+	run.Instrs = in.Run()
+	run.ExecTime = time.Since(start)
+	run.CompileTime, run.CompileHit = in.CompileTime, in.CompileHit
+	run.Result = p.Result()
+	return run
+}
+
+// Profile profiles module m with the given options and returns the result.
+// It panics on a runtime error of the target; use Execute to get it as an
+// error.
+func Profile(m *ir.Module, opt Options) *Result {
+	run, err := Execute(m, opt, 0)
+	if err != nil {
+		panic(err)
+	}
+	return run.Result
 }

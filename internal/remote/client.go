@@ -34,7 +34,7 @@ type Spec struct {
 }
 
 // WireSuggestion is one ranked parallelization opportunity as it crosses
-// the wire — the JSON shape dp-serve renders in job results.
+// the wire.
 type WireSuggestion struct {
 	Rank      int     `json:"rank"`
 	Kind      string  `json:"kind"`
@@ -46,21 +46,27 @@ type WireSuggestion struct {
 	Notes     string  `json:"notes,omitempty"`
 }
 
-// WireReport is a completed remote analysis: the worker's job-result
-// summary plus the peer that served it.
+// WireReport is the summary of a completed analysis and the one definition
+// of its JSON: dp-serve renders it as a job's "result" and journals it, the
+// Client decodes it from a peer. Summarize builds it from a finished job,
+// mapSuggestions reads it back.
 type WireReport struct {
 	Instrs      int64            `json:"instrs"`
 	Deps        int              `json:"deps"`
 	CUs         int              `json:"cus"`
 	CacheHit    bool             `json:"cache_hit"`
+	ElapsedMS   float64          `json:"elapsed_ms"`
+	QueueMS     float64          `json:"queue_ms"`
 	Suggestions []WireSuggestion `json:"suggestions"`
-	// Spans is the worker-side span tree of the job (queue wait plus
-	// every pipeline stage), in the worker's clock domain; the
-	// coordinator grafts it under its own remote span.
-	Spans []obs.Span `json:"spans,omitempty"`
-
-	// Peer is the base URL of the worker that produced the report.
-	Peer string `json:"-"`
+	// Peer is the base URL of the worker that served the analysis, empty when
+	// it ran where it was submitted. The Client overwrites what a peer sent.
+	Peer string `json:"peer,omitempty"`
+	// TraceID and Spans carry the job's span tree (queue wait and every
+	// pipeline stage) in the serving node's clock domain: a coordinator
+	// grafts them under its own remote span, GET /v1/jobs/{id}/trace renders
+	// them.
+	TraceID string     `json:"trace_id,omitempty"`
+	Spans   []obs.Span `json:"spans,omitempty"`
 }
 
 // ErrNoPeers is returned when every configured peer is marked down (or

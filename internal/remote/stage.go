@@ -8,6 +8,7 @@ import (
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"discopop/internal/discovery"
 	"discopop/internal/ir"
@@ -32,9 +33,6 @@ import (
 type Stage struct {
 	// Client routes work to the peer fleet.
 	Client *Client
-	// Local is the fallback stage sequence (nil = the default five-stage
-	// pipeline).
-	Local *pipeline.Pipeline
 
 	fallbacks atomic.Int64
 
@@ -83,7 +81,7 @@ func (s *Stage) Run(ctx *pipeline.Context) error {
 		// Every peer is in cooldown: skip the (potentially megabytes of)
 		// module encoding whose bytes AnalyzeBytes would only throw away.
 		s.fallbacks.Add(1)
-		return s.runLocal(ctx)
+		return pipeline.New().Run(ctx)
 	}
 	enc, err := ir.Encode(ctx.Mod)
 	if err != nil {
@@ -109,7 +107,7 @@ func (s *Stage) Run(ctx *pipeline.Context) error {
 		// submission (its wire limits can be stricter than what local
 		// analysis handles): degrade to local analysis.
 		s.fallbacks.Add(1)
-		return s.runLocal(ctx)
+		return pipeline.New().Run(ctx)
 	}
 	ctx.Instrs = rep.Instrs
 	ctx.DepCount = rep.Deps
@@ -129,12 +127,42 @@ func (s *Stage) Run(ctx *pipeline.Context) error {
 	return err
 }
 
-func (s *Stage) runLocal(ctx *pipeline.Context) error {
-	p := s.Local
-	if p == nil {
-		p = pipeline.New()
+// maxSuggestions caps the suggestions in a WireReport; the full ranking is
+// available to embedders through the pipeline API, not over HTTP.
+const maxSuggestions = 100
+
+// Summarize renders a successfully finished job in its wire form.
+func Summarize(r *pipeline.JobResult) *WireReport {
+	rep := r.Report
+	out := &WireReport{
+		Instrs:    rep.Instrs,
+		Deps:      rep.NumDeps(),
+		CUs:       rep.NumCUs(),
+		CacheHit:  rep.CacheHit,
+		ElapsedMS: float64(r.Elapsed) / float64(time.Millisecond),
+		QueueMS:   float64(r.QueueLat) / float64(time.Millisecond),
+		Peer:      rep.RemotePeer,
 	}
-	return p.Run(ctx)
+	if r.Trace != nil {
+		out.TraceID = r.Trace.ID
+		out.Spans = r.Trace.Spans
+	}
+	for _, s := range rep.Ranked {
+		if s.Score <= 0 || len(out.Suggestions) >= maxSuggestions {
+			break // Ranked is best-first; the tail is all zero-score
+		}
+		out.Suggestions = append(out.Suggestions, WireSuggestion{
+			Rank:      len(out.Suggestions) + 1,
+			Kind:      s.Kind.String(),
+			Loc:       s.Loc.String(),
+			Coverage:  s.Coverage,
+			Speedup:   s.LocalSpeedup,
+			Imbalance: s.Imbalance,
+			Score:     s.Score,
+			Notes:     s.Notes,
+		})
+	}
+	return out
 }
 
 // mapSuggestions rebuilds ranked discovery suggestions from their wire

@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"discopop/internal/journal"
+	"discopop/internal/remote"
 )
 
 // drainNow shuts one server incarnation down cleanly so the next can own
@@ -102,9 +103,9 @@ func TestJournalSpillRestore(t *testing.T) {
 	// naturally produce a >1 MiB summary, but a coordinator aggregating
 	// worker spans can, and the journal must not care which it was.
 	bigNotes := strings.Repeat("n", 2<<20)
-	res := &jobResult{
+	res := &remote.WireReport{
 		Instrs: 12345, Deps: 7, CUs: 3,
-		Suggestions: []suggestionView{{
+		Suggestions: []remote.WireSuggestion{{
 			Rank: 1, Kind: "DOALL", Loc: "9:1", Coverage: 0.9,
 			Speedup: 8, Score: 7.2, Notes: bigNotes,
 		}},

@@ -9,8 +9,8 @@ import (
 	"time"
 
 	"discopop/internal/journal"
-	"discopop/internal/obs"
 	"discopop/internal/pipeline"
+	"discopop/internal/remote"
 )
 
 // Job lifecycle states. There is no "running" state: the engine reports
@@ -27,8 +27,9 @@ const (
 const errInterrupted = "interrupted: node restarted mid-job"
 
 // jobRecord tracks one submission through the service. Mutable fields are
-// guarded by the owning jobStore's lock; doneCh closes exactly once when
-// the result is recorded.
+// guarded by the owning jobStore's lock until the result is recorded; from
+// then on (doneCh closes exactly once at that moment) the record is never
+// written again.
 type jobRecord struct {
 	ID        string
 	Workload  string
@@ -37,7 +38,7 @@ type jobRecord struct {
 	Submitted time.Time
 	Finished  time.Time
 	Error     string
-	Result    *jobResult
+	Result    *remote.WireReport // the wire form is the stored form
 
 	// Client is the authenticated identity that submitted the job
 	// (anonClient when auth is disabled); IdemKey is its Idempotency-Key
@@ -52,52 +53,16 @@ type jobRecord struct {
 // jobView is the JSON shape of one record (a snapshot — never the live
 // record, which workers keep mutating).
 type jobView struct {
-	ID        string     `json:"id"`
-	Workload  string     `json:"workload"`
-	Scale     int        `json:"scale,omitempty"`
-	State     string     `json:"state"`
-	Client    string     `json:"client,omitempty"`
-	Submitted time.Time  `json:"submitted"`
-	Finished  *time.Time `json:"finished,omitempty"`
-	Error     string     `json:"error,omitempty"`
-	Result    *jobResult `json:"result,omitempty"`
+	ID        string             `json:"id"`
+	Workload  string             `json:"workload"`
+	Scale     int                `json:"scale,omitempty"`
+	State     string             `json:"state"`
+	Client    string             `json:"client,omitempty"`
+	Submitted time.Time          `json:"submitted"`
+	Finished  *time.Time         `json:"finished,omitempty"`
+	Error     string             `json:"error,omitempty"`
+	Result    *remote.WireReport `json:"result,omitempty"`
 }
-
-// jobResult is the client-facing summary of a completed analysis.
-type jobResult struct {
-	Instrs      int64            `json:"instrs"`
-	Deps        int              `json:"deps"`
-	CUs         int              `json:"cus"`
-	CacheHit    bool             `json:"cache_hit"`
-	ElapsedMS   float64          `json:"elapsed_ms"`
-	QueueMS     float64          `json:"queue_ms"`
-	Suggestions []suggestionView `json:"suggestions"`
-	// Peer is the worker that served the analysis when this node proxied
-	// it to a fleet; empty for local runs.
-	Peer string `json:"peer,omitempty"`
-	// TraceID and Spans carry the job's span tree: queue wait and every
-	// pipeline stage (with worker-side spans grafted in on a
-	// coordinator). A coordinator polling this job reads them back to
-	// graft into its own trace; GET /v1/jobs/{id}/trace renders them.
-	TraceID string     `json:"trace_id,omitempty"`
-	Spans   []obs.Span `json:"spans,omitempty"`
-}
-
-// suggestionView is one ranked parallelization opportunity.
-type suggestionView struct {
-	Rank      int     `json:"rank"`
-	Kind      string  `json:"kind"`
-	Loc       string  `json:"loc"`
-	Coverage  float64 `json:"coverage"`
-	Speedup   float64 `json:"speedup"`
-	Imbalance float64 `json:"imbalance"`
-	Score     float64 `json:"score"`
-	Notes     string  `json:"notes,omitempty"`
-}
-
-// maxSuggestions caps the per-job result payload; the full ranking is
-// available to embedders through the pipeline API, not over HTTP.
-const maxSuggestions = 100
 
 // jobStore is the bounded, concurrency-safe record index. Completed
 // records beyond the cap are evicted oldest-first; queued records are
@@ -233,28 +198,16 @@ func (js *jobStore) get(id string) (*jobRecord, bool) {
 	return rec, ok
 }
 
-// settledJob is what finish reports back for journaling and quota
-// settlement: a snapshot of the terminal record, safe to read without the
-// store lock.
-type settledJob struct {
-	ID     string
-	Client string
-	State  string
-	Error  string
-	Instrs int64
-	Result *jobResult
-	At     time.Time
-}
-
-// finish folds one engine result into its record and reports the
-// settlement. A record evicted or dropped in the meantime yields ok=false
-// (nothing to journal; the quota in-flight slot was released with it).
-func (js *jobStore) finish(r *pipeline.JobResult) (settledJob, bool) {
+// finish folds one engine result into its record and returns the record,
+// now terminal and safe to read without the store lock; nil when the record
+// was evicted or dropped in the meantime (nothing to journal; the quota
+// in-flight slot was released with it).
+func (js *jobStore) finish(r *pipeline.JobResult) *jobRecord {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	rec, ok := js.m[r.Name]
 	if !ok {
-		return settledJob{}, false
+		return nil
 	}
 	rec.Finished = time.Now()
 	if r.Err != nil {
@@ -262,21 +215,38 @@ func (js *jobStore) finish(r *pipeline.JobResult) (settledJob, bool) {
 		rec.Error = r.Err.Error()
 	} else {
 		rec.State = jobDone
-		rec.Result = summarize(r)
+		rec.Result = remote.Summarize(r)
 	}
 	close(rec.doneCh)
 	js.recent = append(js.recent, recentEntryFor(rec, r))
 	if len(js.recent) > recentMax {
 		js.recent = js.recent[len(js.recent)-recentMax:]
 	}
-	s := settledJob{
-		ID: rec.ID, Client: rec.Client, State: rec.State,
-		Error: rec.Error, Result: rec.Result, At: rec.Finished,
+	return rec
+}
+
+// acceptedRecord and finishedRecord are the journalled forms of a record's
+// two transitions: what is appended when the job is accepted and when it
+// settles, and what a compaction snapshot writes for it.
+func acceptedRecord(rec *jobRecord) journal.Record {
+	return journal.Record{
+		Op: journal.OpAccepted, ID: rec.ID, Time: rec.Submitted,
+		Workload: rec.Workload, Scale: rec.Scale,
+		Client: rec.Client, IdemKey: rec.IdemKey,
+	}
+}
+
+func finishedRecord(rec *jobRecord) journal.Record {
+	jr := journal.Record{
+		Op: journal.OpFinished, ID: rec.ID, Time: rec.Finished,
+		State: rec.State, Error: rec.Error,
 	}
 	if rec.Result != nil {
-		s.Instrs = rec.Result.Instrs
+		if raw, err := json.Marshal(rec.Result); err == nil {
+			jr.Result = raw
+		}
 	}
-	return s, true
+	return jr
 }
 
 // recentEntryFor condenses a finished job into its ring entry. Stage
@@ -325,8 +295,8 @@ func (js *jobStore) recentList() []recentEntry {
 }
 
 // restore rebuilds the store from replayed journal records: finished jobs
-// come back terminal with their results, and jobs that were accepted (or
-// started) but never finished — in flight when the node died — are marked
+// come back terminal with their results, and jobs that were accepted but
+// never finished — in flight when the node died — are marked
 // failed (interrupted) so their long-pollers get an answer instead of a
 // job that never resolves. Idempotency claims are re-registered, the ID
 // counter resumes past the highest replayed ID, and the returned list
@@ -336,8 +306,8 @@ func (js *jobStore) restore(recs []journal.Record) (interrupted []string) {
 	js.mu.Lock()
 	defer js.mu.Unlock()
 	// Two passes, so the result is insensitive to accepted/finished write
-	// ordering (the accepted append races the submit loop's appends under
-	// load; the log stays a consistent set either way).
+	// ordering (a fast job's finished append can overtake its accepted one;
+	// the log stays a consistent set either way).
 	finished := map[string]journal.Record{}
 	for _, jr := range recs {
 		switch jr.Op {
@@ -360,8 +330,9 @@ func (js *jobStore) restore(recs []journal.Record) (interrupted []string) {
 				js.nextid = n
 			}
 		case journal.OpStarted:
-			// State-neutral: accepted-but-unfinished is interrupted either
-			// way; the record exists for forensics.
+			// Written by earlier versions at the hand-over to the engine and
+			// by nothing now. State-neutral: accepted-but-unfinished is
+			// interrupted either way.
 		case journal.OpCheckpoint:
 			// The replayer already dropped everything the checkpoint
 			// superseded; the marker itself carries no job state.
@@ -379,7 +350,7 @@ func (js *jobStore) restore(recs []journal.Record) (interrupted []string) {
 			rec.Error = jr.Error
 			rec.Finished = jr.Time
 			if len(jr.Result) > 0 {
-				res := &jobResult{}
+				res := &remote.WireReport{}
 				if err := json.Unmarshal(jr.Result, res); err == nil {
 					rec.Result = res
 				}
@@ -415,57 +386,10 @@ func (js *jobStore) exportRecords() []journal.Record {
 		if !ok {
 			continue
 		}
-		out = append(out, journal.Record{
-			Op: journal.OpAccepted, ID: rec.ID, Time: rec.Submitted,
-			Workload: rec.Workload, Scale: rec.Scale,
-			Client: rec.Client, IdemKey: rec.IdemKey,
-		})
-		if rec.State == jobQueued {
-			continue
+		out = append(out, acceptedRecord(rec))
+		if rec.State != jobQueued {
+			out = append(out, finishedRecord(rec))
 		}
-		jr := journal.Record{
-			Op: journal.OpFinished, ID: rec.ID, Time: rec.Finished,
-			State: rec.State, Error: rec.Error,
-		}
-		if rec.Result != nil {
-			if raw, err := json.Marshal(rec.Result); err == nil {
-				jr.Result = raw
-			}
-		}
-		out = append(out, jr)
-	}
-	return out
-}
-
-func summarize(r *pipeline.JobResult) *jobResult {
-	rep := r.Report
-	out := &jobResult{
-		Instrs:    rep.Instrs,
-		Deps:      rep.NumDeps(),
-		CUs:       rep.NumCUs(),
-		CacheHit:  rep.CacheHit,
-		ElapsedMS: float64(r.Elapsed) / float64(time.Millisecond),
-		QueueMS:   float64(r.QueueLat) / float64(time.Millisecond),
-		Peer:      rep.RemotePeer,
-	}
-	if r.Trace != nil {
-		out.TraceID = r.Trace.ID
-		out.Spans = r.Trace.Spans
-	}
-	for _, s := range rep.Ranked {
-		if s.Score <= 0 || len(out.Suggestions) >= maxSuggestions {
-			break // Ranked is best-first; the tail is all zero-score
-		}
-		out.Suggestions = append(out.Suggestions, suggestionView{
-			Rank:      len(out.Suggestions) + 1,
-			Kind:      s.Kind.String(),
-			Loc:       s.Loc.String(),
-			Coverage:  s.Coverage,
-			Speedup:   s.LocalSpeedup,
-			Imbalance: s.Imbalance,
-			Score:     s.Score,
-			Notes:     s.Notes,
-		})
 	}
 	return out
 }

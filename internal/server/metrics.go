@@ -26,28 +26,27 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", metrics.ContentType)
 	e := metrics.NewEncoder(w)
 
-	// Job flow. Accepted leads Submitted by the jobs still sitting in the
-	// service's pending queue; inflight covers both, so accepted-but-not-
-	// yet-engine-submitted work is never invisible to a scrape.
+	// Job flow. A submission is accepted by the engine's queue taking it, so
+	// accepted and submitted are one count under the two names scrapers read.
 	e.Counter("dp_jobs_accepted_total", "Submissions acknowledged with 202.",
-		metrics.V(float64(s.accepted.Load())))
+		metrics.V(float64(st.Submitted)))
 	e.Counter("dp_jobs_submitted_total", "Jobs handed to the engine.",
 		metrics.V(float64(st.Submitted)))
 	e.Counter("dp_jobs_completed_total", "Jobs completed (including failures).",
 		metrics.V(float64(st.Jobs)))
 	e.Counter("dp_jobs_failed_total", "Jobs that finished with an error.",
 		metrics.V(float64(st.Failed)))
-	e.Gauge("dp_jobs_pending", "Accepted jobs not yet handed to the engine.",
-		metrics.V(float64(len(s.pending))))
+	e.Gauge("dp_jobs_pending", "Accepted jobs waiting for an engine worker.",
+		metrics.V(float64(st.Queued)))
 	e.Counter("dp_jobs_rejected_total", "Submissions rejected before the engine, by reason.",
 		labeledCounters(&s.rejected, "reason")...)
 	e.Counter("dp_jobs_deduped_total",
 		"Submissions answered from the idempotency index instead of re-running.",
 		metrics.V(float64(s.idemReplays.Load())))
 	e.Gauge("dp_jobs_inflight", "Jobs accepted but not yet completed.",
-		metrics.V(float64(s.accepted.Load())-float64(st.Jobs)))
+		metrics.V(float64(st.Submitted-st.Jobs)))
 	e.Histogram("dp_queue_latency_seconds",
-		"Per-job latency from Submit to worker pickup.", latencyHistogram(st.QueueLat))
+		"Per-job latency from acceptance to worker pickup.", latencyHistogram(st.QueueLat))
 
 	// Analysis volume.
 	e.Counter("dp_instrs_total", "IR statements executed under instrumentation.",
@@ -60,9 +59,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.V(float64(st.StoreBytes)))
 	e.Counter("dp_busy_seconds_total", "Summed per-job wall time across workers.",
 		metrics.V(st.Busy.Seconds()))
-	e.Gauge("dp_fleet_distinct_deps",
-		"Distinct dependences in the fleet-level accumulator.",
-		metrics.V(float64(st.DistinctDeps)))
 	stages := make([]string, 0, len(st.StageTime))
 	for name := range st.StageTime {
 		stages = append(stages, name)

@@ -4,10 +4,10 @@
 // poll asynchronous job results, enumerate the workload registry, and
 // scrape Prometheus metrics while jobs are in flight.
 //
-// The service owns one pipeline.Engine (bounded worker pool), one
-// pipeline.ProfileCache (repeat submissions of one module, by registry
-// name or serialized, skip re-profiling), and shares the process-wide
-// arena pool — so every
+// The service owns one pipeline.Engine (bounded worker pool, whose job
+// queue is the service's submission queue), one pipeline.ProfileCache
+// (repeat submissions of one module, by registry name or serialized, skip
+// re-profiling), and shares the process-wide arena pool — so every
 // observability counter the batch engine accumulates (fleet stats, cache
 // hits and evictions, queue-latency histogram, pool checkout counters) is
 // reachable on /metrics at any time instead of only after a batch
@@ -46,7 +46,6 @@ import (
 	"discopop/internal/journal"
 	"discopop/internal/obs"
 	"discopop/internal/pipeline"
-	"discopop/internal/profiler"
 	"discopop/internal/remote"
 	"discopop/internal/workloads"
 )
@@ -60,8 +59,8 @@ type Config struct {
 	// CacheEntries caps the profile cache (0 = DefaultCacheEntries,
 	// negative = unbounded).
 	CacheEntries int
-	// QueueDepth is how many accepted-but-not-yet-running submissions the
-	// service holds before rejecting with 503 (0 = 64).
+	// QueueDepth is how many accepted submissions may wait for an engine
+	// worker before the service rejects with 503 (0 = 64).
 	QueueDepth int
 	// Threads is the default thread count for local-speedup ranking
 	// (0 = 16); per-request "threads" overrides it.
@@ -156,19 +155,15 @@ type Server struct {
 	// shared cache. Each submission copies it and fills Threads and budget.
 	baseOpt pipeline.Options
 
-	// pending decouples HTTP handlers from Engine.Submit's backpressure:
-	// handlers enqueue without blocking (503 when full) and one submitter
-	// goroutine drains into the engine.
-	pending  chan pipeline.Job
-	submitMu sync.Mutex // guards pending sends against Drain's close
+	// submitMu makes "not draining, enqueued, accepted record journaled" one
+	// step, so Drain cannot close the engine between a handler's check and
+	// its TrySubmit, and no job reaches a worker without an accepted record
+	// on its way.
+	submitMu sync.Mutex
 	draining atomic.Bool
 	done     chan struct{} // closed when the last result is recorded
 
 	jobs jobStore
-
-	// accepted counts submissions acknowledged with 202 — it leads the
-	// engine's Submitted counter by however many jobs sit in pending.
-	accepted atomic.Int64
 
 	// proxy is the remote stage routing analyses to peer workers; nil for
 	// a plain single-node service.
@@ -197,8 +192,8 @@ type Server struct {
 	rejected sync.Map // rejection reason -> *atomic.Int64
 }
 
-// New starts the service: engine workers, the submitter, and the result
-// collector begin running immediately. With a journal configured, the
+// New starts the service: engine workers and the result collector begin
+// running immediately. With a journal configured, the
 // previous incarnation's job log is replayed first — finished jobs come
 // back with their results and jobs in flight at the crash are settled as
 // failed (interrupted) — before the service accepts traffic.
@@ -206,29 +201,26 @@ func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
 	cache := pipeline.NewProfileCacheSize(cfg.CacheEntries)
 	opt := pipeline.Options{
-		BatchWorkers:     cfg.Workers,
-		Threads:          cfg.Threads,
-		Cache:            cache,
-		CollectFleetDeps: true,
+		BatchWorkers: cfg.Workers,
+		Threads:      cfg.Threads,
+		Cache:        cache,
 	}
 	s := &Server{
 		cfg:     cfg,
 		cache:   cache,
 		baseOpt: opt,
 		start:   time.Now(),
-		pending: make(chan pipeline.Job, cfg.QueueDepth),
 		done:    make(chan struct{}),
 	}
+	stages := pipeline.New()
 	if len(cfg.Peers) > 0 {
 		// Coordinator mode: the engine's only stage ships each module to a
 		// peer worker; the full local pipeline remains the stage's
 		// fallback when the whole fleet is unreachable.
 		s.proxy = &remote.Stage{Client: remote.NewClient(cfg.Peers, cfg.Remote)}
-		s.eng = pipeline.NewEngineWith(
-			&pipeline.Pipeline{Stages: []pipeline.Stage{s.proxy}}, opt)
-	} else {
-		s.eng = pipeline.NewEngine(opt)
+		stages = &pipeline.Pipeline{Stages: []pipeline.Stage{s.proxy}}
 	}
+	s.eng = pipeline.NewEngineWith(stages, opt, cfg.QueueDepth)
 	s.jobs.init(cfg.MaxRecords)
 	s.limits = newLimiter(cfg.Quotas)
 	if cfg.JournalPath != "" {
@@ -282,7 +274,6 @@ func New(cfg Config) (*Server, error) {
 	s.mux.HandleFunc("GET /v1/debug/recent", s.count("recent", s.auth(s.handleRecent)))
 	s.mux.HandleFunc("GET /metrics", s.count("metrics", s.handleMetrics))
 	s.mux.HandleFunc("GET /healthz", s.count("healthz", s.handleHealthz))
-	go s.submitLoop()
 	go s.collectLoop()
 	return s, nil
 }
@@ -341,9 +332,8 @@ func (s *Server) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // 503s.
 func (s *Server) Drain(ctx context.Context) error {
 	s.submitMu.Lock()
-	if !s.draining.Swap(true) {
-		close(s.pending)
-	}
+	s.draining.Store(true)
+	s.eng.Close()
 	s.submitMu.Unlock()
 	select {
 	case <-s.done:
@@ -363,37 +353,18 @@ func (s *Server) Drain(ctx context.Context) error {
 	}
 }
 
-// Stats exposes the engine's fleet counters (for embedders and tests; HTTP
-// clients use /metrics).
-func (s *Server) Stats() pipeline.FleetStats { return s.eng.Stats() }
-
-func (s *Server) submitLoop() {
-	for j := range s.pending {
-		s.journalAppend(journal.Record{
-			Op: journal.OpStarted, ID: j.Name, Time: time.Now(),
-		})
-		s.eng.Submit(j)
-	}
-	s.eng.Close()
-}
-
 func (s *Server) collectLoop() {
 	for r := range s.eng.Results() {
-		settled, ok := s.jobs.finish(r)
-		if !ok {
+		rec := s.jobs.finish(r)
+		if rec == nil {
 			continue // record evicted while running; nothing to settle
 		}
-		s.limits.finish(settled.Client, settled.Instrs)
-		jr := journal.Record{
-			Op: journal.OpFinished, ID: settled.ID, Time: settled.At,
-			State: settled.State, Error: settled.Error,
+		var instrs int64
+		if rec.Result != nil {
+			instrs = rec.Result.Instrs
 		}
-		if settled.Result != nil {
-			if raw, err := json.Marshal(settled.Result); err == nil {
-				jr.Result = raw
-			}
-		}
-		s.journalAppend(jr)
+		s.limits.finish(rec.Client, instrs)
+		s.journalAppend(finishedRecord(rec))
 		s.maybeCompact()
 	}
 	close(s.done)
@@ -537,13 +508,8 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		// second.
 		s.idemReplays.Add(1)
 		view := s.jobs.snapshot(existing)
-		w.Header().Set("Content-Type", "application/json")
-		w.Header().Set("Location", "/v1/jobs/"+view.ID)
 		w.Header().Set("Idempotency-Replay", "true")
-		w.WriteHeader(http.StatusAccepted)
-		json.NewEncoder(w).Encode(map[string]string{
-			"id": view.ID, "state": view.State, "url": "/v1/jobs/" + view.ID,
-		})
+		writeAccepted(w, view.ID, view.State)
 		return
 	}
 	s.submitMu.Lock()
@@ -554,32 +520,30 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusServiceUnavailable, "draining")
 		return
 	}
-	select {
-	case s.pending <- job:
-		s.accepted.Add(1)
-		// Journal inside the enqueue critical section so an accepted record
-		// exists for every job the submit loop will ever see, and rejected
-		// submissions never leave dangling accepted records behind.
-		s.journalAppend(journal.Record{
-			Op: journal.OpAccepted, ID: rec.ID, Time: rec.Submitted,
-			Workload: rec.Workload, Scale: rec.Scale,
-			Client: client, IdemKey: idemKey,
-		})
-		s.submitMu.Unlock()
-		keepSlot = true
-	default:
+	if !s.eng.TrySubmit(job) {
 		s.submitMu.Unlock()
 		s.jobs.drop(rec.ID)
 		s.reject(rejectQueueFull)
 		writeError(w, http.StatusServiceUnavailable,
-			"submission queue full (%d pending)", cap(s.pending))
+			"submission queue full (%d pending)", s.cfg.QueueDepth)
 		return
 	}
+	// Journal inside the enqueue critical section so an accepted record
+	// exists for every job the engine will ever run, and rejected
+	// submissions never leave dangling accepted records behind.
+	s.journalAppend(acceptedRecord(rec))
+	s.submitMu.Unlock()
+	keepSlot = true
+	writeAccepted(w, rec.ID, jobQueued)
+}
+
+// writeAccepted answers a submission with 202 and where to find its job.
+func writeAccepted(w http.ResponseWriter, id, state string) {
 	w.Header().Set("Content-Type", "application/json")
-	w.Header().Set("Location", "/v1/jobs/"+rec.ID)
+	w.Header().Set("Location", "/v1/jobs/"+id)
 	w.WriteHeader(http.StatusAccepted)
 	json.NewEncoder(w).Encode(map[string]string{
-		"id": rec.ID, "state": jobQueued, "url": "/v1/jobs/" + rec.ID,
+		"id": id, "state": state, "url": "/v1/jobs/" + id,
 	})
 }
 
@@ -769,11 +733,13 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
-// handleWorkloadProfile profiles a bundled workload and serves its
-// per-line execution effort as a gzipped pprof profile (sample type
-// "instructions"), directly loadable with `go tool pprof`. The run is
-// synchronous — workload cost is bounded by maxWorkloadScale, the same
-// cap the analyze path relies on.
+// handleWorkloadProfile serves a bundled workload's per-line execution
+// effort as a gzipped pprof profile (sample type "instructions"), directly
+// loadable with `go tool pprof`. The profile comes from the shared profile
+// cache under the key a registry job of the workload uses, so a workload
+// somebody analysed answers without a run and concurrent requests share
+// one. A miss runs synchronously — workload cost is bounded by
+// maxWorkloadScale, the same cap the analyze path relies on.
 func (s *Server) handleWorkloadProfile(w http.ResponseWriter, r *http.Request) {
 	scale := 1
 	if spec := r.URL.Query().Get("scale"); spec != "" {
@@ -794,9 +760,13 @@ func (s *Server) handleWorkloadProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	res := profiler.Profile(prog.M, profiler.Options{})
+	res, err := s.cache.Profile(prog.M, s.baseOpt.Profiler, s.baseOpt.MaxInstrs)
+	if err != nil {
+		writeError(w, http.StatusInternalServerError, "profile: %v", err)
+		return
+	}
 	data, err := obs.EncodeLineProfile("instructions", "count",
-		obs.ModuleLineSamples(prog.M, res.Lines), time.Now().UnixNano())
+		obs.ModuleLineSamples(res.Mod, res.Lines), time.Now().UnixNano())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode profile: %v", err)
 		return

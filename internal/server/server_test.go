@@ -718,6 +718,8 @@ func TestSerializedModuleSubmission(t *testing.T) {
 // cache by design — is served by the compile cache instead: identical
 // module content compiles once. Asserted as deltas because the compile
 // cache is process-wide (bytecode.Shared) and other tests also compile.
+var ccacheProbes int
+
 func TestCompileCacheMetrics(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -729,9 +731,11 @@ func TestCompileCacheMetrics(t *testing.T) {
 		t.Errorf("dp_compile_seconds TYPE = %q, want histogram", typ)
 	}
 
-	// Content unique to this test, so the first submission is a compile
-	// miss no matter what ran before.
-	spec := `{"inline":{"name":"ccache-probe","kernels":[{"pattern":"doall","n":512},{"pattern":"reduction","n":512}]}}`
+	// Content unique to this test and to each -count iteration of it, so the
+	// first submission is a compile miss no matter what ran before.
+	ccacheProbes++
+	spec := fmt.Sprintf(`{"inline":{"name":"ccache-probe","kernels":[{"pattern":"doall","n":%d},{"pattern":"reduction","n":512}]}}`,
+		512+ccacheProbes)
 	v1 := waitJob(t, ts.URL, postAnalyze(t, ts.URL, spec))
 	if v1.State != jobDone {
 		t.Fatalf("first inline job: %s (%s)", v1.State, v1.Error)
