@@ -5,6 +5,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 )
 
 // TestCache drives one cache per row through a script and checks the
@@ -69,6 +70,77 @@ func TestCache(t *testing.T) {
 				t.Fatalf("entries=%d evictions=%d, want %d and %d", n, ev, tc.entries, tc.evicted)
 			}
 		})
+	}
+}
+
+// TestDroppedFill: a fill that reports nothing worth keeping leaves no
+// entry, is not an eviction and frees its slot, and the callers that were
+// waiting on it each run a fill of their own instead of sharing its value.
+// A panicking fill is dropped the same way.
+func TestDroppedFill(t *testing.T) {
+	c := New[string, *int](2)
+	keep := func() (*int, bool) { return new(int), true }
+	c.DoKeep("a", keep)
+
+	// Every fill of "b" is dropped, so however the goroutines interleave
+	// each call runs exactly one fill and gets a value nobody else holds.
+	var fills atomic.Int64
+	drop := func() (*int, bool) { fills.Add(1); return new(int), false }
+	started, release := make(chan struct{}), make(chan struct{})
+	const waiters = 8
+	got := make([]*int, waiters+1)
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		got[0], _ = c.DoKeep("b", func() (*int, bool) { close(started); <-release; return drop() })
+	}()
+	<-started
+	for i := 1; i <= waiters; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			var hit bool
+			if got[i], hit = c.DoKeep("b", drop); hit {
+				t.Errorf("waiter %d was answered from a dropped fill", i)
+			}
+		}()
+	}
+	// Give the waiters time to block on the fill in flight; the assertions
+	// below hold in any interleaving, this only makes that one likely.
+	time.Sleep(20 * time.Millisecond)
+	close(release)
+	wg.Wait()
+	seen := map[*int]bool{}
+	for i, v := range got {
+		if v == nil || seen[v] {
+			t.Fatalf("caller %d got a nil or shared value", i)
+		}
+		seen[v] = true
+	}
+	if fills.Load() != waiters+1 {
+		t.Fatalf("%d fills of b, want %d", fills.Load(), waiters+1)
+	}
+
+	// The dropped entries took no slot: "c" fits beside "a" without an
+	// eviction, and "b" is filled again on its next request.
+	func() {
+		defer func() { recover() }()
+		c.Do("p", func() *int { panic("fill fault") })
+	}()
+	c.DoKeep("c", keep)
+	if _, _, ev, n := c.Stats(); ev != 0 || n != 2 {
+		t.Fatalf("evictions=%d entries=%d after dropped fills, want 0 and 2", ev, n)
+	}
+	if _, hit := c.DoKeep("b", keep); hit {
+		t.Fatal("b was answered from a dropped fill")
+	}
+	c.Do("c", nil)
+	hits, misses, ev, n := c.Stats()
+	// Misses: a, the waiters+1 fills of b, c, p, b again.
+	if hits != 1 || misses != waiters+5 || ev != 1 || n != 2 {
+		t.Fatalf("hits=%d misses=%d evictions=%d entries=%d, want 1, %d, 1, 2",
+			hits, misses, ev, n, waiters+5)
 	}
 }
 

@@ -10,13 +10,17 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"discopop/internal/metrics"
 	"discopop/internal/obs"
+	"discopop/internal/pipeline"
 	"discopop/internal/remote"
 	"discopop/internal/server"
 	"discopop/internal/workloads"
@@ -27,13 +31,27 @@ type node struct {
 	ts  *httptest.Server
 }
 
-func bootNode(t *testing.T, cfg server.Config) *node {
+func bootNode(t *testing.T, cfg server.Config) *node { return bootGated(t, cfg, nil) }
+
+// bootGated boots a node that answers every request 503 while down is set
+// (nil: never).
+func bootGated(t *testing.T, cfg server.Config, down *atomic.Bool) *node {
 	t.Helper()
 	s, err := server.New(cfg)
 	if err != nil {
 		t.Fatalf("server.New: %v", err)
 	}
-	ts := httptest.NewServer(s)
+	var h http.Handler = s
+	if down != nil {
+		h = http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+			if down.Load() {
+				http.Error(w, `{"error":"down"}`, http.StatusServiceUnavailable)
+				return
+			}
+			s.ServeHTTP(w, r)
+		})
+	}
+	ts := httptest.NewServer(h)
 	t.Cleanup(func() {
 		ts.Close()
 		ctx, cancel := context.WithTimeout(context.Background(), 60*time.Second)
@@ -49,8 +67,25 @@ func bootNode(t *testing.T, cfg server.Config) *node {
 // decoded JSON object.
 func analyzeOn(t *testing.T, base, workload string) map[string]any {
 	t.Helper()
-	resp, err := http.Post(base+"/v1/analyze", "application/json",
-		jsonBody(t, map[string]any{"workload": workload}))
+	return submitOn(t, base, map[string]any{"workload": workload})
+}
+
+// submitOn posts one analyze body and returns the job view once the job is
+// done.
+func submitOn(t *testing.T, base string, body map[string]any) map[string]any {
+	t.Helper()
+	id := postJob(t, base, body)
+	view := waitView(t, base, id)
+	if view["state"] != "done" {
+		t.Fatalf("%v: job %s state %v: %v", body, id, view["state"], view["error"])
+	}
+	return view
+}
+
+// postJob posts one analyze body and returns the accepted job's id.
+func postJob(t *testing.T, base string, body map[string]any) string {
+	t.Helper()
+	resp, err := http.Post(base+"/v1/analyze", "application/json", jsonBody(t, body))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -60,30 +95,9 @@ func analyzeOn(t *testing.T, base, workload string) map[string]any {
 	err = json.NewDecoder(resp.Body).Decode(&acc)
 	resp.Body.Close()
 	if err != nil || acc.ID == "" {
-		t.Fatalf("submit %s: %v (id %q)", workload, err, acc.ID)
+		t.Fatalf("submit %v: %v (id %q)", body, err, acc.ID)
 	}
-	deadline := time.Now().Add(120 * time.Second)
-	for {
-		resp, err := http.Get(base + "/v1/jobs/" + acc.ID + "?wait=10s")
-		if err != nil {
-			t.Fatal(err)
-		}
-		var view map[string]any
-		err = json.NewDecoder(resp.Body).Decode(&view)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if state := view["state"]; state != "queued" {
-			if state != "done" {
-				t.Fatalf("%s: job %s state %v: %v", workload, acc.ID, state, view["error"])
-			}
-			return view
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("%s: job %s still queued after 120s", workload, acc.ID)
-		}
-	}
+	return acc.ID
 }
 
 func jsonBody(t *testing.T, v any) *bytes.Reader {
@@ -119,25 +133,32 @@ func canonicalReport(t *testing.T, view map[string]any) []byte {
 	return b
 }
 
-func scrapeCounter(t *testing.T, base, name string) float64 {
+func scrapeCounter(t *testing.T, base, name string, labels ...metrics.Label) float64 {
+	t.Helper()
+	v, _ := scrape(t, base).Value(name, labels...)
+	return v
+}
+
+func scrape(t *testing.T, base string) *metrics.Scrape {
 	t.Helper()
 	resp, err := http.Get(base + "/metrics")
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer resp.Body.Close()
-	scrape, err := metrics.Parse(resp.Body)
+	sc, err := metrics.Parse(resp.Body)
 	if err != nil {
 		t.Fatalf("scrape %s: %v", base, err)
 	}
-	v, _ := scrape.Value(name)
-	return v
+	return sc
 }
 
 // TestE2EFleetMatchesLocal is the multi-node acceptance test: a
 // coordinator with two peer workers must produce, for every workload in
 // the registry, a report byte-identical to a local-only node's — and
-// the workers' own job counters must show the analyses ran there.
+// the workers' own job counters must show the analyses ran there. Every
+// workload is submitted to the coordinator twice: the repeat is answered
+// from its report memo, without a hop, with the same report.
 func TestE2EFleetMatchesLocal(t *testing.T) {
 	if testing.Short() {
 		t.Skip("multi-node e2e sweep in -short mode")
@@ -164,12 +185,24 @@ func TestE2EFleetMatchesLocal(t *testing.T) {
 				t.Errorf("%s: fleet job served by %q, not a configured worker", info.Name, p)
 			}
 		}
+		repeatView := analyzeOn(t, coord.ts.URL, info.Name)
+		if result := repeatView["result"].(map[string]any); result["cache_hit"] != true || result["peer"] != nil {
+			t.Errorf("%s: repeat not answered from the memo: cache_hit %v, peer %v",
+				info.Name, result["cache_hit"], result["peer"])
+		}
 		fleet := canonicalReport(t, fleetView)
 		want := canonicalReport(t, localView)
 		if string(fleet) != string(want) {
 			t.Errorf("%s: fleet report differs from local:\nfleet: %s\nlocal: %s",
 				info.Name, fleet, want)
 		}
+		if repeat := canonicalReport(t, repeatView); string(repeat) != string(want) {
+			t.Errorf("%s: memoized report differs from local:\nmemo:  %s\nlocal: %s",
+				info.Name, repeat, want)
+		}
+	}
+	if hits := scrapeCounter(t, coord.ts.URL, "dp_remote_report_cache_hits_total"); int(hits) != len(registry) {
+		t.Errorf("coordinator answered %v repeats from its memo, want %d", hits, len(registry))
 	}
 
 	// The work must actually have landed on the workers: their own job
@@ -187,17 +220,8 @@ func TestE2EFleetMatchesLocal(t *testing.T) {
 	}
 	// The coordinator proxied everything: per-peer request counters sum
 	// to the registry size.
-	resp, err := http.Get(coord.ts.URL + "/metrics")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	scrape, err := metrics.Parse(resp.Body)
-	if err != nil {
-		t.Fatal(err)
-	}
 	var peerJobs float64
-	for _, p := range scrape.Points {
+	for _, p := range scrape(t, coord.ts.URL).Points {
 		if p.Name == "dp_peer_jobs_total" {
 			peerJobs += p.Value
 		}
@@ -205,6 +229,70 @@ func TestE2EFleetMatchesLocal(t *testing.T) {
 	if int(peerJobs) != len(registry) {
 		t.Errorf("coordinator counted %v peer jobs, want %d", peerJobs, len(registry))
 	}
+
+	// Below the wire: the same sweep through a memoizing Stage, each workload
+	// hopped and then answered from the memo, each time for a freshly built
+	// module, against the local pipeline. Suggestions must resolve to the
+	// regions and functions of the job's own module, as the local run's do.
+	stage := &remote.Stage{
+		Client:  remote.NewClient([]string{w1.ts.URL, w2.ts.URL}, remote.ClientOptions{}),
+		Reports: remote.NewReportMemo(0),
+	}
+	defer stage.Close()
+	remotely := &pipeline.Pipeline{Stages: []pipeline.Stage{stage}}
+	run := func(name string, p *pipeline.Pipeline) *pipeline.Context {
+		ctx := &pipeline.Context{Mod: workloads.MustBuild(name, 1).M,
+			Opt: pipeline.Options{Threads: 16, Cache: pipeline.NewProfileCache()}}
+		if err := p.Run(ctx); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		return ctx
+	}
+	for _, info := range registry {
+		want := describeRanked(t, run(info.Name, pipeline.New()))
+		for _, wantHit := range []bool{false, true} {
+			ctx := run(info.Name, remotely)
+			if (ctx.RemotePeer == "") != wantHit || wantHit && !ctx.CacheHit {
+				t.Errorf("%s: cache_hit %v peer %q, want a memo hit: %v", info.Name, ctx.CacheHit, ctx.RemotePeer, wantHit)
+			}
+			if got := describeRanked(t, ctx); got != want {
+				t.Errorf("%s (hit %v): stage report differs from local:\nstage: %s\nlocal: %s",
+					info.Name, wantHit, got, want)
+			}
+		}
+	}
+}
+
+// describeRanked renders what a report says — statement, dependence and CU
+// counts and the suggestions a wire report carries, with the region and
+// function each resolves to — after checking that every region and function
+// belongs to the job's module.
+func describeRanked(t *testing.T, ctx *pipeline.Context) string {
+	t.Helper()
+	rep := ctx.Report()
+	var b strings.Builder
+	fmt.Fprintf(&b, "instrs=%d deps=%d cus=%d", rep.Instrs, rep.NumDeps(), rep.NumCUs())
+	for i, s := range rep.Ranked {
+		if s.Score <= 0 || i == 100 {
+			break
+		}
+		region, fn := -1, -1
+		if s.Region != nil {
+			if ctx.Mod.Regions[s.Region.ID] != s.Region {
+				t.Fatalf("%s: suggestion %d's region is not the job module's", ctx.Mod.Name, i)
+			}
+			region = s.Region.ID
+		}
+		if s.Func != nil {
+			if s.Func.Module != ctx.Mod {
+				t.Fatalf("%s: suggestion %d's function is not the job module's", ctx.Mod.Name, i)
+			}
+			fn = s.Func.ID
+		}
+		fmt.Fprintf(&b, "\n%s %s %v %v %v %v %q region=%d func=%d",
+			s.Kind, s.Loc, s.Coverage, s.LocalSpeedup, s.Imbalance, s.Score, s.Notes, region, fn)
+	}
+	return b.String()
 }
 
 // TestE2EThreeNodeInlineAndModule drives a 3-worker fleet with the other
@@ -223,28 +311,7 @@ func TestE2EThreeNodeInlineAndModule(t *testing.T) {
 	coord := bootNode(t, server.Config{Workers: 3, Peers: peers})
 
 	// Inline kernels proxied through the fleet still classify correctly.
-	resp, err := http.Post(coord.ts.URL+"/v1/analyze", "application/json",
-		jsonBody(t, map[string]any{
-			"inline": map[string]any{
-				"name":    "probe",
-				"kernels": []map[string]any{{"pattern": "doall", "n": 64}},
-			},
-		}))
-	if err != nil {
-		t.Fatal(err)
-	}
-	var acc struct {
-		ID string `json:"id"`
-	}
-	err = json.NewDecoder(resp.Body).Decode(&acc)
-	resp.Body.Close()
-	if err != nil || acc.ID == "" {
-		t.Fatalf("inline submit: %v", err)
-	}
-	view := waitView(t, coord.ts.URL, acc.ID)
-	if view["state"] != "done" {
-		t.Fatalf("inline job: %v", view)
-	}
+	view := submitOn(t, coord.ts.URL, inlineProbe)
 	result := view["result"].(map[string]any)
 	suggestions, _ := result["suggestions"].([]any)
 	if len(suggestions) == 0 {
@@ -256,9 +323,10 @@ func TestE2EThreeNodeInlineAndModule(t *testing.T) {
 	}
 
 	// Work spread: with three single-worker peers and several jobs, at
-	// least two peers must have seen traffic.
-	for i := 0; i < 5; i++ {
-		analyzeOn(t, coord.ts.URL, "matmul")
+	// least two peers must have seen traffic. Each job is a distinct module
+	// (a repeat would be answered from the coordinator's memo).
+	for i := 1; i <= 5; i++ {
+		analyzeOn(t, coord.ts.URL, fmt.Sprintf("matmul@%d", i))
 	}
 	busy := 0
 	for _, w := range workers {
@@ -303,7 +371,7 @@ func TestE2EAuthedFleet(t *testing.T) {
 		Peers:   peers,
 		Remote:  remote.ClientOptions{Token: "not-the-token"},
 	})
-	if view := analyzeOn(t, badCoord.ts.URL, "histogram"); view["state"] != "done" {
+	if view := analyzeOn(t, badCoord.ts.URL, "histogram@2"); view["state"] != "done" {
 		t.Fatalf("mis-authed coordinator job: %v", view)
 	}
 	if fb := scrapeCounter(t, badCoord.ts.URL, "dp_remote_fallbacks_total"); fb != 1 {
@@ -311,27 +379,25 @@ func TestE2EAuthedFleet(t *testing.T) {
 	}
 	rejects := 0.0
 	for _, w := range []*node{w1, w2} {
-		resp, err := http.Get(w.ts.URL + "/metrics")
-		if err != nil {
-			t.Fatal(err)
-		}
-		sc, err := metrics.Parse(resp.Body)
-		resp.Body.Close()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if v, ok := sc.Value("dp_jobs_rejected_total", metrics.L("reason", "auth")); ok {
-			rejects += v
-		}
+		rejects += scrapeCounter(t, w.ts.URL, "dp_jobs_rejected_total", metrics.L("reason", "auth"))
 	}
 	if rejects == 0 {
 		t.Error("workers counted no auth rejections")
 	}
 }
 
+// inlineProbe is an inline submission body: one DOALL kernel.
+var inlineProbe = map[string]any{
+	"inline": map[string]any{
+		"name":    "probe",
+		"kernels": []map[string]any{{"pattern": "doall", "n": 64}},
+	},
+}
+
+// waitView long-polls job id until it leaves the queue and returns its view.
 func waitView(t *testing.T, base, id string) map[string]any {
 	t.Helper()
-	deadline := time.Now().Add(60 * time.Second)
+	deadline := time.Now().Add(120 * time.Second)
 	for {
 		resp, err := http.Get(base + "/v1/jobs/" + id + "?wait=5s")
 		if err != nil {
@@ -352,17 +418,9 @@ func waitView(t *testing.T, base, id string) map[string]any {
 	}
 }
 
-// TestE2EFleetTrace is the cross-node tracing acceptance test: a job
-// proxied through a coordinator must come back with the worker's spans —
-// its queue wait and at least two pipeline stages — grafted under the
-// coordinator's remote span, and the coordinator's trace endpoint must
-// render the combined tree as loadable Chrome trace JSON with the worker
-// as its own process.
-func TestE2EFleetTrace(t *testing.T) {
-	worker := bootNode(t, server.Config{Workers: 1})
-	coord := bootNode(t, server.Config{Workers: 1, Peers: []string{worker.ts.URL}})
-
-	view := analyzeOn(t, coord.ts.URL, "histogram")
+// spansOf decodes the span tree a job view's result carries.
+func spansOf(t *testing.T, view map[string]any) []obs.Span {
+	t.Helper()
 	result, ok := view["result"].(map[string]any)
 	if !ok {
 		t.Fatalf("no result in %v", view)
@@ -375,6 +433,21 @@ func TestE2EFleetTrace(t *testing.T) {
 	if err := json.Unmarshal(raw, &spans); err != nil {
 		t.Fatalf("result spans do not decode: %v", err)
 	}
+	return spans
+}
+
+// TestE2EFleetTrace is the cross-node tracing acceptance test: a job
+// proxied through a coordinator must come back with the worker's spans —
+// its queue wait and at least two pipeline stages — grafted under the
+// coordinator's remote span, and the coordinator's trace endpoint must
+// render the combined tree as loadable Chrome trace JSON with the worker
+// as its own process.
+func TestE2EFleetTrace(t *testing.T) {
+	worker := bootNode(t, server.Config{Workers: 1})
+	coord := bootNode(t, server.Config{Workers: 1, Peers: []string{worker.ts.URL}})
+
+	view := analyzeOn(t, coord.ts.URL, "histogram")
+	spans := spansOf(t, view)
 	if len(spans) == 0 {
 		t.Fatal("coordinator job result carries no spans")
 	}

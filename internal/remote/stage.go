@@ -12,7 +12,9 @@ import (
 
 	"discopop/internal/discovery"
 	"discopop/internal/ir"
+	"discopop/internal/lru"
 	"discopop/internal/pipeline"
+	"discopop/internal/profiler"
 )
 
 // Stage is a pipeline.Stage that ships the job's module to a peer
@@ -33,6 +35,9 @@ import (
 type Stage struct {
 	// Client routes work to the peer fleet.
 	Client *Client
+	// Reports, when non-nil, answers a repeat job from the finished report
+	// of an earlier one without contacting a peer (see ReportMemo).
+	Reports *ReportMemo
 
 	fallbacks atomic.Int64
 
@@ -75,17 +80,69 @@ func (s *Stage) Close() {
 	s.cancel()
 }
 
-// Run implements pipeline.Stage.
+// ReportMemo memoizes finished analyses on a coordinator, keyed the way
+// pipeline.ProfileCache is: a module bakes its input in, so its content
+// hash and the options that can change the outcome identify the whole
+// report. It holds the wire form without the spans, trace id and peer of the
+// job that filled it — never suggestions resolved against a module, whose
+// Region pointers would keep every module an entry came from alive.
+type ReportMemo = lru.Cache[reportKey, *WireReport]
+
+// NewReportMemo returns an empty memo holding at most max reports
+// (0 = unbounded).
+func NewReportMemo(max int) *ReportMemo { return lru.New[reportKey, *WireReport](max) }
+
+type reportKey struct {
+	mod       [32]byte
+	profiler  profiler.Options
+	threads   int
+	bottomUp  bool
+	maxInstrs int64
+}
+
+// Run implements pipeline.Stage. With Reports set, a job that may be cached
+// (Opt.Cache non-nil, the rule the Profile stage follows, so inline
+// submissions never are) is looked up there before peer health is asked, so
+// a coordinator whose whole fleet is cooling down still answers repeats, and
+// concurrent identical jobs share one hop. A hit contacts no peer and
+// resolves the suggestions against this job's own module. Only a report a
+// peer served is kept: a local fallback, a failed analysis or a closed stage
+// leaves no entry, and the next identical job hops again.
 func (s *Stage) Run(ctx *pipeline.Context) error {
+	if s.Reports == nil || ctx.Opt.Cache == nil {
+		_, err := s.hop(ctx)
+		return err
+	}
+	o := &ctx.Opt
+	var err error
+	rep, hit := s.Reports.DoKeep(
+		reportKey{ctx.Mod.ContentHash(), o.Profiler, o.Threads, o.BottomUpCUs, o.MaxInstrs},
+		func() (*WireReport, bool) {
+			var rep *WireReport
+			rep, err = s.hop(ctx)
+			return rep, rep != nil
+		})
+	if !hit {
+		return err
+	}
+	ctx.Recorder().Annotate("cache_hit", "true")
+	return fromWire(ctx, rep, true)
+}
+
+// hop analyzes the job on a peer, or through the local pipeline when no
+// peer can take it. It returns the report to memoize — the peer's, less
+// what belongs to this job alone — when a peer served the analysis, and nil
+// when it did not.
+func (s *Stage) hop(ctx *pipeline.Context) (*WireReport, error) {
 	if !s.Client.Available() {
 		// Every peer is in cooldown: skip the (potentially megabytes of)
 		// module encoding whose bytes AnalyzeBytes would only throw away.
 		s.fallbacks.Add(1)
-		return pipeline.New().Run(ctx)
+		return nil, pipeline.New().Run(ctx)
 	}
 	enc, err := ir.Encode(ctx.Mod)
 	if err != nil {
-		return fmt.Errorf("encode module: %w", err)
+		return nil, fmt.Errorf("encode module: %w", err)
 	}
 	base := s.base()
 	rep, err := s.Client.AnalyzeBytes(base,
@@ -95,24 +152,20 @@ func (s *Stage) Run(ctx *pipeline.Context) error {
 		if base.Err() != nil {
 			// The stage was closed (coordinator shutdown): don't start a
 			// local analysis nobody is waiting for.
-			return base.Err()
+			return nil, base.Err()
 		}
 		var rerr *RemoteError
 		if errors.As(err, &rerr) && !rerr.Rejected {
 			// The analysis ran on the peer and failed; it would fail the
 			// same way locally, so surface the error.
-			return err
+			return nil, err
 		}
 		// Transport-level failure everywhere, or the peer rejected the
 		// submission (its wire limits can be stricter than what local
 		// analysis handles): degrade to local analysis.
 		s.fallbacks.Add(1)
-		return pipeline.New().Run(ctx)
+		return nil, pipeline.New().Run(ctx)
 	}
-	ctx.Instrs = rep.Instrs
-	ctx.DepCount = rep.Deps
-	ctx.CUCount = rep.CUs
-	ctx.CacheHit = rep.CacheHit
 	ctx.RemotePeer = rep.Peer
 	rec := ctx.Recorder()
 	rec.Annotate("peer", rep.Peer)
@@ -123,6 +176,19 @@ func (s *Stage) Run(ctx *pipeline.Context) error {
 		skew := rec.Graft(rep.Peer, rep.Spans)
 		rec.Annotate("clock_skew_ns", strconv.FormatInt(int64(skew), 10))
 	}
+	if err := fromWire(ctx, rep, rep.CacheHit); err != nil {
+		return nil, err
+	}
+	memo := *rep
+	memo.Spans, memo.TraceID, memo.Peer = nil, "", ""
+	return &memo, nil
+}
+
+// fromWire fills the Context's products from a finished report, resolving
+// suggestion locations against ctx.Mod.
+func fromWire(ctx *pipeline.Context, rep *WireReport, cacheHit bool) (err error) {
+	ctx.Instrs, ctx.DepCount, ctx.CUCount = rep.Instrs, rep.Deps, rep.CUs
+	ctx.CacheHit = cacheHit
 	ctx.Ranked, err = mapSuggestions(rep.Suggestions, ctx.Mod)
 	return err
 }
@@ -190,12 +256,15 @@ func mapSuggestions(ws []WireSuggestion, mod *ir.Module) ([]*discovery.Suggestio
 			Notes:        w.Notes,
 		}
 		// Loop suggestions anchor at the loop's start line, so the
-		// innermost region containing the location is the loop itself.
+		// innermost region containing the location is the loop itself. As
+		// in discovery, a loop suggestion names its Region and a task
+		// suggestion its host Func.
 		if r := mod.RegionAt(loc); r != nil {
 			if r.Kind == ir.RLoop && r.Start == loc {
 				sg.Region = r
+			} else {
+				sg.Func = r.Func
 			}
-			sg.Func = r.Func
 		}
 		out = append(out, sg)
 	}

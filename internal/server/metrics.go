@@ -102,7 +102,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.V(float64(st.Pool.Fresh)))
 
 	// Remote proxying (coordinator mode only): per-peer counters of the
-	// fleet client, plus the local-fallback count.
+	// fleet client, the local-fallback count and the report memo.
 	if s.proxy != nil {
 		peers := s.proxy.Client.Stats()
 		reqs := make([]metrics.Sample, len(peers))
@@ -127,6 +127,16 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		e.Counter("dp_remote_fallbacks_total",
 			"Jobs analyzed locally because no peer was available.",
 			metrics.V(float64(s.proxy.Fallbacks())))
+		rhits, rmisses, revictions, rentries := s.proxy.Reports.Stats()
+		e.Counter("dp_remote_report_cache_hits_total",
+			"Jobs answered from the coordinator's finished-report memo, no peer contacted.",
+			metrics.V(float64(rhits)))
+		e.Counter("dp_remote_report_cache_misses_total", "Report-memo lookups that ran the job.",
+			metrics.V(float64(rmisses)))
+		e.Counter("dp_remote_report_cache_evictions_total", "Reports dropped by the LRU bound.",
+			metrics.V(float64(revictions)))
+		e.Gauge("dp_remote_report_cache_entries", "Live report-memo entries.",
+			metrics.V(float64(rentries)))
 	}
 
 	// Durability: the job journal's own accounting, so operators can watch

@@ -56,8 +56,8 @@ import (
 type Config struct {
 	// Workers bounds the engine's worker pool (0 = one per CPU).
 	Workers int
-	// CacheEntries caps the profile cache (0 = DefaultCacheEntries,
-	// negative = unbounded).
+	// CacheEntries caps the profile cache and, on a coordinator, the remote
+	// stage's report memo (0 = DefaultCacheEntries, negative = unbounded).
 	CacheEntries int
 	// QueueDepth is how many accepted submissions may wait for an engine
 	// worker before the service rejects with 503 (0 = 64).
@@ -71,7 +71,8 @@ type Config struct {
 	// Peers lists worker base URLs (e.g. "http://10.0.0.7:8080"). When
 	// non-empty the node becomes a coordinator: every analysis is encoded
 	// and shipped to a peer through the remote stage (with failover and
-	// local fallback) instead of running in-process.
+	// local fallback) instead of running in-process, and a repeat of a
+	// cached one is answered from the stage's report memo.
 	Peers []string
 	// Remote tunes the coordinator's peer client (zero value = defaults).
 	// Ignored without Peers.
@@ -216,8 +217,13 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Peers) > 0 {
 		// Coordinator mode: the engine's only stage ships each module to a
 		// peer worker; the full local pipeline remains the stage's
-		// fallback when the whole fleet is unreachable.
-		s.proxy = &remote.Stage{Client: remote.NewClient(cfg.Peers, cfg.Remote)}
+		// fallback when the whole fleet is unreachable. Repeats of a cached
+		// job are answered from the stage's report memo, bounded like the
+		// profile cache.
+		s.proxy = &remote.Stage{
+			Client:  remote.NewClient(cfg.Peers, cfg.Remote),
+			Reports: remote.NewReportMemo(cfg.CacheEntries),
+		}
 		stages = &pipeline.Pipeline{Stages: []pipeline.Stage{s.proxy}}
 	}
 	s.eng = pipeline.NewEngineWith(stages, opt, cfg.QueueDepth)

@@ -4,8 +4,9 @@
 # /healthz and /metrics, submits one analysis, asserts the fleet counters
 # moved, and asserts rejected submissions are counted by reason. Part 2
 # boots a 2-node fleet (worker + coordinator with -peers), submits a
-# batch through the coordinator, and asserts the worker's own job
-# counters advanced (the work really ran remotely). Part 3 is the
+# batch through the coordinator, asserts the worker's own job counters
+# advanced (the work really ran remotely), then resubmits one job and
+# asserts the coordinator answered it from its report memo. Part 3 is the
 # trust-and-durability drill: boot with -tokens, -journal, and a tiny
 # -journal-max-records, assert 401/202 and the rate-limit 429, run jobs
 # past the compaction threshold (asserting the journal compacted),
@@ -123,7 +124,7 @@ echo "single-node smoke OK"
 # Part 2: 2-node fleet. A worker plus a coordinator started with -peers;
 # a batch submitted to the coordinator must be analyzed BY THE WORKER,
 # visible in the worker's own dp_jobs_completed_total and the
-# coordinator's per-peer proxy counters.
+# coordinator's per-peer proxy counters; a repeat of one of them must not be.
 
 WLOG="$(mktemp)"; CLOG="$(mktemp)"
 CPID=""  # set once the coordinator boots; the trap must survive set -u before then
@@ -172,6 +173,24 @@ grep -q "dp_peer_jobs_total{peer=\"http://127.0.0.1:$WPORT\"} 3" /tmp/metrics3.t
   || ffail "coordinator per-peer job counter wrong"
 grep -q 'dp_remote_fallbacks_total 0' /tmp/metrics3.txt \
   || ffail "coordinator fell back locally with a healthy worker"
+
+# A repeat of a job the fleet has analyzed is answered from the
+# coordinator's report memo: a cache hit with no peer, and neither the
+# worker's nor the per-peer job counters move.
+resp=$(curl -s -XPOST "$CBASE/v1/analyze" -d '{"workload":"histogram"}')
+id=$(echo "$resp" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$id" ] || ffail "no job id for the repeat in $resp"
+job=$(curl -s "$CBASE/v1/jobs/$id?wait=30s")
+echo "$job" | grep -q '"state":"done"' || ffail "repeat job did not finish: $job"
+echo "$job" | grep -q '"cache_hit":true' || ffail "repeat not answered from the memo: $job"
+if echo "$job" | grep -q '"peer"'; then ffail "memo answer names a peer: $job"; fi
+wjobs=$(curl -s "$WBASE/metrics" | sed -n 's/^dp_jobs_completed_total \([0-9.e+]*\)$/\1/p')
+[ "$wjobs" = 3 ] || ffail "worker completed $wjobs jobs after the repeat, want 3"
+curl -s "$CBASE/metrics" > /tmp/metrics3b.txt
+grep -q "dp_peer_jobs_total{peer=\"http://127.0.0.1:$WPORT\"} 3" /tmp/metrics3b.txt \
+  || ffail "per-peer job counter moved on a memo hit"
+grep -q '^dp_remote_report_cache_hits_total 1$' /tmp/metrics3b.txt \
+  || ffail "coordinator did not count the memo hit"
 
 kill -TERM "$CPID" "$WPID"
 for _ in $(seq 1 50); do
