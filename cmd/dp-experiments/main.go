@@ -15,6 +15,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"slices"
 	"strings"
 
 	"discopop"
@@ -44,48 +45,14 @@ func runMain() int {
 	if *cache {
 		experiments.Cache = discopop.NewProfileCache()
 	}
-	type exp struct {
-		id string
-		f  func() *experiments.Result
-	}
-	all := []exp{
-		{"table2.6", func() *experiments.Result {
-			return experiments.Table2_6(*scale, []int{1 << 10, 1 << 14, 1 << 20})
-		}},
-		{"fig2.9", func() *experiments.Result { return experiments.Fig2_9(*scale) }},
-		{"fig2.10", func() *experiments.Result { return experiments.Fig2_10(*scale) }},
-		{"fig2.12", func() *experiments.Result { return experiments.Fig2_12(*scale) }},
-		{"table2.7", func() *experiments.Result { return experiments.Table2_7(*scale) }},
-		{"fig2.13", func() *experiments.Result { return experiments.Fig2_13(*scale) }},
-		{"table4.1", func() *experiments.Result { return experiments.Table4_1(*scale) }},
-		{"table4.2", func() *experiments.Result { return experiments.Table4_2(*scale, 4) }},
-		{"table4.3", func() *experiments.Result { return experiments.Table4_3(*scale) }},
-		{"table4.4", func() *experiments.Result { return experiments.Table4_4(*scale) }},
-		{"table4.5", func() *experiments.Result { return experiments.Table4_5(*scale, 4) }},
-		{"table4.6", func() *experiments.Result { return experiments.Table4_6(*scale) }},
-		{"table4.7", func() *experiments.Result { return experiments.Table4_7(*scale) }},
-		{"fig4.11", func() *experiments.Result { return experiments.Fig4_11(*scale) }},
-		{"table5.2", func() *experiments.Result { return experiments.Table5_2_5_3(*scale) }},
-		{"table5.4", func() *experiments.Result { return experiments.Table5_4(*scale) }},
-		{"fig5.1", func() *experiments.Result { return experiments.Fig5_1(*scale) }},
-	}
-	matched := false
-	for _, e := range all {
-		if *run != "" && !strings.HasPrefix(e.id, strings.ToLower(*run)) &&
-			!strings.HasPrefix(strings.ToLower(*run), e.id) {
-			continue
-		}
-		matched = true
-		res := e.f()
-		fmt.Printf("==== %s: %s ====\n%s\n", res.ID, res.Title, res.Text)
-	}
-	if !matched {
-		fmt.Fprintf(os.Stderr, "unknown experiment %q; known:", *run)
-		for _, e := range all {
-			fmt.Fprintf(os.Stderr, " %s", e.id)
-		}
-		fmt.Fprintln(os.Stderr)
+	exps, err := selected(*run)
+	if err != nil {
+		fmt.Fprintln(os.Stderr, err)
 		return 2
+	}
+	for _, e := range exps {
+		res := e.Run(*scale)
+		fmt.Printf("==== %s: %s ====\n%s\n", res.ID, res.Title, res.Text)
 	}
 	if experiments.Cache != nil {
 		hits, misses := experiments.Cache.Stats()
@@ -93,4 +60,39 @@ func runMain() int {
 			hits, misses)
 	}
 	return 0
+}
+
+// selected returns the entries of experiments.Index that -run names: every
+// entry one of whose names starts with run (all of them for an empty run),
+// so "table4" selects chapter 4's seven tables. An ID such as
+// "table5.2/5.3" is named by itself and by each table it regenerates.
+func selected(run string) ([]experiments.Experiment, error) {
+	want := strings.ToLower(run)
+	var out []experiments.Experiment
+	for _, e := range experiments.Index {
+		if slices.ContainsFunc(names(e.ID), func(n string) bool { return strings.HasPrefix(n, want) }) {
+			out = append(out, e)
+		}
+	}
+	if len(out) == 0 {
+		ids := make([]string, len(experiments.Index))
+		for i, e := range experiments.Index {
+			ids[i] = e.ID
+		}
+		return nil, fmt.Errorf("unknown experiment %q; known: %s", run, strings.Join(ids, " "))
+	}
+	return out, nil
+}
+
+// names expands an index ID into the names it answers to: "table5.2/5.3"
+// is "table5.2/5.3", "table5.2" and "table5.3".
+func names(id string) []string {
+	parts := strings.Split(id, "/")
+	out := []string{id}
+	if len(parts) > 1 {
+		for _, p := range parts {
+			out = append(out, parts[0][:len(parts[0])-len(p)]+p)
+		}
+	}
+	return out
 }

@@ -159,11 +159,6 @@ func NewProfileCacheSize(max int) *ProfileCache {
 	return pipeline.NewProfileCacheSize(max)
 }
 
-// ProfileOnly runs just Phase 1 and returns the profiling result.
-func ProfileOnly(m *Module, opt profiler.Options) *ProfileResult {
-	return profiler.Profile(m, opt)
-}
-
 // Workload builds one of the bundled benchmark programs by name (see
 // WorkloadNames). Scale 1 is the default size.
 func Workload(name string, scale int) *Program {

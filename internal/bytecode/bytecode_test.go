@@ -162,20 +162,3 @@ func TestCacheSingleflight(t *testing.T) {
 		t.Errorf("stats = %d hits, %d misses, %d entries; want %d/1/1", hits, misses, entries, n-1)
 	}
 }
-
-// TestPairStats: the accumulator sums, merges, and ranks op pairs.
-func TestPairStats(t *testing.T) {
-	var a, b PairStats
-	a.Counts[uint32(OpLoadG)<<8|uint32(OpBin)] = 5
-	a.Counts[uint32(OpPushC)<<8|uint32(OpStoreG)] = 9
-	b.Counts[uint32(OpLoadG)<<8|uint32(OpBin)] = 2
-	a.Add(&b)
-	if got := a.Total(); got != 16 {
-		t.Fatalf("Total = %d, want 16", got)
-	}
-	top := a.Top(2)
-	if len(top) != 2 || top[0].Count != 9 || top[0].First != OpPushC || top[0].Second != OpStoreG ||
-		top[1].Count != 7 || top[1].First != OpLoadG || top[1].Second != OpBin {
-		t.Errorf("Top(2) = %+v", top)
-	}
-}

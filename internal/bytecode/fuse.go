@@ -3,12 +3,11 @@ package bytecode
 // Superinstruction fusion: a peephole pass over one function's freshly
 // compiled code that replaces the dominant opcode sequences with single
 // fused instructions. The candidate set was chosen by measuring dynamic
-// opcode-pair frequencies across the workload registry (interp's
-// WithPairStats hook; see the "Bytecode VM" section of DESIGN.md): the
-// loop-header triple (LoopHead · bound-eval · ForTest), constant-operand
-// arithmetic, arithmetic feeding a scalar store, and index-variable loads
-// feeding indexed array accesses together cover the large majority of all
-// dynamically executed instruction boundaries.
+// opcode-pair frequencies across the workload registry (see the "Bytecode
+// VM" section of DESIGN.md): the loop-header triple (LoopHead · bound-eval ·
+// ForTest), constant-operand arithmetic, arithmetic feeding a scalar store,
+// and index-variable loads feeding indexed array accesses together cover the
+// large majority of all dynamically executed instruction boundaries.
 //
 // Fusion is only legal when it cannot be observed:
 //

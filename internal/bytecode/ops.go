@@ -170,9 +170,6 @@ const (
 	// Assign (Src first, then Dst.Index, then Store).
 	OpIdxStoreL
 	OpIdxStoreG
-
-	// NumOpcodes bounds the opcode space (pair-frequency tables).
-	NumOpcodes
 )
 
 // FStep marks an instruction that begins a leaf statement: the dispatch

@@ -85,17 +85,6 @@ type Graph struct {
 // header lines, for instance, belong to no CU).
 func (g *Graph) CUAt(loc ir.Loc) *CU { return g.byLine[loc] }
 
-// EdgesFrom returns the edges whose sink CU is c.
-func (g *Graph) EdgesFrom(c *CU) []*Edge {
-	var out []*Edge
-	for _, e := range g.Edges {
-		if e.From == c {
-			out = append(out, e)
-		}
-	}
-	return out
-}
-
 // builder state for top-down construction.
 type builder struct {
 	mod   *ir.Module

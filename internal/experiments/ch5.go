@@ -129,26 +129,3 @@ func Fig5_1(scale int) *Result {
 	res.Text = sb.String()
 	return res
 }
-
-// All runs every experiment at the given scale, in chapter order.
-func All(scale int) []*Result {
-	return []*Result{
-		Table2_6(scale, []int{1 << 10, 1 << 14, 1 << 20}),
-		Fig2_9(scale),
-		Fig2_10(scale),
-		Fig2_12(scale),
-		Table2_7(scale),
-		Fig2_13(scale),
-		Table4_1(scale),
-		Table4_2(scale, 4),
-		Table4_3(scale),
-		Table4_4(scale),
-		Table4_5(scale, 4),
-		Table4_6(scale),
-		Table4_7(scale),
-		Fig4_11(scale),
-		Table5_2_5_3(scale),
-		Table5_4(scale),
-		Fig5_1(scale),
-	}
-}

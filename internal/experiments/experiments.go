@@ -10,8 +10,6 @@ package experiments
 
 import (
 	"fmt"
-	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"time"
@@ -55,6 +53,35 @@ func (r *Result) Mean(cell string) float64 {
 		return 0
 	}
 	return sum / float64(n)
+}
+
+// Experiment is one row of the experiment index in DESIGN.md: the ID that
+// dp-experiments -run selects it by, and the call that regenerates it.
+type Experiment struct {
+	ID  string
+	Run func(scale int) *Result
+}
+
+// Index lists every experiment in chapter order. An ID such as
+// "table5.2/5.3" names one experiment that regenerates two tables.
+var Index = []Experiment{
+	{"table2.6", func(scale int) *Result { return Table2_6(scale, []int{1 << 10, 1 << 14, 1 << 20}) }},
+	{"fig2.9", Fig2_9},
+	{"fig2.10", Fig2_10},
+	{"fig2.12", Fig2_12},
+	{"table2.7", Table2_7},
+	{"fig2.13", Fig2_13},
+	{"table4.1", Table4_1},
+	{"table4.2", func(scale int) *Result { return Table4_2(scale, 4) }},
+	{"table4.3", Table4_3},
+	{"table4.4", Table4_4},
+	{"table4.5", func(scale int) *Result { return Table4_5(scale, 4) }},
+	{"table4.6", Table4_6},
+	{"table4.7", Table4_7},
+	{"fig4.11", Fig4_11},
+	{"table5.2/5.3", Table5_2_5_3},
+	{"table5.4", Table5_4},
+	{"fig5.1", Fig5_1},
 }
 
 // timingRuns is the number of repetitions per timing measurement; the
@@ -400,21 +427,4 @@ func max(a, b int) int {
 		return a
 	}
 	return b
-}
-
-// MemStats returns the current heap footprint in MB after a GC, used by
-// memory-consumption experiments.
-func MemStats() float64 {
-	runtime.GC()
-	var ms runtime.MemStats
-	runtime.ReadMemStats(&ms)
-	return float64(ms.HeapAlloc) / (1 << 20)
-}
-
-// SortedNames returns suite workload names sorted (helper for stable
-// output).
-func SortedNames(suite string) []string {
-	names := workloads.Names(suite)
-	sort.Strings(names)
-	return names
 }

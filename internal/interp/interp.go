@@ -85,14 +85,12 @@ type Interp struct {
 	mutexes  map[int]int32
 
 	rng       uint64
-	nextOp    int32
 	maxInstrs int64 // 0 = unbounded
 
 	// evs buffers the events of a traced run between flushes (batch.go).
 	evs []Ev
 
-	prog      *bytecode.Program // nil under WithTreeWalk
-	pairStats *bytecode.PairStats
+	prog *bytecode.Program // nil under WithTreeWalk
 
 	// Stats
 	Instrs  int64 // total leaf statements executed
@@ -141,13 +139,12 @@ func New(m *ir.Module, t Tracer, opts ...Option) *Interp {
 	} else {
 		it.space = mem.NewSpace(it.layout)
 	}
-	it.nextOp = PrepareOps(m)
+	PrepareOps(m)
 	if !cfg.treeWalk {
 		it.prog, it.CompileHit, it.CompileTime = bytecode.Shared.Get(m)
 		if it.prog.GlobalsEnd != next {
 			panic("interp: compiled program does not match the module's global layout")
 		}
-		it.pairStats = cfg.pairStats
 	}
 	if t != nil {
 		it.evs = make([]Ev, 0, evBatchSize)
@@ -167,9 +164,6 @@ func (it *Interp) Release() {
 	}
 	it.space = nil
 }
-
-// NumOps returns the number of static memory operations in the module.
-func (it *Interp) NumOps() int32 { return it.nextOp }
 
 func (it *Interp) rand() float64 {
 	// xorshift64*

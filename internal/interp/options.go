@@ -1,9 +1,6 @@
 package interp
 
-import (
-	"discopop/internal/bytecode"
-	"discopop/internal/mem"
-)
+import "discopop/internal/mem"
 
 // Option configures an interpreter at construction.
 type Option func(*config)
@@ -12,7 +9,6 @@ type config struct {
 	pool      *mem.Pool
 	maxInstrs int64
 	treeWalk  bool
-	pairStats *bytecode.PairStats
 }
 
 // WithPool draws the address space from an arena pool and arranges for
@@ -39,12 +35,4 @@ func WithMaxInstrs(n int64) Option {
 // the walker remains as the executable specification and a debugging aid.
 func WithTreeWalk() Option {
 	return func(c *config) { c.treeWalk = true }
-}
-
-// WithPairStats records dynamic opcode-pair frequencies into s while the
-// VM runs (the measurement behind superinstruction selection; see
-// DESIGN.md). It costs a few percent of dispatch throughput, so it is a
-// profiling-only option.
-func WithPairStats(s *bytecode.PairStats) Option {
-	return func(c *config) { c.pairStats = s }
 }

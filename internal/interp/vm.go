@@ -164,16 +164,10 @@ func (it *Interp) vmLoop(t *thread, f *bytecode.FuncInfo, slotBase int) float64 
 		tr1, tr2 = ti.S1, ti.S2
 		thr = bytecode.SinkThread(tid)
 	}
-	ps := it.pairStats
-	var prevOp bytecode.Opcode
 	for {
 		in := &code[pc]
 		if in.Fl&bytecode.FStep != 0 {
 			it.Instrs++
-		}
-		if ps != nil {
-			ps.Counts[uint32(prevOp)<<8|uint32(in.Op)]++
-			prevOp = in.Op
 		}
 		switch in.Op {
 		case bytecode.OpPushC:

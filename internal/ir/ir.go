@@ -6,8 +6,7 @@
 // the computational-unit builder, and the discovery algorithms reason about.
 //
 // The representation is a structured three-address-style AST rather than a
-// textual IR; a lowering pass (see cfg.go) produces a basic-block CFG for the
-// control-dependence analyses of Chapter 3.
+// textual IR.
 package ir
 
 import (
@@ -246,16 +245,6 @@ func (m *Module) ContentHash() [32]byte {
 
 // unencodable numbers the modules ContentHash could not encode.
 var unencodable atomic.Uint64
-
-// FuncByName returns the function with the given name, or nil.
-func (m *Module) FuncByName(name string) *Func {
-	for _, f := range m.Funcs {
-		if f.Name == name {
-			return f
-		}
-	}
-	return nil
-}
 
 // Loops returns every loop region of the module, in region-ID order.
 func (m *Module) Loops() []*Region {

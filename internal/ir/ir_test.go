@@ -267,20 +267,3 @@ func TestWalkVisitsEverything(t *testing.T) {
 		t.Errorf("Walk visited only %d statements", count)
 	}
 }
-
-func TestCFGBranchAndLoopKinds(t *testing.T) {
-	m, _ := buildNested()
-	cfg := BuildCFG(m.Main)
-	var loops, branches int
-	for _, bb := range cfg.Blocks {
-		switch bb.Kind {
-		case BBLoopHead:
-			loops++
-		case BBBranch:
-			branches++
-		}
-	}
-	if loops != 2 || branches != 1 {
-		t.Errorf("loops=%d branches=%d, want 2 and 1", loops, branches)
-	}
-}

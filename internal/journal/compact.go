@@ -21,7 +21,7 @@ import (
 //     spill exactly as live appends do).
 //  3. The temp file is fsynced, atomically renamed over the old log, and
 //     the directory is fsynced, so a crash leaves exactly one of the two
-//     logs — never a blend. Open removes a stray temp from a crash
+//     logs — never a blend. OpenWith removes a stray temp from a crash
 //     between steps 2 and 3.
 //  4. Spill files not referenced by the snapshot are garbage-collected.
 //

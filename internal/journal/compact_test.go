@@ -64,7 +64,7 @@ func TestV1JournalReplays(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	j, recs, err := Open(path)
+	j, recs, err := OpenWith(path, Options{})
 	if err != nil {
 		t.Fatalf("Open v1 journal: %v", err)
 	}
@@ -229,7 +229,7 @@ func TestCompactCrashDrill(t *testing.T) {
 		if _, err := os.Stat(compactTmpPath(path)); err != nil {
 			t.Fatal("crash-before-rename should leave the staged temp file")
 		}
-		j2, recs, err := Open(path)
+		j2, recs, err := OpenWith(path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -255,7 +255,7 @@ func TestCompactCrashDrill(t *testing.T) {
 		if err := j.Compact(snapFor(snap...)); err != errCompactAborted {
 			t.Fatalf("Compact = %v, want abort", err)
 		}
-		j2, recs, err := Open(path)
+		j2, recs, err := OpenWith(path, Options{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -485,7 +485,7 @@ func BenchmarkBootReplay(b *testing.B) {
 	res := json.RawMessage(`{"instrs":4849665,"deps":11,"cus":4,"elapsed_ms":55.3,"suggestions":[{"rank":1,"kind":"DOALL","loc":"3:7","coverage":0.92,"speedup":14.1,"imbalance":0.02,"score":11.8}]}`)
 	build := func(b *testing.B, compact bool) string {
 		path := filepath.Join(b.TempDir(), "jobs.journal")
-		j, _, err := Open(path)
+		j, _, err := OpenWith(path, Options{})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -525,7 +525,7 @@ func BenchmarkBootReplay(b *testing.B) {
 			}
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
-				j, recs, err := Open(path)
+				j, recs, err := OpenWith(path, Options{})
 				if err != nil {
 					b.Fatal(err)
 				}

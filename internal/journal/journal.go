@@ -32,8 +32,8 @@
 // The format is designed around crash behavior, not elegance: a torn
 // write at crash time leaves a short or corrupt tail, so Replay stops at
 // the first record that fails its frame, checksum, or decode — everything
-// before it is a consistent prefix — and Open truncates the torn tail so
-// the next append continues from a clean boundary. Open streams the file
+// before it is a consistent prefix — and OpenWith truncates the torn tail so
+// the next append continues from a clean boundary. OpenWith streams the file
 // instead of slurping it through a bounded reader, so a log past 2 GiB
 // replays its full valid tail rather than silently truncating it. Replay
 // never panics on arbitrary bytes (FuzzJournalReplay holds it to that).
@@ -126,7 +126,7 @@ const (
 const frameHeader = 8
 
 // ErrNotJournal reports a non-empty file whose first bytes are not the
-// journal magic: almost certainly not ours, so Open refuses to append to
+// journal magic: almost certainly not ours, so OpenWith refuses to append to
 // (and truncate) it.
 var ErrNotJournal = errors.New("journal: bad file magic")
 
@@ -147,7 +147,7 @@ func Replay(data []byte) (recs []Record, consumed int, err error) {
 	return recs, int(n), err
 }
 
-// replayStream is Replay over a reader: Open uses it directly against the
+// replayStream is Replay over a reader: OpenWith uses it directly against the
 // file so replay cost is O(records) in memory, never a whole-file slurp —
 // a journal past 2 GiB replays completely (the v1 implementation read
 // through io.LimitReader(1<<31) and silently dropped the valid tail, then
@@ -210,9 +210,9 @@ type Stats struct {
 	Bytes int64
 	// Syncs is how many batched fsyncs the flusher has issued.
 	Syncs int64
-	// Replayed is how many records Open recovered from the file at boot.
+	// Replayed is how many records OpenWith recovered from the file at boot.
 	Replayed int64
-	// Truncated is non-zero when Open dropped a torn or corrupt tail.
+	// Truncated is non-zero when OpenWith dropped a torn or corrupt tail.
 	Truncated int64
 	// Compactions is how many snapshot+truncate rotations ran this
 	// process.
@@ -276,12 +276,6 @@ type Journal struct {
 	compactions atomic.Int64
 	replayed    int64
 	truncated   int64
-}
-
-// Open opens (creating if absent) the journal at path with no compaction
-// thresholds. See OpenWith.
-func Open(path string) (*Journal, []Record, error) {
-	return OpenWith(path, Options{})
 }
 
 // OpenWith opens (creating if absent) the journal at path, streams a

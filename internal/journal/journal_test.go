@@ -20,7 +20,7 @@ func tmpJournal(t *testing.T) string {
 
 func mustOpen(t *testing.T, path string) (*Journal, []Record) {
 	t.Helper()
-	j, recs, err := Open(path)
+	j, recs, err := OpenWith(path, Options{})
 	if err != nil {
 		t.Fatalf("Open(%s): %v", path, err)
 	}
@@ -200,7 +200,7 @@ func TestOpenRefusesForeignFile(t *testing.T) {
 	if err := os.WriteFile(path, content, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := Open(path); err == nil {
+	if _, _, err := OpenWith(path, Options{}); err == nil {
 		t.Fatal("Open accepted a foreign file")
 	}
 	after, err := os.ReadFile(path)

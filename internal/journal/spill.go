@@ -110,7 +110,7 @@ func (j *Journal) ReadSpill(ref string) ([]byte, error) {
 }
 
 // scanSpillDir initializes the spill counters from the directory contents
-// at Open, dropping stray .tmp files from a crash mid-spill.
+// at OpenWith, dropping stray .tmp files from a crash mid-spill.
 func (j *Journal) scanSpillDir() {
 	entries, err := os.ReadDir(j.SpillDir())
 	if err != nil {

@@ -22,19 +22,13 @@ const (
 	NFunc NodeKind = iota
 	// NLoop is a loop node with an iteration counter.
 	NLoop
-	// NBlock is a leaf block of code without control-flow constructs.
-	NBlock
 )
 
 func (k NodeKind) String() string {
-	switch k {
-	case NFunc:
-		return "func"
-	case NLoop:
+	if k == NLoop {
 		return "loop"
-	default:
-		return "block"
 	}
+	return "func"
 }
 
 // EdgeKind classifies PET edges.
@@ -83,16 +77,6 @@ func (t *Tree) Coverage(n *Node) float64 {
 		return 0
 	}
 	return float64(n.Instrs) / float64(t.TotalInstrs)
-}
-
-// NodeForRegion returns the first PET node for the given region, or nil.
-func (t *Tree) NodeForRegion(r *ir.Region) *Node {
-	for _, n := range t.Nodes {
-		if n.Region == r {
-			return n
-		}
-	}
-	return nil
 }
 
 // Builder is an interp.Tracer that constructs the PET during execution.

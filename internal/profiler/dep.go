@@ -157,19 +157,6 @@ func (r *Result) VarName(id int32) string {
 	return r.Mod.Vars[id].Name
 }
 
-// CarriedRAWs returns the loop-carried RAW dependences carried by loop
-// region id, excluding dependences on the loop's own iteration variable
-// when it is not written in the body (Section 3.2.5).
-func (r *Result) CarriedRAWs(regionID int) []Dep {
-	var out []Dep
-	for d := range r.Deps {
-		if d.Type == RAW && d.Carried && d.CarriedBy == int32(regionID) {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // WriteDepFile renders the dependences in the textual format of Figures 2.1
 // and 2.3: one aggregated line per sink with NOM entries, and BGN/END lines
 // for control regions. Thread IDs are included iff mt is true.

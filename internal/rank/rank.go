@@ -149,19 +149,3 @@ func safe(a, b float64) float64 {
 	}
 	return a / b
 }
-
-// TopHotspots returns the n highest-coverage loop suggestions regardless of
-// classification — the "survey" view tools like Intel Advisor provide.
-func TopHotspots(a *discovery.Analysis, n int) []*discovery.Suggestion {
-	var loops []*discovery.Suggestion
-	for _, s := range a.Suggestions {
-		if s.Region != nil {
-			loops = append(loops, s)
-		}
-	}
-	sort.SliceStable(loops, func(i, j int) bool { return loops[i].Weight > loops[j].Weight })
-	if len(loops) > n {
-		loops = loops[:n]
-	}
-	return loops
-}

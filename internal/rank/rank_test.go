@@ -108,23 +108,6 @@ func TestImbalancePenalizesScore(t *testing.T) {
 	}
 }
 
-func TestTopHotspots(t *testing.T) {
-	a := analyzeWorkload(t, "CG")
-	Rank(a, Options{})
-	hot := TopHotspots(a, 3)
-	if len(hot) == 0 {
-		t.Fatal("no hotspots")
-	}
-	if len(hot) > 3 {
-		t.Fatalf("requested 3 hotspots, got %d", len(hot))
-	}
-	for i := 1; i < len(hot); i++ {
-		if hot[i].Weight > hot[i-1].Weight {
-			t.Fatal("hotspots not sorted by weight")
-		}
-	}
-}
-
 func TestDefaultThreads(t *testing.T) {
 	a := analyzeWorkload(t, "rgbyuv")
 	ranked := Rank(a, Options{}) // default 16

@@ -238,9 +238,6 @@ func NewClient(urls []string, opt ClientOptions) *Client {
 	return c
 }
 
-// NumPeers returns how many peers the client is configured with.
-func (c *Client) NumPeers() int { return len(c.peers) }
-
 // Available reports whether at least one peer is outside its failure
 // cooldown — whether AnalyzeBytes could do anything but return
 // ErrNoPeers. Callers use it to skip submission work (module encoding)

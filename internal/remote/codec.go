@@ -11,17 +11,8 @@ import "discopop/internal/ir"
 // The codec lives in internal/ir. These forwards remain only for bench/,
 // which the next [benchmark] PR switches to the ir names (ROADMAP).
 
-// Limits bounds what Decode will accept.
-type Limits = ir.Limits
-
-// DefaultLimits forwards to ir.DefaultLimits.
-func DefaultLimits() Limits { return ir.DefaultLimits() }
-
 // Encode forwards to ir.Encode.
 func Encode(m *ir.Module) ([]byte, error) { return ir.Encode(m) }
 
 // Decode forwards to ir.Decode.
 func Decode(data []byte) (*ir.Module, error) { return ir.Decode(data) }
-
-// DecodeLimits forwards to ir.DecodeLimits.
-func DecodeLimits(data []byte, lim Limits) (*ir.Module, error) { return ir.DecodeLimits(data, lim) }

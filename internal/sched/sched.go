@@ -33,12 +33,6 @@ func DOALLSpeedup(iters int64, perIter float64, p int, overhead float64) float64
 	return seq / par
 }
 
-// AmdahlSpeedup returns Amdahl's bound for a program with the given
-// sequential fraction on p workers.
-func AmdahlSpeedup(seqFraction float64, p int) float64 {
-	return 1 / (seqFraction + (1-seqFraction)/float64(p))
-}
-
 // Task is one node of a task graph to schedule.
 type Task struct {
 	Work float64
@@ -164,16 +158,6 @@ func PipelineSpeedup(stageWeights []float64, sequentialStage []bool, items int64
 	}
 	sp := seq / par
 	return math.Max(1, math.Min(sp, float64(p)))
-}
-
-// ScalingCurve evaluates a speedup function at the given thread counts —
-// used to regenerate figures like 4.11 (speedup vs. number of threads).
-func ScalingCurve(threads []int, f func(p int) float64) []float64 {
-	out := make([]float64, len(threads))
-	for i, p := range threads {
-		out[i] = f(p)
-	}
-	return out
 }
 
 type workerHeap []float64

@@ -56,24 +56,6 @@ func TestDOALLSpeedupFewIterations(t *testing.T) {
 	}
 }
 
-func TestAmdahl(t *testing.T) {
-	cases := []struct {
-		seq  float64
-		p    int
-		want float64
-	}{
-		{0, 8, 8},
-		{1, 64, 1},
-		{0.5, 1000, 1.996},
-	}
-	for _, c := range cases {
-		got := AmdahlSpeedup(c.seq, c.p)
-		if math.Abs(got-c.want) > 0.01 {
-			t.Errorf("Amdahl(%f, %d) = %f, want %f", c.seq, c.p, got, c.want)
-		}
-	}
-}
-
 func TestListScheduleChain(t *testing.T) {
 	// A dependent chain cannot parallelize.
 	tasks := []Task{{Work: 1}, {Work: 2, Deps: []int{0}}, {Work: 3, Deps: []int{1}}}
@@ -184,20 +166,5 @@ func TestPipelineSpeedupImprovesWithItems(t *testing.T) {
 	many := PipelineSpeedup([]float64{1, 9}, []bool{true, false}, 1000, 8)
 	if many < few {
 		t.Fatalf("pipeline speedup fell with more items: %f -> %f", few, many)
-	}
-}
-
-func TestScalingCurveMonotone(t *testing.T) {
-	threads := []int{1, 2, 4, 8, 16, 32}
-	curve := ScalingCurve(threads, func(p int) float64 {
-		return AmdahlSpeedup(0.07, p)
-	})
-	for i := 1; i < len(curve); i++ {
-		if curve[i] < curve[i-1] {
-			t.Fatalf("curve not monotone: %v", curve)
-		}
-	}
-	if curve[len(curve)-1] < 8 || curve[len(curve)-1] > 12 {
-		t.Fatalf("Amdahl(0.07) at 32 threads = %f, want ~9-10", curve[len(curve)-1])
 	}
 }

@@ -117,7 +117,7 @@ func TestJournalSpillRestore(t *testing.T) {
 	if len(raw) <= journal.MaxRecordBytes {
 		t.Fatalf("test result is only %d bytes; not oversized", len(raw))
 	}
-	jnl, _, err := journal.Open(path)
+	jnl, _, err := journal.OpenWith(path, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

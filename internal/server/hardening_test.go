@@ -333,7 +333,7 @@ func TestJournalRestart(t *testing.T) {
 
 	// Simulate the crash tail: a job accepted (and started) whose finish
 	// never hit the disk.
-	jnl, _, err := journal.Open(path)
+	jnl, _, err := journal.OpenWith(path, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -529,7 +529,7 @@ func TestDrainRaceJournaled(t *testing.T) {
 
 	// Every accepted job must be terminally journaled. Re-open the journal
 	// (the server closed it on drain) and index its records.
-	jnl, recs, err := journal.Open(path)
+	jnl, recs, err := journal.OpenWith(path, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -164,7 +164,7 @@ func TestRejectedSubmissionLeavesNoRecord(t *testing.T) {
 		t.Errorf("submission to a drained node: %d %q, want 503 draining", resp.StatusCode, out["error"])
 	}
 
-	jnl, recs, err := journal.Open(path)
+	jnl, recs, err := journal.OpenWith(path, journal.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -284,7 +284,7 @@ func TestRestoreIgnoresStartedRecords(t *testing.T) {
 		if err := os.WriteFile(path, data, 0o644); err != nil {
 			t.Fatal(err)
 		}
-		jnl, recs, err := journal.Open(path)
+		jnl, recs, err := journal.OpenWith(path, journal.Options{})
 		if err != nil {
 			continue // not a journal at all (the bad-magic seeds)
 		}

@@ -157,15 +157,6 @@ func MustBuild(name string, scale int) *Program {
 	return p
 }
 
-// BuildSuite builds every workload of a suite.
-func BuildSuite(suite string, scale int) []*Program {
-	var out []*Program
-	for _, name := range Names(suite) {
-		out = append(out, MustBuild(name, scale))
-	}
-	return out
-}
-
 func sc(scale, base int) int {
 	if scale <= 0 {
 		scale = 1
