@@ -1,8 +1,8 @@
 // Package lru is the one memo table of the analysis stack: a bounded
 // least-recently-used map whose concurrent misses on one key coalesce. The
 // compile cache (bytecode.Cache), the profile cache (pipeline.ProfileCache)
-// and a coordinator's finished-report memo (remote.Stage) are typed uses of
-// it.
+// and the finished-report memo every dp-serve node keeps
+// (pipeline.ReportMemo) are typed uses of it.
 package lru
 
 import (

@@ -87,3 +87,24 @@ func (c *ProfileCache) lookup(mod *ir.Module, opt profiler.Options, maxInstrs in
 		return runProfile(mod, opt, maxInstrs)
 	})
 }
+
+// ReportMemo memoizes finished analyses ahead of the stages (see
+// Options.Reports). The Profile stage's argument holds for the whole
+// report: a module bakes its input in, so its content hash and the options
+// that can change the outcome identify it. The memo holds the wire form
+// without anything that belongs to the job that filled it (spans, trace id,
+// peer, timings) — never suggestions resolved against a module, whose
+// Region pointers would keep every module an entry came from alive.
+type ReportMemo = lru.Cache[reportKey, *WireReport]
+
+// NewReportMemo returns an empty memo holding at most max reports
+// (0 = unbounded).
+func NewReportMemo(max int) *ReportMemo { return lru.New[reportKey, *WireReport](max) }
+
+type reportKey struct {
+	mod       [32]byte
+	profiler  profiler.Options
+	threads   int
+	bottomUp  bool
+	maxInstrs int64
+}

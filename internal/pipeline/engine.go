@@ -79,7 +79,8 @@ type FleetStats struct {
 	// StageTime is the summed wall time per stage name.
 	StageTime map[string]time.Duration
 	// CacheHits counts jobs whose Profile stage was served from a
-	// ProfileCache (no instrumented execution ran).
+	// ProfileCache or whose whole report came from the report memo (no
+	// instrumented execution ran).
 	CacheHits int
 	// CacheEvictions is the number of entries the jobs' ProfileCaches have
 	// dropped under their LRU bound (summed over the distinct caches the
@@ -304,12 +305,47 @@ func (e *Engine) runJob(j Job) (res *JobResult) {
 		res.Trace = rec.Trace()
 		e.record(res, ctx)
 	}()
-	if err := e.pipeline.Run(ctx); err != nil {
+	if err := e.analyze(ctx, root); err != nil {
 		res.Err = err
 		return res
 	}
 	res.Report = ctx.Report()
 	return res
+}
+
+// analyze runs the pipeline on ctx. With Options.Reports set, a job that may
+// be cached (Options.Cache non-nil, the Profile stage's rule, so inline
+// submissions never are) is looked up there first: a hit runs no stage, is
+// recorded as one "memo" span under parent, and resolves the suggestions
+// against the job's own module; identical jobs in flight share one run.
+// Only a successful analysis is kept: a failed one, a panic or a remote
+// stage's local fallback leaves no entry. The memo is consulted here and not
+// inside Pipeline.Run, which a remote stage's fallback re-enters on the same
+// Context.
+func (e *Engine) analyze(ctx *Context, parent int) error {
+	o := &ctx.Opt
+	if o.Reports == nil || o.Cache == nil {
+		return e.pipeline.Run(ctx)
+	}
+	start := time.Now()
+	var err error
+	rep, hit := o.Reports.DoKeep(
+		reportKey{ctx.Mod.ContentHash(), o.Profiler, o.Threads, o.BottomUpCUs, o.MaxInstrs},
+		func() (*WireReport, bool) {
+			if err = e.pipeline.Run(ctx); err != nil || ctx.LocalFallback {
+				return nil, false
+			}
+			memo := summary(ctx.Report())
+			memo.CacheHit = true // as every job it answers will report
+			return memo, true
+		})
+	if !hit {
+		return err
+	}
+	err = ctx.FromWire(rep)
+	rec := ctx.Recorder()
+	rec.AnnotateSpan(rec.AddInterval("memo", start, time.Now(), parent), "cache_hit", "true")
+	return err
 }
 
 // record folds one finished job into the fleet stats.

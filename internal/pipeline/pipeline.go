@@ -59,6 +59,11 @@ type Options struct {
 	// CacheKey is ignored: the cache keys on the module's content. The
 	// field remains only until bench/ stops setting it (ROADMAP).
 	CacheKey string
+	// Reports, when non-nil, lets an Engine answer a repeat of a job that
+	// may be cached (Cache non-nil) from the finished report of an earlier
+	// one, running no stage. Leave it nil to get full Reports (profile,
+	// PET, CUs) for every job.
+	Reports *ReportMemo
 	// MaxInstrs aborts the instrumented execution (as a job error) after
 	// this many leaf statements. 0 = unbounded. Servers set it for
 	// untrusted submissions so a tiny module with an effectively infinite
@@ -87,8 +92,9 @@ type Context struct {
 	Analysis *discovery.Analysis
 	Ranked   []*discovery.Suggestion
 
-	// CacheHit reports that the Profile stage was served from the cache
-	// (no instrumented execution ran for this job).
+	// CacheHit reports that the Profile stage was served from the cache,
+	// or the whole report from the report memo (no instrumented execution
+	// ran for this job).
 	CacheHit bool
 
 	// CompileTime is the bytecode compilation time this job paid (zero on
@@ -107,6 +113,10 @@ type Context struct {
 	// RemotePeer is the URL of the peer that served the analysis, empty
 	// for local runs.
 	RemotePeer string
+	// LocalFallback reports that a remote stage ran the local pipeline
+	// because no peer could take the job; the report memo keeps no such
+	// report, so the next identical job tries the fleet again.
+	LocalFallback bool
 
 	// Rec records the job's span tree: Run opens one span per stage
 	// (creating the recorder on first use when the caller did not), and
@@ -364,7 +374,8 @@ type Report struct {
 	// ExecTime is the wall time of the instrumented execution alone. For a
 	// cache-served job this is the recorded time of the original run.
 	ExecTime time.Duration
-	// CacheHit reports that the profile was served from a ProfileCache.
+	// CacheHit reports that the profile was served from a ProfileCache or
+	// the report from the report memo.
 	CacheHit bool
 	// CompileTime and CompileHit carry the bytecode compile cost of the
 	// job's instrumented execution (see Context).

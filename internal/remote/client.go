@@ -17,7 +17,7 @@ import (
 	"sync/atomic"
 	"time"
 
-	"discopop/internal/obs"
+	"discopop/internal/pipeline"
 )
 
 // Spec carries the per-job analysis options that travel with an encoded
@@ -31,42 +31,6 @@ type Spec struct {
 	// worker records its job spans under the coordinator's trace id and
 	// the returned spans graft into one fleet-wide trace.
 	TraceID string
-}
-
-// WireSuggestion is one ranked parallelization opportunity as it crosses
-// the wire.
-type WireSuggestion struct {
-	Rank      int     `json:"rank"`
-	Kind      string  `json:"kind"`
-	Loc       string  `json:"loc"`
-	Coverage  float64 `json:"coverage"`
-	Speedup   float64 `json:"speedup"`
-	Imbalance float64 `json:"imbalance"`
-	Score     float64 `json:"score"`
-	Notes     string  `json:"notes,omitempty"`
-}
-
-// WireReport is the summary of a completed analysis and the one definition
-// of its JSON: dp-serve renders it as a job's "result" and journals it, the
-// Client decodes it from a peer. Summarize builds it from a finished job,
-// mapSuggestions reads it back.
-type WireReport struct {
-	Instrs      int64            `json:"instrs"`
-	Deps        int              `json:"deps"`
-	CUs         int              `json:"cus"`
-	CacheHit    bool             `json:"cache_hit"`
-	ElapsedMS   float64          `json:"elapsed_ms"`
-	QueueMS     float64          `json:"queue_ms"`
-	Suggestions []WireSuggestion `json:"suggestions"`
-	// Peer is the base URL of the worker that served the analysis, empty when
-	// it ran where it was submitted. The Client overwrites what a peer sent.
-	Peer string `json:"peer,omitempty"`
-	// TraceID and Spans carry the job's span tree (queue wait and every
-	// pipeline stage) in the serving node's clock domain: a coordinator
-	// grafts them under its own remote span, GET /v1/jobs/{id}/trace renders
-	// them.
-	TraceID string     `json:"trace_id,omitempty"`
-	Spans   []obs.Span `json:"spans,omitempty"`
 }
 
 // ErrNoPeers is returned when every configured peer is marked down (or
@@ -279,7 +243,7 @@ func (c *Client) Stats() []PeerStats {
 // next peer like a transport failure, but does not count toward the
 // evicting peer's failure cooldown: the peer is up, the result is simply
 // gone.
-func (c *Client) AnalyzeBytes(ctx context.Context, enc []byte, spec Spec) (*WireReport, error) {
+func (c *Client) AnalyzeBytes(ctx context.Context, enc []byte, spec Spec) (*pipeline.WireReport, error) {
 	if len(c.peers) == 0 {
 		return nil, ErrNoPeers
 	}
@@ -401,7 +365,7 @@ func parseRetryAfter(h string) time.Duration {
 }
 
 // analyzeOn runs one submit-and-poll attempt against a single peer.
-func (c *Client) analyzeOn(ctx context.Context, p *peer, enc []byte, spec Spec, idemKey string) (*WireReport, error) {
+func (c *Client) analyzeOn(ctx context.Context, p *peer, enc []byte, spec Spec, idemKey string) (*pipeline.WireReport, error) {
 	ctx, cancel := context.WithTimeout(ctx, c.opt.JobTimeout)
 	defer cancel()
 	p.requests.Add(1)
@@ -489,9 +453,9 @@ func (c *Client) authorize(req *http.Request) {
 }
 
 type wireJobView struct {
-	State  string      `json:"state"`
-	Error  string      `json:"error"`
-	Result *WireReport `json:"result"`
+	State  string               `json:"state"`
+	Error  string               `json:"error"`
+	Result *pipeline.WireReport `json:"result"`
 }
 
 func (c *Client) pollJob(ctx context.Context, p *peer, id string) (*wireJobView, error) {

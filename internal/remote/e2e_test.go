@@ -201,7 +201,7 @@ func TestE2EFleetMatchesLocal(t *testing.T) {
 				info.Name, repeat, want)
 		}
 	}
-	if hits := scrapeCounter(t, coord.ts.URL, "dp_remote_report_cache_hits_total"); int(hits) != len(registry) {
+	if hits := scrapeCounter(t, coord.ts.URL, "dp_report_cache_hits_total"); int(hits) != len(registry) {
 		t.Errorf("coordinator answered %v repeats from its memo, want %d", hits, len(registry))
 	}
 
@@ -230,32 +230,34 @@ func TestE2EFleetMatchesLocal(t *testing.T) {
 		t.Errorf("coordinator counted %v peer jobs, want %d", peerJobs, len(registry))
 	}
 
-	// Below the wire: the same sweep through a memoizing Stage, each workload
-	// hopped and then answered from the memo, each time for a freshly built
-	// module, against the local pipeline. Suggestions must resolve to the
-	// regions and functions of the job's own module, as the local run's do.
+	// Below the wire: the same sweep through an engine whose report memo
+	// sits in front of a remote stage, each workload hopped and then answered
+	// from the memo, each time for a freshly built module, against the local
+	// pipeline. Suggestions must resolve to the regions and functions of the
+	// job's own module, as the local run's do.
 	stage := &remote.Stage{
-		Client:  remote.NewClient([]string{w1.ts.URL, w2.ts.URL}, remote.ClientOptions{}),
-		Reports: remote.NewReportMemo(0),
+		Client: remote.NewClient([]string{w1.ts.URL, w2.ts.URL}, remote.ClientOptions{}),
 	}
 	defer stage.Close()
 	remotely := &pipeline.Pipeline{Stages: []pipeline.Stage{stage}}
-	run := func(name string, p *pipeline.Pipeline) *pipeline.Context {
-		ctx := &pipeline.Context{Mod: workloads.MustBuild(name, 1).M,
-			Opt: pipeline.Options{Threads: 16, Cache: pipeline.NewProfileCache()}}
-		if err := p.Run(ctx); err != nil {
-			t.Fatalf("%s: %v", name, err)
+	memo := pipeline.NewReportMemo(0)
+	run := func(name string, p *pipeline.Pipeline, reports *pipeline.ReportMemo) *pipeline.Report {
+		res, _ := pipeline.AnalyzeAllWith(p,
+			[]pipeline.Job{{Name: name, Mod: workloads.MustBuild(name, 1).M}},
+			pipeline.Options{Threads: 16, Cache: pipeline.NewProfileCache(), Reports: reports})
+		if res[0].Err != nil {
+			t.Fatalf("%s: %v", name, res[0].Err)
 		}
-		return ctx
+		return res[0].Report
 	}
 	for _, info := range registry {
-		want := describeRanked(t, run(info.Name, pipeline.New()))
+		want := describeRanked(t, run(info.Name, pipeline.New(), nil))
 		for _, wantHit := range []bool{false, true} {
-			ctx := run(info.Name, remotely)
-			if (ctx.RemotePeer == "") != wantHit || wantHit && !ctx.CacheHit {
-				t.Errorf("%s: cache_hit %v peer %q, want a memo hit: %v", info.Name, ctx.CacheHit, ctx.RemotePeer, wantHit)
+			rep := run(info.Name, remotely, memo)
+			if (rep.RemotePeer == "") != wantHit || wantHit && !rep.CacheHit {
+				t.Errorf("%s: cache_hit %v peer %q, want a memo hit: %v", info.Name, rep.CacheHit, rep.RemotePeer, wantHit)
 			}
-			if got := describeRanked(t, ctx); got != want {
+			if got := describeRanked(t, rep); got != want {
 				t.Errorf("%s (hit %v): stage report differs from local:\nstage: %s\nlocal: %s",
 					info.Name, wantHit, got, want)
 			}
@@ -267,9 +269,8 @@ func TestE2EFleetMatchesLocal(t *testing.T) {
 // counts and the suggestions a wire report carries, with the region and
 // function each resolves to — after checking that every region and function
 // belongs to the job's module.
-func describeRanked(t *testing.T, ctx *pipeline.Context) string {
+func describeRanked(t *testing.T, rep *pipeline.Report) string {
 	t.Helper()
-	rep := ctx.Report()
 	var b strings.Builder
 	fmt.Fprintf(&b, "instrs=%d deps=%d cus=%d", rep.Instrs, rep.NumDeps(), rep.NumCUs())
 	for i, s := range rep.Ranked {
@@ -278,14 +279,14 @@ func describeRanked(t *testing.T, ctx *pipeline.Context) string {
 		}
 		region, fn := -1, -1
 		if s.Region != nil {
-			if ctx.Mod.Regions[s.Region.ID] != s.Region {
-				t.Fatalf("%s: suggestion %d's region is not the job module's", ctx.Mod.Name, i)
+			if rep.Mod.Regions[s.Region.ID] != s.Region {
+				t.Fatalf("%s: suggestion %d's region is not the job module's", rep.Mod.Name, i)
 			}
 			region = s.Region.ID
 		}
 		if s.Func != nil {
-			if s.Func.Module != ctx.Mod {
-				t.Fatalf("%s: suggestion %d's function is not the job module's", ctx.Mod.Name, i)
+			if s.Func.Module != rep.Mod {
+				t.Fatalf("%s: suggestion %d's function is not the job module's", rep.Mod.Name, i)
 			}
 			fn = s.Func.ID
 		}

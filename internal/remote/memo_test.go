@@ -1,8 +1,8 @@
 package remote_test
 
-// The coordinator's report memo against real workers: a repeat of a cached
-// job is answered without a hop, concurrent repeats share one hop, and only
-// a report a peer served is ever kept.
+// The report memo in front of a coordinator's remote stage, against real
+// workers: a repeat of a cached job is answered without a hop, concurrent
+// repeats share one hop, and only a report a peer served is ever kept.
 
 import (
 	"encoding/base64"
@@ -30,8 +30,8 @@ func memoStats(t *testing.T, base string) (hits, misses, evictions, entries floa
 		}
 		return v
 	}
-	return get("dp_remote_report_cache_hits_total"), get("dp_remote_report_cache_misses_total"),
-		get("dp_remote_report_cache_evictions_total"), get("dp_remote_report_cache_entries")
+	return get("dp_report_cache_hits_total"), get("dp_report_cache_misses_total"),
+		get("dp_report_cache_evictions_total"), get("dp_report_cache_entries")
 }
 
 // resultOf returns a job view's result object.
@@ -53,7 +53,8 @@ func wantHop(t *testing.T, view map[string]any, url string) {
 }
 
 // wantMemoHit checks that a job was answered from the memo: a cache hit, no
-// peer, and a remote span annotated as a hit with nothing grafted under it.
+// peer, no remote span, and one memo span annotated as a hit with nothing
+// grafted under it.
 func wantMemoHit(t *testing.T, view map[string]any) {
 	t.Helper()
 	result := resultOf(t, view)
@@ -63,21 +64,24 @@ func wantMemoHit(t *testing.T, view map[string]any) {
 	if p, ok := result["peer"]; ok {
 		t.Fatalf("job %v: a memo hit names peer %v", view["id"], p)
 	}
-	remoteSpans := 0
+	memoSpans := 0
 	for _, s := range spansOf(t, view) {
 		if s.Node != "" {
 			t.Fatalf("job %v: a memo hit carries worker span %q", view["id"], s.Name)
 		}
-		if s.Name != "remote" {
+		if s.Name == "remote" {
+			t.Fatalf("job %v: a memo hit ran the remote stage", view["id"])
+		}
+		if s.Name != "memo" {
 			continue
 		}
-		remoteSpans++
+		memoSpans++
 		if s.Attrs["cache_hit"] != "true" || s.Attrs["peer"] != "" || s.Attrs["clock_skew_ns"] != "" {
-			t.Fatalf("job %v: remote span attrs %v, want cache_hit=true and no peer or clock skew", view["id"], s.Attrs)
+			t.Fatalf("job %v: memo span attrs %v, want cache_hit=true and no peer or clock skew", view["id"], s.Attrs)
 		}
 	}
-	if remoteSpans != 1 {
-		t.Fatalf("job %v: %d remote spans, want 1", view["id"], remoteSpans)
+	if memoSpans != 1 {
+		t.Fatalf("job %v: %d memo spans, want 1", view["id"], memoSpans)
 	}
 }
 

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"discopop/internal/journal"
-	"discopop/internal/remote"
+	"discopop/internal/pipeline"
 )
 
 // drainNow shuts one server incarnation down cleanly so the next can own
@@ -103,9 +103,9 @@ func TestJournalSpillRestore(t *testing.T) {
 	// naturally produce a >1 MiB summary, but a coordinator aggregating
 	// worker spans can, and the journal must not care which it was.
 	bigNotes := strings.Repeat("n", 2<<20)
-	res := &remote.WireReport{
+	res := &pipeline.WireReport{
 		Instrs: 12345, Deps: 7, CUs: 3,
-		Suggestions: []remote.WireSuggestion{{
+		Suggestions: []pipeline.WireSuggestion{{
 			Rank: 1, Kind: "DOALL", Loc: "9:1", Coverage: 0.9,
 			Speedup: 8, Score: 7.2, Notes: bigNotes,
 		}},

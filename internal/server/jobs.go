@@ -10,7 +10,6 @@ import (
 
 	"discopop/internal/journal"
 	"discopop/internal/pipeline"
-	"discopop/internal/remote"
 )
 
 // Job lifecycle states. There is no "running" state: the engine reports
@@ -38,7 +37,7 @@ type jobRecord struct {
 	Submitted time.Time
 	Finished  time.Time
 	Error     string
-	Result    *remote.WireReport // the wire form is the stored form
+	Result    *pipeline.WireReport // the wire form is the stored form
 
 	// Client is the authenticated identity that submitted the job
 	// (anonClient when auth is disabled); IdemKey is its Idempotency-Key
@@ -53,15 +52,15 @@ type jobRecord struct {
 // jobView is the JSON shape of one record (a snapshot — never the live
 // record, which workers keep mutating).
 type jobView struct {
-	ID        string             `json:"id"`
-	Workload  string             `json:"workload"`
-	Scale     int                `json:"scale,omitempty"`
-	State     string             `json:"state"`
-	Client    string             `json:"client,omitempty"`
-	Submitted time.Time          `json:"submitted"`
-	Finished  *time.Time         `json:"finished,omitempty"`
-	Error     string             `json:"error,omitempty"`
-	Result    *remote.WireReport `json:"result,omitempty"`
+	ID        string               `json:"id"`
+	Workload  string               `json:"workload"`
+	Scale     int                  `json:"scale,omitempty"`
+	State     string               `json:"state"`
+	Client    string               `json:"client,omitempty"`
+	Submitted time.Time            `json:"submitted"`
+	Finished  *time.Time           `json:"finished,omitempty"`
+	Error     string               `json:"error,omitempty"`
+	Result    *pipeline.WireReport `json:"result,omitempty"`
 }
 
 // jobStore is the bounded, concurrency-safe record index. Completed
@@ -215,7 +214,7 @@ func (js *jobStore) finish(r *pipeline.JobResult) *jobRecord {
 		rec.Error = r.Err.Error()
 	} else {
 		rec.State = jobDone
-		rec.Result = remote.Summarize(r)
+		rec.Result = pipeline.Summarize(r)
 	}
 	close(rec.doneCh)
 	js.recent = append(js.recent, recentEntryFor(rec, r))
@@ -350,7 +349,7 @@ func (js *jobStore) restore(recs []journal.Record) (interrupted []string) {
 			rec.Error = jr.Error
 			rec.Finished = jr.Time
 			if len(jr.Result) > 0 {
-				res := &remote.WireReport{}
+				res := &pipeline.WireReport{}
 				if err := json.Unmarshal(jr.Result, res); err == nil {
 					rec.Result = res
 				}

@@ -80,6 +80,18 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	e.Gauge("dp_profile_cache_entries", "Live profile-cache entries.",
 		metrics.V(float64(s.cache.Len())))
 
+	// Finished-report memo: a hit ran no stage (and, on a coordinator,
+	// contacted no peer).
+	rhits, rmisses, revictions, rentries := s.baseOpt.Reports.Stats()
+	e.Counter("dp_report_cache_hits_total", "Jobs answered from the finished-report memo.",
+		metrics.V(float64(rhits)))
+	e.Counter("dp_report_cache_misses_total", "Report-memo lookups that ran the job.",
+		metrics.V(float64(rmisses)))
+	e.Counter("dp_report_cache_evictions_total", "Reports dropped by the LRU bound.",
+		metrics.V(float64(revictions)))
+	e.Gauge("dp_report_cache_entries", "Live report-memo entries.",
+		metrics.V(float64(rentries)))
+
 	// Bytecode compile cache (process-wide; interp.New compiles through
 	// bytecode.Shared unless a job opts into the tree walker).
 	chits, cmisses, centries := bytecode.Shared.Stats()
@@ -87,7 +99,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.V(float64(chits)))
 	e.Counter("dp_compile_cache_misses_total", "Bytecode compile-cache misses (programs compiled).",
 		metrics.V(float64(cmisses)))
-	e.Counter("dp_compile_cache_entries_total", "Live compile-cache entries.",
+	e.Gauge("dp_compile_cache_entries", "Live compile-cache entries.",
 		metrics.V(float64(centries)))
 	e.Histogram("dp_compile_seconds",
 		"Per-job bytecode compile time (compiling jobs only).", latencyHistogram(st.CompileLat))
@@ -102,7 +114,7 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		metrics.V(float64(st.Pool.Fresh)))
 
 	// Remote proxying (coordinator mode only): per-peer counters of the
-	// fleet client, the local-fallback count and the report memo.
+	// fleet client and the local-fallback count.
 	if s.proxy != nil {
 		peers := s.proxy.Client.Stats()
 		reqs := make([]metrics.Sample, len(peers))
@@ -127,16 +139,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		e.Counter("dp_remote_fallbacks_total",
 			"Jobs analyzed locally because no peer was available.",
 			metrics.V(float64(s.proxy.Fallbacks())))
-		rhits, rmisses, revictions, rentries := s.proxy.Reports.Stats()
-		e.Counter("dp_remote_report_cache_hits_total",
-			"Jobs answered from the coordinator's finished-report memo, no peer contacted.",
-			metrics.V(float64(rhits)))
-		e.Counter("dp_remote_report_cache_misses_total", "Report-memo lookups that ran the job.",
-			metrics.V(float64(rmisses)))
-		e.Counter("dp_remote_report_cache_evictions_total", "Reports dropped by the LRU bound.",
-			metrics.V(float64(revictions)))
-		e.Gauge("dp_remote_report_cache_entries", "Live report-memo entries.",
-			metrics.V(float64(rentries)))
 	}
 
 	// Durability: the job journal's own accounting, so operators can watch

@@ -5,9 +5,10 @@
 // scrape Prometheus metrics while jobs are in flight.
 //
 // The service owns one pipeline.Engine (bounded worker pool, whose job
-// queue is the service's submission queue), one pipeline.ProfileCache
-// (repeat submissions of one module, by registry name or serialized, skip
-// re-profiling), and shares the process-wide arena pool — so every
+// queue is the service's submission queue), one pipeline.ReportMemo (a
+// repeat of a job runs no stage), one pipeline.ProfileCache (a job that
+// differs from an earlier one only in its ranking or CU options, by
+// registry name or serialized, skips re-profiling), and shares the process-wide arena pool — so every
 // observability counter the batch engine accumulates (fleet stats, cache
 // hits and evictions, queue-latency histogram, pool checkout counters) is
 // reachable on /metrics at any time instead of only after a batch
@@ -51,13 +52,13 @@ import (
 )
 
 // Config sizes the service. The zero value is serviceable: one engine
-// worker per CPU, the default profile-cache bound, a 64-deep submission
+// worker per CPU, the default report-memo and profile-cache bound, a 64-deep submission
 // queue, 16-thread ranking, and 1024 retained job records.
 type Config struct {
 	// Workers bounds the engine's worker pool (0 = one per CPU).
 	Workers int
-	// CacheEntries caps the profile cache and, on a coordinator, the remote
-	// stage's report memo (0 = DefaultCacheEntries, negative = unbounded).
+	// CacheEntries caps the report memo and the profile cache, each
+	// (0 = DefaultCacheEntries, negative = unbounded).
 	CacheEntries int
 	// QueueDepth is how many accepted submissions may wait for an engine
 	// worker before the service rejects with 503 (0 = 64).
@@ -71,8 +72,8 @@ type Config struct {
 	// Peers lists worker base URLs (e.g. "http://10.0.0.7:8080"). When
 	// non-empty the node becomes a coordinator: every analysis is encoded
 	// and shipped to a peer through the remote stage (with failover and
-	// local fallback) instead of running in-process, and a repeat of a
-	// cached one is answered from the stage's report memo.
+	// local fallback) instead of running in-process; a repeat of a cached
+	// one is answered from the report memo without a hop.
 	Peers []string
 	// Remote tunes the coordinator's peer client (zero value = defaults).
 	// Ignored without Peers.
@@ -205,6 +206,7 @@ func New(cfg Config) (*Server, error) {
 		BatchWorkers: cfg.Workers,
 		Threads:      cfg.Threads,
 		Cache:        cache,
+		Reports:      pipeline.NewReportMemo(cfg.CacheEntries),
 	}
 	s := &Server{
 		cfg:     cfg,
@@ -217,13 +219,8 @@ func New(cfg Config) (*Server, error) {
 	if len(cfg.Peers) > 0 {
 		// Coordinator mode: the engine's only stage ships each module to a
 		// peer worker; the full local pipeline remains the stage's
-		// fallback when the whole fleet is unreachable. Repeats of a cached
-		// job are answered from the stage's report memo, bounded like the
-		// profile cache.
-		s.proxy = &remote.Stage{
-			Client:  remote.NewClient(cfg.Peers, cfg.Remote),
-			Reports: remote.NewReportMemo(cfg.CacheEntries),
-		}
+		// fallback when the whole fleet is unreachable.
+		s.proxy = &remote.Stage{Client: remote.NewClient(cfg.Peers, cfg.Remote)}
 		stages = &pipeline.Pipeline{Stages: []pipeline.Stage{s.proxy}}
 	}
 	s.eng = pipeline.NewEngineWith(stages, opt, cfg.QueueDepth)

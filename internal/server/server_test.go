@@ -114,9 +114,10 @@ func mustValue(t *testing.T, s *metrics.Scrape, name string, labels ...metrics.L
 	return v
 }
 
-// TestEndToEnd is the service round trip of the issue: submit two
-// workloads, poll to completion, resubmit one and observe the profile
-// cache serving it, and validate the /metrics exposition throughout.
+// TestEndToEnd is the service round trip: submit two workloads, poll to
+// completion, resubmit one and observe the report memo serving it, submit
+// it once more with other ranking options and observe the profile cache
+// serving that, and validate the /metrics exposition throughout.
 func TestEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -150,18 +151,31 @@ func TestEndToEnd(t *testing.T) {
 	}
 
 	// Repeat submission: same workload@scale must be served from the
-	// profile cache.
+	// report memo.
 	id3 := postAnalyze(t, ts.URL, `{"workload":"histogram","scale":1}`)
 	v3 := waitJob(t, ts.URL, id3)
 	if v3.State != jobDone {
 		t.Fatalf("repeat job: %s (%s)", v3.State, v3.Error)
 	}
 	if !v3.Result.CacheHit {
-		t.Error("repeat histogram@1 submission did not hit the profile cache")
+		t.Error("repeat histogram@1 submission did not hit the report memo")
 	}
 	if v3.Result.Deps != v1.Result.Deps || v3.Result.Instrs != v1.Result.Instrs {
 		t.Errorf("cached result diverged: deps %d vs %d, instrs %d vs %d",
 			v3.Result.Deps, v1.Result.Deps, v3.Result.Instrs, v1.Result.Instrs)
+	}
+	if v := mustValue(t, scrape(t, ts.URL), "dp_report_cache_hits_total"); v != 1 {
+		t.Errorf("report memo hits=%v after the repeat, want 1", v)
+	}
+
+	// Other ranking options: the memo misses (threads is part of its key),
+	// the profile cache serves the profile (threads is not part of its).
+	v4 := waitJob(t, ts.URL, postAnalyze(t, ts.URL, `{"workload":"histogram","threads":4}`))
+	if v4.State != jobDone {
+		t.Fatalf("threads variant: %s (%s)", v4.State, v4.Error)
+	}
+	if !v4.Result.CacheHit || v4.Result.Deps != v1.Result.Deps || v4.Result.Instrs != v1.Result.Instrs {
+		t.Errorf("threads variant not served v1's profile: %+v", v4.Result)
 	}
 
 	after := scrape(t, ts.URL)
@@ -170,11 +184,11 @@ func TestEndToEnd(t *testing.T) {
 		"dp_instrs_total", "dp_accesses_total", "dp_busy_seconds_total",
 		"dp_pool_gets_total", "dp_pool_puts_total", "dp_pool_fresh_total",
 		"dp_profile_cache_hits_total", "dp_http_requests_total")
-	if v := mustValue(t, after, "dp_jobs_completed_total"); v != 3 {
-		t.Errorf("completed=%v, want 3", v)
+	if v := mustValue(t, after, "dp_jobs_completed_total"); v != 4 {
+		t.Errorf("completed=%v, want 4", v)
 	}
-	if v := mustValue(t, after, "dp_jobs_accepted_total"); v != 3 {
-		t.Errorf("accepted=%v, want 3", v)
+	if v := mustValue(t, after, "dp_jobs_accepted_total"); v != 4 {
+		t.Errorf("accepted=%v, want 4", v)
 	}
 	if v := mustValue(t, after, "dp_jobs_inflight"); v != 0 {
 		t.Errorf("inflight=%v after all jobs done", v)
@@ -185,13 +199,16 @@ func TestEndToEnd(t *testing.T) {
 	if v := mustValue(t, after, "dp_profile_cache_hits_total"); v < 1 {
 		t.Errorf("cache hits=%v, want >=1", v)
 	}
+	if v := mustValue(t, after, "dp_report_cache_misses_total"); v != 3 {
+		t.Errorf("report memo misses=%v, want 3", v)
+	}
 	if v := mustValue(t, after, "dp_pool_gets_total"); v < 2 {
 		t.Errorf("pool gets=%v, want >=2 (two uncached profiles)", v)
 	}
 	if after.Types["dp_queue_latency_seconds"] != "histogram" {
 		t.Errorf("queue latency TYPE = %q", after.Types["dp_queue_latency_seconds"])
 	}
-	checkHistogramCumulative(t, after, "dp_queue_latency_seconds", 3)
+	checkHistogramCumulative(t, after, "dp_queue_latency_seconds", 4)
 	if v := mustValue(t, after, "dp_stage_seconds_total", metrics.L("stage", "profile")); v <= 0 {
 		t.Errorf("profile stage seconds = %v", v)
 	}
@@ -726,7 +743,7 @@ func TestCompileCacheMetrics(t *testing.T) {
 	before := scrape(t, ts.URL)
 	mustValue(t, before, "dp_compile_cache_hits_total")
 	mustValue(t, before, "dp_compile_cache_misses_total")
-	mustValue(t, before, "dp_compile_cache_entries_total")
+	mustValue(t, before, "dp_compile_cache_entries")
 	if typ := before.Types["dp_compile_seconds"]; typ != "histogram" {
 		t.Errorf("dp_compile_seconds TYPE = %q, want histogram", typ)
 	}
@@ -762,7 +779,7 @@ func TestCompileCacheMetrics(t *testing.T) {
 		mustValue(t, mid, "dp_compile_cache_misses_total"); d != 0 {
 		t.Errorf("repeat inline submission recompiled (%v new misses)", d)
 	}
-	if v := mustValue(t, after, "dp_compile_cache_entries_total"); v < 1 {
+	if v := mustValue(t, after, "dp_compile_cache_entries"); v < 1 {
 		t.Errorf("compile cache entries = %v, want >= 1", v)
 	}
 	// The identical content must yield the identical analysis.

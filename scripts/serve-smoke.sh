@@ -2,9 +2,10 @@
 # scripts/serve-smoke.sh — four-part end-to-end check of the service
 # subsystem. Part 1 boots a single dp-serve on a random port, checks
 # /healthz and /metrics, submits one analysis, asserts the fleet counters
-# moved, and asserts rejected submissions are counted by reason. Part 2
-# boots a 2-node fleet (worker + coordinator with -peers), submits a
-# batch through the coordinator, asserts the worker's own job counters
+# moved, resubmits it and asserts the node's report memo answered without
+# rebuilding CUs, and asserts rejected submissions are counted by reason.
+# Part 2 boots a 2-node fleet (worker + coordinator with -peers), submits
+# a batch through the coordinator, asserts the worker's own job counters
 # advanced (the work really ran remotely), then resubmits one job and
 # asserts the coordinator answered it from its report memo. Part 3 is the
 # trust-and-durability drill: boot with -tokens, -journal, and a tiny
@@ -75,6 +76,22 @@ check_pos dp_pool_fresh_total
 check_pos dp_queue_latency_seconds_count
 grep -q 'dp_stage_seconds_total{stage="profile"}' /tmp/metrics1.txt \
   || fail "no per-stage counter"
+
+# A repeat of the same job is answered from the node's report memo: a cache
+# hit that runs no stage, so the build-cus stage time does not move.
+cus_before=$(sed -n 's/^dp_stage_seconds_total{stage="build-cus"} \(.*\)$/\1/p' /tmp/metrics1.txt)
+[ -n "$cus_before" ] || fail "no build-cus stage counter"
+resp=$(curl -s -XPOST "$BASE/v1/analyze" -d '{"workload":"histogram"}')
+id=$(echo "$resp" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$id" ] || fail "no job id for the repeat in $resp"
+job=$(curl -s "$BASE/v1/jobs/$id?wait=30s")
+echo "$job" | grep -q '"cache_hit":true' || fail "repeat not answered from the memo: $job"
+curl -sf "$BASE/metrics" > /tmp/metrics1b.txt || fail "/metrics scrape failed"
+grep -q '^dp_report_cache_hits_total 1$' /tmp/metrics1b.txt \
+  || fail "the memo hit was not counted"
+cus_after=$(sed -n 's/^dp_stage_seconds_total{stage="build-cus"} \(.*\)$/\1/p' /tmp/metrics1b.txt)
+[ "$cus_after" = "$cus_before" ] \
+  || fail "a memo hit rebuilt CUs (build-cus seconds $cus_before -> $cus_after)"
 
 # Rejected submissions must be counted by reason: a malformed body and a
 # bad serialized module each land in their category.
@@ -189,7 +206,7 @@ wjobs=$(curl -s "$WBASE/metrics" | sed -n 's/^dp_jobs_completed_total \([0-9.e+]
 curl -s "$CBASE/metrics" > /tmp/metrics3b.txt
 grep -q "dp_peer_jobs_total{peer=\"http://127.0.0.1:$WPORT\"} 3" /tmp/metrics3b.txt \
   || ffail "per-peer job counter moved on a memo hit"
-grep -q '^dp_remote_report_cache_hits_total 1$' /tmp/metrics3b.txt \
+grep -q '^dp_report_cache_hits_total 1$' /tmp/metrics3b.txt \
   || ffail "coordinator did not count the memo hit"
 
 kill -TERM "$CPID" "$WPID"
