@@ -162,9 +162,9 @@ func run() int {
 				q.Min, q.Median(), q.Max, q.Mean(), q.Count)
 			fmt.Printf("    histogram: %s\n", q.String())
 		}
-		if fleet.CacheHits > 0 || fleet.CacheEvictions > 0 {
-			fmt.Printf("  profile cache: %d hits, %d evictions\n",
-				fleet.CacheHits, fleet.CacheEvictions)
+		if fleet.CacheHits > 0 {
+			// dp-discover keeps no cache: a hit is a worker's report memo.
+			fmt.Printf("  report memo hits (remote): %d\n", fleet.CacheHits)
 		}
 		if p := fleet.Pool; p.Gets > 0 {
 			fmt.Printf("  arena pool: %d gets, %d puts, %d fresh allocations (%d recycled)\n",

@@ -1,7 +1,7 @@
 // Command dp-serve runs the DiscoPoP-Go analysis pipeline as a long-lived
-// HTTP service: a persistent batch engine with a finished-report memo, a
-// profile cache and a shared arena pool, an async job API, and Prometheus
-// metrics. -cache-size bounds the memo and the profile cache alike.
+// HTTP service: a persistent batch engine with a finished-report memo and a
+// shared arena pool, an async job API, and Prometheus metrics. -cache-size
+// bounds the memo.
 //
 // Usage:
 //
@@ -87,7 +87,7 @@ func parse(args []string) (config, error) {
 	fs := flag.NewFlagSet("dp-serve", flag.ContinueOnError)
 	fs.StringVar(&c.addr, "addr", ":8080", "listen address (host:port; port 0 picks a free port)")
 	fs.IntVar(&c.srv.Workers, "jobs", 0, "concurrent analysis workers (0 = one per CPU)")
-	fs.IntVar(&cacheSize, "cache-size", 1024, "report-memo and profile-cache entries, each (0 = unbounded)")
+	fs.IntVar(&cacheSize, "cache-size", 1024, "report-memo entries (0 = unbounded)")
 	fs.IntVar(&c.srv.QueueDepth, "queue", 64, "pending submissions accepted before 503")
 	fs.IntVar(&c.srv.Threads, "threads", 16, "default thread count for local-speedup ranking")
 	fs.DurationVar(&c.drainFor, "drain-timeout", time.Minute, "max time to wait for in-flight jobs on shutdown")

@@ -11,12 +11,10 @@ import (
 // bench/, which the next [benchmark] PR switches over (ROADMAP).
 func ModuleHash(m *ir.Module) [32]byte { return m.ContentHash() }
 
-// Cache memoizes compiled Programs by module content hash, one level below
-// pipeline.ProfileCache: that one memoizes whole instrumented runs per
-// (content hash, options), this one the compilation alone, so one module
-// profiled under different options, or arriving as a rebuilt workload and
-// as a decoded submission, still compiles exactly once. Single flight and
-// eviction are lru.Cache's.
+// Cache memoizes compiled Programs by module content hash — the compilation
+// alone, not the instrumented run — so one module profiled under different
+// options, or arriving as a rebuilt workload and as a decoded submission,
+// still compiles exactly once. Single flight and eviction are lru.Cache's.
 type Cache struct {
 	c *lru.Cache[[32]byte, compiled]
 }

@@ -1,8 +1,9 @@
 // Package lru is the one memo table of the analysis stack: a bounded
 // least-recently-used map whose concurrent misses on one key coalesce. The
-// compile cache (bytecode.Cache), the profile cache (pipeline.ProfileCache)
-// and the finished-report memo every dp-serve node keeps
-// (pipeline.ReportMemo) are typed uses of it.
+// compile cache (bytecode.Cache), the finished-report memo every dp-serve
+// node keeps (pipeline.ReportMemo) and the profile cache of embedders that
+// re-analyse one profile under other options (pipeline.ProfileCache) are
+// typed uses of it.
 package lru
 
 import (

@@ -11,10 +11,11 @@ import (
 // the key is everything that can change the outcome and nothing a caller
 // has to make up: the module's content hash, the profiling options, and
 // the instruction budget (a budgeted run can fail where an unbudgeted one
-// succeeds). Experiment sweeps that re-analyze one workload across many
-// tables, and a service seeing one module under a registry name and as a
-// serialized submission, profile it once; the downstream stages (CU
-// construction, discovery, ranking) still run per job.
+// succeeds). Embedders that re-analyze one profile under other post-profile
+// options — experiment sweeps across many tables, the benchmark's solo
+// workloads — profile it once; the downstream stages (CU construction,
+// discovery, ranking) still run per job. A dp-serve node keeps no
+// ProfileCache: its ReportMemo answers a repeat before any stage runs.
 //
 // On a hit the Context's module is replaced by the instance that was
 // actually profiled, so region and function pointers in the profile, the
@@ -29,9 +30,10 @@ type ProfileCache struct {
 	c *lru.Cache[profileKey, *profileEntry]
 }
 
-// DefaultCacheEntries is the entry cap of NewProfileCache — generous enough
-// that experiment sweeps (~dozens of distinct workloads) never evict, small
-// enough that a long-lived engine stays bounded.
+// DefaultCacheEntries is the entry cap of NewProfileCache and of a dp-serve
+// node's report memo — generous enough that experiment sweeps (~dozens of
+// distinct workloads) never evict, small enough that a long-lived engine
+// stays bounded.
 const DefaultCacheEntries = 1024
 
 // profileKey identifies one memoized profile. profiler.Options is a
@@ -63,20 +65,6 @@ func (c *ProfileCache) Stats() (hits, misses int64) {
 func (c *ProfileCache) Evictions() int64 {
 	_, _, ev, _ := c.c.Stats()
 	return ev
-}
-
-// Len returns the number of live entries.
-func (c *ProfileCache) Len() int {
-	_, _, _, n := c.c.Stats()
-	return n
-}
-
-// Profile returns the memoized profiling result of mod under (opt,
-// maxInstrs), running the instrumented execution if this is the first
-// request for that key. Result.Mod is the module instance that was profiled.
-func (c *ProfileCache) Profile(mod *ir.Module, opt profiler.Options, maxInstrs int64) (*profiler.Result, error) {
-	e, _ := c.lookup(mod, opt, maxInstrs)
-	return e.run.Result, e.err
 }
 
 // lookup returns the memoized profile of mod under (opt, maxInstrs),

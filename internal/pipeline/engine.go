@@ -82,10 +82,6 @@ type FleetStats struct {
 	// ProfileCache or whose whole report came from the report memo (no
 	// instrumented execution ran).
 	CacheHits int
-	// CacheEvictions is the number of entries the jobs' ProfileCaches have
-	// dropped under their LRU bound (summed over the distinct caches the
-	// engine has seen).
-	CacheEvictions int64
 	// CompileHits counts jobs whose instrumented execution found its
 	// bytecode program already in the shared compile cache.
 	CompileHits int
@@ -136,13 +132,8 @@ type Engine struct {
 	// across its (backpressure-blocking) channel send.
 	submitted atomic.Int64
 
-	mu    sync.Mutex // guards stats and caches
+	mu    sync.Mutex // guards stats
 	stats FleetStats
-	// caches records the distinct ProfileCaches jobs have used, mapped to
-	// the cache's eviction count when first seen, so Stats can report the
-	// evictions attributable to this engine rather than a shared cache's
-	// lifetime total.
-	caches map[*ProfileCache]int64
 }
 
 // NewEngine starts an engine running the default five-stage pipeline with
@@ -184,7 +175,6 @@ func NewEngineWith(pl *Pipeline, opt Options, queueDepth int) *Engine {
 		results:  make(chan *JobResult, workers),
 	}
 	e.stats.StageTime = map[string]time.Duration{}
-	e.caches = map[*ProfileCache]int64{}
 	e.wg.Add(workers)
 	for i := 0; i < workers; i++ {
 		go e.run()
@@ -260,9 +250,6 @@ func (e *Engine) Stats() FleetStats {
 	for k, v := range e.stats.StageTime {
 		s.StageTime[k] = v
 	}
-	for c, base := range e.caches {
-		s.CacheEvictions += c.Evictions() - base
-	}
 	e.mu.Unlock()
 	s.Submitted = int(e.submitted.Load())
 	s.Queued = len(e.jobs)
@@ -313,18 +300,17 @@ func (e *Engine) runJob(j Job) (res *JobResult) {
 	return res
 }
 
-// analyze runs the pipeline on ctx. With Options.Reports set, a job that may
-// be cached (Options.Cache non-nil, the Profile stage's rule, so inline
-// submissions never are) is looked up there first: a hit runs no stage, is
-// recorded as one "memo" span under parent, and resolves the suggestions
-// against the job's own module; identical jobs in flight share one run.
+// analyze runs the pipeline on ctx. With Options.Reports set the job is
+// looked up there first: a hit runs no stage, is recorded as one "memo" span
+// under parent, and resolves the suggestions against the job's own module;
+// identical jobs in flight share one run.
 // Only a successful analysis is kept: a failed one, a panic or a remote
 // stage's local fallback leaves no entry. The memo is consulted here and not
 // inside Pipeline.Run, which a remote stage's fallback re-enters on the same
 // Context.
 func (e *Engine) analyze(ctx *Context, parent int) error {
 	o := &ctx.Opt
-	if o.Reports == nil || o.Cache == nil {
+	if o.Reports == nil {
 		return e.pipeline.Run(ctx)
 	}
 	start := time.Now()
@@ -357,11 +343,6 @@ func (e *Engine) record(res *JobResult, ctx *Context) {
 	e.stats.QueueLat.Observe(res.QueueLat)
 	if res.Err != nil {
 		e.stats.Failed++
-	}
-	if c := ctx.Opt.Cache; c != nil {
-		if _, seen := e.caches[c]; !seen {
-			e.caches[c] = c.Evictions()
-		}
 	}
 	if ctx.CacheHit {
 		e.stats.CacheHits++

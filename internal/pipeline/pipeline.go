@@ -14,8 +14,10 @@
 //	Rank      — order suggestions by coverage, local speedup, imbalance
 //
 // Callers that need only part of the pipeline compose fewer stages (see
-// ProfilePipeline), and future scaling work (stage caching, sharded stores,
-// remote backends) plugs into the same Stage seam.
+// ProfilePipeline); a remote backend (remote.Stage) replaces them through
+// the same Stage seam. Two optional memos sit around the stages: a
+// ProfileCache inside the Profile stage and a ReportMemo ahead of them all
+// (Engine).
 package pipeline
 
 import (
@@ -59,10 +61,10 @@ type Options struct {
 	// CacheKey is ignored: the cache keys on the module's content. The
 	// field remains only until bench/ stops setting it (ROADMAP).
 	CacheKey string
-	// Reports, when non-nil, lets an Engine answer a repeat of a job that
-	// may be cached (Cache non-nil) from the finished report of an earlier
-	// one, running no stage. Leave it nil to get full Reports (profile,
-	// PET, CUs) for every job.
+	// Reports, when non-nil, lets an Engine answer a repeat of a job from
+	// the finished report of an earlier one, running no stage. Leave it nil
+	// for a job that must always run (dp-serve's inline submissions) or to
+	// get full Reports (profile, PET, CUs) for every job.
 	Reports *ReportMemo
 	// MaxInstrs aborts the instrumented execution (as a job error) after
 	// this many leaf statements. 0 = unbounded. Servers set it for

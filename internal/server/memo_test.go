@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"testing"
 
+	"discopop/internal/metrics"
 	"discopop/internal/workloads"
 )
 
@@ -90,10 +91,15 @@ func TestReportMemoMatchesFreshAnalysis(t *testing.T) {
 }
 
 // TestReportMemoCoalescesOnSingleNode: eight identical submissions in
-// flight on one node cost one analysis: one Profile-stage lookup, one memo
+// flight on one node cost one analysis: one compile-cache lookup, one memo
 // miss, seven hits.
 func TestReportMemoCoalescesOnSingleNode(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 8})
+	// The compile cache is process-wide: count this test's lookups only.
+	compileLookups := func(sc *metrics.Scrape) float64 {
+		return mustValue(t, sc, "dp_compile_cache_hits_total") + mustValue(t, sc, "dp_compile_cache_misses_total")
+	}
+	before := compileLookups(scrape(t, ts.URL))
 	const n = 8
 	ids := make([]string, n)
 	for i := range ids {
@@ -112,9 +118,8 @@ func TestReportMemoCoalescesOnSingleNode(t *testing.T) {
 		}
 	}
 	sc := scrape(t, ts.URL)
-	lookups := mustValue(t, sc, "dp_profile_cache_hits_total") + mustValue(t, sc, "dp_profile_cache_misses_total")
-	if fresh != 1 || lookups != 1 {
-		t.Fatalf("%d jobs analyzed and %v profile lookups, want 1 and 1", fresh, lookups)
+	if lookups := compileLookups(sc) - before; fresh != 1 || lookups != 1 {
+		t.Fatalf("%d jobs analyzed and %v compile lookups, want 1 and 1", fresh, lookups)
 	}
 	hits, misses := mustValue(t, sc, "dp_report_cache_hits_total"), mustValue(t, sc, "dp_report_cache_misses_total")
 	if hits != n-1 || misses != 1 {

@@ -16,12 +16,11 @@ import (
 
 // handleMetrics renders the Prometheus text exposition from fresh
 // snapshots: the engine's fleet counters (safe to take while jobs are in
-// flight), the profile cache's counters, and the shared arena pool's
+// flight), the report memo's counters, and the shared arena pool's
 // checkout counters. Nothing here keeps metric state of its own — a
 // scrape is a pure read of the subsystems' accumulators.
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	st := s.eng.Stats()
-	hits, misses := s.cache.Stats()
 
 	w.Header().Set("Content-Type", metrics.ContentType)
 	e := metrics.NewEncoder(w)
@@ -69,16 +68,6 @@ func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 		samples[i] = metrics.LV(st.StageTime[name].Seconds(), metrics.L("stage", name))
 	}
 	e.Counter("dp_stage_seconds_total", "Summed wall time per pipeline stage.", samples...)
-
-	// Profile cache.
-	e.Counter("dp_profile_cache_hits_total", "Profile-stage cache hits.",
-		metrics.V(float64(hits)))
-	e.Counter("dp_profile_cache_misses_total", "Profile-stage cache misses.",
-		metrics.V(float64(misses)))
-	e.Counter("dp_profile_cache_evictions_total", "Entries dropped by the LRU bound.",
-		metrics.V(float64(s.cache.Evictions())))
-	e.Gauge("dp_profile_cache_entries", "Live profile-cache entries.",
-		metrics.V(float64(s.cache.Len())))
 
 	// Finished-report memo: a hit ran no stage (and, on a coordinator,
 	// contacted no peer).

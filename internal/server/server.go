@@ -5,14 +5,12 @@
 // scrape Prometheus metrics while jobs are in flight.
 //
 // The service owns one pipeline.Engine (bounded worker pool, whose job
-// queue is the service's submission queue), one pipeline.ReportMemo (a
-// repeat of a job runs no stage), one pipeline.ProfileCache (a job that
-// differs from an earlier one only in its ranking or CU options, by
-// registry name or serialized, skips re-profiling), and shares the process-wide arena pool — so every
-// observability counter the batch engine accumulates (fleet stats, cache
-// hits and evictions, queue-latency histogram, pool checkout counters) is
-// reachable on /metrics at any time instead of only after a batch
-// completes.
+// queue is the service's submission queue) and one pipeline.ReportMemo (a
+// repeat of a job, by registry name or serialized, runs no stage), and
+// shares the process-wide arena pool — so every observability counter the
+// batch engine accumulates (fleet stats, memo hits and evictions,
+// queue-latency histogram, pool checkout counters) is reachable on /metrics
+// at any time instead of only after a batch completes.
 //
 // API surface:
 //
@@ -47,18 +45,19 @@ import (
 	"discopop/internal/journal"
 	"discopop/internal/obs"
 	"discopop/internal/pipeline"
+	"discopop/internal/profiler"
 	"discopop/internal/remote"
 	"discopop/internal/workloads"
 )
 
 // Config sizes the service. The zero value is serviceable: one engine
-// worker per CPU, the default report-memo and profile-cache bound, a 64-deep submission
+// worker per CPU, the default report-memo bound, a 64-deep submission
 // queue, 16-thread ranking, and 1024 retained job records.
 type Config struct {
 	// Workers bounds the engine's worker pool (0 = one per CPU).
 	Workers int
-	// CacheEntries caps the report memo and the profile cache, each
-	// (0 = DefaultCacheEntries, negative = unbounded).
+	// CacheEntries caps the report memo (0 = DefaultCacheEntries,
+	// negative = unbounded).
 	CacheEntries int
 	// QueueDepth is how many accepted submissions may wait for an engine
 	// worker before the service rejects with 503 (0 = 64).
@@ -108,7 +107,7 @@ func (c Config) withDefaults() Config {
 	if c.CacheEntries == 0 {
 		c.CacheEntries = pipeline.DefaultCacheEntries
 	} else if c.CacheEntries < 0 {
-		c.CacheEntries = 0 // unbounded, in ProfileCache terms
+		c.CacheEntries = 0 // unbounded, in lru terms
 	}
 	if c.QueueDepth <= 0 {
 		c.QueueDepth = 64
@@ -149,12 +148,11 @@ const (
 type Server struct {
 	cfg   Config
 	eng   *pipeline.Engine
-	cache *pipeline.ProfileCache
 	mux   *http.ServeMux
 	start time.Time
 
 	// baseOpt is the per-job option template: engine defaults plus the
-	// shared cache. Each submission copies it and fills Threads and budget.
+	// report memo. Each submission copies it and fills Threads and budget.
 	baseOpt pipeline.Options
 
 	// submitMu makes "not draining, enqueued, accepted record journaled" one
@@ -201,16 +199,13 @@ type Server struct {
 // failed (interrupted) — before the service accepts traffic.
 func New(cfg Config) (*Server, error) {
 	cfg = cfg.withDefaults()
-	cache := pipeline.NewProfileCacheSize(cfg.CacheEntries)
 	opt := pipeline.Options{
 		BatchWorkers: cfg.Workers,
 		Threads:      cfg.Threads,
-		Cache:        cache,
 		Reports:      pipeline.NewReportMemo(cfg.CacheEntries),
 	}
 	s := &Server{
 		cfg:     cfg,
-		cache:   cache,
 		baseOpt: opt,
 		start:   time.Now(),
 		done:    make(chan struct{}),
@@ -578,9 +573,9 @@ func (s *Server) buildJob(req *analyzeRequest) (pipeline.Job, *jobRecord, string
 			return pipeline.Job{}, nil, rejectSpec, err
 		}
 		// Inline kernels are generated per request and rarely repeat:
-		// caching them would only evict modules that do, so every inline
-		// submission profiles.
-		opt.Cache = nil
+		// memoizing them would only evict modules that do, so every inline
+		// submission runs.
+		opt.Reports = nil
 		opt.MaxInstrs = s.cfg.SubmissionInstrs
 		rec.Workload = "inline:" + name
 		rec.ID = s.jobs.nextID()
@@ -738,11 +733,10 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 
 // handleWorkloadProfile serves a bundled workload's per-line execution
 // effort as a gzipped pprof profile (sample type "instructions"), directly
-// loadable with `go tool pprof`. The profile comes from the shared profile
-// cache under the key a registry job of the workload uses, so a workload
-// somebody analysed answers without a run and concurrent requests share
-// one. A miss runs synchronously — workload cost is bounded by
-// maxWorkloadScale, the same cap the analyze path relies on.
+// loadable with `go tool pprof`. Every request runs the workload under the
+// profiler synchronously, with the options a registry job uses — workload
+// cost is bounded by maxWorkloadScale, the same cap the analyze path
+// relies on.
 func (s *Server) handleWorkloadProfile(w http.ResponseWriter, r *http.Request) {
 	scale := 1
 	if spec := r.URL.Query().Get("scale"); spec != "" {
@@ -763,13 +757,13 @@ func (s *Server) handleWorkloadProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusNotFound, "%v", err)
 		return
 	}
-	res, err := s.cache.Profile(prog.M, s.baseOpt.Profiler, s.baseOpt.MaxInstrs)
+	run, err := profiler.Execute(prog.M, s.baseOpt.Profiler, s.baseOpt.MaxInstrs)
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "profile: %v", err)
 		return
 	}
 	data, err := obs.EncodeLineProfile("instructions", "count",
-		obs.ModuleLineSamples(res.Mod, res.Lines), time.Now().UnixNano())
+		obs.ModuleLineSamples(prog.M, run.Result.Lines), time.Now().UnixNano())
 	if err != nil {
 		writeError(w, http.StatusInternalServerError, "encode profile: %v", err)
 		return

@@ -116,8 +116,9 @@ func mustValue(t *testing.T, s *metrics.Scrape, name string, labels ...metrics.L
 
 // TestEndToEnd is the service round trip: submit two workloads, poll to
 // completion, resubmit one and observe the report memo serving it, submit
-// it once more with other ranking options and observe the profile cache
-// serving that, and validate the /metrics exposition throughout.
+// it once more with other ranking options and observe a fresh analysis
+// (the memo is the node's only table), and validate the /metrics
+// exposition throughout.
 func TestEndToEnd(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -168,14 +169,24 @@ func TestEndToEnd(t *testing.T) {
 		t.Errorf("report memo hits=%v after the repeat, want 1", v)
 	}
 
-	// Other ranking options: the memo misses (threads is part of its key),
-	// the profile cache serves the profile (threads is not part of its).
+	// Other ranking options: the memo misses (threads is part of its key)
+	// and, with no profile cache behind it, the job profiles again — to the
+	// first run's counts.
 	v4 := waitJob(t, ts.URL, postAnalyze(t, ts.URL, `{"workload":"histogram","threads":4}`))
 	if v4.State != jobDone {
 		t.Fatalf("threads variant: %s (%s)", v4.State, v4.Error)
 	}
-	if !v4.Result.CacheHit || v4.Result.Deps != v1.Result.Deps || v4.Result.Instrs != v1.Result.Instrs {
-		t.Errorf("threads variant not served v1's profile: %+v", v4.Result)
+	if v4.Result.CacheHit || v4.Result.Deps != v1.Result.Deps || v4.Result.Instrs != v1.Result.Instrs {
+		t.Errorf("threads variant not a fresh analysis with v1's counts: %+v", v4.Result)
+	}
+	profiles := 0
+	for _, sp := range v4.Result.Spans {
+		if sp.Name == "profile" {
+			profiles++
+		}
+	}
+	if profiles != 1 {
+		t.Errorf("threads variant: %d profile spans, want 1", profiles)
 	}
 
 	after := scrape(t, ts.URL)
@@ -183,7 +194,7 @@ func TestEndToEnd(t *testing.T) {
 		"dp_jobs_accepted_total", "dp_jobs_submitted_total", "dp_jobs_completed_total",
 		"dp_instrs_total", "dp_accesses_total", "dp_busy_seconds_total",
 		"dp_pool_gets_total", "dp_pool_puts_total", "dp_pool_fresh_total",
-		"dp_profile_cache_hits_total", "dp_http_requests_total")
+		"dp_http_requests_total")
 	if v := mustValue(t, after, "dp_jobs_completed_total"); v != 4 {
 		t.Errorf("completed=%v, want 4", v)
 	}
@@ -196,14 +207,19 @@ func TestEndToEnd(t *testing.T) {
 	if v := mustValue(t, after, "dp_jobs_failed_total"); v != 0 {
 		t.Errorf("failed=%v", v)
 	}
-	if v := mustValue(t, after, "dp_profile_cache_hits_total"); v < 1 {
-		t.Errorf("cache hits=%v, want >=1", v)
+	// The report memo is the node's only table; the compile cache below it
+	// is process-wide.
+	for name := range after.Types {
+		if strings.Contains(name, "_cache_") &&
+			!strings.HasPrefix(name, "dp_report_cache_") && !strings.HasPrefix(name, "dp_compile_cache_") {
+			t.Errorf("/metrics exports %s: a node keeps no table but the report memo", name)
+		}
 	}
 	if v := mustValue(t, after, "dp_report_cache_misses_total"); v != 3 {
 		t.Errorf("report memo misses=%v, want 3", v)
 	}
-	if v := mustValue(t, after, "dp_pool_gets_total"); v < 2 {
-		t.Errorf("pool gets=%v, want >=2 (two uncached profiles)", v)
+	if v := mustValue(t, after, "dp_pool_gets_total"); v < 3 {
+		t.Errorf("pool gets=%v, want >=3 (three profiles)", v)
 	}
 	if after.Types["dp_queue_latency_seconds"] != "histogram" {
 		t.Errorf("queue latency TYPE = %q", after.Types["dp_queue_latency_seconds"])

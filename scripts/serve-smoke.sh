@@ -93,6 +93,16 @@ cus_after=$(sed -n 's/^dp_stage_seconds_total{stage="build-cus"} \(.*\)$/\1/p' /
 [ "$cus_after" = "$cus_before" ] \
   || fail "a memo hit rebuilt CUs (build-cus seconds $cus_before -> $cus_after)"
 
+# The memo is the node's only table: no profile cache is exported, and the
+# same job with other ranking options misses the memo and profiles again.
+grep -q '^dp_profile_cache_' /tmp/metrics1b.txt \
+  && fail "/metrics exports a profile cache"
+resp=$(curl -s -XPOST "$BASE/v1/analyze" -d '{"workload":"histogram","threads":4}')
+id=$(echo "$resp" | sed -n 's/.*"id":"\([^"]*\)".*/\1/p')
+[ -n "$id" ] || fail "no job id for the threads variant in $resp"
+job=$(curl -s "$BASE/v1/jobs/$id?wait=30s")
+echo "$job" | grep -q '"cache_hit":false' || fail "threads variant answered from a cache: $job"
+
 # Rejected submissions must be counted by reason: a malformed body and a
 # bad serialized module each land in their category.
 curl -s -XPOST "$BASE/v1/analyze" -d 'this is not json' >/dev/null
@@ -105,7 +115,7 @@ grep -q 'dp_jobs_rejected_total{reason="decode"} 1' /tmp/metrics2.txt \
 
 # Bytecode compile cache: the counters and compile-time histogram are
 # exposed, and resubmitting an identical inline module — which never
-# hits the profile cache — is served by the compile cache: the second
+# consults the report memo — is served by the compile cache: the second
 # submission raises the hit counter instead of compiling again.
 grep -q '^dp_compile_cache_misses_total ' /tmp/metrics2.txt \
   || fail "compile-cache counters missing"
@@ -208,6 +218,8 @@ grep -q "dp_peer_jobs_total{peer=\"http://127.0.0.1:$WPORT\"} 3" /tmp/metrics3b.
   || ffail "per-peer job counter moved on a memo hit"
 grep -q '^dp_report_cache_hits_total 1$' /tmp/metrics3b.txt \
   || ffail "coordinator did not count the memo hit"
+grep -q '^dp_profile_cache_' /tmp/metrics3b.txt \
+  && ffail "coordinator exports a profile cache"
 
 kill -TERM "$CPID" "$WPID"
 for _ in $(seq 1 50); do
