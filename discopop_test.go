@@ -204,7 +204,7 @@ func TestAnalyzeAllPublicAPI(t *testing.T) {
 // TestPETStructure sanity-checks the program execution tree.
 func TestPETStructure(t *testing.T) {
 	_, rep := classify(t, "CG")
-	if rep.PET.TotalInstrs == 0 {
+	if rep.PET.Root.Instrs == 0 {
 		t.Fatal("PET has no instruction count")
 	}
 	loops := 0

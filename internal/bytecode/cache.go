@@ -59,9 +59,3 @@ func (c *Cache) Stats() (hits, misses int64, entries int) {
 	hits, misses, _, entries = c.c.Stats()
 	return
 }
-
-// Evictions returns the number of entries dropped by the LRU bound.
-func (c *Cache) Evictions() int64 {
-	_, _, ev, _ := c.c.Stats()
-	return ev
-}

@@ -20,7 +20,7 @@ import (
 // OpPanic at the position where the walker would fault, so the partial
 // event prefix before the fault stays bit-identical.
 func Compile(m *ir.Module) *Program {
-	numOps := m.NumberOps(ir.NumberStaticOps)
+	m.NumberOps(ir.NumberStaticOps)
 	c := &compiler{m: m, gbase: make(map[*ir.Var]uint64)}
 	next := uint64(1)
 	for _, v := range m.Vars {
@@ -32,7 +32,7 @@ func Compile(m *ir.Module) *Program {
 	if next > math.MaxInt32 {
 		panic(fmt.Sprintf("bytecode: global segment of %d elements exceeds the 2^31 address operand range", next))
 	}
-	p := &Program{GlobalsEnd: next, NumOps: numOps, Funcs: make([]FuncInfo, len(m.Funcs))}
+	p := &Program{GlobalsEnd: next, Funcs: make([]FuncInfo, len(m.Funcs))}
 	c.code = make([]Instr, 0, 4*countStmts(m)+8)
 	for i, f := range m.Funcs {
 		if f.Body == nil {
@@ -90,7 +90,6 @@ func (c *compiler) compileFunc(f *ir.Func, idx int32) FuncInfo {
 	c.fuseFunc(int(entry))
 	return FuncInfo{
 		Entry:    entry,
-		End:      int32(len(c.code)),
 		NSlots:   int32(len(f.Params) + len(f.Locals)),
 		ArgWords: int32(len(f.Params)),
 		MaxStack: c.maxD,

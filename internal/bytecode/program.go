@@ -9,7 +9,7 @@ import "sync"
 // instance (the property the content-hash cache relies on).
 type Program struct {
 	// Code is the module-wide instruction stream; functions occupy
-	// disjoint [Entry, End) windows.
+	// disjoint windows starting at their Entry.
 	Code []Instr
 	// Funcs is indexed by Func.ID.
 	Funcs []FuncInfo
@@ -17,8 +17,6 @@ type Program struct {
 	// compiler's layout; the interpreter cross-checks it against its own
 	// before running the program.
 	GlobalsEnd uint64
-	// NumOps is the static memory-operation count baked into the stream.
-	NumOps int32
 	// Fused counts instructions eliminated by superinstruction fusion.
 	Fused int
 
@@ -34,8 +32,6 @@ type FuncInfo struct {
 	// undefined function (calling it reproduces the walker's "call to
 	// undefined function" error).
 	Entry int32
-	// End is one past the function's last instruction.
-	End int32
 	// NSlots is the frame size in binding slots: parameters first (in
 	// order), then every local in Func.Locals order.
 	NSlots int32

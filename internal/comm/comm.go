@@ -46,17 +46,6 @@ func FromProfile(res *profiler.Result) *Matrix {
 	return m
 }
 
-// Total returns the total communicated dependence instances.
-func (m *Matrix) Total() int64 {
-	var t int64
-	for _, row := range m.Counts {
-		for _, c := range row {
-			t += c
-		}
-	}
-	return t
-}
-
 // CrossThread returns the communication volume excluding the diagonal
 // (thread-local reuse).
 func (m *Matrix) CrossThread() int64 {

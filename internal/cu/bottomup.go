@@ -19,7 +19,7 @@ import (
 // algorithm; the bottom-up variant is provided for comparison and for the
 // granularity discussion of Section 3.3.
 func BuildBottomUp(m *ir.Module, sc *ir.Scope, res *profiler.Result) *Graph {
-	g := &Graph{Mod: m, byLine: map[ir.Loc]*CU{}, ByRegion: map[*ir.Region][]*CU{}}
+	g := &Graph{byLine: map[ir.Loc]*CU{}, ByRegion: map[*ir.Region][]*CU{}}
 	// Union-find over per-region leaf statements.
 	type unit struct {
 		region *ir.Region
@@ -132,7 +132,7 @@ func BuildBottomUp(m *ir.Module, sc *ir.Scope, res *profiler.Result) *Graph {
 		}
 	}
 	// Weights and edges exactly as in the top-down build.
-	b := &builder{mod: m, sc: sc, res: res, graph: g}
+	b := &builder{sc: sc, res: res, graph: g}
 	b.weights()
 	b.edges()
 	return g

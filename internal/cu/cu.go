@@ -24,12 +24,9 @@ type CU struct {
 	// Start/End delimit the source span of the unit's statements.
 	Start, End ir.Loc
 	Stmts      []ir.Stmt
-	// ReadSet/WriteSet are the global variables read and written; the
-	// virtual variable "ret" appears in the write set of function-level
-	// CUs containing a return (Section 3.2.5).
+	// ReadSet/WriteSet are the global variables read and written.
 	ReadSet  []*ir.Var
 	WriteSet []*ir.Var
-	RetInSet bool
 	// ReadPhase/WritePhase are the source locations of the global-variable
 	// reads and writes.
 	ReadPhase  []ir.Loc
@@ -66,14 +63,11 @@ type Edge struct {
 	To      *CU
 	Type    profiler.DepType
 	Carried bool
-	// CarriedBy is the region ID of the carrying loop (-1 if none).
-	CarriedBy int32
-	Count     int64
+	Count   int64
 }
 
 // Graph is a CU graph: computational units plus dependence edges.
 type Graph struct {
-	Mod    *ir.Module
 	CUs    []*CU
 	Edges  []*Edge
 	byLine map[ir.Loc]*CU
@@ -87,7 +81,6 @@ func (g *Graph) CUAt(loc ir.Loc) *CU { return g.byLine[loc] }
 
 // builder state for top-down construction.
 type builder struct {
-	mod   *ir.Module
 	sc    *ir.Scope
 	res   *profiler.Result
 	graph *Graph
@@ -96,8 +89,8 @@ type builder struct {
 // Build constructs the CU graph of the module with the top-down algorithm,
 // weighting CUs and classifying edges using the profiling result.
 func Build(m *ir.Module, sc *ir.Scope, res *profiler.Result) *Graph {
-	b := &builder{mod: m, sc: sc, res: res,
-		graph: &Graph{Mod: m, byLine: map[ir.Loc]*CU{}, ByRegion: map[*ir.Region][]*CU{}}}
+	b := &builder{sc: sc, res: res,
+		graph: &Graph{byLine: map[ir.Loc]*CU{}, ByRegion: map[*ir.Region][]*CU{}}}
 	for _, r := range m.Regions {
 		b.buildRegion(r)
 	}
@@ -114,7 +107,6 @@ type section struct {
 	readPhase  []ir.Loc
 	writePhase []ir.Loc
 	written    map[*ir.Var]bool
-	hasRet     bool
 }
 
 func newSection() *section {
@@ -174,9 +166,6 @@ func (b *builder) buildRegion(r *ir.Region) {
 				cur.readPhase = append(cur.readPhase, a.Loc)
 			}
 		}
-		if ret, ok := item.Stmt.(*ir.Return); ok && ret.Val != nil {
-			cur.hasRet = true
-		}
 	}
 	flush()
 }
@@ -189,7 +178,6 @@ func (b *builder) emit(r *ir.Region, s *section) {
 		Stmts:      s.stmts,
 		ReadPhase:  s.readPhase,
 		WritePhase: s.writePhase,
-		RetInSet:   s.hasRet,
 	}
 	c.Start = s.stmts[0].Location()
 	c.End = s.stmts[len(s.stmts)-1].Location()
@@ -234,7 +222,7 @@ func (b *builder) edges() {
 		from, to *CU
 		t        profiler.DepType
 		carried  bool
-		by       int32
+		by       int32 // one edge per carrying loop
 	}
 	merged := map[ekey]int64{}
 	for d, n := range b.res.Deps {
@@ -255,7 +243,7 @@ func (b *builder) edges() {
 	}
 	for k, n := range merged {
 		b.graph.Edges = append(b.graph.Edges, &Edge{
-			From: k.from, To: k.to, Type: k.t, Carried: k.carried, CarriedBy: k.by, Count: n})
+			From: k.from, To: k.to, Type: k.t, Carried: k.carried, Count: n})
 	}
 	sort.Slice(b.graph.Edges, func(i, j int) bool {
 		a, c := b.graph.Edges[i], b.graph.Edges[j]

@@ -215,27 +215,3 @@ func TestRotCCStructure(t *testing.T) {
 		t.Fatal("rot-cc CU graph lacks the rotate -> color-conversion RAW edge")
 	}
 }
-
-// TestRetInWriteSet: function-level CUs containing returns carry the
-// virtual ret variable marker (Section 3.2.5).
-func TestRetInWriteSet(t *testing.T) {
-	b := ir.NewBuilder("ret")
-	f := b.FuncRet("id")
-	v := f.Param("v", ir.F64)
-	f.Return(ir.V(v))
-	fd := f.Done()
-	mb := b.Func("main")
-	out := b.Global("out", ir.F64)
-	mb.CallInto(ir.V(out), fd, ir.CI(1))
-	m := b.Build(mb.Done())
-	g, _ := analyzeCU(t, m)
-	found := false
-	for _, c := range g.CUs {
-		if c.Func == fd && c.RetInSet {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatal("return-bearing CU does not mark ret in its write set")
-	}
-}

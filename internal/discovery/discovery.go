@@ -124,10 +124,9 @@ func Analyze(m *ir.Module, sc *ir.Scope, res *profiler.Result, g *cu.Graph) *Ana
 // a commutative, associative op (Section 4.1.1 resolves such dependences
 // automatically, like the compiler's reduction support).
 type Reduction struct {
-	Var  *ir.Var
-	Loc  ir.Loc
-	Op   ir.BinOp
-	Stmt *ir.Assign
+	Var *ir.Var
+	Loc ir.Loc
+	Op  ir.BinOp
 }
 
 // FindReductions statically recognizes reduction statements within the
@@ -171,7 +170,7 @@ func FindReductions(sc *ir.Scope, r *ir.Region) []Reduction {
 			return found
 		}
 		if (sameElem(bin.L) && !touches(bin.R)) || (sameElem(bin.R) && !touches(bin.L)) {
-			out = append(out, Reduction{Var: v, Loc: a.Loc, Op: bin.Op, Stmt: a})
+			out = append(out, Reduction{Var: v, Loc: a.Loc, Op: bin.Op})
 		}
 	}
 	ir.Walk(regionStmt(r), scan)

@@ -31,21 +31,8 @@ func (g *Graph) AddEdge(u, v int) {
 	g.radj[v] = append(g.radj[v], u)
 }
 
-// Succs returns the successor list of u.
-func (g *Graph) Succs(u int) []int { return g.adj[u] }
-
 // Preds returns the predecessor list of u.
 func (g *Graph) Preds(u int) []int { return g.radj[u] }
-
-// HasEdge reports whether u -> v exists.
-func (g *Graph) HasEdge(u, v int) bool {
-	for _, w := range g.adj[u] {
-		if w == v {
-			return true
-		}
-	}
-	return false
-}
 
 // SCC computes strongly connected components with Tarjan's algorithm
 // (iterative). It returns the component ID of every vertex and the number

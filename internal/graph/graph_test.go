@@ -2,6 +2,7 @@ package graph
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 )
@@ -49,8 +50,8 @@ func TestCondenseIsDAG(t *testing.T) {
 		}
 		// Every original edge maps to same component or a DAG edge.
 		for v := 0; v < n; v++ {
-			for _, w := range g.Succs(v) {
-				if comp[v] != comp[w] && !dag.HasEdge(comp[v], comp[w]) {
+			for _, w := range g.adj[v] {
+				if comp[v] != comp[w] && !slices.Contains(dag.adj[comp[v]], comp[w]) {
 					t.Fatalf("trial %d: edge %d->%d lost in condensation", trial, v, w)
 				}
 			}
@@ -113,7 +114,7 @@ func TestContractChainsPreservesReachability(t *testing.T) {
 					continue
 				}
 				seen[v] = true
-				stack = append(stack, gr.Succs(v)...)
+				stack = append(stack, gr.adj[v]...)
 			}
 			return false
 		}
@@ -197,8 +198,8 @@ func TestAddEdgeDeduplicates(t *testing.T) {
 	g := New(2)
 	g.AddEdge(0, 1)
 	g.AddEdge(0, 1)
-	if len(g.Succs(0)) != 1 {
-		t.Fatalf("duplicate edge stored: %v", g.Succs(0))
+	if len(g.adj[0]) != 1 {
+		t.Fatalf("duplicate edge stored: %v", g.adj[0])
 	}
 	if len(g.Preds(1)) != 1 {
 		t.Fatalf("duplicate pred stored: %v", g.Preds(1))

@@ -6,7 +6,6 @@ package ir
 
 // Expr is an expression node.
 type Expr interface {
-	Location() Loc
 	exprNode()
 }
 
@@ -134,24 +133,6 @@ func (*Bin) exprNode()      {}
 func (*Un) exprNode()       {}
 func (*Rand) exprNode()     {}
 func (*CallExpr) exprNode() {}
-
-// Location implements Expr.
-func (e *Const) Location() Loc { return e.Loc }
-
-// Location implements Expr.
-func (e *Ref) Location() Loc { return e.Loc }
-
-// Location implements Expr.
-func (e *Bin) Location() Loc { return e.Loc }
-
-// Location implements Expr.
-func (e *Un) Location() Loc { return e.Loc }
-
-// Location implements Expr.
-func (e *Rand) Location() Loc { return e.Loc }
-
-// Location implements Expr.
-func (e *CallExpr) Location() Loc { return e.Loc }
 
 // ---------------------------------------------------------------------------
 // Statements

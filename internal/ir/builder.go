@@ -67,7 +67,7 @@ func (b *Builder) GlobalArray(name string, t Type, elems int) *Var {
 // Forward declares a function so that it can be called before being defined
 // (mutual recursion). Define it later with DefineForward.
 func (b *Builder) Forward(name string, hasRet bool) *Func {
-	f := &Func{ID: b.nextFunc, Name: name, HasRet: hasRet, RetTyp: F64, Module: b.m}
+	f := &Func{ID: b.nextFunc, Name: name, HasRet: hasRet, RetTyp: F64}
 	b.nextFunc++
 	b.m.Funcs = append(b.m.Funcs, f)
 	return f
@@ -104,9 +104,6 @@ func (b *Builder) Build(main *Func) *Module {
 	b.m.Main = main
 	return b.m
 }
-
-// Module returns the module under construction.
-func (b *Builder) Module() *Module { return b.m }
 
 // FuncBuilder emits statements into a function body. Control constructs
 // take closures that populate the nested block.

@@ -729,7 +729,7 @@ func (d *decoder) decodeModule() (*Module, error) {
 	d.funs = make([]*Func, nfn)
 	funcRegions := make([]int, nfn)
 	for i := range d.funs {
-		f := &Func{ID: i, Module: d.m}
+		f := &Func{ID: i}
 		if f.Name, err = d.str(); err != nil {
 			return nil, err
 		}

@@ -179,7 +179,6 @@ type Func struct {
 	Loc    Loc
 	EndLoc Loc
 	Region *Region
-	Module *Module
 	// Locals lists every local declared anywhere in the function, in
 	// declaration order, for frame allocation by the interpreter.
 	Locals []*Var
@@ -245,17 +244,6 @@ func (m *Module) ContentHash() [32]byte {
 
 // unencodable numbers the modules ContentHash could not encode.
 var unencodable atomic.Uint64
-
-// Loops returns every loop region of the module, in region-ID order.
-func (m *Module) Loops() []*Region {
-	var out []*Region
-	for _, r := range m.Regions {
-		if r.Kind == RLoop {
-			out = append(out, r)
-		}
-	}
-	return out
-}
 
 // RegionAt returns the innermost region whose [Start,End] line span of the
 // same file contains loc, or nil.

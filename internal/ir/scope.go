@@ -133,14 +133,12 @@ func ComputeEffects(m *Module) map[*Func]*Effects {
 
 // Scope is the result of the module-wide scope analysis.
 type Scope struct {
-	Module  *Module
 	Effects map[*Func]*Effects
 	regions map[*Region]*RegionScope
 }
 
 // RegionScope holds scope facts for one region.
 type RegionScope struct {
-	Region *Region
 	// GlobalVars are the variables global to the region (declared outside
 	// it), in Var.ID order — the GV_c set of Equation 3.1.
 	GlobalVars []*Var
@@ -154,7 +152,7 @@ type RegionScope struct {
 // AnalyzeScopes computes global/local variable classification for every
 // region in the module.
 func AnalyzeScopes(m *Module) *Scope {
-	sc := &Scope{Module: m, Effects: ComputeEffects(m), regions: map[*Region]*RegionScope{}}
+	sc := &Scope{Effects: ComputeEffects(m), regions: map[*Region]*RegionScope{}}
 	for _, r := range m.Regions {
 		sc.regions[r] = sc.analyzeRegion(r)
 	}
@@ -184,7 +182,7 @@ func regionBody(r *Region) []Stmt {
 }
 
 func (sc *Scope) analyzeRegion(r *Region) *RegionScope {
-	rs := &RegionScope{Region: r, Uses: map[*Var]bool{}}
+	rs := &RegionScope{Uses: map[*Var]bool{}}
 	var record func(v *Var)
 	record = func(v *Var) { rs.Uses[v] = true }
 	var visitExpr func(x Expr)
@@ -276,7 +274,6 @@ type VarAccess struct {
 type SeqItem struct {
 	Child *Region // non-nil for nested regions
 	Stmt  Stmt
-	Loc   Loc
 	Accs  []VarAccess // for leaf statements: reads first, then writes
 }
 
@@ -294,11 +291,11 @@ func (sc *Scope) Sequence(r *Region) []SeqItem {
 func (sc *Scope) seqOf(s Stmt) []SeqItem {
 	switch n := s.(type) {
 	case *For:
-		return []SeqItem{{Child: n.Region, Stmt: s, Loc: n.Loc}}
+		return []SeqItem{{Child: n.Region, Stmt: s}}
 	case *While:
-		return []SeqItem{{Child: n.Region, Stmt: s, Loc: n.Loc}}
+		return []SeqItem{{Child: n.Region, Stmt: s}}
 	case *If:
-		return []SeqItem{{Child: n.Region, Stmt: s, Loc: n.Loc}}
+		return []SeqItem{{Child: n.Region, Stmt: s}}
 	case *BlockStmt:
 		var out []SeqItem
 		for _, c := range n.List {
@@ -312,7 +309,7 @@ func (sc *Scope) seqOf(s Stmt) []SeqItem {
 		}
 		return out
 	}
-	item := SeqItem{Stmt: s, Loc: s.Location()}
+	item := SeqItem{Stmt: s}
 	addRead := func(v *Var, loc Loc) {
 		item.Accs = append(item.Accs, VarAccess{Loc: loc, Var: v, Write: false})
 	}

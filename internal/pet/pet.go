@@ -20,7 +20,8 @@ type NodeKind uint8
 const (
 	// NFunc is a function node (incoming edges are "calling" edges).
 	NFunc NodeKind = iota
-	// NLoop is a loop node with an iteration counter.
+	// NLoop is a loop node with an iteration counter (incoming edges are
+	// "containing" edges).
 	NLoop
 )
 
@@ -31,16 +32,6 @@ func (k NodeKind) String() string {
 	return "func"
 }
 
-// EdgeKind classifies PET edges.
-type EdgeKind uint8
-
-const (
-	// ECall is a "calling" edge (function invokes function).
-	ECall EdgeKind = iota
-	// EContain is a "containing" edge (region contains region/block).
-	EContain
-)
-
 // Node is one PET node. A node represents the aggregation of all dynamic
 // instances of the same static construct within the same parent, the same
 // way the profiler merges dependences of multiple region instances.
@@ -50,8 +41,6 @@ type Node struct {
 	Func     *ir.Func   // for NFunc
 	Region   *ir.Region // for NLoop
 	Loc      ir.Loc
-	Parent   *Node
-	EdgeIn   EdgeKind
 	Children []*Node
 
 	// Metrics.
@@ -63,20 +52,10 @@ type Node struct {
 
 // Tree is a complete PET.
 type Tree struct {
+	// Root's Instrs is the total number of executed IR statements, the
+	// denominator of instruction coverage (Section 4.3.1).
 	Root  *Node
 	Nodes []*Node
-	// TotalInstrs is the total number of executed IR statements, the
-	// denominator of instruction coverage (Section 4.3.1).
-	TotalInstrs int64
-}
-
-// Coverage returns the fraction of all executed instructions spent in n
-// (inclusive).
-func (t *Tree) Coverage(n *Node) float64 {
-	if t.TotalInstrs == 0 {
-		return 0
-	}
-	return float64(n.Instrs) / float64(t.TotalInstrs)
 }
 
 // Builder is an interp.Tracer that constructs the PET during execution.
@@ -100,15 +79,13 @@ func (b *Builder) top(tid int32) *Node { s := b.stack[tid]; return s[len(s)-1] }
 
 // child finds or creates the child of parent for the given static
 // construct, merging repeated dynamic instances.
-func (b *Builder) child(parent *Node, kind NodeKind, f *ir.Func, r *ir.Region,
-	loc ir.Loc, ek EdgeKind) *Node {
+func (b *Builder) child(parent *Node, kind NodeKind, f *ir.Func, r *ir.Region, loc ir.Loc) *Node {
 	for _, c := range parent.Children {
 		if c.Kind == kind && c.Func == f && c.Region == r {
 			return c
 		}
 	}
-	n := &Node{ID: len(b.tree.Nodes), Kind: kind, Func: f, Region: r, Loc: loc,
-		Parent: parent, EdgeIn: ek}
+	n := &Node{ID: len(b.tree.Nodes), Kind: kind, Func: f, Region: r, Loc: loc}
 	parent.Children = append(parent.Children, n)
 	b.tree.Nodes = append(b.tree.Nodes, n)
 	return n
@@ -129,12 +106,12 @@ func (b *Builder) ProcessBatch(m *ir.Module, evs []interp.Ev) {
 		switch kind {
 		case interp.EvEnterFunc:
 			f := m.Funcs[ev.A]
-			b.push(tid, b.child(b.top(tid), NFunc, f, nil, f.Loc, ECall))
+			b.push(tid, b.child(b.top(tid), NFunc, f, nil, f.Loc))
 		case interp.EvExitFunc:
 			b.pop(tid).Instrs += int64(ev.Addr)
 		case interp.EvEnterRegion:
 			if r := m.Regions[ev.A]; r.Kind == ir.RLoop {
-				b.push(tid, b.child(b.top(tid), NLoop, nil, r, r.Start, EContain))
+				b.push(tid, b.child(b.top(tid), NLoop, nil, r, r.Start))
 			}
 		case interp.EvExitRegion:
 			if m.Regions[ev.A].Kind == ir.RLoop {
@@ -161,7 +138,6 @@ func (b *Builder) pop(tid int32) *Node {
 
 // Tree finalizes and returns the PET.
 func (b *Builder) Tree(totalInstrs int64) *Tree {
-	b.tree.TotalInstrs = totalInstrs
 	b.tree.Root.Instrs = totalInstrs
 	return b.tree
 }

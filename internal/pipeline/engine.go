@@ -82,9 +82,6 @@ type FleetStats struct {
 	// ProfileCache or whose whole report came from the report memo (no
 	// instrumented execution ran).
 	CacheHits int
-	// CompileHits counts jobs whose instrumented execution found its
-	// bytecode program already in the shared compile cache.
-	CompileHits int
 	// CompileLat is the distribution of per-job bytecode compile time
 	// (only jobs that actually compiled are observed).
 	CompileLat LatencyHist
@@ -346,9 +343,6 @@ func (e *Engine) record(res *JobResult, ctx *Context) {
 	}
 	if ctx.CacheHit {
 		e.stats.CacheHits++
-	}
-	if ctx.CompileHit {
-		e.stats.CompileHits++
 	}
 	if ctx.CompileTime > 0 {
 		e.stats.CompileLat.Observe(ctx.CompileTime)

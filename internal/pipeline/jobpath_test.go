@@ -76,24 +76,29 @@ func freshModule() *ir.Module {
 }
 
 // TestCachedMissReportsCompile: a job whose profile the cache did not hold
-// compiled its module, and says so — in its report and in the fleet's compile
-// latency distribution, as a job without a cache always has.
+// compiled its module, and says so — in its profile span and in the fleet's
+// compile latency distribution, as a job without a cache always has.
 func TestCachedMissReportsCompile(t *testing.T) {
 	opt := Options{Cache: NewProfileCache()}
 	results, stats := AnalyzeAllStats([]Job{{Name: "fresh", Mod: freshModule(), Opt: &opt}}, Options{BatchWorkers: 1})
 	if results[0].Err != nil {
 		t.Fatal(results[0].Err)
 	}
-	rep := results[0].Report
-	if rep.CacheHit {
+	if results[0].Report.CacheHit {
 		t.Fatal("a fresh module hit the profile cache")
 	}
-	if rep.CompileTime <= 0 || rep.CompileHit {
-		t.Errorf("CompileTime = %v, CompileHit = %v; want a positive time and no hit", rep.CompileTime, rep.CompileHit)
+	compiled := 0
+	for _, s := range results[0].Trace.Spans {
+		if s.Name == "profile" && s.Attrs["compile_hit"] == "false" {
+			compiled++
+		}
 	}
-	if stats.CompileLat.Count != 1 || stats.CompileHits != 0 {
-		t.Errorf("FleetStats: %d compile latency samples, %d compile hits; want 1 and 0",
-			stats.CompileLat.Count, stats.CompileHits)
+	if compiled != 1 {
+		t.Errorf("%d profile spans with compile_hit=false, want 1", compiled)
+	}
+	// Only a job that compiled, and took a positive time to, is observed.
+	if stats.CompileLat.Count != 1 {
+		t.Errorf("FleetStats: %d compile latency samples, want 1", stats.CompileLat.Count)
 	}
 }
 

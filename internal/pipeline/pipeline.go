@@ -100,11 +100,9 @@ type Context struct {
 	CacheHit bool
 
 	// CompileTime is the bytecode compilation time this job paid (zero on
-	// a compile-cache hit, a profile-cache hit, or under TreeWalk);
-	// CompileHit reports that the shared compile cache already held the
-	// program for this job's module.
+	// a compile-cache hit, a profile-cache hit, or under TreeWalk). The
+	// profile span's compile_hit attribute says which.
 	CompileTime time.Duration
-	CompileHit  bool
 
 	// DepCount and CUCount mirror len(Profile.Deps) and len(CUs.CUs) for
 	// jobs analyzed by a remote stage, where the full products stay on the
@@ -144,17 +142,6 @@ func (c *Context) Recorder() *obs.Recorder {
 type StageTime struct {
 	Stage string
 	D     time.Duration
-}
-
-// StageDuration returns the recorded wall time of the named stage (0 when
-// the stage did not run).
-func (c *Context) StageDuration(name string) time.Duration {
-	for _, st := range c.Times {
-		if st.Stage == name {
-			return st.D
-		}
-	}
-	return 0
 }
 
 // Stage is one step of the analysis pipeline.
@@ -246,8 +233,8 @@ func (Profile) Run(ctx *Context) error {
 	rec.Annotate("deps", strconv.Itoa(len(ctx.Profile.Deps)))
 	if !ctx.CacheHit {
 		// A hit paid no compilation; the job that filled the entry did.
-		ctx.CompileTime, ctx.CompileHit = e.run.CompileTime, e.run.CompileHit
-		rec.Annotate("compile_hit", strconv.FormatBool(ctx.CompileHit))
+		ctx.CompileTime = e.run.CompileTime
+		rec.Annotate("compile_hit", strconv.FormatBool(e.run.CompileHit))
 	}
 	return nil
 }
@@ -379,10 +366,6 @@ type Report struct {
 	// CacheHit reports that the profile was served from a ProfileCache or
 	// the report from the report memo.
 	CacheHit bool
-	// CompileTime and CompileHit carry the bytecode compile cost of the
-	// job's instrumented execution (see Context).
-	CompileTime time.Duration
-	CompileHit  bool
 	// DepCount and CUCount carry the dependence and CU counts of a
 	// remotely-analyzed job (Profile and CUs stay on the worker).
 	DepCount int
@@ -411,36 +394,23 @@ func (r *Report) NumCUs() int {
 	return r.CUCount
 }
 
-// StageDuration returns the recorded wall time of the named stage (0 when
-// the stage did not run).
-func (r *Report) StageDuration(name string) time.Duration {
-	for _, st := range r.Times {
-		if st.Stage == name {
-			return st.D
-		}
-	}
-	return 0
-}
-
 // Report assembles the stage products into a Report.
 func (c *Context) Report() *Report {
 	return &Report{
-		Mod:         c.Mod,
-		Profile:     c.Profile,
-		PET:         c.PET,
-		Scope:       c.Scope,
-		CUs:         c.CUs,
-		Analysis:    c.Analysis,
-		Ranked:      c.Ranked,
-		Instrs:      c.Instrs,
-		ExecTime:    c.ExecTime,
-		CacheHit:    c.CacheHit,
-		CompileTime: c.CompileTime,
-		CompileHit:  c.CompileHit,
-		DepCount:    c.DepCount,
-		CUCount:     c.CUCount,
-		RemotePeer:  c.RemotePeer,
-		Times:       c.Times,
+		Mod:        c.Mod,
+		Profile:    c.Profile,
+		PET:        c.PET,
+		Scope:      c.Scope,
+		CUs:        c.CUs,
+		Analysis:   c.Analysis,
+		Ranked:     c.Ranked,
+		Instrs:     c.Instrs,
+		ExecTime:   c.ExecTime,
+		CacheHit:   c.CacheHit,
+		DepCount:   c.DepCount,
+		CUCount:    c.CUCount,
+		RemotePeer: c.RemotePeer,
+		Times:      c.Times,
 	}
 }
 

@@ -65,13 +65,12 @@ type Dep struct {
 	Reversed bool
 }
 
-// RegionExec aggregates the dynamic control-flow information of one region:
-// entry count and, for loops, total iterations (Section 2.3.6).
+// RegionExec aggregates the dynamic control-flow information of one entered
+// region: for loops, total iterations (Section 2.3.6).
 type RegionExec struct {
-	Region  *ir.Region
-	Entries int64
-	Iters   int64
-	Instrs  int64 // inclusive executed leaf statements
+	Region *ir.Region
+	Iters  int64
+	Instrs int64 // inclusive executed leaf statements
 }
 
 // SkipStats aggregates the counters behind Table 2.7 and Figure 2.13.

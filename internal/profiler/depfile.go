@@ -26,8 +26,6 @@ type DepFile struct {
 	Loops map[ir.Loc]int64
 	// LoopEnds records END marker locations keyed by iterations order.
 	LoopEnds map[ir.Loc]int64
-	// MT reports whether the file carried thread IDs.
-	MT bool
 }
 
 // ParseDepFile parses the Figure 2.1 (sequential) or Figure 2.3
@@ -68,12 +66,9 @@ func ParseDepFile(text string) (*DepFile, error) {
 		if len(fields) < 2 {
 			return nil, fmt.Errorf("depfile line %d: malformed: %q", lineNo, line)
 		}
-		sinkLoc, sinkThr, mt, err := parseLocThread(fields[0])
+		sinkLoc, sinkThr, err := parseLocThread(fields[0])
 		if err != nil {
 			return nil, fmt.Errorf("depfile line %d: %v", lineNo, err)
-		}
-		if mt {
-			df.MT = true
 		}
 		switch fields[1] {
 		case "BGN":
@@ -122,20 +117,18 @@ func ParseDepFile(text string) (*DepFile, error) {
 }
 
 // parseLocThread parses "f:l" or "f:l|t".
-func parseLocThread(s string) (ir.Loc, int16, bool, error) {
+func parseLocThread(s string) (ir.Loc, int16, error) {
 	thr := int16(-1)
-	mt := false
 	if i := strings.IndexByte(s, '|'); i >= 0 {
 		t, err := strconv.Atoi(s[i+1:])
 		if err != nil {
-			return ir.Loc{}, 0, false, fmt.Errorf("bad thread id in %q", s)
+			return ir.Loc{}, 0, fmt.Errorf("bad thread id in %q", s)
 		}
 		thr = int16(t)
-		mt = true
 		s = s[:i]
 	}
 	loc, err := parseLoc(s)
-	return loc, thr, mt, err
+	return loc, thr, err
 }
 
 func parseLoc(s string) (ir.Loc, error) {

@@ -50,9 +50,6 @@ func TestDepFileRoundTripMT(t *testing.T) {
 	if err != nil {
 		t.Fatalf("parse error: %v", err)
 	}
-	if !df.MT {
-		t.Fatal("MT format not detected")
-	}
 	// Thread IDs must survive.
 	foundThreaded := false
 	for d := range df.Deps {

@@ -258,7 +258,6 @@ func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 			re = &RegionExec{Region: m.Regions[ev.A]}
 			p.regions[ev.A] = re
 		}
-		re.Entries++
 		if re.Region.Kind == ir.RLoop {
 			p.loopStack[tid] = append(p.loopStack[tid], p.cur[tid])
 		}

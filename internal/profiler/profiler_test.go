@@ -347,8 +347,9 @@ func TestRegionIterationCounts(t *testing.T) {
 			continue
 		}
 		counted++
-		if re.Entries > 0 && re.Iters == 0 {
-			t.Errorf("loop %v entered %d times with zero iterations", re.Region, re.Entries)
+		// A region has a record once it was entered.
+		if re.Iters == 0 {
+			t.Errorf("loop %v entered with zero iterations", re.Region)
 		}
 	}
 	if counted == 0 {

@@ -59,6 +59,3 @@ func (q *SPSC[T]) TryPop() (T, bool) {
 	q.head.Store(h + 1)
 	return v, true
 }
-
-// Len returns the number of buffered items (approximate under concurrency).
-func (q *SPSC[T]) Len() int { return int(q.tail.Load() - q.head.Load()) }

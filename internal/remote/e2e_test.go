@@ -285,7 +285,7 @@ func describeRanked(t *testing.T, rep *pipeline.Report) string {
 			region = s.Region.ID
 		}
 		if s.Func != nil {
-			if s.Func.Module != rep.Mod {
+			if rep.Mod.Funcs[s.Func.ID] != s.Func {
 				t.Fatalf("%s: suggestion %d's function is not the job module's", rep.Mod.Name, i)
 			}
 			fn = s.Func.ID

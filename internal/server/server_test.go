@@ -658,8 +658,9 @@ func TestRunawayWorkerThreadBudget(t *testing.T) {
 
 // TestSerializedModuleSubmission submits a full serialized IR module and
 // checks it analyzes identically to the same workload submitted by name,
-// that resubmission hits the content-addressed profile cache, and that
-// malformed payloads are rejected with a categorized counter.
+// that a resubmission is answered from the node's report memo (keyed on the
+// module's content hash), and that malformed payloads are rejected with a
+// categorized counter.
 func TestSerializedModuleSubmission(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 2})
 
@@ -701,8 +702,9 @@ func TestSerializedModuleSubmission(t *testing.T) {
 		t.Fatal("budgeted module submission was served the unbudgeted workload's profile")
 	}
 
-	// Resubmitting the same module must hit the profile cache (the key is
-	// the module's content hash, not a client-supplied name).
+	// Resubmitting the same module must be answered from the report memo
+	// (the key is the module's content hash, not a client-supplied name),
+	// which Result.CacheHit reports.
 	again := waitJob(t, ts.URL, postAnalyze(t, ts.URL,
 		fmt.Sprintf(`{"module":%q}`, modB64)))
 	if again.State != jobDone || again.Result == nil || !again.Result.CacheHit {

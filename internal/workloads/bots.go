@@ -26,7 +26,7 @@ func buildFib(scale int) *Program {
 	if n > 18 {
 		n = 18
 	}
-	t := Truth{SeqFraction: 0.02}
+	var t Truth
 	b := ir.NewBuilder("fib")
 	fibF := b.Forward("fib", true)
 	fb := b.DefineForward(fibF)
@@ -58,7 +58,7 @@ func buildNQueens(scale int) *Program {
 	if scale > 1 {
 		n = 7
 	}
-	t := Truth{SeqFraction: 0.02}
+	var t Truth
 	b := ir.NewBuilder("nqueens")
 	sols := b.Global("solutions", ir.F64)
 	board := b.GlobalArray("board", ir.F64, n)
@@ -108,7 +108,7 @@ func buildSort(scale int) *Program {
 	if scale > 1 {
 		n = 1 << 9
 	}
-	t := Truth{SeqFraction: 0.1}
+	var t Truth
 	b := ir.NewBuilder("sort")
 	data := b.GlobalArray("data", ir.F64, n)
 	tmp := b.GlobalArray("tmp", ir.F64, n)
@@ -173,7 +173,7 @@ func buildFFTBots(scale int) *Program {
 	if scale > 1 {
 		n = 1 << 9
 	}
-	t := Truth{SeqFraction: 0.06}
+	var t Truth
 	b := ir.NewBuilder("fft")
 	re := b.GlobalArray("re", ir.F64, n)
 	im := b.GlobalArray("im", ir.F64, n)
@@ -218,7 +218,7 @@ func buildStrassen(scale int) *Program {
 	if scale > 1 {
 		dim = 24
 	}
-	t := Truth{SeqFraction: 0.05}
+	var t Truth
 	b := ir.NewBuilder("strassen")
 	a := b.GlobalArray("A", ir.F64, dim*dim)
 	bm := b.GlobalArray("B", ir.F64, dim*dim)
@@ -282,7 +282,7 @@ func buildSparseLU(scale int) *Program {
 		nb = 8
 	}
 	dim := nb * bs
-	t := Truth{SeqFraction: 0.08}
+	var t Truth
 	b := ir.NewBuilder("sparselu")
 	m := b.GlobalArray("M", ir.F64, dim*dim)
 	fb := b.Func("main")
@@ -327,7 +327,7 @@ func buildHealth(scale int) *Program {
 	if scale > 1 {
 		depth = 5
 	}
-	t := Truth{SeqFraction: 0.04}
+	var t Truth
 	b := ir.NewBuilder("health")
 	patients := b.GlobalArray("patients", ir.F64, 1024)
 	total := b.Global("treated", ir.F64)
@@ -366,7 +366,7 @@ func buildFloorplan(scale int) *Program {
 	if scale > 1 {
 		depth = 7
 	}
-	t := Truth{SeqFraction: 0.05}
+	var t Truth
 	b := ir.NewBuilder("floorplan")
 	best := b.Global("best", ir.F64)
 	area := b.GlobalArray("area", ir.F64, 16)
@@ -414,7 +414,7 @@ func buildFloorplan(scale int) *Program {
 func buildAlignment(scale int) *Program {
 	pairs := sc(scale, 20)
 	seqLen := 24
-	t := Truth{SeqFraction: 0.03}
+	var t Truth
 	b := ir.NewBuilder("alignment")
 	seqs := b.GlobalArray("seqs", ir.F64, pairs*seqLen)
 	scores := b.GlobalArray("scores", ir.F64, pairs)
@@ -447,7 +447,7 @@ func buildUTS(scale int) *Program {
 	if scale > 1 {
 		depth = 6
 	}
-	t := Truth{SeqFraction: 0.03}
+	var t Truth
 	b := ir.NewBuilder("uts")
 	count := b.Global("nodes", ir.F64)
 

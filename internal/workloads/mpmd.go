@@ -28,7 +28,7 @@ func buildFaceDetection(scale int) *Program {
 		windows = 150
 		taps    = 6
 	)
-	t := Truth{SeqFraction: 0.07}
+	var t Truth
 	b := ir.NewBuilder("facedetection")
 	img := b.GlobalArray("img", ir.F64, imgSz)
 	pre := b.GlobalArray("pre", ir.F64, imgSz)
@@ -94,7 +94,7 @@ func buildFaceDetection(scale int) *Program {
 func buildVorbis(scale int) *Program {
 	packets := sc(scale, 10)
 	samples := 64
-	t := Truth{SeqFraction: 0.1}
+	var t Truth
 	b := ir.NewBuilder("libvorbis")
 	stream := b.GlobalArray("stream", ir.F64, packets*4)
 	left := b.GlobalArray("left", ir.F64, samples)
@@ -145,7 +145,7 @@ func buildVorbis(scale int) *Program {
 func buildFerret(scale int) *Program {
 	queries := sc(scale, 12)
 	feat := 32
-	t := Truth{SeqFraction: 0.05}
+	var t Truth
 	b := ir.NewBuilder("ferret")
 	imgs := b.GlobalArray("imgs", ir.F64, queries*feat)
 	segBuf := b.GlobalArray("seg", ir.F64, feat)
@@ -189,7 +189,7 @@ func buildFerret(scale int) *Program {
 // the ordered writer is sequential.
 func buildDedup(scale int) *Program {
 	chunks := sc(scale, 30)
-	t := Truth{SeqFraction: 0.12}
+	var t Truth
 	b := ir.NewBuilder("dedup")
 	data := b.GlobalArray("data", ir.F64, chunks*8)
 	hash := b.GlobalArray("hash", ir.F64, chunks)
@@ -222,7 +222,7 @@ func buildDedup(scale int) *Program {
 // buildBlackscholes is the classic DOALL pricing loop.
 func buildBlackscholes(scale int) *Program {
 	opts := sc(scale, 1200)
-	t := Truth{SeqFraction: 0.01}
+	var t Truth
 	b := ir.NewBuilder("blackscholes")
 	spot := b.GlobalArray("spot", ir.F64, opts)
 	strike := b.GlobalArray("strike", ir.F64, opts)
@@ -248,7 +248,7 @@ func buildBlackscholes(scale int) *Program {
 func buildSwaptions(scale int) *Program {
 	n := sc(scale, 40)
 	trials := 25
-	t := Truth{SeqFraction: 0.02}
+	var t Truth
 	b := ir.NewBuilder("swaptions")
 	prices := b.GlobalArray("prices", ir.F64, n)
 	fb := b.Func("main")

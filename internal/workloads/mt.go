@@ -27,7 +27,7 @@ func mtKernel(name string, elems, rounds int) BuilderFunc {
 	return func(scale int) *Program {
 		n := sc(scale, elems)
 		per := n / threads
-		t := Truth{SeqFraction: 0.02}
+		var t Truth
 		b := ir.NewBuilder(name)
 		in := b.GlobalArray("in", ir.F64, n)
 		out := b.GlobalArray("out", ir.F64, n)

@@ -21,7 +21,7 @@ func init() {
 // reduction writes.
 func buildEP(scale int) *Program {
 	n := sc(scale, 4000)
-	t := Truth{SeqFraction: 0.02}
+	var t Truth
 	b := ir.NewBuilder("ep")
 	sx := b.Global("sx", ir.F64)
 	sy := b.Global("sy", ir.F64)
@@ -64,7 +64,7 @@ func buildCG(scale int) *Program {
 	rows := sc(scale, 160)
 	nnzPerRow := 8
 	iters := 6
-	t := Truth{SeqFraction: 0.04}
+	var t Truth
 	b := ir.NewBuilder("cg")
 	a := b.GlobalArray("a", ir.F64, rows*nnzPerRow)
 	col := b.GlobalArray("colidx", ir.I64, rows*nnzPerRow)
@@ -133,7 +133,7 @@ func buildFT(scale int) *Program {
 	for n < sc(scale, 256) {
 		n <<= 1
 	}
-	t := Truth{SeqFraction: 0.08}
+	var t Truth
 	b := ir.NewBuilder("ft")
 
 	// randlc advances the seed (by reference) and returns a value: the
@@ -201,7 +201,7 @@ func buildFT(scale int) *Program {
 func buildIS(scale int) *Program {
 	n := sc(scale, 4000)
 	buckets := 64
-	t := Truth{SeqFraction: 0.05}
+	var t Truth
 	b := ir.NewBuilder("is")
 	keys := b.GlobalArray("key", ir.I64, n)
 	cnt := b.GlobalArray("count", ir.F64, buckets)
@@ -241,7 +241,7 @@ func buildIS(scale int) *Program {
 func buildMG(scale int) *Program {
 	n := sc(scale, 1024)
 	cycles := 4
-	t := Truth{SeqFraction: 0.03}
+	var t Truth
 	b := ir.NewBuilder("mg")
 	u := b.GlobalArray("u", ir.F64, n)
 	v := b.GlobalArray("v", ir.F64, n)
@@ -292,7 +292,7 @@ func adiSweep(fb *ir.FuncBuilder, grid *ir.Var, lines, lineLen int, coeff float6
 func buildADI(name string, lines, lineLen, steps int, coeff float64) BuilderFunc {
 	return func(scale int) *Program {
 		L := sc(scale, lines)
-		t := Truth{SeqFraction: 0.04}
+		var t Truth
 		b := ir.NewBuilder(name)
 		grid := b.GlobalArray("u", ir.F64, L*lineLen)
 		rhs := b.GlobalArray("rhs", ir.F64, L*lineLen)

@@ -24,7 +24,7 @@ func init() {
 // a shading function — the canonical DOALL-over-pixels loop.
 func buildCRay(scale int) *Program {
 	w, h := 40, sc(scale, 40)
-	t := Truth{SeqFraction: 0.01}
+	var t Truth
 	b := ir.NewBuilder("c-ray")
 
 	shade := b.FuncRet("shade")
@@ -69,7 +69,7 @@ func buildKMeans(scale int) *Program {
 	n := sc(scale, 600)
 	k := 8
 	iters := 5
-	t := Truth{SeqFraction: 0.03}
+	var t Truth
 	b := ir.NewBuilder("kmeans")
 	pts := b.GlobalArray("points", ir.F64, n)
 	asg := b.GlobalArray("assign", ir.I64, n)
@@ -130,7 +130,7 @@ func buildKMeans(scale int) *Program {
 func buildMD5(scale int) *Program {
 	bufs := sc(scale, 24)
 	blockLen := 64
-	t := Truth{SeqFraction: 0.02}
+	var t Truth
 	b := ir.NewBuilder("md5")
 	data := b.GlobalArray("data", ir.F64, bufs*blockLen)
 	digest := b.GlobalArray("digest", ir.F64, bufs)
@@ -170,11 +170,11 @@ func buildMD5(scale int) *Program {
 
 // imageKernel builds an image-processing main with a per-pixel DOALL loop
 // computed by fn.
-func imageKernel(name string, n int, seqFrac float64,
+func imageKernel(name string, n int,
 	emit func(fb *ir.FuncBuilder, src, dst *ir.Var, i *ir.Var)) BuilderFunc {
 	return func(scale int) *Program {
 		px := sc(scale, n)
-		t := Truth{SeqFraction: seqFrac}
+		var t Truth
 		b := ir.NewBuilder(name)
 		src := b.GlobalArray("src", ir.F64, px)
 		dst := b.GlobalArray("dst", ir.F64, px)
@@ -194,7 +194,7 @@ func imageKernel(name string, n int, seqFrac float64,
 // reads, three independent channel computations, three writes per pixel.
 func buildRGBYUV(scale int) *Program {
 	px := sc(scale, 2400)
-	t := Truth{SeqFraction: 0.01}
+	var t Truth
 	b := ir.NewBuilder("rgbyuv")
 	rch := b.GlobalArray("r", ir.F64, px)
 	gch := b.GlobalArray("g", ir.F64, px)
@@ -221,14 +221,14 @@ func buildRGBYUV(scale int) *Program {
 
 // buildRotate models image rotation: dst[perm(i)] = src[i], a permutation
 // scatter with independent iterations.
-var buildRotate = imageKernel("rotate", 3000, 0.01,
+var buildRotate = imageKernel("rotate", 3000,
 	func(fb *ir.FuncBuilder, src, dst *ir.Var, i *ir.Var) {
 		n := int64(dst.Elems)
 		fb.SetAt(dst, ir.Mod(ir.Mul(ir.V(i), ir.CI(7)), ir.CI(n)), ir.At(src, ir.V(i)))
 	})
 
 // buildRayRot combines ray shading with rotation per pixel.
-var buildRayRot = imageKernel("ray-rot", 2000, 0.02,
+var buildRayRot = imageKernel("ray-rot", 2000,
 	func(fb *ir.FuncBuilder, src, dst *ir.Var, i *ir.Var) {
 		n := int64(dst.Elems)
 		fb.SetAt(dst, ir.Mod(ir.Mul(ir.V(i), ir.CI(13)), ir.CI(n)),
@@ -240,7 +240,7 @@ var buildRayRot = imageKernel("ray-rot", 2000, 0.02,
 // the rot-cc CU graph of Figure 3.6.
 func buildRotCC(scale int) *Program {
 	px := sc(scale, 2000)
-	t := Truth{SeqFraction: 0.01}
+	var t Truth
 	b := ir.NewBuilder("rot-cc")
 	src := b.GlobalArray("src", ir.F64, px)
 	mid := b.GlobalArray("mid", ir.F64, px)
@@ -264,7 +264,7 @@ func buildRotCC(scale int) *Program {
 func buildStreamcluster(scale int) *Program {
 	n := sc(scale, 800)
 	rounds := 4
-	t := Truth{SeqFraction: 0.05}
+	var t Truth
 	b := ir.NewBuilder("streamcluster")
 	pts := b.GlobalArray("points", ir.F64, n)
 	ctr := b.GlobalArray("centers", ir.F64, rounds+1)
@@ -298,7 +298,7 @@ func buildStreamcluster(scale int) *Program {
 func buildTinyJPEG(scale int) *Program {
 	blocks := sc(scale, 60)
 	blockPx := 16
-	t := Truth{SeqFraction: 0.15}
+	var t Truth
 	b := ir.NewBuilder("tinyjpeg")
 	stream := b.GlobalArray("stream", ir.F64, blocks*4)
 	out := b.GlobalArray("out", ir.F64, blocks*blockPx)
@@ -330,7 +330,7 @@ func buildTinyJPEG(scale int) *Program {
 func buildBodytrack(scale int) *Program {
 	particles := sc(scale, 500)
 	steps := 4
-	t := Truth{SeqFraction: 0.05}
+	var t Truth
 	b := ir.NewBuilder("bodytrack")
 	pose := b.GlobalArray("pose", ir.F64, particles)
 	wgt := b.GlobalArray("weight", ir.F64, particles)
@@ -372,7 +372,7 @@ func buildBodytrack(scale int) *Program {
 func buildH264(scale int) *Program {
 	frames := sc(scale, 8)
 	mbs := 40
-	t := Truth{SeqFraction: 0.12}
+	var t Truth
 	b := ir.NewBuilder("h264dec")
 	bits := b.GlobalArray("bits", ir.F64, frames*mbs)
 	ref := b.GlobalArray("ref", ir.F64, mbs)

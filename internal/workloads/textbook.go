@@ -22,7 +22,7 @@ func init() {
 func buildHistogram(scale int) *Program {
 	n := sc(scale, 3000)
 	bins := 32
-	t := Truth{SeqFraction: 0.02}
+	var t Truth
 	b := ir.NewBuilder("histogram")
 	data := b.GlobalArray("data", ir.F64, n)
 	hist := b.GlobalArray("hist", ir.F64, bins)
@@ -57,7 +57,7 @@ func buildHistogram(scale int) *Program {
 func buildMandelbrot(scale int) *Program {
 	px := sc(scale, 500)
 	maxIter := 24
-	t := Truth{SeqFraction: 0.01}
+	var t Truth
 	b := ir.NewBuilder("mandelbrot")
 	out := b.GlobalArray("out", ir.F64, px)
 	fb := b.Func("main")
@@ -92,7 +92,7 @@ func buildMandelbrot(scale int) *Program {
 // an inner dot-product reduction.
 func buildMatmul(scale int) *Program {
 	n := 18 + 2*scale
-	t := Truth{SeqFraction: 0.01}
+	var t Truth
 	b := ir.NewBuilder("matmul")
 	a := b.GlobalArray("A", ir.F64, n*n)
 	bm := b.GlobalArray("B", ir.F64, n*n)
@@ -123,7 +123,7 @@ func buildMatmul(scale int) *Program {
 // buildMonteCarloPi samples points and counts hits — a pure reduction loop.
 func buildMonteCarloPi(scale int) *Program {
 	n := sc(scale, 6000)
-	t := Truth{SeqFraction: 0.01}
+	var t Truth
 	b := ir.NewBuilder("montecarlo-pi")
 	hits := b.Global("hits", ir.F64)
 	pi := b.Global("pi", ir.F64)
@@ -150,7 +150,7 @@ func buildMonteCarloPi(scale int) *Program {
 func buildNBody(scale int) *Program {
 	n := sc(scale, 80)
 	steps := 3
-	t := Truth{SeqFraction: 0.02}
+	var t Truth
 	b := ir.NewBuilder("nbody")
 	pos := b.GlobalArray("pos", ir.F64, n)
 	vel := b.GlobalArray("vel", ir.F64, n)
@@ -191,7 +191,7 @@ func buildNBody(scale int) *Program {
 // buildPrefixSum is the inherently sequential textbook counterexample.
 func buildPrefixSum(scale int) *Program {
 	n := sc(scale, 4000)
-	t := Truth{SeqFraction: 0.95}
+	var t Truth
 	b := ir.NewBuilder("prefix-sum")
 	a := b.GlobalArray("a", ir.F64, n)
 	fb := b.Func("main")
@@ -213,7 +213,7 @@ func buildPrefixSum(scale int) *Program {
 func blockCompressor(name string, blocks, blockWork int, perBlockLoops int) BuilderFunc {
 	return func(scale int) *Program {
 		nb := sc(scale, blocks)
-		t := Truth{SeqFraction: 0.1}
+		var t Truth
 		b := ir.NewBuilder(name)
 		in := b.GlobalArray("input", ir.F64, nb*blockWork)
 		dict := b.GlobalArray("dict", ir.F64, 64)

@@ -36,15 +36,11 @@ type Truth struct {
 	Hot *ir.Region
 	// TaskFuncs lists functions expected to expose task parallelism.
 	TaskFuncs []*ir.Func
-	// SeqFraction is the approximate sequential fraction of the program,
-	// used by the speedup simulation.
-	SeqFraction float64
 }
 
 // Program is a built workload: the module plus its ground truth.
 type Program struct {
 	Name  string
-	Suite string
 	M     *ir.Module
 	Truth Truth
 }
@@ -141,7 +137,6 @@ func Build(name string, scale int) (*Program, error) {
 		if e.name == name {
 			p := e.build(scale)
 			p.Name = e.name
-			p.Suite = e.suite
 			return p, nil
 		}
 	}

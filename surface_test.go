@@ -15,14 +15,17 @@ import (
 	"os/exec"
 	"path"
 	"path/filepath"
+	"reflect"
+	"slices"
 	"sort"
 	"strings"
 	"testing"
 )
 
-// unreadAllowed lists the exported package-level names under internal/
-// that stay although no non-test file reads them, each with its reason.
-// Keys are the package path below internal/, a dot, and the name.
+// unreadAllowed lists the exported members under internal/ that stay
+// although no non-test file reads them, each with its reason. Keys are the
+// package path below internal/, a dot, and the name; a method or a field is
+// pkg.Type.Member.
 var unreadAllowed = map[string]string{
 	"ir.Print":              "the textual dump that programs as text are to build on",
 	"ir.OrB":                "IR constructor, kept so every binary operator has one",
@@ -34,78 +37,347 @@ var unreadAllowed = map[string]string{
 	"profiler.ParseDepFile": "reader the dependence-file round-trip tests check the writer with",
 	"profiler.CoarseSet":    "the coarse dependence tuples those round-trip tests compare",
 	"sig.EstimateFPR":       "Formula 2.2, the value a test compares signature occupancy against",
+
+	"ir.Builder.File":          "IR constructor, kept so a module can span more than one source file",
+	"ir.FuncBuilder.Free":      "IR constructor, kept so the Free statement has one",
+	"ir.FuncBuilder.HeapArray": "IR constructor, kept so a heap variable has one",
+	"ir.FuncBuilder.While":     "IR constructor, kept so the while loop has one",
+
+	"interp.Interp.Loads":    "counter the walker-VM differential and FuzzCompile compare (incremented inside vmLoop)",
+	"interp.Interp.Stores":   "counter the walker-VM differential and FuzzCompile compare (incremented inside vmLoop)",
+	"bytecode.Program.Fused": "the count the superinstruction-fusion tests check fusion happened by",
+
+	"experiments.Row.Label":       "the name the experiment tests find their rows by",
+	"interp.Interp.Space":         "the address space the lazy-page and pooled-arena tests inspect",
+	"mem.Layout.GlobalsEnd":       "the bound the Reset test writes the last global at and the pooled-arena test tells layouts apart by",
+	"mem.Space.Footprint":         "the materialized bytes the lazy-page and Reset tests count",
+	"mem.Space.Layout":            "the layout the pooled-arena and Reset tests compare",
+	"mem.Space.StackPagesTouched": "the stack pages the lazy-page and Reset tests count",
+	"metrics.Scrape.Value":        "the sample lookup the exposition round-trip and rejection-counter tests read with",
+	"pipeline.Report.Mod":         "the report's authoritative module, which the profile-cache and fleet tests check identity against",
+	"profiler.DepShards.Snapshot": "the map the DepShards merge tests compare; DepShards has only bench/ as reader (ROADMAP item 10)",
+
+	"obs.DecodedLine.File":         "a field of DecodeLineProfile's result, kept with it",
+	"obs.DecodedLine.Func":         "a field of DecodeLineProfile's result, kept with it",
+	"obs.DecodedLine.Line":         "a field of DecodeLineProfile's result, kept with it",
+	"obs.DecodedLine.Value":        "a field of DecodeLineProfile's result, kept with it",
+	"obs.DecodedProfile.Period":    "a field of DecodeLineProfile's result, kept with it",
+	"obs.DecodedProfile.TimeNanos": "a field of DecodeLineProfile's result, kept with it",
+	"obs.DecodedProfile.Unit":      "a field of DecodeLineProfile's result, kept with it",
+
+	"pipeline.Options.CacheKey": "ignored, and only bench/ sets it (ROADMAP item 10)",
 }
 
 // TestEveryInternalExportHasAReader type-checks the module's non-test files
-// and fails on an exported package-level func, type, var or const under
-// internal/ that no non-test file references (its own package, bench/,
-// cmd/, examples/ and the root package all count). Methods are out of
-// scope: interface satisfaction hides their readers. An allowlist entry
-// that is gone or has gained a reader fails too, so the list stays true.
+// and fails on an exported member under internal/ that no non-test file
+// reads: a package-level func, type, var or const, a method, or a field of
+// an exported struct (see unreadExports for what counts as a reader). Its
+// own package, bench/, cmd/, examples/ and the root package all count. An
+// allowlist entry that is gone or has gained a reader fails too, so the
+// list stays true.
 func TestEveryInternalExportHasAReader(t *testing.T) {
-	mod := loadModule(t)
-	internal := mod.path + "/internal/"
+	exports := unreadExports(t, loadModule(t, "."))
 
-	exported := map[string]bool{} // key → read
-	var order []string
-	for _, p := range mod.checked {
-		if !strings.HasPrefix(p.Path(), internal) {
-			continue
-		}
-		for _, name := range p.Scope().Names() {
-			if !token.IsExported(name) {
-				continue
-			}
-			switch p.Scope().Lookup(name).(type) {
-			case *types.Func, *types.TypeName, *types.Var, *types.Const:
-				key := strings.TrimPrefix(p.Path(), internal) + "." + name
-				exported[key] = false
-				order = append(order, key)
-			}
+	kinds := map[string]int{}
+	read := map[string]bool{}
+	for _, e := range exports {
+		kinds[e.kind]++
+		read[e.key] = e.read
+		if _, ok := unreadAllowed[e.key]; !e.read && !ok {
+			t.Errorf("%s is exported but no non-test file reads it: delete it, or allowlist it with a reason", e.key)
 		}
 	}
-	for _, obj := range mod.uses {
-		p := obj.Pkg()
-		if p == nil || !strings.HasPrefix(p.Path(), internal) || p.Scope().Lookup(obj.Name()) != obj {
-			continue
-		}
-		key := strings.TrimPrefix(p.Path(), internal) + "." + obj.Name()
-		if _, ok := exported[key]; ok {
-			exported[key] = true
-		}
-	}
-
-	sort.Strings(order)
-	for _, key := range order {
-		if _, ok := unreadAllowed[key]; !exported[key] && !ok {
-			t.Errorf("%s is exported but no non-test file reads it: delete it, or allowlist it with a reason", key)
-		}
-	}
+	members := 0
 	for key := range unreadAllowed {
-		read, ok := exported[key]
+		if strings.Count(key, ".") == 2 {
+			members++
+		}
+		isRead, ok := read[key]
 		switch {
 		case !ok:
 			t.Errorf("allowlist entry %s names nothing exported: drop the entry", key)
-		case read:
+		case isRead:
 			t.Errorf("allowlist entry %s has a reader now: drop the entry", key)
 		}
 	}
-	t.Logf("%d exported package-level names under internal/, %d allowlisted", len(order), len(unreadAllowed))
+	t.Logf("under internal/: %d exported package-level names, %d exported methods, %d exported fields of exported structs; allowlisted: %d names, %d methods and fields",
+		kinds["name"], kinds["method"], kinds["field"], len(unreadAllowed)-members, members)
+}
+
+// TestExportGuardRules runs the guard on testdata/surface, a module with
+// one case per rule, and checks that it reports exactly the unread ones.
+func TestExportGuardRules(t *testing.T) {
+	var unread []string
+	for _, e := range unreadExports(t, loadModule(t, "testdata/surface")) {
+		if !e.read {
+			unread = append(unread, e.key)
+		}
+	}
+	want := []string{
+		"a.Config.Ratio",     // a field that is only assigned and incremented
+		"a.Config.Spare",     // a field set only by a composite literal
+		"a.Counter.Reset",    // a method nothing calls
+		"a.Shape.Perimeter",  // an interface method nothing calls
+		"a.Square.Perimeter", // ... and its implementation
+		"a.Unused",           // a package-level name nothing reads
+	}
+	if !slices.Equal(unread, want) {
+		t.Errorf("unread members of testdata/surface:\n got %q\nwant %q", unread, want)
+	}
+}
+
+// stdConsumed names the standard-library interfaces that the standard
+// library itself calls (the universe's error has no package). A method that
+// satisfies one of them has a reader even when no module code calls it.
+var stdConsumed = [][2]string{
+	{"", "error"},
+	{"fmt", "Stringer"},
+	{"sort", "Interface"},
+	{"container/heap", "Interface"},
+	{"encoding/json", "Marshaler"},
+	{"encoding/json", "Unmarshaler"},
+	{"encoding", "TextMarshaler"},
+	{"net/http", "Handler"},
+	{"io", "Reader"},
+	{"io", "Writer"},
+	{"io", "Closer"},
+}
+
+// export is one exported member under internal/: kind is "name" for a
+// package-level func, type, var or const, "method" or "field". Its key is
+// the package path below internal/, a dot and the name, or for a member
+// pkg.Type.Member.
+type export struct {
+	key, kind string
+	obj       types.Object
+	read      bool
+}
+
+// unreadExports lists mod's exported members under internal/, sorted by key,
+// and whether a non-test file reads each. A package-level name or a method is
+// read when an identifier or selector resolves to it. A method is read as
+// well when its type (T or *T) satisfies
+//   - an interface whose method some non-test code calls,
+//   - the constraint of a type parameter whose method some non-test code
+//     calls, for a type argument recorded at an instantiation,
+//   - an interface of stdConsumed.
+//
+// A field is read when a selector names it outside the left-hand side of an
+// assignment or an increment, when it is an embedded field crossed by a
+// promoted selection, or when it carries a json tag. A composite-literal key
+// is a write.
+func unreadExports(t *testing.T, mod *module) []export {
+	t.Helper()
+	internal := mod.path + "/internal/"
+	var exports []export
+	read := map[types.Object]bool{}
+	var candidates []types.Type // package-level non-generic named types under internal/
+	add := func(key, kind string, o types.Object) {
+		exports = append(exports, export{key: key, kind: kind, obj: o})
+	}
+	for _, p := range mod.pkgs {
+		if !strings.HasPrefix(p.Path(), internal) {
+			continue
+		}
+		prefix := strings.TrimPrefix(p.Path(), internal) + "."
+		for _, name := range p.Scope().Names() {
+			o := p.Scope().Lookup(name)
+			switch o.(type) {
+			case *types.Func, *types.TypeName, *types.Var, *types.Const:
+				if o.Exported() {
+					add(prefix+name, "name", o)
+				}
+			}
+			tn, ok := o.(*types.TypeName)
+			if !ok || tn.IsAlias() {
+				continue
+			}
+			named := tn.Type().(*types.Named)
+			if named.TypeParams() == nil {
+				candidates = append(candidates, named)
+			}
+			switch u := named.Underlying().(type) {
+			case *types.Interface:
+				for i := range u.NumExplicitMethods() {
+					if m := u.ExplicitMethod(i); m.Exported() {
+						add(prefix+name+"."+m.Name(), "method", m)
+					}
+				}
+				continue
+			case *types.Struct:
+				for i := range u.NumFields() {
+					if f := u.Field(i); f.Exported() && tn.Exported() {
+						add(prefix+name+"."+f.Name(), "field", f)
+						read[f] = reflect.StructTag(u.Tag(i)).Get("json") != ""
+					}
+				}
+			}
+			for i := range named.NumMethods() {
+				if m := named.Method(i); m.Exported() {
+					add(prefix+name+"."+m.Name(), "method", m)
+				}
+			}
+		}
+	}
+
+	// Every embedded field crossed on the way from T to the member at index
+	// is read.
+	markPath := func(T types.Type, index []int) {
+		for _, i := range index[:len(index)-1] {
+			if p, ok := T.Underlying().(*types.Pointer); ok {
+				T = p.Elem()
+			}
+			st, ok := T.Underlying().(*types.Struct)
+			if !ok {
+				return
+			}
+			read[st.Field(i).Origin()] = true
+			T = st.Field(i).Type()
+		}
+	}
+	markMethod := func(T types.Type, m *types.Func) {
+		o, index, _ := types.LookupFieldOrMethod(T, true, m.Pkg(), m.Name())
+		if f, ok := o.(*types.Func); ok {
+			read[f.Origin()] = true
+			markPath(T, index)
+		}
+	}
+	// satisfy marks the methods of T or *T that iface asks for, if either
+	// implements it.
+	satisfy := func(T types.Type, iface *types.Interface, methods []*types.Func) {
+		for _, V := range []types.Type{T, types.NewPointer(T)} {
+			if types.Implements(V, iface) {
+				for _, m := range methods {
+					markMethod(V, m)
+				}
+				return
+			}
+		}
+	}
+
+	called := map[*types.Func]bool{} // interface methods a non-test selector resolves to
+	type instance struct {
+		tparams *types.TypeParamList
+		args    *types.TypeList
+	}
+	var instances []instance
+	for _, p := range mod.pkgs {
+		// Selectors on the left-hand side of an assignment or an increment
+		// write their field.
+		writes := map[ast.Expr]bool{}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						writes[ast.Unparen(lhs)] = true
+					}
+				case *ast.IncDecStmt:
+					writes[ast.Unparen(n.X)] = true
+				}
+				return true
+			})
+		}
+		for _, o := range p.info.Uses {
+			// A use of an instantiated generic func, or of a member of an
+			// instantiated generic type, records the instance: map it back.
+			switch o := o.(type) {
+			case *types.Func:
+				read[o.Origin()] = true
+				if recv := o.Signature().Recv(); recv != nil && types.IsInterface(recv.Type()) {
+					called[o.Origin()] = true
+				}
+			case *types.Var:
+				if !o.IsField() { // fields are read through Selections
+					read[o.Origin()] = true
+				}
+			default:
+				read[o] = true
+			}
+		}
+		for sel, s := range p.info.Selections {
+			markPath(s.Recv(), s.Index())
+			if s.Kind() == types.FieldVal && !writes[sel] {
+				read[s.Obj().(*types.Var).Origin()] = true
+			}
+		}
+		for id, inst := range p.info.Instances {
+			var tparams *types.TypeParamList
+			switch o := p.info.Uses[id].(type) {
+			case *types.Func:
+				tparams = o.Origin().Signature().TypeParams()
+			case *types.TypeName:
+				tparams = o.Type().(*types.Named).TypeParams()
+			}
+			instances = append(instances, instance{tparams, inst.TypeArgs})
+		}
+	}
+
+	for _, inst := range instances {
+		for i := range inst.tparams.Len() {
+			iface := inst.tparams.At(i).Constraint().Underlying().(*types.Interface)
+			for j := range iface.NumMethods() {
+				if m := iface.Method(j); called[m.Origin()] {
+					markMethod(inst.args.At(i), m)
+				}
+			}
+		}
+	}
+	for m := range called {
+		// A generic interface is satisfied per instantiation, above.
+		recv := m.Signature().Recv().Type()
+		if n, ok := recv.(*types.Named); ok && n.TypeParams() != nil {
+			continue
+		}
+		for _, T := range candidates {
+			satisfy(T, recv.Underlying().(*types.Interface), []*types.Func{m})
+		}
+	}
+	for _, c := range stdConsumed {
+		scope := types.Universe
+		if c[0] != "" {
+			p, err := mod.std.Import(c[0])
+			if err != nil {
+				t.Fatal(err)
+			}
+			scope = p.Scope()
+		}
+		iface := scope.Lookup(c[1]).Type().Underlying().(*types.Interface)
+		var methods []*types.Func
+		for i := range iface.NumMethods() {
+			methods = append(methods, iface.Method(i))
+		}
+		for _, T := range candidates {
+			satisfy(T, iface, methods)
+		}
+	}
+
+	for i := range exports {
+		exports[i].read = read[exports[i].obj]
+	}
+	sort.Slice(exports, func(i, j int) bool { return exports[i].key < exports[j].key })
+	return exports
 }
 
 // module is the type-checked non-test source of this module.
 type module struct {
-	path    string
-	checked []*types.Package
-	uses    []types.Object // every object a non-test identifier refers to
+	path string
+	pkgs []*checkedPackage
+	std  types.Importer // the standard library, stdConsumed's packages included
 }
 
-// loadModule parses every non-test file of the module (as the build would
-// select them) and type-checks it from source. Standard-library imports come
-// from the export data of one `go list -export` call.
-func loadModule(t *testing.T) *module {
+type checkedPackage struct {
+	*types.Package
+	files []*ast.File
+	info  *types.Info
+}
+
+// loadModule parses every non-test file of the module at root (as the build
+// would select them) and type-checks it from source. Standard-library
+// imports come from the export data of one `go list -export` call.
+func loadModule(t *testing.T, root string) *module {
 	t.Helper()
-	gomod, err := os.ReadFile("go.mod")
+	gomod, err := os.ReadFile(filepath.Join(root, "go.mod"))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -119,11 +391,16 @@ func loadModule(t *testing.T) *module {
 	fset := token.NewFileSet()
 	files := map[string][]*ast.File{} // import path → files
 	std := map[string]bool{}
-	err = filepath.WalkDir(".", func(dir string, d fs.DirEntry, err error) error {
+	for _, c := range stdConsumed {
+		if c[0] != "" {
+			std[c[0]] = true
+		}
+	}
+	err = filepath.WalkDir(root, func(dir string, d fs.DirEntry, err error) error {
 		if err != nil || !d.IsDir() {
 			return err
 		}
-		if dir != "." && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
+		if dir != root && (d.Name() == "testdata" || strings.HasPrefix(d.Name(), ".") || strings.HasPrefix(d.Name(), "_")) {
 			return filepath.SkipDir
 		}
 		bp, err := build.ImportDir(dir, 0)
@@ -132,7 +409,11 @@ func loadModule(t *testing.T) *module {
 		} else if err != nil {
 			return err
 		}
-		ip := path.Join(modPath, filepath.ToSlash(dir))
+		rel, err := filepath.Rel(root, dir)
+		if err != nil {
+			return err
+		}
+		ip := path.Join(modPath, filepath.ToSlash(rel))
 		for _, name := range bp.GoFiles {
 			f, err := parser.ParseFile(fset, filepath.Join(dir, name), nil, parser.SkipObjectResolution)
 			if err != nil {
@@ -172,32 +453,25 @@ func loadModule(t *testing.T) *module {
 		return nil, fmt.Errorf("go list reported no export data for %s", ip)
 	})
 
-	mod := &module{path: modPath}
+	mod := &module{path: modPath, std: stdImporter}
 	done := map[string]*types.Package{}
 	var imp importerFunc
 	check := func(ip string) (*types.Package, error) {
 		if p, ok := done[ip]; ok {
 			return p, nil
 		}
-		info := &types.Info{Uses: map[*ast.Ident]types.Object{}}
+		info := &types.Info{
+			Uses:       map[*ast.Ident]types.Object{},
+			Selections: map[*ast.SelectorExpr]*types.Selection{},
+			Instances:  map[*ast.Ident]types.Instance{},
+		}
 		conf := types.Config{Importer: imp}
 		p, err := conf.Check(ip, fset, files[ip], info)
 		if err != nil {
 			return nil, err
 		}
-		for _, obj := range info.Uses {
-			// A use of an instantiated generic func, or of a field of an
-			// instantiated generic type, records the instance: map it back.
-			switch o := obj.(type) {
-			case *types.Func:
-				obj = o.Origin()
-			case *types.Var:
-				obj = o.Origin()
-			}
-			mod.uses = append(mod.uses, obj)
-		}
 		done[ip] = p
-		mod.checked = append(mod.checked, p)
+		mod.pkgs = append(mod.pkgs, &checkedPackage{p, files[ip], info})
 		return p, nil
 	}
 	imp = func(ip string) (*types.Package, error) {
