@@ -245,6 +245,8 @@ func (b *builder) edges() {
 		b.graph.Edges = append(b.graph.Edges, &Edge{
 			From: k.from, To: k.to, Type: k.t, Carried: k.carried, Count: n})
 	}
+	// Sort on every field of Edge: edges that still tie differ only in
+	// their carrying loop, which Edge does not keep, and print identically.
 	sort.Slice(b.graph.Edges, func(i, j int) bool {
 		a, c := b.graph.Edges[i], b.graph.Edges[j]
 		if a.From.ID != c.From.ID {
@@ -253,6 +255,12 @@ func (b *builder) edges() {
 		if a.To.ID != c.To.ID {
 			return a.To.ID < c.To.ID
 		}
-		return a.Type < c.Type
+		if a.Type != c.Type {
+			return a.Type < c.Type
+		}
+		if a.Carried != c.Carried {
+			return !a.Carried
+		}
+		return a.Count < c.Count
 	})
 }

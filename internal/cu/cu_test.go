@@ -1,6 +1,8 @@
 package cu
 
 import (
+	"fmt"
+	"slices"
 	"testing"
 
 	"discopop/internal/ir"
@@ -213,5 +215,30 @@ func TestRotCCStructure(t *testing.T) {
 	}
 	if !foundStageEdge {
 		t.Fatal("rot-cc CU graph lacks the rotate -> color-conversion RAW edge")
+	}
+}
+
+// TestEdgeOrderDeterministic builds the CU graphs of a few registry
+// workloads 20 times from one profile each. The merged edges come out of a
+// map, so only a sort on every field of Edge gives the same sequence each
+// time; edges tied on fewer fields (a carried edge and its non-carried
+// twin) swap from build to build.
+func TestEdgeOrderDeterministic(t *testing.T) {
+	for _, name := range []string{"CG", "kmeans", "histogram", "md5-mt"} {
+		m := workloads.MustBuild(name, 1).M
+		res := profiler.Profile(m, profiler.Options{Store: profiler.StorePerfect})
+		sc := ir.AnalyzeScopes(m)
+		var first []string
+		for i := 0; i < 20; i++ {
+			var seq []string
+			for _, e := range Build(m, sc, res).Edges {
+				seq = append(seq, fmt.Sprintf("%d %d %v %v %d", e.From.ID, e.To.ID, e.Type, e.Carried, e.Count))
+			}
+			if i == 0 {
+				first = seq
+			} else if !slices.Equal(seq, first) {
+				t.Fatalf("%s: build %d orders its %d edges differently from build 0", name, i, len(seq))
+			}
+		}
 	}
 }

@@ -23,10 +23,15 @@ package ir
 // format; the receiving side recomputes them.
 //
 // Decode is strict: every index is bounds-checked, every count is
-// capped by Limits before allocation, nesting depth is bounded, and the
-// region/statement cross-links are validated (a loop statement must
+// checked against its cap before allocation, nesting depth is bounded, and
+// the region/statement cross-links are validated (a loop statement must
 // claim exactly one loop region of its own function). Arbitrary input
-// bytes produce an error, never a panic.
+// bytes produce an error, never a panic. Encode refuses a module past any
+// of the same caps, so what one side writes the other reads.
+//
+// Both halves keep one sticky error (walk): the first failure is the one
+// reported, recursion stops at the next enter, and from then on the
+// decoder's reads yield zero values, so no call site checks an error.
 
 import (
 	"encoding/binary"
@@ -42,53 +47,30 @@ const (
 	version = 1
 )
 
-// Limits bounds what Decode will accept. Every count read from the wire
-// is checked against its limit before memory is allocated for it, so a
-// hostile payload cannot make the decoder allocate more than the limits
-// allow.
-type Limits struct {
-	// MaxBytes caps the encoded size.
-	MaxBytes int
-	// MaxFiles caps the source-file table.
-	MaxFiles int
-	// MaxVars caps the variable table.
-	MaxVars int
-	// MaxFuncs caps the function table.
-	MaxFuncs int
-	// MaxRegions caps the region table.
-	MaxRegions int
-	// MaxNodes caps the total number of statement and expression nodes.
-	MaxNodes int
-	// MaxDepth caps statement/expression nesting.
-	MaxDepth int
-	// MaxNameLen caps any single name or file string.
-	MaxNameLen int
-	// MaxTotalElems caps the summed element count of all variables — the
-	// simulated memory footprint a decoded module can demand (the wire
-	// analogue of the server's workload-scale cap).
-	MaxTotalElems int64
-}
-
-// maxEncodeDepth bounds nesting on the encoding side, mirroring the
-// decoder's default so Encode never produces bytes Decode would reject.
-const maxEncodeDepth = 200
-
-// DefaultLimits are generous enough for every bundled workload at the
-// server's maximum scale while keeping a hostile payload's footprint
+// The codec's caps. They are generous enough for every bundled workload at
+// the server's maximum scale while keeping a hostile payload's footprint
 // bounded to a few tens of megabytes.
-func DefaultLimits() Limits {
-	return Limits{
-		MaxBytes:      8 << 20,
-		MaxFiles:      256,
-		MaxVars:       1 << 16,
-		MaxFuncs:      1024,
-		MaxRegions:    1 << 16,
-		MaxNodes:      1 << 20,
-		MaxDepth:      maxEncodeDepth,
-		MaxNameLen:    256,
-		MaxTotalElems: 8 << 20, // 8M float64 elements = 64MB simulated memory
-	}
-}
+const (
+	// MaxModuleBytes caps the encoded size.
+	MaxModuleBytes = 8 << 20
+	maxFiles       = 256
+	maxVars        = 1 << 16
+	maxFuncs       = 1024
+	maxRegions     = 1 << 16
+	// maxNodes caps the total number of block, statement and expression
+	// nodes.
+	maxNodes = 1 << 20
+	// maxDepth caps statement/expression nesting.
+	maxDepth = 200
+	// maxNameLen caps any single name or file string.
+	maxNameLen = 256
+	// maxTotalElems caps the summed element count of all variables — the
+	// simulated memory footprint a decoded module can demand (the wire
+	// analogue of the server's workload-scale cap): 8M float64 elements =
+	// 64MB simulated memory.
+	maxTotalElems = 8 << 20
+	maxMutexID    = 1 << 16
+)
 
 // statement and expression tags. Zero is reserved so a truncated read
 // cannot alias a valid node.
@@ -114,14 +96,42 @@ const (
 	teCall
 )
 
+// walk is the state the encoder and the decoder share: the first failure,
+// after which the walk unwinds without recursing further and the result is
+// discarded, and the number of nodes visited so far.
+type walk struct {
+	err   error
+	nodes int
+}
+
+func (w *walk) fail(format string, args ...any) {
+	if w.err == nil {
+		w.err = fmt.Errorf("ir: "+format, args...)
+	}
+}
+
+// enter is the first call of every recursive step: it charges one node
+// against maxNodes, checks the nesting depth, and is false once anything
+// has failed.
+func (w *walk) enter(depth int, what string) bool {
+	w.nodes++
+	if depth > maxDepth {
+		w.fail("%s nesting exceeds depth %d", what, maxDepth)
+	} else if w.nodes > maxNodes {
+		w.fail("module exceeds %d-node budget", maxNodes)
+	}
+	return w.err == nil
+}
+
 // ---------------------------------------------------------------------------
 // Encoding
 
 // Encode serializes m into the versioned wire format. It validates the
 // module's cross-reference invariants as it goes (table IDs matching
 // indices, every reference naming an entry of its own module's table,
-// parents preceding children), so a successful Encode guarantees the
-// bytes decode back into an equivalent module.
+// parents preceding children) and refuses a module past any cap Decode
+// enforces, so the bytes of a well-formed module decode back into an
+// equivalent one.
 func Encode(m *Module) ([]byte, error) {
 	if m == nil {
 		return nil, errors.New("ir: encode nil module")
@@ -131,32 +141,36 @@ func Encode(m *Module) ([]byte, error) {
 	e.buf = append(e.buf, magic...)
 	e.uint(version)
 	e.module()
+	if len(e.buf) > MaxModuleBytes {
+		e.fail("module of %d bytes exceeds limit %d", len(e.buf), MaxModuleBytes)
+	}
 	if e.err != nil {
 		return nil, e.err
 	}
 	return e.buf, nil
 }
 
-// encoder appends to buf and remembers the first failure: after one, the
-// walk unwinds without recursing further and Encode discards the bytes.
+// encoder appends to buf; walk holds its first failure.
 type encoder struct {
+	walk
 	m   *Module
 	buf []byte
-	err error
-}
-
-func (e *encoder) fail(format string, args ...any) {
-	if e.err == nil {
-		e.err = fmt.Errorf("ir: "+format, args...)
-	}
 }
 
 func (e *encoder) byte(b byte) { e.buf = append(e.buf, b) }
 
 func (e *encoder) uint(v uint64) { e.buf = binary.AppendUvarint(e.buf, v) }
 
+// count writes a table length, which must not exceed max.
+func (e *encoder) count(n, max int, what string) {
+	if n > max {
+		e.fail("%s count %d exceeds limit %d", what, n, max)
+	}
+	e.uint(uint64(n))
+}
+
 func (e *encoder) str(s string) {
-	e.uint(uint64(len(s)))
+	e.count(len(s), maxNameLen, "string length")
 	e.buf = append(e.buf, s...)
 }
 
@@ -233,14 +247,14 @@ func (e *encoder) module() {
 	m := e.m
 	e.str(m.Name)
 
-	e.uint(uint64(len(m.Files)))
+	e.count(len(m.Files), maxFiles, "file")
 	for _, f := range m.Files {
 		e.str(f)
 	}
 
 	// Region table. Parents must precede children so the decoder can wire
 	// the tree in one pass.
-	e.uint(uint64(len(m.Regions)))
+	e.count(len(m.Regions), maxRegions, "region")
 	for i, r := range m.Regions {
 		if r == nil || r.ID != i {
 			e.fail("region table corrupt at %d", i)
@@ -258,7 +272,7 @@ func (e *encoder) module() {
 
 	// Function headers (bodies follow at the end, once the var table is
 	// known).
-	e.uint(uint64(len(m.Funcs)))
+	e.count(len(m.Funcs), maxFuncs, "func")
 	for i, f := range m.Funcs {
 		if f == nil || f.ID != i {
 			e.fail("func table corrupt at %d", i)
@@ -276,7 +290,8 @@ func (e *encoder) module() {
 	}
 
 	// Variable table.
-	e.uint(uint64(len(m.Vars)))
+	e.count(len(m.Vars), maxVars, "var")
+	total := 0
 	for i, v := range m.Vars {
 		if v == nil || v.ID != i {
 			e.fail("var table corrupt at %d", i)
@@ -285,8 +300,11 @@ func (e *encoder) module() {
 		e.str(v.Name)
 		e.byte(byte(v.Kind))
 		e.byte(byte(v.Type))
-		if v.Elems < 1 {
+		if v.Elems < 1 || v.Elems > maxTotalElems {
 			e.fail("var %s has %d elems", v.Name, v.Elems)
+		}
+		if total += v.Elems; total > maxTotalElems {
+			e.fail("module footprint exceeds %d elements", maxTotalElems)
 		}
 		e.uint(uint64(v.Elems))
 		e.bool(v.ByValue)
@@ -324,15 +342,6 @@ func (e *encoder) module() {
 	}
 }
 
-// enter is the first call of every recursive step: false once anything
-// has failed or the nesting passes what Decode accepts.
-func (e *encoder) enter(depth int, what string) bool {
-	if e.err == nil && depth > maxEncodeDepth {
-		e.fail("%s nesting too deep to encode", what)
-	}
-	return e.err == nil
-}
-
 func (e *encoder) block(b *BlockStmt, depth int) {
 	if !e.enter(depth, "statement") {
 		return
@@ -353,6 +362,9 @@ func (e *encoder) block(b *BlockStmt, depth int) {
 }
 
 func (e *encoder) stmt(s Stmt, depth int) {
+	if !e.enter(depth, "statement") {
+		return
+	}
 	switch n := s.(type) {
 	case *Assign:
 		e.byte(tsAssign)
@@ -407,8 +419,8 @@ func (e *encoder) stmt(s Stmt, depth int) {
 	case *LockRegion:
 		e.byte(tsLock)
 		e.loc(n.Loc)
-		if n.MutexID < 0 {
-			e.fail("negative mutex id %d", n.MutexID)
+		if n.MutexID < 0 || n.MutexID > maxMutexID {
+			e.fail("mutex id %d out of range", n.MutexID)
 		}
 		e.uint(uint64(n.MutexID))
 		e.block(n.Body, depth)
@@ -486,44 +498,39 @@ func (e *encoder) expr(x Expr, depth int) {
 
 // ---------------------------------------------------------------------------
 // Decoding
+//
+// The reads mirror the writes above one for one. Where a composite literal
+// reads several fields, Go evaluates its calls left to right, which is the
+// wire order.
 
-// Decode parses an encoded module under DefaultLimits.
+// Decode parses an encoded module. It never panics: malformed input, or
+// input past one of the caps, yields an error.
 func Decode(data []byte) (*Module, error) {
-	return DecodeLimits(data, DefaultLimits())
-}
-
-// DecodeLimits parses an encoded module, rejecting anything beyond lim.
-// It never panics: malformed input yields an error.
-func DecodeLimits(data []byte, lim Limits) (*Module, error) {
-	if lim.MaxBytes > 0 && len(data) > lim.MaxBytes {
-		return nil, fmt.Errorf("ir: module of %d bytes exceeds limit %d", len(data), lim.MaxBytes)
+	if len(data) > MaxModuleBytes {
+		return nil, fmt.Errorf("ir: module of %d bytes exceeds limit %d", len(data), MaxModuleBytes)
 	}
-	d := &decoder{data: data, lim: lim, nodes: lim.MaxNodes}
+	d := &decoder{data: data}
 	if string(d.take(len(magic))) != magic {
-		return nil, fmt.Errorf("ir: bad magic (not an encoded module)")
+		return nil, errors.New("ir: bad magic (not an encoded module)")
 	}
-	v, err := d.uint()
-	if err != nil {
-		return nil, err
+	if v := d.uint(); v != version {
+		d.fail("unsupported wire version %d (have %d)", v, version)
 	}
-	if v != version {
-		return nil, fmt.Errorf("ir: unsupported wire version %d (have %d)", v, version)
-	}
-	m, err := d.decodeModule()
-	if err != nil {
-		return nil, err
-	}
+	d.module()
 	if d.off != len(d.data) {
-		return nil, fmt.Errorf("ir: %d trailing bytes after module", len(d.data)-d.off)
+		d.fail("%d trailing bytes after module", len(d.data)-d.off)
 	}
-	return m, nil
+	if d.err != nil {
+		return nil, d.err
+	}
+	return d.m, nil
 }
 
+// decoder reads from data at off; walk holds its first failure.
 type decoder struct {
-	data  []byte
-	off   int
-	lim   Limits
-	nodes int // remaining statement/expression node budget
+	walk
+	data []byte
+	off  int
 
 	m    *Module
 	funs []*Func
@@ -531,14 +538,17 @@ type decoder struct {
 	vars []*Var
 	// regFunc records each region's encoded owner index for validation.
 	regFunc []int
-	// curFunc is the function whose body is being decoded.
-	curFunc *Func
+	// cur is the function whose body is being decoded.
+	cur *Func
 }
 
-// take returns the next n raw bytes (nil when the input is short; callers
-// that need them check length or go through typed readers that error).
+// take returns the next n raw bytes, or nil after a failure.
 func (d *decoder) take(n int) []byte {
-	if n < 0 || d.off+n > len(d.data) {
+	if d.err != nil {
+		return nil
+	}
+	if n > len(d.data)-d.off {
+		d.fail("truncated input at offset %d", d.off)
 		return nil
 	}
 	b := d.data[d.off : d.off+n]
@@ -546,321 +556,261 @@ func (d *decoder) take(n int) []byte {
 	return b
 }
 
-func (d *decoder) uint() (uint64, error) {
+func (d *decoder) uint() uint64 {
+	if d.err != nil {
+		return 0
+	}
 	v, n := binary.Uvarint(d.data[d.off:])
 	if n <= 0 {
-		return 0, fmt.Errorf("ir: truncated varint at offset %d", d.off)
+		d.fail("truncated varint at offset %d", d.off)
+		return 0
 	}
 	d.off += n
-	return v, nil
+	return v
 }
 
 // count reads a length and checks it against max before the caller
 // allocates.
-func (d *decoder) count(max int, what string) (int, error) {
-	v, err := d.uint()
-	if err != nil {
-		return 0, err
-	}
+func (d *decoder) count(max int, what string) int {
+	v := d.uint()
 	if v > uint64(max) {
-		return 0, fmt.Errorf("ir: %s count %d exceeds limit %d", what, v, max)
+		d.fail("%s count %d exceeds limit %d", what, v, max)
+		return 0
 	}
-	return int(v), nil
+	return int(v)
 }
 
-func (d *decoder) byte() (byte, error) {
-	b := d.take(1)
-	if b == nil {
-		return 0, fmt.Errorf("ir: truncated input at offset %d", d.off)
+func (d *decoder) byte() byte {
+	if b := d.take(1); b != nil {
+		return b[0]
 	}
-	return b[0], nil
+	return 0
 }
 
-func (d *decoder) bool() (bool, error) {
-	b, err := d.byte()
-	if err != nil {
-		return false, err
+func (d *decoder) bool() bool {
+	b := d.byte()
+	if b > 1 {
+		d.fail("bad bool byte %d", b)
 	}
-	switch b {
-	case 0:
-		return false, nil
-	case 1:
-		return true, nil
-	}
-	return false, fmt.Errorf("ir: bad bool byte %d", b)
+	return b == 1
 }
 
-func (d *decoder) f64() (float64, error) {
-	b := d.take(8)
-	if b == nil {
-		return 0, fmt.Errorf("ir: truncated float at offset %d", d.off)
+// enum reads a kind, type or op byte, which must not exceed max.
+func (d *decoder) enum(max byte, what string) byte {
+	b := d.byte()
+	if b > max {
+		d.fail("bad %s %d", what, b)
+		return 0
 	}
-	return math.Float64frombits(binary.LittleEndian.Uint64(b)), nil
+	return b
 }
 
-func (d *decoder) str() (string, error) {
-	n, err := d.count(d.lim.MaxNameLen, "string length")
-	if err != nil {
-		return "", err
+func (d *decoder) f64() float64 {
+	if b := d.take(8); b != nil {
+		return math.Float64frombits(binary.LittleEndian.Uint64(b))
 	}
-	b := d.take(n)
-	if b == nil {
-		return "", fmt.Errorf("ir: truncated string at offset %d", d.off)
-	}
-	return string(b), nil
+	return 0
 }
 
-func (d *decoder) loc() (Loc, error) {
-	f, err := d.uint()
-	if err != nil {
-		return Loc{}, err
-	}
-	l, err := d.uint()
-	if err != nil {
-		return Loc{}, err
-	}
+func (d *decoder) str() string {
+	return string(d.take(d.count(maxNameLen, "string length")))
+}
+
+func (d *decoder) loc() Loc {
+	f, l := d.uint(), d.uint()
 	if f > math.MaxInt32 || l > math.MaxInt32 {
-		return Loc{}, fmt.Errorf("ir: location %d:%d out of range", f, l)
+		d.fail("location %d:%d out of range", f, l)
+		return Loc{}
 	}
-	return Loc{File: int32(f), Line: int32(l)}, nil
+	return Loc{File: int32(f), Line: int32(l)}
 }
 
-// idx reads a required table index in [0, n).
-func (d *decoder) idx(n int, what string) (int, error) {
-	v, err := d.uint()
-	if err != nil {
-		return 0, err
-	}
+// idx reads a required table index in [0, n); -1 after a failure.
+func (d *decoder) idx(n int, what string) int {
+	v := d.uint()
 	if v >= uint64(n) {
-		return 0, fmt.Errorf("ir: %s index %d out of range (table has %d)", what, v, n)
+		d.fail("%s index %d out of range (table has %d)", what, v, n)
 	}
-	return int(v), nil
+	if d.err != nil {
+		return -1
+	}
+	return int(v)
 }
 
-// optIdx reads an optional index: -1 for absent, else [0, n).
-func (d *decoder) optIdx(n int, what string) (int, error) {
-	v, err := d.uint()
-	if err != nil {
-		return 0, err
-	}
+// optIdx reads an optional index: -1 for absent (or after a failure), else
+// [0, n).
+func (d *decoder) optIdx(n int, what string) int {
+	v := d.uint()
 	if v == 0 {
-		return -1, nil
+		return -1
 	}
 	if v-1 >= uint64(n) {
-		return 0, fmt.Errorf("ir: %s index %d out of range (table has %d)", what, v-1, n)
+		d.fail("%s index %d out of range (table has %d)", what, v-1, n)
+		return -1
 	}
-	return int(v - 1), nil
+	return int(v - 1)
 }
 
-// node charges one statement/expression node against the budget.
-func (d *decoder) node() error {
-	d.nodes--
-	if d.nodes < 0 {
-		return fmt.Errorf("ir: module exceeds %d-node budget", d.lim.MaxNodes)
+// at resolves a required index into table. After a failure it returns a
+// fresh placeholder, so a read that failed never indexes a table and the
+// walk goes on to unwind; Decode discards the placeholder with the module.
+func at[T any](d *decoder, table []*T, what string) *T {
+	if i := d.idx(len(table), what); i >= 0 {
+		return table[i]
 	}
-	return nil
+	return new(T)
 }
 
-func (d *decoder) decodeModule() (*Module, error) {
-	name, err := d.str()
-	if err != nil {
-		return nil, err
-	}
-	d.m = &Module{Name: name}
-
-	nf, err := d.count(d.lim.MaxFiles, "file")
-	if err != nil {
-		return nil, err
-	}
-	d.m.Files = make([]string, nf)
-	for i := range d.m.Files {
-		if d.m.Files[i], err = d.str(); err != nil {
-			return nil, err
+// owned reads a function's params or locals, or a block's decls: variables
+// of kind that belong to the function being decoded.
+func (d *decoder) owned(kind VarKind, what string) []*Var {
+	vs := make([]*Var, d.count(len(d.vars), what))
+	for i := range vs {
+		v := at(d, d.vars, what)
+		if v.Kind != kind || v.Func != d.cur {
+			d.fail("foreign %s %s", what, v.Name)
 		}
+		vs[i] = v
+	}
+	return vs
+}
+
+// claim resolves the region of a loop or branch statement s: it must be of
+// kind, belong to the function being decoded, and have no other statement.
+func (d *decoder) claim(kind RegionKind, s Stmt) *Region {
+	r := at(d, d.regs, "statement region")
+	if r.Kind != kind {
+		d.fail("statement claims %s region %d as %s", r.Kind, r.ID, kind)
+	} else if r.Stmt != nil {
+		d.fail("region %d claimed by two statements", r.ID)
+	} else if r.Func != d.cur {
+		d.fail("statement claims region %d of another function", r.ID)
+	}
+	r.Stmt = s
+	return r
+}
+
+// module decodes everything after the version. The three table loops stop
+// at the first failure, so a hostile count costs no more than its slice.
+func (d *decoder) module() {
+	d.m = &Module{Name: d.str()}
+
+	d.m.Files = make([]string, d.count(maxFiles, "file"))
+	for i := range d.m.Files {
+		d.m.Files[i] = d.str()
 	}
 
 	// Regions: structure first, function owners and statements wired later.
-	nr, err := d.count(d.lim.MaxRegions, "region")
-	if err != nil {
-		return nil, err
-	}
+	nr := d.count(maxRegions, "region")
 	d.regs = make([]*Region, nr)
 	d.regFunc = make([]int, nr)
 	for i := range d.regs {
-		kind, err := d.byte()
-		if err != nil {
-			return nil, err
+		if d.err != nil {
+			return
 		}
-		if kind > byte(RBranch) {
-			return nil, fmt.Errorf("ir: region %d has bad kind %d", i, kind)
+		r := &Region{
+			ID:    i,
+			Kind:  RegionKind(d.enum(byte(RBranch), "region kind")),
+			Start: d.loc(),
+			End:   d.loc(),
 		}
-		start, err := d.loc()
-		if err != nil {
-			return nil, err
-		}
-		end, err := d.loc()
-		if err != nil {
-			return nil, err
-		}
-		parent, err := d.optIdx(nr, "region parent")
-		if err != nil {
-			return nil, err
-		}
-		if parent >= i {
-			return nil, fmt.Errorf("ir: region %d references parent %d out of order", i, parent)
-		}
-		r := &Region{ID: i, Kind: RegionKind(kind), Start: start, End: end}
-		if parent >= 0 {
+		if parent := d.optIdx(nr, "region parent"); parent >= i {
+			d.fail("region %d references parent %d out of order", i, parent)
+		} else if parent >= 0 {
 			r.Parent = d.regs[parent]
-			d.regs[parent].Children = append(d.regs[parent].Children, r)
+			r.Parent.Children = append(r.Parent.Children, r)
 		}
-		if d.regFunc[i], err = d.optIdx(d.lim.MaxFuncs, "region func"); err != nil {
-			return nil, err
-		}
+		d.regFunc[i] = d.optIdx(maxFuncs, "region func")
 		d.regs[i] = r
 	}
 	d.m.Regions = d.regs
 
 	// Function headers.
-	nfn, err := d.count(d.lim.MaxFuncs, "func")
-	if err != nil {
-		return nil, err
-	}
+	nfn := d.count(maxFuncs, "func")
 	d.funs = make([]*Func, nfn)
 	funcRegions := make([]int, nfn)
 	for i := range d.funs {
-		f := &Func{ID: i}
-		if f.Name, err = d.str(); err != nil {
-			return nil, err
+		if d.err != nil {
+			return
 		}
-		if f.HasRet, err = d.bool(); err != nil {
-			return nil, err
+		d.funs[i] = &Func{
+			ID:     i,
+			Name:   d.str(),
+			HasRet: d.bool(),
+			RetTyp: Type(d.enum(byte(F64), "return type")),
+			Loc:    d.loc(),
+			EndLoc: d.loc(),
 		}
-		typ, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if typ > byte(F64) {
-			return nil, fmt.Errorf("ir: func %s has bad return type %d", f.Name, typ)
-		}
-		f.RetTyp = Type(typ)
-		if f.Loc, err = d.loc(); err != nil {
-			return nil, err
-		}
-		if f.EndLoc, err = d.loc(); err != nil {
-			return nil, err
-		}
-		if funcRegions[i], err = d.idx(nr, "func region"); err != nil {
-			return nil, err
-		}
-		d.funs[i] = f
+		funcRegions[i] = d.idx(nr, "func region")
 	}
 	d.m.Funcs = d.funs
+	if d.err != nil {
+		return
+	}
 
 	// Wire regions to their owner functions, and functions to their body
 	// regions, validating both directions.
 	for i, r := range d.regs {
-		fi := d.regFunc[i]
-		if fi < 0 {
-			if r.Kind != RFunc {
-				return nil, fmt.Errorf("ir: region %d (%s) has no function", i, r.Kind)
-			}
-			continue
+		if fi := d.regFunc[i]; fi >= nfn {
+			d.fail("region %d references func %d of %d", i, fi, nfn)
+		} else if fi >= 0 {
+			r.Func = d.funs[fi]
+		} else if r.Kind != RFunc {
+			d.fail("region %d (%s) has no function", i, r.Kind)
 		}
-		if fi >= nfn {
-			return nil, fmt.Errorf("ir: region %d references func %d of %d", i, fi, nfn)
-		}
-		r.Func = d.funs[fi]
 	}
 	claimed := make([]bool, nr)
 	for i, f := range d.funs {
 		ri := funcRegions[i]
 		r := d.regs[ri]
 		if r.Kind != RFunc {
-			return nil, fmt.Errorf("ir: func %s claims non-function region %d", f.Name, ri)
-		}
-		if claimed[ri] {
-			return nil, fmt.Errorf("ir: region %d claimed by two functions", ri)
-		}
-		if r.Func != f {
-			return nil, fmt.Errorf("ir: func %s and region %d disagree on ownership", f.Name, ri)
+			d.fail("func %s claims non-function region %d", f.Name, ri)
+		} else if claimed[ri] {
+			d.fail("region %d claimed by two functions", ri)
+		} else if r.Func != f {
+			d.fail("func %s and region %d disagree on ownership", f.Name, ri)
 		}
 		claimed[ri] = true
 		f.Region = r
 	}
 	for i, r := range d.regs {
 		if r.Kind == RFunc && !claimed[i] {
-			return nil, fmt.Errorf("ir: orphan function region %d", i)
+			d.fail("orphan function region %d", i)
 		}
 	}
 
 	// Variable table.
-	nv, err := d.count(d.lim.MaxVars, "var")
-	if err != nil {
-		return nil, err
-	}
+	nv := d.count(maxVars, "var")
 	d.vars = make([]*Var, nv)
-	var totalElems uint64
+	var total uint64
 	for i := range d.vars {
-		v := &Var{ID: i}
-		if v.Name, err = d.str(); err != nil {
-			return nil, err
+		if d.err != nil {
+			return
 		}
-		kind, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if kind > byte(KLocal) {
-			return nil, fmt.Errorf("ir: var %s has bad kind %d", v.Name, kind)
-		}
-		v.Kind = VarKind(kind)
-		typ, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if typ > byte(F64) {
-			return nil, fmt.Errorf("ir: var %s has bad type %d", v.Name, typ)
-		}
-		v.Type = Type(typ)
-		elems, err := d.uint()
-		if err != nil {
-			return nil, err
-		}
+		v := &Var{ID: i, Name: d.str()}
+		v.Kind = VarKind(d.enum(byte(KLocal), "var kind"))
+		v.Type = Type(d.enum(byte(F64), "var type"))
 		// Compare in uint64 before any signed cast: a wire value >= 2^63
 		// would go negative as int64 and slip past both the per-var and
 		// the running-total caps.
-		if elems < 1 || elems > uint64(d.lim.MaxTotalElems) {
-			return nil, fmt.Errorf("ir: var %s has %d elems", v.Name, elems)
+		elems := d.uint()
+		if elems < 1 || elems > maxTotalElems {
+			d.fail("var %s has %d elems", v.Name, elems)
+		}
+		// Each addend that passes is bounded by maxTotalElems and the sum
+		// is checked every iteration, so total never exceeds
+		// 2*maxTotalElems and cannot wrap a uint64 before the loop stops.
+		if total += elems; total > maxTotalElems {
+			d.fail("module footprint exceeds %d elements", maxTotalElems)
 		}
 		v.Elems = int(elems)
-		// Each addend is bounded by MaxTotalElems and the sum is checked
-		// every iteration, so totalElems never exceeds 2*MaxTotalElems and
-		// cannot wrap a uint64.
-		totalElems += elems
-		if totalElems > uint64(d.lim.MaxTotalElems) {
-			return nil, fmt.Errorf("ir: module footprint exceeds %d elements", d.lim.MaxTotalElems)
-		}
-		if v.ByValue, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if v.Heap, err = d.bool(); err != nil {
-			return nil, err
-		}
-		if v.Decl, err = d.loc(); err != nil {
-			return nil, err
-		}
-		ri, err := d.optIdx(nr, "var region")
-		if err != nil {
-			return nil, err
-		}
-		if ri >= 0 {
+		v.ByValue = d.bool()
+		v.Heap = d.bool()
+		v.Decl = d.loc()
+		if ri := d.optIdx(nr, "var region"); ri >= 0 {
 			v.DeclRegion = d.regs[ri]
 		}
-		fi, err := d.optIdx(nfn, "var func")
-		if err != nil {
-			return nil, err
-		}
-		if fi >= 0 {
+		if fi := d.optIdx(nfn, "var func"); fi >= 0 {
 			v.Func = d.funs[fi]
 		}
 		d.vars[i] = v
@@ -868,407 +818,165 @@ func (d *decoder) decodeModule() (*Module, error) {
 	d.m.Vars = d.vars
 
 	// Globals.
-	ng, err := d.count(nv, "global")
-	if err != nil {
-		return nil, err
-	}
-	d.m.Globals = make([]*Var, ng)
+	d.m.Globals = make([]*Var, d.count(nv, "global"))
 	for i := range d.m.Globals {
-		gi, err := d.idx(nv, "global")
-		if err != nil {
-			return nil, err
+		g := at(d, d.vars, "global")
+		if g.Kind != KGlobal {
+			d.fail("global list names %s var %s", g.Kind, g.Name)
 		}
-		if d.vars[gi].Kind != KGlobal {
-			return nil, fmt.Errorf("ir: global list names %s var %s", d.vars[gi].Kind, d.vars[gi].Name)
-		}
-		d.m.Globals[i] = d.vars[gi]
+		d.m.Globals[i] = g
 	}
 
-	mi, err := d.idx(nfn, "main func")
-	if err != nil {
-		return nil, err
-	}
-	d.m.Main = d.funs[mi]
+	d.m.Main = at(d, d.funs, "main func")
 
 	// Function bodies.
 	for _, f := range d.funs {
-		d.curFunc = f
-		np, err := d.count(nv, "param")
-		if err != nil {
-			return nil, err
+		if d.err != nil {
+			return
 		}
-		f.Params = make([]*Var, np)
-		for i := range f.Params {
-			pi, err := d.idx(nv, "param")
-			if err != nil {
-				return nil, err
-			}
-			p := d.vars[pi]
-			if p.Kind != KParam || p.Func != f {
-				return nil, fmt.Errorf("ir: func %s claims foreign param %s", f.Name, p.Name)
-			}
-			f.Params[i] = p
-		}
-		nl, err := d.count(nv, "local")
-		if err != nil {
-			return nil, err
-		}
-		f.Locals = make([]*Var, nl)
-		for i := range f.Locals {
-			li, err := d.idx(nv, "local")
-			if err != nil {
-				return nil, err
-			}
-			l := d.vars[li]
-			if l.Kind != KLocal || l.Func != f {
-				return nil, fmt.Errorf("ir: func %s claims foreign local %s", f.Name, l.Name)
-			}
-			f.Locals[i] = l
-		}
-		if f.Body, err = d.decodeBlock(0); err != nil {
-			return nil, fmt.Errorf("%w (in func %s)", err, f.Name)
+		d.cur = f
+		f.Params = d.owned(KParam, "param")
+		f.Locals = d.owned(KLocal, "local")
+		f.Body = d.block(0)
+		if d.err != nil {
+			d.err = fmt.Errorf("%w (in func %s)", d.err, f.Name)
 		}
 	}
 
 	if len(d.m.Main.Params) != 0 {
-		return nil, fmt.Errorf("ir: main function takes parameters")
+		d.fail("main function takes parameters")
 	}
 	// Every loop and branch region must have been claimed by exactly one
-	// statement; decodeStmt enforces single claims, this catches orphans.
+	// statement; claim enforces single claims, this catches orphans.
 	for i, r := range d.regs {
 		if r.Kind != RFunc && r.Stmt == nil {
-			return nil, fmt.Errorf("ir: %s region %d has no defining statement", r.Kind, i)
+			d.fail("%s region %d has no defining statement", r.Kind, i)
 		}
 	}
-	return d.m, nil
 }
 
-func (d *decoder) decodeBlock(depth int) (*BlockStmt, error) {
-	if depth > d.lim.MaxDepth {
-		return nil, fmt.Errorf("ir: statement nesting exceeds depth %d", d.lim.MaxDepth)
+func (d *decoder) block(depth int) *BlockStmt {
+	if !d.enter(depth, "statement") {
+		return nil
 	}
-	if err := d.node(); err != nil {
-		return nil, err
-	}
-	loc, err := d.loc()
-	if err != nil {
-		return nil, err
-	}
-	b := &BlockStmt{Loc: loc}
-	nd, err := d.count(len(d.vars), "block decl")
-	if err != nil {
-		return nil, err
-	}
-	b.Decls = make([]*Var, nd)
-	for i := range b.Decls {
-		di, err := d.idx(len(d.vars), "block decl")
-		if err != nil {
-			return nil, err
-		}
-		v := d.vars[di]
-		if v.Kind != KLocal || v.Func != d.curFunc {
-			return nil, fmt.Errorf("ir: block declares foreign var %s", v.Name)
-		}
-		b.Decls[i] = v
-	}
-	ns, err := d.count(d.nodes+1, "block statement")
-	if err != nil {
-		return nil, err
-	}
-	b.List = make([]Stmt, ns)
+	b := &BlockStmt{Loc: d.loc()}
+	b.Decls = d.owned(KLocal, "block decl")
+	b.List = make([]Stmt, d.count(maxNodes-d.nodes+1, "block statement"))
 	for i := range b.List {
-		if b.List[i], err = d.decodeStmt(depth + 1); err != nil {
-			return nil, err
-		}
+		b.List[i] = d.stmt(depth + 1)
 	}
-	return b, nil
+	return b
 }
 
-// claimRegion resolves a region index for a loop or branch statement,
-// enforcing kind, ownership, and single use.
-func (d *decoder) claimRegion(kind RegionKind, s Stmt) (*Region, error) {
-	ri, err := d.idx(len(d.regs), "statement region")
-	if err != nil {
-		return nil, err
+func (d *decoder) stmt(depth int) Stmt {
+	if !d.enter(depth, "statement") {
+		return nil
 	}
-	r := d.regs[ri]
-	if r.Kind != kind {
-		return nil, fmt.Errorf("ir: statement claims %s region %d as %s", r.Kind, ri, kind)
-	}
-	if r.Stmt != nil {
-		return nil, fmt.Errorf("ir: region %d claimed by two statements", ri)
-	}
-	if r.Func != d.curFunc {
-		return nil, fmt.Errorf("ir: statement claims region %d of another function", ri)
-	}
-	r.Stmt = s
-	return r, nil
-}
-
-func (d *decoder) decodeStmt(depth int) (Stmt, error) {
-	if depth > d.lim.MaxDepth {
-		return nil, fmt.Errorf("ir: statement nesting exceeds depth %d", d.lim.MaxDepth)
-	}
-	if err := d.node(); err != nil {
-		return nil, err
-	}
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	loc, err := d.loc()
-	if err != nil {
-		return nil, err
-	}
+	tag, loc := d.byte(), d.loc()
 	switch tag {
 	case tsAssign:
-		dst, err := d.decodeRef(depth)
-		if err != nil {
-			return nil, err
-		}
-		src, err := d.decodeExpr(depth)
-		if err != nil {
-			return nil, err
-		}
-		return &Assign{Loc: loc, Dst: dst, Src: src}, nil
+		return &Assign{Loc: loc, Dst: d.ref(depth), Src: d.expr(depth)}
 	case tsIf:
 		n := &If{Loc: loc}
-		if n.Region, err = d.claimRegion(RBranch, n); err != nil {
-			return nil, err
+		n.Region = d.claim(RBranch, n)
+		n.Cond = d.expr(depth)
+		n.Then = d.block(depth)
+		if d.bool() {
+			n.Else = d.block(depth)
 		}
-		if n.Cond, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.Then, err = d.decodeBlock(depth); err != nil {
-			return nil, err
-		}
-		hasElse, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
-		if hasElse {
-			if n.Else, err = d.decodeBlock(depth); err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
+		return n
 	case tsFor:
-		n := &For{Loc: loc}
-		if n.EndLoc, err = d.loc(); err != nil {
-			return nil, err
+		n := &For{Loc: loc, EndLoc: d.loc()}
+		n.Region = d.claim(RLoop, n)
+		n.IndVar = at(d, d.vars, "induction var")
+		if n.IndVar.Func != d.cur {
+			d.fail("loop claims foreign induction var %s", n.IndVar.Name)
 		}
-		if n.Region, err = d.claimRegion(RLoop, n); err != nil {
-			return nil, err
-		}
-		ii, err := d.idx(len(d.vars), "induction var")
-		if err != nil {
-			return nil, err
-		}
-		n.IndVar = d.vars[ii]
-		if n.IndVar.Func != d.curFunc {
-			return nil, fmt.Errorf("ir: loop claims foreign induction var %s", n.IndVar.Name)
-		}
-		if n.From, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.To, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.Step, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.Body, err = d.decodeBlock(depth); err != nil {
-			return nil, err
-		}
-		return n, nil
+		n.From = d.expr(depth)
+		n.To = d.expr(depth)
+		n.Step = d.expr(depth)
+		n.Body = d.block(depth)
+		return n
 	case tsWhile:
-		n := &While{Loc: loc}
-		if n.EndLoc, err = d.loc(); err != nil {
-			return nil, err
-		}
-		if n.Region, err = d.claimRegion(RLoop, n); err != nil {
-			return nil, err
-		}
-		if n.Cond, err = d.decodeExpr(depth); err != nil {
-			return nil, err
-		}
-		if n.Body, err = d.decodeBlock(depth); err != nil {
-			return nil, err
-		}
-		return n, nil
+		n := &While{Loc: loc, EndLoc: d.loc()}
+		n.Region = d.claim(RLoop, n)
+		n.Cond = d.expr(depth)
+		n.Body = d.block(depth)
+		return n
 	case tsCall:
-		call, err := d.decodeCall(depth)
-		if err != nil {
-			return nil, err
-		}
-		return &CallStmt{Loc: loc, Call: call}, nil
+		return &CallStmt{Loc: loc, Call: d.call(depth)}
 	case tsReturn:
-		hasVal, err := d.bool()
-		if err != nil {
-			return nil, err
-		}
 		n := &Return{Loc: loc}
-		if hasVal {
-			if n.Val, err = d.decodeExpr(depth); err != nil {
-				return nil, err
-			}
+		if d.bool() {
+			n.Val = d.expr(depth)
 		}
-		return n, nil
+		return n
 	case tsSpawn:
-		call, err := d.decodeCall(depth)
-		if err != nil {
-			return nil, err
-		}
-		return &Spawn{Loc: loc, Call: call}, nil
+		return &Spawn{Loc: loc, Call: d.call(depth)}
 	case tsSync:
-		return &Sync{Loc: loc}, nil
+		return &Sync{Loc: loc}
 	case tsLock:
-		id, err := d.uint()
-		if err != nil {
-			return nil, err
+		id := d.uint()
+		if id > maxMutexID {
+			d.fail("mutex id %d out of range", id)
 		}
-		if id > 1<<16 {
-			return nil, fmt.Errorf("ir: mutex id %d out of range", id)
-		}
-		n := &LockRegion{Loc: loc, MutexID: int(id)}
-		if n.Body, err = d.decodeBlock(depth); err != nil {
-			return nil, err
-		}
-		return n, nil
+		return &LockRegion{Loc: loc, MutexID: int(id), Body: d.block(depth)}
 	case tsFree:
-		vi, err := d.idx(len(d.vars), "freed var")
-		if err != nil {
-			return nil, err
-		}
-		return &Free{Loc: loc, Var: d.vars[vi]}, nil
-	default:
-		return nil, fmt.Errorf("ir: unknown statement tag %d", tag)
+		return &Free{Loc: loc, Var: at(d, d.vars, "freed var")}
 	}
+	d.fail("unknown statement tag %d", tag)
+	return nil
 }
 
-func (d *decoder) decodeRef(depth int) (*Ref, error) {
-	loc, err := d.loc()
-	if err != nil {
-		return nil, err
+func (d *decoder) ref(depth int) *Ref {
+	r := &Ref{Loc: d.loc(), Var: at(d, d.vars, "ref var")}
+	if d.bool() {
+		r.Index = d.expr(depth + 1)
 	}
-	vi, err := d.idx(len(d.vars), "ref var")
-	if err != nil {
-		return nil, err
-	}
-	r := &Ref{Loc: loc, Var: d.vars[vi]}
-	hasIdx, err := d.bool()
-	if err != nil {
-		return nil, err
-	}
-	if hasIdx {
-		if r.Index, err = d.decodeExpr(depth + 1); err != nil {
-			return nil, err
-		}
-	}
-	return r, nil
+	return r
 }
 
-func (d *decoder) decodeCall(depth int) (*CallExpr, error) {
-	loc, err := d.loc()
-	if err != nil {
-		return nil, err
-	}
-	fi, err := d.idx(len(d.funs), "callee")
-	if err != nil {
-		return nil, err
-	}
-	c := &CallExpr{Loc: loc, Callee: d.funs[fi]}
-	na, err := d.count(d.nodes+1, "call args")
-	if err != nil {
-		return nil, err
-	}
-	c.Args = make([]Expr, na)
+func (d *decoder) call(depth int) *CallExpr {
+	c := &CallExpr{Loc: d.loc(), Callee: at(d, d.funs, "callee")}
+	c.Args = make([]Expr, d.count(maxNodes-d.nodes+1, "call args"))
 	for i := range c.Args {
-		if c.Args[i], err = d.decodeExpr(depth + 1); err != nil {
-			return nil, err
-		}
+		c.Args[i] = d.expr(depth + 1)
 	}
-	return c, nil
+	return c
 }
 
-func (d *decoder) decodeExpr(depth int) (Expr, error) {
-	if depth > d.lim.MaxDepth {
-		return nil, fmt.Errorf("ir: expression nesting exceeds depth %d", d.lim.MaxDepth)
+func (d *decoder) expr(depth int) Expr {
+	if !d.enter(depth, "expression") {
+		return nil
 	}
-	if err := d.node(); err != nil {
-		return nil, err
-	}
-	tag, err := d.byte()
-	if err != nil {
-		return nil, err
-	}
-	switch tag {
+	switch tag := d.byte(); tag {
 	case teConst:
-		loc, err := d.loc()
-		if err != nil {
-			return nil, err
+		return &Const{
+			Loc: d.loc(),
+			Typ: Type(d.enum(byte(F64), "const type")),
+			Val: d.f64(),
 		}
-		typ, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if typ > byte(F64) {
-			return nil, fmt.Errorf("ir: const has bad type %d", typ)
-		}
-		val, err := d.f64()
-		if err != nil {
-			return nil, err
-		}
-		return &Const{Loc: loc, Typ: Type(typ), Val: val}, nil
 	case teRef:
-		return d.decodeRef(depth)
+		return d.ref(depth)
 	case teBin:
-		loc, err := d.loc()
-		if err != nil {
-			return nil, err
+		return &Bin{
+			Loc: d.loc(),
+			Op:  BinOp(d.enum(byte(OpMax), "binary op")),
+			L:   d.expr(depth + 1),
+			R:   d.expr(depth + 1),
 		}
-		op, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if op > byte(OpMax) {
-			return nil, fmt.Errorf("ir: bad binary op %d", op)
-		}
-		l, err := d.decodeExpr(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		r, err := d.decodeExpr(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		return &Bin{Loc: loc, Op: BinOp(op), L: l, R: r}, nil
 	case teUn:
-		loc, err := d.loc()
-		if err != nil {
-			return nil, err
+		return &Un{
+			Loc: d.loc(),
+			Op:  UnOp(d.enum(byte(OpFloor), "unary op")),
+			X:   d.expr(depth + 1),
 		}
-		op, err := d.byte()
-		if err != nil {
-			return nil, err
-		}
-		if op > byte(OpFloor) {
-			return nil, fmt.Errorf("ir: bad unary op %d", op)
-		}
-		x, err := d.decodeExpr(depth + 1)
-		if err != nil {
-			return nil, err
-		}
-		return &Un{Loc: loc, Op: UnOp(op), X: x}, nil
 	case teRand:
-		loc, err := d.loc()
-		if err != nil {
-			return nil, err
-		}
-		return &Rand{Loc: loc}, nil
+		return &Rand{Loc: d.loc()}
 	case teCall:
-		return d.decodeCall(depth)
+		return d.call(depth)
 	default:
-		return nil, fmt.Errorf("ir: unknown expression tag %d", tag)
+		d.fail("unknown expression tag %d", tag)
+		return nil
 	}
 }

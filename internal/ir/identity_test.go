@@ -114,3 +114,26 @@ func BenchmarkEncode(b *testing.B) {
 		sink[0] = enc[0]
 	}
 }
+
+// BenchmarkDecode decodes the scale-1 encoding of every registry workload
+// per iteration; ns/module is the mean over modules.
+func BenchmarkDecode(b *testing.B) {
+	var encs [][]byte
+	for _, name := range workloads.Names("") {
+		enc, err := ir.Encode(workloads.MustBuild(name, 1).M)
+		if err != nil {
+			b.Fatal(err)
+		}
+		encs = append(encs, enc)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for _, enc := range encs {
+			if _, err := ir.Decode(enc); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(encs)), "ns/module")
+}

@@ -226,7 +226,7 @@ func (m *Module) NumberOps(number func(*Module) int32) int32 {
 // caches use. The module must not change after the first call.
 //
 // A module Encode refuses (a forward-declared function never defined,
-// nesting deeper than Decode accepts) has no canonical bytes; it gets a
+// anything past one of the codec's caps) has no canonical bytes; it gets a
 // digest no other instance in the process shares, so it still compiles and
 // profiles, as uncached as if it had no key, and can never be mistaken for
 // another module.

@@ -310,6 +310,34 @@ func TestRejectedSubmissionFallsBackLocally(t *testing.T) {
 	}
 }
 
+// TestUnencodableModuleRunsLocally: a module past one of the codec's caps
+// (here a 300-byte name, which an inline spec does not bound) would be
+// rejected by any peer, so the stage runs it locally without a hop, as it
+// does after a rejection, instead of failing the job.
+func TestUnencodableModuleRunsLocally(t *testing.T) {
+	ok := newFakePeer("ok")
+	defer ok.ts.Close()
+
+	stage := &remote.Stage{Client: remote.NewClient([]string{ok.ts.URL}, fastOpts())}
+	prog, err := workloads.Build("histogram", 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	prog.M.Name = strings.Repeat("n", 300)
+	ctx := &pipeline.Context{Mod: prog.M, Opt: pipeline.Options{Threads: 16}}
+	if err := stage.Run(ctx); err != nil {
+		t.Fatalf("stage must run an unencodable module locally, got %v", err)
+	}
+	if stage.Fallbacks() != 1 || ctx.Profile == nil {
+		t.Fatalf("unencodable module did not run locally (fallbacks=%d)", stage.Fallbacks())
+	}
+	ok.mu.Lock()
+	defer ok.mu.Unlock()
+	if n := len(ok.auths); n != 0 {
+		t.Fatalf("peer got %d requests for a module no peer accepts", n)
+	}
+}
+
 func TestFailedAnalysisIsTerminal(t *testing.T) {
 	failing := newFakePeer("failjob")
 	good := newFakePeer("ok")

@@ -41,7 +41,7 @@ func TestCodecRoundTripRegistry(t *testing.T) {
 		if !bytes.Equal(enc, enc2) {
 			t.Fatalf("%s: re-encoded bytes differ (len %d vs %d)", info.Name, len(enc), len(enc2))
 		}
-		if len(enc) > ir.DefaultLimits().MaxBytes {
+		if len(enc) > ir.MaxModuleBytes {
 			t.Fatalf("%s: encoded size %d exceeds default byte limit", info.Name, len(enc))
 		}
 	}
@@ -184,11 +184,74 @@ func TestDecodeRejects(t *testing.T) {
 	}
 }
 
-// TestDecodeLimits checks that the footprint and size caps reject
-// oversized modules before any large allocation happens.
+// TestDecodeLimits holds the caps at their real values: Decode accepts a
+// module at the footprint, payload and name-length cap and rejects one a
+// step past it. The past-the-cap inputs are spliced by hand, since Encode
+// refuses to write them.
 func TestDecodeLimits(t *testing.T) {
+	const maxElems, maxBytes, maxName = 8 << 20, ir.MaxModuleBytes, 256
+	accept := func(what string, data []byte) {
+		t.Helper()
+		if _, err := ir.Decode(data); err != nil {
+			t.Fatalf("%s at the cap: %v", what, err)
+		}
+	}
+	reject := func(what string, data []byte, want string) {
+		t.Helper()
+		if _, err := ir.Decode(data); err == nil || !strings.Contains(err.Error(), want) {
+			t.Fatalf("%s past the cap: error %v, want one mentioning %q", what, err, want)
+		}
+	}
+
+	// Footprint: one array of maxElems elements, then its count respelled
+	// one higher (both varints are four bytes wide).
 	b := ir.NewBuilder("big")
-	b.GlobalArray("huge", ir.F64, 1<<20)
+	b.GlobalArray("huge", ir.F64, maxElems)
+	fb := b.Func("main")
+	fb.Return(nil)
+	enc, err := ir.Encode(b.Build(fb.Done()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	accept("footprint", enc)
+	at, past := binary.AppendUvarint(nil, maxElems), binary.AppendUvarint(nil, maxElems+1)
+	if bytes.Count(enc, at) != 1 || len(at) != len(past) {
+		t.Fatal("cannot find the element count in the encoding")
+	}
+	reject("footprint", bytes.Replace(enc, at, past, 1), "elems")
+
+	// Payload: a valid encoding one byte short of the cap, padded by
+	// spelling the module name's one-byte length varint (after "DPIR" and
+	// the version) in two bytes, which Decode accepts.
+	pad := func(enc []byte) []byte {
+		if enc[5] >= 0x80 {
+			t.Fatal("module name length is not a one-byte varint")
+		}
+		return append(append(append([]byte{}, enc[:5]...), enc[5]|0x80, 0), enc[6:]...)
+	}
+	accept("payload", pad(encodingOfSize(t, maxBytes-1)))
+	reject("payload", pad(encodingOfSize(t, maxBytes)), "exceeds limit")
+
+	// Name length: the module name is the first string of the encoding.
+	m := workloads.MustBuild("fib", 1).M
+	m.Name = strings.Repeat("n", maxName)
+	if enc, err = ir.Encode(m); err != nil {
+		t.Fatal(err)
+	}
+	accept("name length", enc)
+	head := binary.AppendUvarint([]byte("DPIR\x01"), maxName+1)
+	long := append(append(head, strings.Repeat("n", maxName+1)...), enc[5+2+maxName:]...)
+	reject("name length", long, "string length")
+}
+
+// encodingOfSize encodes a module of globals whose names are grown until
+// the encoding is exactly size bytes (a name of 128 to 256 bytes keeps a
+// two-byte length prefix, so each added byte adds one to the total).
+func encodingOfSize(t *testing.T, size int) []byte {
+	b := ir.NewBuilder("pad")
+	for i := 0; i < size/250; i++ {
+		b.Global(strings.Repeat("g", 128), ir.F64)
+	}
 	fb := b.Func("main")
 	fb.Return(nil)
 	m := b.Build(fb.Done())
@@ -196,19 +259,16 @@ func TestDecodeLimits(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	lim := ir.DefaultLimits()
-	lim.MaxTotalElems = 1 << 10
-	if _, err := ir.DecodeLimits(enc, lim); err == nil {
-		t.Fatal("footprint cap did not reject a 1M-element module")
+	short := size - len(enc)
+	for _, v := range m.Vars {
+		grow := min(short, 256-len(v.Name))
+		v.Name += strings.Repeat("g", grow)
+		short -= grow
 	}
-	lim = ir.DefaultLimits()
-	lim.MaxBytes = 16
-	if _, err := ir.DecodeLimits(enc, lim); err == nil {
-		t.Fatal("byte cap did not reject")
+	if enc, err = ir.Encode(m); err != nil || len(enc) != size {
+		t.Fatalf("padded encoding: %d bytes, %v; want %d bytes", len(enc), err, size)
 	}
-	if _, err := ir.Decode(enc); err != nil {
-		t.Fatalf("default limits rejected a legitimate module: %v", err)
-	}
+	return enc
 }
 
 // TestDecodeElemsOverflow splices an element count >= 2^63 into an

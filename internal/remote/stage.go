@@ -3,7 +3,6 @@ package remote
 import (
 	"context"
 	"errors"
-	"fmt"
 	"strconv"
 	"sync"
 	"sync/atomic"
@@ -22,11 +21,12 @@ import (
 // analysis had run in-process.
 //
 // When no peer can take the job — every peer down, all attempts
-// exhausted, or the fleet rejecting a payload its wire limits will not
-// admit — the stage falls back to running the local pipeline, so a
-// coordinator degrades to a plain single-node service rather than
-// failing the batch. Only an analysis that actually ran on a peer and
-// failed is surfaced as an error (it would fail identically anywhere).
+// exhausted, a module the codec will not encode, or the fleet rejecting a
+// payload its wire limits will not admit — the stage falls back to
+// running the local pipeline, so a coordinator degrades to a plain
+// single-node service rather than failing the batch. Only an analysis
+// that actually ran on a peer and failed is surfaced as an error (it
+// would fail identically anywhere).
 type Stage struct {
 	// Client routes work to the peer fleet.
 	Client *Client
@@ -81,7 +81,9 @@ func (s *Stage) Run(ctx *pipeline.Context) error {
 	}
 	enc, err := ir.Encode(ctx.Mod)
 	if err != nil {
-		return fmt.Errorf("encode module: %w", err)
+		// Past one of the codec's caps: every peer would reject the bytes,
+		// so skip the hop and run the job here.
+		return s.fallback(ctx)
 	}
 	base := s.base()
 	rep, err := s.Client.AnalyzeBytes(base,

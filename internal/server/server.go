@@ -472,7 +472,7 @@ func (s *Server) handleAnalyze(w http.ResponseWriter, r *http.Request) {
 	// The body cap must cover a module at the codec's byte limit after
 	// base64 expansion (4/3) plus JSON framing, or the advertised decode
 	// limit is unreachable over the wire.
-	maxBody := int64(ir.DefaultLimits().MaxBytes)*4/3 + 64<<10
+	maxBody := int64(ir.MaxModuleBytes)*4/3 + 64<<10
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBody))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(&req); err != nil {

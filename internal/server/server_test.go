@@ -425,7 +425,7 @@ func TestRequestValidation(t *testing.T) {
 // TestAnalyzeBodyCapCoversCodecLimit pins the transport cap to the codec
 // limit: a module submission well over 1MB must reach the module decoder
 // (and be rejected there for its content) rather than dying at
-// MaxBytesReader — otherwise the codec's advertised MaxBytes is
+// MaxBytesReader — otherwise the codec's ir.MaxModuleBytes is
 // unreachable over the wire and coordinators silently degrade to local
 // analysis for larger modules.
 func TestAnalyzeBodyCapCoversCodecLimit(t *testing.T) {

@@ -69,11 +69,11 @@ var (
 // Serialized modules: the versioned, deterministic wire format used to
 // ship modules between dp-serve nodes (and accepted by POST /v1/analyze
 // as the "module" body kind). EncodeModule is a pure function of the
-// module structure; DecodeModule validates strictly under default limits
+// module structure; DecodeModule validates strictly under the codec's caps
 // and never panics on malformed input.
 var (
 	// EncodeModule serializes a module into the wire format.
 	EncodeModule = ir.Encode
-	// DecodeModule parses a wire-format module under default limits.
+	// DecodeModule parses a wire-format module under the codec's caps.
 	DecodeModule = ir.Decode
 )
