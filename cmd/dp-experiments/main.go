@@ -8,7 +8,9 @@
 //	dp-experiments -run table4.1    # run one experiment
 //	dp-experiments -scale 2         # larger workloads
 //	dp-experiments -par 8           # 8 concurrent jobs in discovery sweeps
-//	dp-experiments -cache=false     # re-profile every sweep (no memoization)
+//
+// The discovery sweeps share one Profile-stage cache: a ch4/ch5 table that
+// re-analyzes a workload skips re-profiling it.
 package main
 
 import (
@@ -32,7 +34,6 @@ func runMain() int {
 		run   = flag.String("run", "", "experiment ID to run (e.g. table2.6, fig2.9); empty = all")
 		scale = flag.Int("scale", 1, "workload scale factor")
 		par   = flag.Int("par", 0, "concurrent analysis jobs in the ch4/ch5 discovery sweeps (0 = one per CPU)")
-		cache = flag.Bool("cache", true, "share one Profile-stage cache across the discovery sweeps (ch4/ch5 tables re-analyzing a workload skip re-profiling)")
 	)
 	pf := profflag.Register(flag.CommandLine)
 	flag.Parse()
@@ -42,9 +43,7 @@ func runMain() int {
 	}
 	defer pf.Stop()
 	experiments.BatchWorkers = *par
-	if *cache {
-		experiments.Cache = discopop.NewProfileCache()
-	}
+	experiments.Cache = discopop.NewProfileCache()
 	exps, err := selected(*run)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, err)
@@ -54,11 +53,9 @@ func runMain() int {
 		res := e.Run(*scale)
 		fmt.Printf("==== %s: %s ====\n%s\n", res.ID, res.Title, res.Text)
 	}
-	if experiments.Cache != nil {
-		hits, misses := experiments.Cache.Stats()
-		fmt.Printf("profile cache: %d hits, %d misses (each hit skipped one instrumented re-execution)\n",
-			hits, misses)
-	}
+	hits, misses := experiments.Cache.Stats()
+	fmt.Printf("profile cache: %d hits, %d misses (each hit skipped one instrumented re-execution)\n",
+		hits, misses)
 	return 0
 }
 

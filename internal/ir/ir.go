@@ -13,6 +13,8 @@ import (
 	"crypto/sha256"
 	"encoding/binary"
 	"fmt"
+	"strconv"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -44,6 +46,18 @@ type Loc struct {
 }
 
 func (l Loc) String() string { return fmt.Sprintf("%d:%d", l.File, l.Line) }
+
+// ParseLoc inverts Loc.String ("file:line"). It rejects a number outside
+// int32 rather than truncating it.
+func ParseLoc(s string) (Loc, error) {
+	f, l, ok := strings.Cut(s, ":")
+	file, err1 := strconv.ParseInt(f, 10, 32)
+	line, err2 := strconv.ParseInt(l, 10, 32)
+	if !ok || err1 != nil || err2 != nil {
+		return Loc{}, fmt.Errorf("ir: malformed location %q", s)
+	}
+	return Loc{File: int32(file), Line: int32(line)}, nil
+}
 
 // Key packs a Loc into a comparable 64-bit key.
 func (l Loc) Key() uint64 { return uint64(uint32(l.File))<<32 | uint64(uint32(l.Line)) }

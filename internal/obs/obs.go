@@ -198,6 +198,11 @@ func (r *Recorder) Graft(node string, spans []Span) time.Duration {
 	return time.Duration(shift)
 }
 
+// Spans returns the spans recorded so far without closing any: a span still
+// open has zero duration. The slice is the recorder's own, valid until the
+// next recording call.
+func (r *Recorder) Spans() []Span { return r.spans }
+
 // Trace closes any still-open spans and returns the recorded trace. The
 // spans are copied; the recorder can keep recording (though jobs normally
 // call Trace exactly once, at the end).

@@ -76,7 +76,7 @@ type FleetStats struct {
 	// Busy is the summed per-job wall time (≥ real elapsed time when the
 	// pool runs jobs concurrently).
 	Busy time.Duration
-	// StageTime is the summed wall time per stage name.
+	// StageTime is the summed self time per stage name (StageTimes).
 	StageTime map[string]time.Duration
 	// CacheHits counts jobs whose Profile stage was served from a
 	// ProfileCache or whose whole report came from the report memo (no
@@ -357,7 +357,7 @@ func (e *Engine) record(res *JobResult, ctx *Context) {
 		// summary's dependence count so fleet totals still move.
 		e.stats.Deps += int64(ctx.DepCount)
 	}
-	for _, st := range ctx.Times {
+	for _, st := range StageTimes(res.Trace.Spans) {
 		e.stats.StageTime[st.Stage] += st.D
 	}
 }

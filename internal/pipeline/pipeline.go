@@ -122,11 +122,8 @@ type Context struct {
 	// (creating the recorder on first use when the caller did not), and
 	// stages annotate or graft into the open span through it. The engine
 	// seeds it with the job's trace id and wraps the stage spans in a
-	// root "job" span.
+	// root "job" span. Stage times are read from it (StageTimes).
 	Rec *obs.Recorder
-
-	// Times records per-stage wall time in execution order.
-	Times []StageTime
 }
 
 // Recorder returns the job's span recorder, creating a detached one on
@@ -142,6 +139,34 @@ func (c *Context) Recorder() *obs.Recorder {
 type StageTime struct {
 	Stage string
 	D     time.Duration
+}
+
+// StageTimes gives the self time of every stage in a job's spans, in the
+// order the stages started. A stage is a span this node recorded (empty
+// Node) other than the "job" root and the "queue" wait: a pipeline stage, a
+// remote hop, a report-memo answer. Its self time excludes its children
+// recorded on this node (a remote stage's local fallback runs the pipeline
+// inside it), so summing the result counts no interval twice; spans grafted
+// from a peer ran during the hop and stay in its time. Every per-stage time
+// the service reports comes from here.
+func StageTimes(spans []obs.Span) []StageTime {
+	self := make([]int64, len(spans))
+	for i, sp := range spans {
+		self[i] = sp.Dur
+	}
+	for _, sp := range spans {
+		if sp.Node == "" && sp.Parent >= 0 && sp.Parent < len(spans) {
+			self[sp.Parent] -= sp.Dur
+		}
+	}
+	var out []StageTime
+	for i, sp := range spans {
+		if sp.Node != "" || sp.Name == "queue" || (sp.Name == "job" && sp.Parent < 0) {
+			continue
+		}
+		out = append(out, StageTime{Stage: sp.Name, D: time.Duration(max(self[i], 0))})
+	}
+	return out
 }
 
 // Stage is one step of the analysis pipeline.
@@ -168,11 +193,9 @@ func ProfilePipeline() *Pipeline {
 	return &Pipeline{Stages: []Stage{Profile{}, BuildPET{}}}
 }
 
-// Run executes the stages in order on ctx, recording per-stage wall time.
-// A stage that itself runs a nested pipeline (the remote stage's local
-// fallback) appends the nested entries to ctx.Times; its own entry is
-// charged net of those, so summing ctx.Times never double-counts an
-// interval. It stops at the first failing stage.
+// Run executes the stages in order on ctx, one span each. A stage that
+// itself runs a nested pipeline (the remote stage's local fallback) nests
+// its stages' spans in its own. It stops at the first failing stage.
 func (p *Pipeline) Run(ctx *Context) error {
 	if ctx.Mod == nil {
 		return errors.New("pipeline: context has no module")
@@ -180,18 +203,8 @@ func (p *Pipeline) Run(ctx *Context) error {
 	rec := ctx.Recorder()
 	for _, s := range p.Stages {
 		sp := rec.Start(s.Name())
-		start := time.Now()
-		n := len(ctx.Times)
 		err := s.Run(ctx)
-		d := time.Since(start)
 		rec.End(sp)
-		for _, st := range ctx.Times[n:] {
-			d -= st.D
-		}
-		if d < 0 {
-			d = 0
-		}
-		ctx.Times = append(ctx.Times, StageTime{Stage: s.Name(), D: d})
 		if err != nil {
 			return fmt.Errorf("pipeline: stage %s: %w", s.Name(), err)
 		}
@@ -373,7 +386,7 @@ type Report struct {
 	// RemotePeer is the URL of the peer that served the analysis, empty
 	// for local runs.
 	RemotePeer string
-	// Times records per-stage wall time in execution order.
+	// Times is the self time of every stage the job ran (StageTimes).
 	Times []StageTime
 }
 
@@ -410,7 +423,7 @@ func (c *Context) Report() *Report {
 		DepCount:   c.DepCount,
 		CUCount:    c.CUCount,
 		RemotePeer: c.RemotePeer,
-		Times:      c.Times,
+		Times:      StageTimes(c.Recorder().Spans()),
 	}
 }
 

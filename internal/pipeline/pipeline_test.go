@@ -23,12 +23,13 @@ func TestDefaultPipelineMatchesStageProducts(t *testing.T) {
 	if ctx.Instrs == 0 {
 		t.Error("no instructions recorded")
 	}
-	if len(ctx.Times) != 5 {
-		t.Fatalf("want 5 stage times, got %d", len(ctx.Times))
+	rep := ctx.Report()
+	if len(rep.Times) != 5 {
+		t.Fatalf("want 5 stage times, got %d", len(rep.Times))
 	}
 	for _, name := range []string{"profile", "build-pet", "build-cus", "discover", "rank"} {
 		found := false
-		for _, st := range ctx.Times {
+		for _, st := range rep.Times {
 			if st.Stage == name {
 				found = true
 			}
@@ -37,8 +38,7 @@ func TestDefaultPipelineMatchesStageProducts(t *testing.T) {
 			t.Errorf("stage %s not timed", name)
 		}
 	}
-	rep := ctx.Report()
-	if rep.Profile != ctx.Profile || rep.Instrs != ctx.Instrs || len(rep.Times) != 5 {
+	if rep.Profile != ctx.Profile || rep.Instrs != ctx.Instrs {
 		t.Error("report does not reflect context products")
 	}
 }
@@ -97,15 +97,15 @@ func TestCustomStageObservesContext(t *testing.T) {
 	if sawDeps == 0 {
 		t.Error("custom stage saw no dependences")
 	}
-	if ctx.Times[len(ctx.Times)-1].Stage != "audit" {
+	if times := ctx.Report().Times; times[len(times)-1].Stage != "audit" {
 		t.Error("custom stage not recorded in stage times")
 	}
 }
 
 // TestNestedStageTimesNotDoubleCounted pins the net-of-nested charging:
 // a stage that runs a nested pipeline (the remote stage's local
-// fallback) appends the nested entries itself, and its own entry must
-// cover only its overhead — summing ctx.Times must never count the
+// fallback) nests the stages' spans in its own, and its own entry must
+// cover only its overhead — summing Report.Times must never count the
 // nested interval twice.
 func TestNestedStageTimesNotDoubleCounted(t *testing.T) {
 	prog := workloads.MustBuild("histogram", 1)
@@ -117,7 +117,7 @@ func TestNestedStageTimesNotDoubleCounted(t *testing.T) {
 		t.Fatal(err)
 	}
 	var nested, wrapper time.Duration
-	for _, st := range ctx.Times {
+	for _, st := range ctx.Report().Times {
 		if st.Stage == "wrapper" {
 			wrapper = st.D
 		} else {
@@ -131,6 +131,42 @@ func TestNestedStageTimesNotDoubleCounted(t *testing.T) {
 	// charged the whole interval it would be >= the nested sum.
 	if wrapper >= nested {
 		t.Fatalf("wrapper charged %v, nested stages %v: nested interval double-counted", wrapper, nested)
+	}
+}
+
+// TestFromWire: a report read back from its wire form ranks the same
+// suggestions at the same locations, resolved against the reader's module;
+// a malformed location, one past int32 included, fails the read.
+func TestFromWire(t *testing.T) {
+	prog := workloads.MustBuild("histogram", 1)
+	ctx := &Context{Mod: prog.M}
+	if err := New().Run(ctx); err != nil {
+		t.Fatal(err)
+	}
+	wire := summary(ctx.Report())
+	if len(wire.Suggestions) == 0 {
+		t.Fatal("histogram has no suggestions")
+	}
+	back := &Context{Mod: prog.M}
+	if err := back.FromWire(wire); err != nil {
+		t.Fatal(err)
+	}
+	for i, w := range wire.Suggestions {
+		s := back.Ranked[i]
+		if s.Loc.String() != w.Loc || s.Kind.String() != w.Kind {
+			t.Errorf("suggestion %d: read back %s %s, want %s %s", i, s.Kind, s.Loc, w.Kind, w.Loc)
+		}
+		if s.Region == nil && s.Func == nil {
+			t.Errorf("suggestion %d at %s resolves to no region or function", i, s.Loc)
+		}
+	}
+
+	for _, loc := range []string{"", "7", "x:1", "1:y", "1:4294967297", "4294967297:1"} {
+		bad := *wire
+		bad.Suggestions = []WireSuggestion{{Kind: "DOALL", Loc: loc}}
+		if err := (&Context{Mod: prog.M}).FromWire(&bad); err == nil {
+			t.Errorf("location %q read without an error", loc)
+		}
 	}
 }
 

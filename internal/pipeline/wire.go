@@ -2,8 +2,6 @@ package pipeline
 
 import (
 	"fmt"
-	"strconv"
-	"strings"
 	"time"
 
 	"discopop/internal/discovery"
@@ -106,7 +104,7 @@ func (c *Context) FromWire(rep *WireReport) error {
 		if !ok {
 			return fmt.Errorf("pipeline: unknown suggestion kind %q", w.Kind)
 		}
-		loc, err := parseLoc(w.Loc)
+		loc, err := ir.ParseLoc(w.Loc)
 		if err != nil {
 			return err
 		}
@@ -134,21 +132,4 @@ func (c *Context) FromWire(rep *WireReport) error {
 	}
 	c.Ranked = ranked
 	return nil
-}
-
-// parseLoc inverts ir.Loc.String ("file:line").
-func parseLoc(s string) (ir.Loc, error) {
-	f, l, ok := strings.Cut(s, ":")
-	if !ok {
-		return ir.Loc{}, fmt.Errorf("pipeline: malformed location %q", s)
-	}
-	file, err := strconv.ParseInt(f, 10, 32)
-	if err != nil {
-		return ir.Loc{}, fmt.Errorf("pipeline: malformed location %q", s)
-	}
-	line, err := strconv.ParseInt(l, 10, 32)
-	if err != nil {
-		return ir.Loc{}, fmt.Errorf("pipeline: malformed location %q", s)
-	}
-	return ir.Loc{File: int32(file), Line: int32(line)}, nil
 }

@@ -17,7 +17,7 @@ func newTestPipe(t *testing.T) (*Profiler, *pipeline) {
 	fb := b.Func("main")
 	fb.Set(g, ir.CF(1))
 	m := b.Build(fb.Done())
-	p := New(m, Options{Store: StorePerfect, Workers: 4, RebalanceInterval: 1})
+	p := New(m, Options{Store: StorePerfect, Workers: 4, rebalanceInterval: 1})
 	return p, p.pipe
 }
 

@@ -127,21 +127,8 @@ func parseLocThread(s string) (ir.Loc, int16, error) {
 		thr = int16(t)
 		s = s[:i]
 	}
-	loc, err := parseLoc(s)
+	loc, err := ir.ParseLoc(s)
 	return loc, thr, err
-}
-
-func parseLoc(s string) (ir.Loc, error) {
-	i := strings.IndexByte(s, ':')
-	if i < 0 {
-		return ir.Loc{}, fmt.Errorf("bad location %q", s)
-	}
-	f, err1 := strconv.Atoi(s[:i])
-	l, err2 := strconv.Atoi(s[i+1:])
-	if err1 != nil || err2 != nil {
-		return ir.Loc{}, fmt.Errorf("bad location %q", s)
-	}
-	return ir.Loc{File: int32(f), Line: int32(l)}, nil
 }
 
 // parseEntry parses "RAW 1:60|i", "WAR 4:77|2|iter" (MT), or "INIT *".
@@ -166,7 +153,7 @@ func parseEntry(entry string, sink ir.Loc, sinkThr int16,
 		return d, fmt.Errorf("unknown dependence type %q", fields[0])
 	}
 	parts := strings.Split(fields[1], "|")
-	loc, err := parseLoc(parts[0])
+	loc, err := ir.ParseLoc(parts[0])
 	if err != nil {
 		return d, err
 	}

@@ -108,6 +108,8 @@ func TestParseDepFileErrors(t *testing.T) {
 		"nonsense NOM {RAW 1:1|x}",
 		"1:60 NOM {RAW 1:1|x",
 		"1:60 NOM {RAW broken|x}",
+		"1:4294967297 NOM {RAW 1:1|x}", // used to read as 1:1
+		"1:60 NOM {RAW 4294967297:1|x}",
 	}
 	for _, c := range cases {
 		if _, err := ParseDepFile(c); err == nil {

@@ -82,7 +82,7 @@ func TestShadowMemoryMatchesMapStore(t *testing.T) {
 	}{
 		{"serial", Options{}},
 		{"skip", Options{Skip: true}},
-		{"workers2", Options{Workers: 2, ChunkSize: 64, RebalanceInterval: 25}},
+		{"workers2", Options{Workers: 2, ChunkSize: 64, rebalanceInterval: 25}},
 		{"mt", Options{MT: true, Workers: 2}},
 	}
 	for _, name := range workloads.Names("") {

@@ -118,8 +118,8 @@ func newPipeline[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *pi
 		n = 4 // Options.MT alone
 	}
 	pl := &pipeline{chunkSize: p.opt.ChunkSize, mt: p.opt.MT}
-	if !pl.mt && p.opt.RebalanceInterval > 0 {
-		pl.interval = p.opt.RebalanceInterval
+	if !pl.mt && p.opt.rebalanceInterval > 0 {
+		pl.interval = p.opt.rebalanceInterval
 		pl.counts = make(map[uint64]int64)
 		pl.rng = 0x9E3779B97F4A7C15
 		pl.redist = make(map[uint64]int)

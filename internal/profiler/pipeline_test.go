@@ -31,7 +31,7 @@ func pipelineModes() []Options {
 	for _, w := range []int{1, 2, 3, 8} {
 		for _, cs := range []int{1, 3, 64, 1024} {
 			for _, ri := range []int{1, 0} {
-				modes = append(modes, Options{Workers: w, ChunkSize: cs, RebalanceInterval: ri})
+				modes = append(modes, Options{Workers: w, ChunkSize: cs, rebalanceInterval: ri})
 			}
 		}
 	}
@@ -42,7 +42,7 @@ func pipelineModes() []Options {
 }
 
 func modeName(o Options) string {
-	return fmt.Sprintf("mt=%v/w=%d/chunk=%d/rebalance=%d", o.MT, o.Workers, o.ChunkSize, o.RebalanceInterval)
+	return fmt.Sprintf("mt=%v/w=%d/chunk=%d/rebalance=%d", o.MT, o.Workers, o.ChunkSize, o.rebalanceInterval)
 }
 
 // TestPipelineMatchesSerial: over the full workload registry, exact store,
@@ -296,7 +296,7 @@ func depFileHash(name string, opt Options) string {
 // and the plain and balanced files of one program still differ.
 func TestSignatureOwnershipGolden(t *testing.T) {
 	plain := Options{Store: StoreSignature, Slots: 4096, Workers: 4}
-	balanced := Options{Store: StoreSignature, Slots: 4096, Workers: 4, ChunkSize: 64, RebalanceInterval: 25}
+	balanced := Options{Store: StoreSignature, Slots: 4096, Workers: 4, ChunkSize: 64, rebalanceInterval: 25}
 	golden := []struct {
 		name string
 		opt  Options
@@ -335,7 +335,7 @@ func hotAddressModule() *ir.Module {
 func TestNegativeRebalanceIntervalDisablesBalancer(t *testing.T) {
 	run := func(interval int) *Profiler {
 		m := hotAddressModule()
-		p := New(m, Options{Workers: 4, ChunkSize: 32, RebalanceInterval: interval})
+		p := New(m, Options{Workers: 4, ChunkSize: 32, rebalanceInterval: interval})
 		interp.New(m, p).Run()
 		p.Result()
 		return p
@@ -354,7 +354,7 @@ func TestNegativeRebalanceIntervalDisablesBalancer(t *testing.T) {
 		t.Error("the workload does not redistribute at interval 50 either: the test shows nothing")
 	}
 	if def := run(0); def.pipe.interval != 2000 {
-		t.Errorf("RebalanceInterval 0 checks every %d chunks, want the default 2000", def.pipe.interval)
+		t.Errorf("rebalanceInterval 0 checks every %d chunks, want the default 2000", def.pipe.interval)
 	}
 }
 
@@ -404,7 +404,7 @@ func goroutinesSettleAt(want int) int {
 // panicked, leave no worker behind — for both pipeline kinds and both queues.
 func TestNoGoroutineOutlivesTheProfile(t *testing.T) {
 	for _, opt := range []Options{
-		{Workers: 3, ChunkSize: 16, RebalanceInterval: 5},
+		{Workers: 3, ChunkSize: 16, rebalanceInterval: 5},
 		{Workers: 3, UseLocked: true},
 		{MT: true, Workers: 3},
 		{MT: true},
@@ -491,7 +491,7 @@ func TestWorkerPanicReachesTheCaller(t *testing.T) {
 		k    int64 // which cell resolution panics
 	}{
 		{"workers2/early", Options{Workers: 2, ChunkSize: 16}, "CG", 100},
-		{"workers2/balancing", Options{Workers: 2, ChunkSize: 16, RebalanceInterval: 5}, "CG", 5000},
+		{"workers2/balancing", Options{Workers: 2, ChunkSize: 16, rebalanceInterval: 5}, "CG", 5000},
 		{"workers2/locked", Options{Workers: 2, UseLocked: true, ChunkSize: 16}, "CG", 100},
 		{"mt/early", Options{MT: true, Workers: 2, ChunkSize: 16}, "md5-mt", 100},
 		{"mt/default", Options{MT: true}, "md5-mt", 3000},

@@ -44,15 +44,16 @@ type Options struct {
 	// ChunkSize is the number of 32-byte access records per chunk (default
 	// 1024, i.e. 32 KB handed to a worker at a time).
 	ChunkSize int
-	// RebalanceInterval is the number of pushed chunks between load
-	// rebalancing checks: 0 means the default of 2000 (the paper uses 50000
-	// at its much larger workload scale), a negative value disables
-	// redistribution.
-	RebalanceInterval int
 	// TreeWalk runs the target on the reference tree-walking engine
 	// instead of the bytecode VM. The event streams are identical; the
 	// walker is kept for differential testing and debugging.
 	TreeWalk bool
+
+	// rebalanceInterval is the number of pushed chunks between load
+	// rebalancing checks: 0 means the default of 2000 (the paper uses 50000
+	// at its much larger workload scale), a negative value disables
+	// redistribution. A test seam: only this package's tests set it.
+	rebalanceInterval int
 }
 
 func (o *Options) defaults() {
@@ -62,8 +63,8 @@ func (o *Options) defaults() {
 	if o.Slots == 0 {
 		o.Slots = 1 << 22
 	}
-	if o.RebalanceInterval == 0 {
-		o.RebalanceInterval = 2000
+	if o.rebalanceInterval == 0 {
+		o.rebalanceInterval = 2000
 	}
 }
 

@@ -154,7 +154,7 @@ func TestLockBasedMatchesLockFree(t *testing.T) {
 func TestRedistribution(t *testing.T) {
 	serial := Profile(hotAddressModule(), Options{Store: StorePerfect})
 	m2 := hotAddressModule()
-	p := New(m2, Options{Store: StorePerfect, Workers: 4, ChunkSize: 32, RebalanceInterval: 50})
+	p := New(m2, Options{Store: StorePerfect, Workers: 4, ChunkSize: 32, rebalanceInterval: 50})
 	in := interp.New(m2, p)
 	in.Run()
 	par := p.Result()

@@ -98,7 +98,7 @@ func TestSampledRebalancingPreservesDeps(t *testing.T) {
 	serial := Profile(workloads.MustBuild("CG", 1).M, Options{Store: StorePerfect})
 	for _, workers := range []int{2, 4, 8} {
 		par := Profile(workloads.MustBuild("CG", 1).M, Options{
-			Store: StorePerfect, Workers: workers, ChunkSize: 64, RebalanceInterval: 25})
+			Store: StorePerfect, Workers: workers, ChunkSize: 64, rebalanceInterval: 25})
 		fp, fn := DiffDeps(par.Deps, serial.Deps)
 		if len(fp) != 0 || len(fn) != 0 {
 			t.Errorf("%d workers: sampled rebalancing changed deps (fp=%d fn=%d)",

@@ -81,15 +81,9 @@ func (e *retryAfterError) Error() string {
 	return fmt.Sprintf("remote: peer %s rate-limited the submission (retry after %s)", e.peer, e.delay)
 }
 
-// ClientOptions tunes failover behavior. The zero value is serviceable.
+// ClientOptions tunes failover behavior. The zero value is serviceable:
+// every healthy peer is tried once per analysis, in round-robin order.
 type ClientOptions struct {
-	// HTTPClient overrides the transport (tests inject httptest clients).
-	HTTPClient *http.Client
-	// MaxAttempts bounds submissions per analysis across peers
-	// (0 = number of peers).
-	MaxAttempts int
-	// PollWait is the long-poll duration sent as ?wait= (0 = 10s).
-	PollWait time.Duration
 	// JobTimeout bounds one peer attempt end to end: submit, polls, and
 	// report decode (0 = 2m).
 	JobTimeout time.Duration
@@ -104,16 +98,10 @@ type ClientOptions struct {
 	Token string
 }
 
-func (o ClientOptions) withDefaults(peers int) ClientOptions {
-	if o.HTTPClient == nil {
-		o.HTTPClient = &http.Client{}
-	}
-	if o.MaxAttempts <= 0 {
-		o.MaxAttempts = peers
-	}
-	if o.PollWait <= 0 {
-		o.PollWait = 10 * time.Second
-	}
+// pollWait is the long-poll duration a job poll sends as ?wait=.
+const pollWait = 10 * time.Second
+
+func (o ClientOptions) withDefaults() ClientOptions {
 	if o.JobTimeout <= 0 {
 		o.JobTimeout = 2 * time.Minute
 	}
@@ -198,7 +186,7 @@ func NewClient(urls []string, opt ClientOptions) *Client {
 		}
 		c.peers = append(c.peers, &peer{url: u})
 	}
-	c.opt = opt.withDefaults(len(c.peers))
+	c.opt = opt.withDefaults()
 	return c
 }
 
@@ -235,8 +223,8 @@ func (c *Client) Stats() []PeerStats {
 
 // AnalyzeBytes submits an already-encoded module to the fleet: it walks
 // the healthy peers round-robin, retrying transport failures on the next
-// peer up to MaxAttempts, and returns ErrNoPeers when no peer could take
-// the job (the caller falls back to local analysis). A *RemoteError means
+// until each has been tried once, and returns ErrNoPeers when no peer could
+// take the job (the caller falls back to local analysis). A *RemoteError means
 // a peer answered authoritatively — rejected module or failed analysis —
 // and is not retried. A 404/410 on a job poll (the worker's bounded job
 // store evicted the record before the result was read) resubmits to the
@@ -258,9 +246,6 @@ func (c *Client) AnalyzeBytes(ctx context.Context, enc []byte, spec Spec) (*pipe
 	}
 	if len(candidates) == 0 {
 		return nil, ErrNoPeers
-	}
-	if len(candidates) > c.opt.MaxAttempts {
-		candidates = candidates[:c.opt.MaxAttempts]
 	}
 	// One idempotency key per logical job, reused across every peer attempt:
 	// a worker that already accepted an earlier attempt (the coordinator
@@ -390,7 +375,7 @@ func (c *Client) analyzeOn(ctx context.Context, p *peer, enc []byte, spec Spec, 
 		req.Header.Set("X-DP-Trace", spec.TraceID)
 	}
 	c.authorize(req)
-	resp, err := c.opt.HTTPClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}
@@ -459,13 +444,13 @@ type wireJobView struct {
 }
 
 func (c *Client) pollJob(ctx context.Context, p *peer, id string) (*wireJobView, error) {
-	url := fmt.Sprintf("%s/v1/jobs/%s?wait=%s", p.url, id, c.opt.PollWait)
+	url := fmt.Sprintf("%s/v1/jobs/%s?wait=%s", p.url, id, pollWait)
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, url, nil)
 	if err != nil {
 		return nil, err
 	}
 	c.authorize(req)
-	resp, err := c.opt.HTTPClient.Do(req)
+	resp, err := http.DefaultClient.Do(req)
 	if err != nil {
 		return nil, err
 	}

@@ -134,10 +134,10 @@ func newFakePeer(mode string) *fakePeer {
 }
 
 // fastOpts are client options tuned so failure paths resolve in
-// milliseconds instead of the production defaults.
+// milliseconds instead of the production defaults: an attempt times out
+// after half a second, and one failure takes a peer down for the test.
 func fastOpts() remote.ClientOptions {
 	return remote.ClientOptions{
-		PollWait:      50 * time.Millisecond,
 		JobTimeout:    500 * time.Millisecond,
 		FailThreshold: 1,
 		Cooldown:      time.Hour, // a failed peer stays down for the test
@@ -604,9 +604,7 @@ func TestConcurrentFanOut(t *testing.T) {
 	defer p1.ts.Close()
 	defer p2.ts.Close()
 
-	c := remote.NewClient([]string{p1.ts.URL, p2.ts.URL}, remote.ClientOptions{
-		PollWait: 50 * time.Millisecond, JobTimeout: 10 * time.Second,
-	})
+	c := remote.NewClient([]string{p1.ts.URL, p2.ts.URL}, remote.ClientOptions{JobTimeout: 10 * time.Second})
 	enc := encodedModule(t)
 	const goroutines, perG = 8, 4
 	var wg sync.WaitGroup

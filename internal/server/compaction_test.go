@@ -39,7 +39,7 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 
 	s1, err := New(Config{
 		Workers: 2, JournalPath: path,
-		MaxRecords:        storeCap,
+		maxRecords:        storeCap,
 		JournalMaxRecords: 6,  // > one job's records, < two store caps
 		JournalMaxBytes:   -1, // records are the deterministic trigger here
 	})
@@ -65,7 +65,7 @@ func TestJournalCompactionBoundsReplay(t *testing.T) {
 	drainNow(t, s1, ts1)
 
 	// Restart: replay must be bounded by the live store, not the history.
-	_, ts2 := newTestServer(t, Config{Workers: 1, JournalPath: path, MaxRecords: storeCap})
+	_, ts2 := newTestServer(t, Config{Workers: 1, JournalPath: path, maxRecords: storeCap})
 	sc2 := scrape(t, ts2.URL)
 	replayed := mustValue(t, sc2, "dp_journal_replayed_records")
 	// The generation holds at most: one checkpoint, the snapshot

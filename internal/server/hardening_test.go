@@ -198,8 +198,9 @@ func TestModuleFootprintQuota(t *testing.T) {
 func TestInstrQuotaDebt(t *testing.T) {
 	_, ts := newTestServer(t, Config{
 		Workers: 1,
-		// Tiny budget: one histogram run (thousands of instrs) overdraws it.
-		Quotas: Quotas{InstrRate: 1, InstrBurst: 10},
+		// Tiny budget (10 s of 1 statement per second): one histogram run
+		// (thousands of instrs) overdraws it.
+		Quotas: Quotas{InstrRate: 1},
 	})
 
 	id := postAnalyze(t, ts.URL, `{"workload":"histogram"}`)

@@ -249,9 +249,9 @@ func finishedRecord(rec *jobRecord) journal.Record {
 }
 
 // recentEntryFor condenses a finished job into its ring entry. Stage
-// timings come from the trace's depth-1 spans (children of the job
-// root), counting only locally-executed spans — a coordinator's grafted
-// worker spans are reachable through the full trace, not the summary.
+// timings are the trace's StageTimes, the numbers /metrics sums: a
+// coordinator's grafted worker spans are reachable through the full trace,
+// not the summary.
 func recentEntryFor(rec *jobRecord, r *pipeline.JobResult) recentEntry {
 	e := recentEntry{
 		ID: rec.ID, Client: rec.Client, Workload: rec.Workload,
@@ -263,21 +263,11 @@ func recentEntryFor(rec *jobRecord, r *pipeline.JobResult) recentEntry {
 		return e
 	}
 	e.TraceID = r.Trace.ID
-	root := -1
-	for i, sp := range r.Trace.Spans {
-		if sp.Parent < 0 && sp.Node == "" {
-			root = i
-			break
-		}
-	}
-	for _, sp := range r.Trace.Spans {
-		if sp.Parent != root || sp.Node != "" || sp.Name == "queue" {
-			continue
-		}
+	for _, st := range pipeline.StageTimes(r.Trace.Spans) {
 		if e.StageMS == nil {
 			e.StageMS = map[string]float64{}
 		}
-		e.StageMS[sp.Name] += float64(sp.Dur) / float64(time.Millisecond)
+		e.StageMS[st.Stage] += float64(st.D) / float64(time.Millisecond)
 	}
 	return e
 }

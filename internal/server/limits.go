@@ -18,8 +18,10 @@ import (
 // Pre-paying would need a cost estimate before the analysis runs — which
 // is exactly the thing the analysis computes.
 
-// Quotas configures per-client admission control. The zero value disables
-// every limit (open single-node deployments and tests are unaffected).
+// Quotas configures per-client admission control: a submission rate, an
+// in-flight cap, an instruction budget and a module-footprint cap. The zero
+// value disables every limit (open single-node deployments and tests are
+// unaffected).
 type Quotas struct {
 	// SubmitRate is the steady-state submissions per second one client may
 	// make (0 = unlimited).
@@ -31,10 +33,9 @@ type Quotas struct {
 	// (0 = unlimited).
 	MaxInflight int
 	// InstrRate refills a client's instruction budget, in interpreted IR
-	// statements per second (0 = unlimited).
+	// statements per second (0 = unlimited). The budget holds at most 10 s
+	// of it.
 	InstrRate float64
-	// InstrBurst is the instruction bucket capacity (0 = 10s of InstrRate).
-	InstrBurst float64
 	// MaxModuleBytes caps one serialized-module submission's payload for a
 	// client, before base64 decoding counts against the codec limits
 	// (0 = no per-client cap; the codec's own limits still apply).
@@ -45,11 +46,11 @@ func (q Quotas) withDefaults() Quotas {
 	if q.SubmitRate > 0 && q.SubmitBurst <= 0 {
 		q.SubmitBurst = int(math.Max(1, math.Ceil(4*q.SubmitRate)))
 	}
-	if q.InstrRate > 0 && q.InstrBurst <= 0 {
-		q.InstrBurst = 10 * q.InstrRate
-	}
 	return q
 }
+
+// instrBurst is the instruction bucket's capacity: 10 s of InstrRate.
+func (q Quotas) instrBurst() float64 { return 10 * q.InstrRate }
 
 // enabled reports whether any limit is configured; a disabled limiter is
 // never consulted, so the open configuration costs nothing per request.
@@ -131,7 +132,7 @@ func (l *limiter) admit(client string) (retryAfter time.Duration, reason string,
 		}
 	}
 	if l.q.InstrRate > 0 {
-		b.instrs.refill(now, l.q.InstrRate, l.q.InstrBurst)
+		b.instrs.refill(now, l.q.InstrRate, l.q.instrBurst())
 		if b.instrs.level <= 0 {
 			// In debt from earlier jobs: wait out the overdraft.
 			return b.instrs.untilPositive(1, l.q.InstrRate), rejectQuota, false
@@ -183,7 +184,7 @@ func (l *limiter) finish(client string, instrs int64) {
 		b.inflight--
 	}
 	if l.q.InstrRate > 0 {
-		b.instrs.refill(now, l.q.InstrRate, l.q.InstrBurst)
+		b.instrs.refill(now, l.q.InstrRate, l.q.instrBurst())
 		b.instrs.level -= float64(instrs)
 	}
 }

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"io"
+	"math"
 	"net/http"
 	"runtime"
 	"strings"
@@ -126,7 +127,7 @@ func TestJobTraceEndpoint(t *testing.T) {
 // summaries of finished jobs stay queryable after the job records
 // themselves have been evicted by the store cap.
 func TestDebugRecentSurvivesEviction(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, MaxRecords: 2})
+	_, ts := newTestServer(t, Config{Workers: 1, maxRecords: 2})
 
 	var ids []string
 	for i := 0; i < 4; i++ {
@@ -177,6 +178,75 @@ func TestDebugRecentSurvivesEviction(t *testing.T) {
 		}
 		if len(e.StageMS) == 0 {
 			t.Errorf("entry %s has no stage timings", e.ID)
+		}
+	}
+}
+
+// recentStageMS sums the stage_ms of every entry of GET /v1/debug/recent.
+func recentStageMS(t *testing.T, base string) map[string]float64 {
+	t.Helper()
+	resp, err := http.Get(base + "/v1/debug/recent")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer resp.Body.Close()
+	var out struct {
+		Recent []recentEntry `json:"recent"`
+	}
+	if err := json.NewDecoder(resp.Body).Decode(&out); err != nil {
+		t.Fatal(err)
+	}
+	sum := map[string]float64{}
+	for _, e := range out.Recent {
+		for stage, ms := range e.StageMS {
+			sum[stage] += ms
+		}
+	}
+	return sum
+}
+
+// TestStageTimesAgree: /metrics and /v1/debug/recent report one per-stage
+// time, on a fresh job, its memo-answered repeat (a memo stage) and a
+// coordinator's local fallback (a remote stage with the pipeline's five
+// nested in it).
+func TestStageTimesAgree(t *testing.T) {
+	_, single := newTestServer(t, Config{Workers: 1})
+	// Nothing listens on port 1: the coordinator's one hop fails at once.
+	_, coord := newTestServer(t, Config{Workers: 1, Peers: []string{"http://127.0.0.1:1"}})
+	for _, run := range []struct {
+		base   string
+		jobs   int
+		stages []string // stages the ring must show
+	}{
+		{single.URL, 2, []string{"profile", "rank", "memo"}},
+		{coord.URL, 1, []string{"remote", "profile", "rank"}},
+	} {
+		for range run.jobs {
+			if v := waitJob(t, run.base, postAnalyze(t, run.base, `{"workload":"histogram"}`)); v.State != jobDone {
+				t.Fatalf("job %s: %s %s", v.ID, v.State, v.Error)
+			}
+		}
+		ring := recentStageMS(t, run.base)
+		for _, stage := range run.stages {
+			if _, ok := ring[stage]; !ok {
+				t.Errorf("%s: no %s stage in the recent ring %v", run.base, stage, ring)
+			}
+		}
+		metered := map[string]float64{}
+		for _, p := range scrape(t, run.base).Points {
+			if p.Name == "dp_stage_seconds_total" {
+				metered[p.Labels["stage"]] = p.Value * 1000
+			}
+		}
+		for stage := range metered {
+			if _, ok := ring[stage]; !ok {
+				ring[stage] = 0
+			}
+		}
+		for stage, ms := range ring {
+			if math.Abs(ms-metered[stage]) > 1e-6*math.Max(1, ms) {
+				t.Errorf("%s: stage %s: recent ring %.6f ms, /metrics %.6f ms", run.base, stage, ms, metered[stage])
+			}
 		}
 	}
 }

@@ -65,9 +65,6 @@ type Config struct {
 	// Threads is the default thread count for local-speedup ranking
 	// (0 = 16); per-request "threads" overrides it.
 	Threads int
-	// MaxRecords bounds the finished-job records retained for GET
-	// /v1/jobs/{id} (0 = 1024). Oldest finished records are evicted first.
-	MaxRecords int
 	// Peers lists worker base URLs (e.g. "http://10.0.0.7:8080"). When
 	// non-empty the node becomes a coordinator: every analysis is encoded
 	// and shipped to a peer through the remote stage (with failover and
@@ -77,9 +74,6 @@ type Config struct {
 	// Remote tunes the coordinator's peer client (zero value = defaults).
 	// Ignored without Peers.
 	Remote remote.ClientOptions
-	// SubmissionInstrs is the execution budget for inline and serialized
-	// module submissions (0 = maxSubmissionInstrs, negative = unbounded).
-	SubmissionInstrs int64
 	// Tokens maps bearer tokens to client identities. Non-empty enables
 	// authentication on every /v1/* endpoint (401 without a listed token);
 	// /healthz and /metrics stay open. Empty runs the service open, with
@@ -101,6 +95,14 @@ type Config struct {
 	// records); negative disables that trigger.
 	JournalMaxBytes   int64
 	JournalMaxRecords int64
+
+	// Test seams, which only this package's tests set. maxRecords bounds
+	// the finished-job records retained for GET /v1/jobs/{id} (0 = 1024;
+	// oldest finished records are evicted first). submissionInstrs is the
+	// execution budget for inline and serialized module submissions
+	// (0 = maxSubmissionInstrs).
+	maxRecords       int
+	submissionInstrs int64
 }
 
 func (c Config) withDefaults() Config {
@@ -115,13 +117,11 @@ func (c Config) withDefaults() Config {
 	if c.Threads <= 0 {
 		c.Threads = 16
 	}
-	if c.MaxRecords <= 0 {
-		c.MaxRecords = 1024
+	if c.maxRecords <= 0 {
+		c.maxRecords = 1024
 	}
-	if c.SubmissionInstrs == 0 {
-		c.SubmissionInstrs = maxSubmissionInstrs
-	} else if c.SubmissionInstrs < 0 {
-		c.SubmissionInstrs = 0 // unbounded, in interp terms
+	if c.submissionInstrs <= 0 {
+		c.submissionInstrs = maxSubmissionInstrs
 	}
 	if c.JournalMaxBytes == 0 {
 		c.JournalMaxBytes = defaultJournalMaxBytes
@@ -219,7 +219,7 @@ func New(cfg Config) (*Server, error) {
 		stages = &pipeline.Pipeline{Stages: []pipeline.Stage{s.proxy}}
 	}
 	s.eng = pipeline.NewEngineWith(stages, opt, cfg.QueueDepth)
-	s.jobs.init(cfg.MaxRecords)
+	s.jobs.init(cfg.maxRecords)
 	s.limits = newLimiter(cfg.Quotas)
 	if cfg.JournalPath != "" {
 		jnl, recs, err := journal.OpenWith(cfg.JournalPath, journal.Options{
@@ -576,7 +576,7 @@ func (s *Server) buildJob(req *analyzeRequest) (pipeline.Job, *jobRecord, string
 		// memoizing them would only evict modules that do, so every inline
 		// submission runs.
 		opt.Reports = nil
-		opt.MaxInstrs = s.cfg.SubmissionInstrs
+		opt.MaxInstrs = s.cfg.submissionInstrs
 		rec.Workload = "inline:" + name
 		rec.ID = s.jobs.nextID()
 		return pipeline.Job{Name: rec.ID, Mod: mod, Opt: &opt}, rec, "", nil
@@ -590,7 +590,7 @@ func (s *Server) buildJob(req *analyzeRequest) (pipeline.Job, *jobRecord, string
 		if err != nil {
 			return pipeline.Job{}, nil, rejectDecode, err
 		}
-		opt.MaxInstrs = s.cfg.SubmissionInstrs
+		opt.MaxInstrs = s.cfg.submissionInstrs
 		rec.Workload = "module:" + mod.Name
 		rec.ID = s.jobs.nextID()
 		return pipeline.Job{Name: rec.ID, Mod: mod, Opt: &opt}, rec, "", nil

@@ -623,7 +623,7 @@ func runawayModule(t *testing.T, onWorker bool) string {
 // instruction budget must fail the job instead of pinning an engine
 // worker until the interpreter's 2^40-iteration backstop.
 func TestRunawayModuleBudget(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, SubmissionInstrs: 50_000})
+	_, ts := newTestServer(t, Config{Workers: 1, submissionInstrs: 50_000})
 	v := waitJob(t, ts.URL, postAnalyze(t, ts.URL, runawayModule(t, false)))
 	if v.State != jobFailed {
 		t.Fatalf("runaway module ended %q, want failed", v.State)
@@ -638,7 +638,7 @@ func TestRunawayModuleBudget(t *testing.T) {
 // as one failed job — not as a dead process — and the server must go on
 // serving.
 func TestRunawayWorkerThreadBudget(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1, SubmissionInstrs: 50_000})
+	_, ts := newTestServer(t, Config{Workers: 1, submissionInstrs: 50_000})
 	v := waitJob(t, ts.URL, postAnalyze(t, ts.URL, runawayModule(t, true)))
 	if v.State != jobFailed || !strings.Contains(v.Error, "instruction budget") {
 		t.Fatalf("runaway worker thread ended %q (%q), want failed by the instruction budget", v.State, v.Error)

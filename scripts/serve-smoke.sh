@@ -3,7 +3,8 @@
 # subsystem. Part 1 boots a single dp-serve on a random port, checks
 # /healthz and /metrics, submits one analysis, asserts the fleet counters
 # moved, resubmits it and asserts the node's report memo answered without
-# rebuilding CUs, and asserts rejected submissions are counted by reason.
+# rebuilding CUs (its time is the memo stage's on /metrics and in
+# /v1/debug/recent), and asserts rejected submissions are counted by reason.
 # Part 2 boots a 2-node fleet (worker + coordinator with -peers), submits
 # a batch through the coordinator, asserts the worker's own job counters
 # advanced (the work really ran remotely), then resubmits one job and
@@ -92,6 +93,16 @@ grep -q '^dp_report_cache_hits_total 1$' /tmp/metrics1b.txt \
 cus_after=$(sed -n 's/^dp_stage_seconds_total{stage="build-cus"} \(.*\)$/\1/p' /tmp/metrics1b.txt)
 [ "$cus_after" = "$cus_before" ] \
   || fail "a memo hit rebuilt CUs (build-cus seconds $cus_before -> $cus_after)"
+# Its time is the memo stage's, on /metrics and in the recent ring alike.
+grep -q '^dp_stage_seconds_total{stage="memo"} ' /tmp/metrics1b.txt \
+  || fail "no memo stage time on /metrics after the memo hit"
+curl -sf "$BASE/v1/debug/recent" > /tmp/recent1.json || fail "/v1/debug/recent failed"
+python3 - "$id" /tmp/recent1.json <<'PY' || fail "the memo hit's recent entry has no memo stage"
+import json, sys
+with open(sys.argv[2]) as f:
+    entry = [e for e in json.load(f)["recent"] if e["id"] == sys.argv[1]]
+sys.exit(0 if entry and "memo" in entry[0].get("stage_ms", {}) else 1)
+PY
 
 # The memo is the node's only table: no profile cache is exported, and the
 # same job with other ranking options misses the memo and profiles again.

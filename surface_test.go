@@ -11,6 +11,7 @@ import (
 	"go/types"
 	"io"
 	"io/fs"
+	"maps"
 	"os"
 	"os/exec"
 	"path"
@@ -68,6 +69,16 @@ var unreadAllowed = map[string]string{
 	"pipeline.Options.CacheKey": "ignored, and only bench/ sets it (ROADMAP item 10)",
 }
 
+// unsetAllowed lists the option fields that stay exported although no
+// non-test file outside their package sets them, each with its reason. Keys
+// are pkg.Type.Field, as in unreadAllowed.
+var unsetAllowed = map[string]string{
+	"profiler.Options.ChunkSize":         "configurable per §2.3.3 of the paper; BenchmarkAblationChunkSize varies it",
+	"remote.ClientOptions.JobTimeout":    "remote_test shortens it through server.Config.Remote; an injectable clock is its real seam (ROADMAP 6b)",
+	"remote.ClientOptions.FailThreshold": "remote_test shortens it through server.Config.Remote; an injectable clock is its real seam (ROADMAP 6b)",
+	"remote.ClientOptions.Cooldown":      "remote_test shortens it through server.Config.Remote; an injectable clock is its real seam (ROADMAP 6b)",
+}
+
 // TestEveryInternalExportHasAReader type-checks the module's non-test files
 // and fails on an exported member under internal/ that no non-test file
 // reads: a package-level func, type, var or const, a method, or a field of
@@ -104,11 +115,37 @@ func TestEveryInternalExportHasAReader(t *testing.T) {
 		kinds["name"], kinds["method"], kinds["field"], len(unreadAllowed)-members, members)
 }
 
+// TestEveryOptionHasASetter fails on an exported field of an option struct
+// under internal/ (see optionSetters) that no non-test file outside the
+// field's package sets: a knob only its own package or a test turns is a
+// constant or a test seam. An allowlist entry that is gone or has gained a
+// setter fails too.
+func TestEveryOptionHasASetter(t *testing.T) {
+	set := optionSetters(t, loadModule(t, "."))
+	for _, key := range slices.Sorted(maps.Keys(set)) {
+		if _, allowed := unsetAllowed[key]; !set[key] && !allowed {
+			t.Errorf("%s is an option no non-test file outside its package sets: make it a constant or unexport it, or allowlist it with a reason", key)
+		}
+	}
+	for key := range unsetAllowed {
+		isSet, ok := set[key]
+		switch {
+		case !ok:
+			t.Errorf("allowlist entry %s names no option field: drop the entry", key)
+		case isSet:
+			t.Errorf("allowlist entry %s has a setter now: drop the entry", key)
+		}
+	}
+	t.Logf("under internal/: %d exported option fields; allowlisted: %d", len(set), len(unsetAllowed))
+}
+
 // TestExportGuardRules runs the guard on testdata/surface, a module with
-// one case per rule, and checks that it reports exactly the unread ones.
+// one case per rule, and checks that it reports exactly the unread members
+// and the unset option fields.
 func TestExportGuardRules(t *testing.T) {
+	mod := loadModule(t, "testdata/surface")
 	var unread []string
-	for _, e := range unreadExports(t, loadModule(t, "testdata/surface")) {
+	for _, e := range unreadExports(t, mod) {
 		if !e.read {
 			unread = append(unread, e.key)
 		}
@@ -123,6 +160,21 @@ func TestExportGuardRules(t *testing.T) {
 	}
 	if !slices.Equal(unread, want) {
 		t.Errorf("unread members of testdata/surface:\n got %q\nwant %q", unread, want)
+	}
+
+	var unset []string
+	set := optionSetters(t, mod)
+	for _, key := range slices.Sorted(maps.Keys(set)) {
+		if !set[key] {
+			unset = append(unset, key)
+		}
+	}
+	want = []string{
+		"a.Config.Name",  // set only inside its own package
+		"a.Limits.Burst", // set only by a test, in a struct an option struct holds by value
+	}
+	if !slices.Equal(unset, want) {
+		t.Errorf("unset option fields of testdata/surface:\n got %q\nwant %q", unset, want)
 	}
 }
 
@@ -357,6 +409,103 @@ func unreadExports(t *testing.T, mod *module) []export {
 	}
 	sort.Slice(exports, func(i, j int) bool { return exports[i].key < exports[j].key })
 	return exports
+}
+
+// optionSetters maps every exported field of an option struct under
+// internal/ to whether a non-test file outside the field's package sets it.
+// An option struct is an exported struct type whose name ends in Options or
+// Config, or a struct type under internal/ that an option struct holds by
+// value. A field is set by a composite-literal key, by a selector on the
+// left-hand side of an assignment or an increment, or by &x.F passed to a
+// call (a flag definition); setting x.F.G sets F too.
+func optionSetters(t *testing.T, mod *module) map[string]bool {
+	t.Helper()
+	internal := mod.path + "/internal/"
+	keys := map[*types.Var]string{}
+	var queue []*types.TypeName
+	for _, p := range mod.pkgs {
+		if !strings.HasPrefix(p.Path(), internal) {
+			continue
+		}
+		for _, name := range p.Scope().Names() {
+			if tn, ok := p.Scope().Lookup(name).(*types.TypeName); ok && tn.Exported() && !tn.IsAlias() &&
+				(strings.HasSuffix(name, "Options") || strings.HasSuffix(name, "Config")) {
+				queue = append(queue, tn)
+			}
+		}
+	}
+	seen := map[*types.TypeName]bool{}
+	for len(queue) > 0 {
+		tn := queue[0]
+		queue = queue[1:]
+		st, ok := tn.Type().Underlying().(*types.Struct)
+		if !ok || seen[tn] {
+			continue
+		}
+		seen[tn] = true
+		prefix := strings.TrimPrefix(tn.Pkg().Path(), internal) + "." + tn.Name() + "."
+		for i := range st.NumFields() {
+			f := st.Field(i)
+			if !f.Exported() {
+				continue
+			}
+			keys[f] = prefix + f.Name()
+			if n, ok := f.Type().(*types.Named); ok && n.Obj().Pkg() != nil && strings.HasPrefix(n.Obj().Pkg().Path(), internal) {
+				queue = append(queue, n.Obj())
+			}
+		}
+	}
+
+	set := map[string]bool{}
+	for _, key := range keys {
+		set[key] = false
+	}
+	for _, p := range mod.pkgs {
+		mark := func(f *types.Var) {
+			if key, ok := keys[f.Origin()]; ok && f.Pkg() != p.Package {
+				set[key] = true
+			}
+		}
+		// markChain sets every field a selector chain such as x.F.G names.
+		markChain := func(e ast.Expr) {
+			for {
+				sel, ok := ast.Unparen(e).(*ast.SelectorExpr)
+				if !ok {
+					return
+				}
+				if s, ok := p.info.Selections[sel]; ok && s.Kind() == types.FieldVal {
+					mark(s.Obj().(*types.Var))
+				}
+				e = sel.X
+			}
+		}
+		for _, f := range p.files {
+			ast.Inspect(f, func(n ast.Node) bool {
+				switch n := n.(type) {
+				case *ast.KeyValueExpr:
+					if id, ok := n.Key.(*ast.Ident); ok {
+						if v, ok := p.info.Uses[id].(*types.Var); ok && v.IsField() {
+							mark(v)
+						}
+					}
+				case *ast.AssignStmt:
+					for _, lhs := range n.Lhs {
+						markChain(lhs)
+					}
+				case *ast.IncDecStmt:
+					markChain(n.X)
+				case *ast.CallExpr:
+					for _, arg := range n.Args {
+						if u, ok := ast.Unparen(arg).(*ast.UnaryExpr); ok && u.Op == token.AND {
+							markChain(u.X)
+						}
+					}
+				}
+				return true
+			})
+		}
+	}
+	return set
 }
 
 // module is the type-checked non-test source of this module.

@@ -1,8 +1,10 @@
-// Command demo is the non-test reader of package a.
+// Command demo is the non-test reader of package a, and the setter of its
+// options.
 package main
 
 import (
 	"encoding/json"
+	"flag"
 	"fmt"
 
 	"example.com/surface/internal/a"
@@ -13,6 +15,9 @@ func main() {
 	c.Add()
 	var s a.Shape = a.NewSquare(2)
 	fmt.Println(s.Area(), a.Total([]a.Box{{}}), a.Color(3))
-	b, _ := json.Marshal(a.NewConfig())
-	fmt.Println(string(b), a.Item{}.ID)
+	cfg := a.NewConfig()
+	cfg.Ratio = 3
+	flag.IntVar(&cfg.Limits.Max, "max", 1, "a flag sets Limits.Max, and so Limits")
+	b, _ := json.Marshal(cfg)
+	fmt.Println(string(b), a.Item{}.ID, a.Config{Spare: 2}, cfg.Limits.Sum())
 }

@@ -56,12 +56,19 @@ func (c Color) String() string { return fmt.Sprintf("color %d", int(c)) }
 
 // Config has a field that is only assigned and incremented (Ratio), one set
 // only by a composite literal (Spare) and one that only encoding/json reads
-// (Name).
+// (Name). It is an option struct too: the command sets Ratio, Spare and
+// Limits, only this package sets Name, and only a test sets Limits.Burst.
 type Config struct {
-	Name  string `json:"name"`
-	Ratio float64
-	Spare int
+	Name   string `json:"name"`
+	Ratio  float64
+	Spare  int
+	Limits Limits
 }
+
+// Limits is an option struct because Config holds it by value.
+type Limits struct{ Max, Burst int }
+
+func (l Limits) Sum() int { return l.Max + l.Burst }
 
 func NewConfig() *Config {
 	c := &Config{Name: "demo", Spare: 1}

@@ -11,3 +11,12 @@ func TestReset(t *testing.T) {
 		t.Fatal("Reset left a count")
 	}
 }
+
+// TestLimits is the only setter of Limits.Burst, which the guard ignores.
+func TestLimits(t *testing.T) {
+	l := Limits{Max: 1}
+	l.Burst = 2
+	if l.Sum() != 3 {
+		t.Fatal("Sum does not add the limits")
+	}
+}
