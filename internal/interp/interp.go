@@ -81,7 +81,6 @@ type Interp struct {
 	freeTIDs []int32 // dead thread IDs available for reuse (LIFO)
 	nthreads int
 	mt       bool // true while spawned threads are live
-	killing  bool // set by killThreads: a parked thread that wakes unwinds
 	mutexes  map[int]int32
 
 	rng       uint64

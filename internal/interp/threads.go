@@ -1,22 +1,25 @@
 package interp
 
 import (
+	"iter"
+
 	"discopop/internal/ir"
 )
 
 // This file implements the simulated-thread machinery. Threads created by
-// Spawn statements run as goroutines that are granted the execution token
-// one statement at a time, round-robin, so that multi-threaded target
-// programs (Section 2.3.4) execute with a deterministic, finely interleaved
-// schedule and a single serialized event stream. The main thread acts as
-// the scheduler: at each of its own statement boundaries it grants every
-// other live thread one statement.
+// Spawn statements run as iter.Pull coroutines that are granted one
+// statement at a time, round-robin, so that multi-threaded target programs
+// (Section 2.3.4) execute with a deterministic, finely interleaved schedule
+// and a single serialized event stream. The main thread acts as the
+// scheduler: at each of its own statement boundaries it resumes every other
+// live thread (next) for one statement, which then parks (yield). A switch
+// between coroutines is a direct handoff that bypasses the Go scheduler.
 //
 // Run's caller sees one goroutine: a runtime error raised on a spawned
 // thread (a fault in the target program, the instruction budget, a panicking
-// tracer) is caught on that thread's goroutine and re-raised, the same
-// value, by the scheduler on the goroutine that called Run; and whether Run
-// returns or panics, every thread still parked is unwound first, so no
+// tracer) panics out of that thread's coroutine, and next re-raises it, the
+// same value, on the goroutine that called Run; and whether Run returns or
+// panics, every thread still parked is unwound by its stop first, so no
 // goroutine outlives it.
 
 type frame struct {
@@ -34,10 +37,10 @@ type thread struct {
 	frames   []*frame
 	stack    uint64 // base of this thread's stack segment
 	sp       uint64
-	resume   chan struct{}
-	yield    chan struct{}
+	next     func() (struct{}, bool) // scheduler side: run one statement
+	stop     func()                  // scheduler side: unwind if parked
+	yield    func(struct{}) bool     // thread side: park; false once stopped
 	done     bool
-	fault    any         // the panic value that ended the thread, if one did
 	blocked  func() bool // non-nil while waiting; true when runnable again
 	children int
 	parentT  *thread
@@ -58,8 +61,6 @@ func (it *Interp) newThread(id, parent int32) *thread {
 		id:     id,
 		parent: parent,
 		stack:  it.layout.StackBase(id),
-		resume: make(chan struct{}),
-		yield:  make(chan struct{}),
 	}
 	t.sp = t.stack
 	return t
@@ -97,31 +98,20 @@ func (it *Interp) reschedule(t *thread) {
 // threadKilled is the panic that unwinds a parked thread whose run is over.
 type threadKilled struct{}
 
-// await blocks spawned thread t until the scheduler grants it the token, or
-// unwinds it when the grant comes from killThreads.
-func (it *Interp) await(t *thread) {
-	<-t.resume
-	if it.killing {
+// park hands the token back to the scheduler and waits for the next grant,
+// or unwinds the thread when stop resumes it instead.
+func (it *Interp) park(t *thread) {
+	if !t.yield(struct{}{}) {
 		panic(threadKilled{})
 	}
 }
 
-// park hands the token back to the scheduler and waits for the next grant.
-func (it *Interp) park(t *thread) {
-	t.yield <- struct{}{}
-	it.await(t)
-}
-
-// killThreads unwinds every spawned thread that is still parked, waiting for
-// each goroutine to reach its exit. Run defers it: after a normal return
-// there is nothing left to unwind.
+// killThreads unwinds every spawned thread that is still parked; stop
+// returns once the coroutine has exited, and is a no-op on one that already
+// has. Run defers it: after a normal return there is nothing left to unwind.
 func (it *Interp) killThreads() {
-	it.killing = true
 	for _, t := range it.spawned {
-		if !t.done {
-			t.resume <- struct{}{}
-			<-t.yield
-		}
+		t.stop()
 	}
 }
 
@@ -137,11 +127,7 @@ func (it *Interp) runRound() bool {
 		if t.blocked != nil && !t.blocked() {
 			continue
 		}
-		t.resume <- struct{}{}
-		<-t.yield
-		if t.fault != nil {
-			panic(t.fault)
-		}
+		t.next()
 		progressed = true
 	}
 	// Compact finished threads away occasionally.
@@ -214,22 +200,20 @@ func (it *Interp) spawnThread(parent *thread, fn *ir.Func, args []argVal) {
 	parent.children++
 	it.mt = true
 	it.spawned = append(it.spawned, child)
-	go func() {
-		// The goroutine's last act is to hand the token back, whatever ended
-		// the thread: completion, a fault (kept for runRound to re-raise on
-		// Run's goroutine) or killThreads.
+	child.next, child.stop = iter.Pull(func(yield func(struct{}) bool) {
+		// The thread ends by completion; by a fault, which panics out of
+		// the coroutine for runRound's next to re-raise on Run's goroutine;
+		// or by killThreads' stop, which ends it quietly.
 		defer func() {
 			if r := recover(); r != nil {
 				if _, killed := r.(threadKilled); !killed {
-					child.fault = r
+					panic(r)
 				}
 			}
-			child.done = true
-			child.yield <- struct{}{}
 		}()
-		it.await(child)
+		child.yield = yield
 		it.execThread(child, fn, args)
-	}()
+	})
 }
 
 // execThread runs fn to completion on t.

@@ -5,7 +5,6 @@ import (
 	"runtime"
 	"strings"
 	"testing"
-	"time"
 	"unsafe"
 
 	"discopop/internal/ir"
@@ -237,11 +236,8 @@ func TestThreadFaultSurfacesOnRun(t *testing.T) {
 		if *walk != *vm || walk.events == 0 {
 			t.Errorf("%s: traced prefix diverged: walker %+v, vm %+v", where, *walk, *vm)
 		}
-		// A goroutine's last act is the send killThreads waits for; give the
-		// scheduler a moment to retire it.
-		for i := 0; runtime.NumGoroutine() > before && i < 1000; i++ {
-			time.Sleep(time.Millisecond)
-		}
+		// A thread's coroutine has exited by the time its stop, or the next
+		// that ran it to completion, returns: nothing is left to wait for.
 		if n := runtime.NumGoroutine(); n > before {
 			t.Errorf("%s: %d goroutines outlive Run", where, n-before)
 		}

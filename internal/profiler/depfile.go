@@ -120,15 +120,22 @@ func ParseDepFile(text string) (*DepFile, error) {
 func parseLocThread(s string) (ir.Loc, int16, error) {
 	thr := int16(-1)
 	if i := strings.IndexByte(s, '|'); i >= 0 {
-		t, err := strconv.Atoi(s[i+1:])
+		t, err := parseThread(s[i+1:])
 		if err != nil {
 			return ir.Loc{}, 0, fmt.Errorf("bad thread id in %q", s)
 		}
-		thr = int16(t)
+		thr = t
 		s = s[:i]
 	}
 	loc, err := ir.ParseLoc(s)
 	return loc, thr, err
+}
+
+// parseThread parses a thread ID. One that does not fit in the int16 a Dep
+// keeps is an error, not an ID wrapped into range.
+func parseThread(s string) (int16, error) {
+	t, err := strconv.ParseInt(s, 10, 16)
+	return int16(t), err
 }
 
 // parseEntry parses "RAW 1:60|i", "WAR 4:77|2|iter" (MT), or "INIT *".
@@ -162,11 +169,11 @@ func parseEntry(entry string, sink ir.Loc, sinkThr int16,
 	case 2: // loc|var
 		d.Var = intern(parts[1])
 	case 3: // loc|thread|var
-		t, err := strconv.Atoi(parts[1])
+		t, err := parseThread(parts[1])
 		if err != nil {
 			return d, fmt.Errorf("bad source thread in %q", fields[1])
 		}
-		d.SrcThr = int16(t)
+		d.SrcThr = t
 		d.Var = intern(parts[2])
 	default:
 		return d, fmt.Errorf("bad source %q", fields[1])

@@ -110,6 +110,8 @@ func TestParseDepFileErrors(t *testing.T) {
 		"1:60 NOM {RAW broken|x}",
 		"1:4294967297 NOM {RAW 1:1|x}", // used to read as 1:1
 		"1:60 NOM {RAW 4294967297:1|x}",
+		"1:5|70000 NOM {RAW 1:1|x}", // used to read as sink thread 4464
+		"1:5 NOM {RAW 1:1|70000|x}", // and as source thread 4464
 	}
 	for _, c := range cases {
 		if _, err := ParseDepFile(c); err == nil {
