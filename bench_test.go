@@ -56,8 +56,8 @@ func BenchmarkFig2_9_ProfilerSlowdown(b *testing.B) {
 	}
 }
 
-// BenchmarkFig2_10 measures the multi-threaded-target pipeline (the worker
-// pipeline with lock barriers, 4 simulated target threads).
+// BenchmarkFig2_10 measures the worker pipeline on multi-threaded targets
+// (thread IDs on every dependence, 4 simulated target threads).
 func BenchmarkFig2_10_MTTargets(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		r := experiments.Fig2_10(benchScale)

@@ -69,7 +69,7 @@ func parse(args []string) (config, error) {
 	fs.IntVar(&c.popt.Workers, "workers", 0, "parallel profiling workers per job (0 = serial)")
 	fs.IntVar(&c.jobs, "jobs", 0, "concurrent profiling jobs (0 = auto: CPUs, divided by -workers+1 when parallel profiling)")
 	fs.BoolVar(&c.popt.Skip, "skip", false, "enable loop-skipping optimization (§2.4)")
-	fs.BoolVar(&c.popt.MT, "mt", false, "multi-threaded-target pipeline (§2.3.4)")
+	fs.BoolVar(&c.popt.MT, "mt", false, "multi-threaded target: record thread IDs on every dependence (§2.3.4); -workers selects the pipeline")
 	fs.StringVar(&c.out, "o", "", "output file (default stdout)")
 	fs.BoolVar(&c.withPET, "pet", false, "also print the program execution tree")
 	fs.StringVar(&c.pprofOut, "pprof", "", "write per-line execution effort as a gzipped pprof profile (single workload only)")

@@ -110,7 +110,7 @@ func TestRender(t *testing.T) {
 // master-worker communication shape (main initializes, workers read).
 func TestRealMTWorkloadPattern(t *testing.T) {
 	prog := workloads.MustBuild("rgbyuv-mt", 1)
-	res := profiler.Profile(prog.M, profiler.Options{Store: profiler.StorePerfect, MT: true, Workers: 4})
+	res := profiler.Profile(prog.M, profiler.Options{Store: profiler.StorePerfect, MT: true})
 	m := FromProfile(res)
 	if m.CrossThread() == 0 {
 		t.Fatal("no cross-thread communication in MT workload")

@@ -118,7 +118,7 @@ func Fig5_1(scale int) *Result {
 	var sb strings.Builder
 	for _, name := range workloads.Names("Starbench-MT") {
 		prog := workloads.MustBuild(name, scale)
-		r := profiler.Profile(prog.M, profiler.Options{Store: profiler.StorePerfect, MT: true, Workers: 4})
+		r := profiler.Profile(prog.M, profiler.Options{Store: profiler.StorePerfect, MT: true})
 		m := comm.FromProfile(r)
 		res.add(name, map[string]float64{
 			"threads":      float64(m.Threads),

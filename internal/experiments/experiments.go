@@ -291,8 +291,9 @@ func Fig2_9(scale int) *Result {
 }
 
 // Fig2_10 measures slowdown and memory when profiling multi-threaded
-// (pthread-like, 4 target threads) Starbench programs with the worker
-// pipeline (Options.MT) at 8 and 16 profiling workers.
+// (pthread-like, 4 target threads) Starbench programs, with thread IDs on
+// every dependence (Options.MT), through the worker pipeline at 8 and 16
+// profiling workers.
 func Fig2_10(scale int) *Result {
 	res := &Result{ID: "fig2.10",
 		Title: "Profiler slowdown and memory, parallel Starbench (4 target threads)"}

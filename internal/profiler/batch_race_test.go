@@ -38,8 +38,7 @@ func sameProfile(a, b *Result) string {
 // on every MT workload, across worker counts, the profile must not depend on
 // how the event stream is chunked — whole interpreter chunks against the same
 // stream fed one event per ProcessBatch call. Under -race it additionally
-// checks that chunks crossing to the workers, and the barriers at
-// lock/unlock/thread-end events, stay properly synchronized.
+// checks that chunks crossing to the workers stay properly synchronized.
 func TestBatchedMTMatchesPerAccess(t *testing.T) {
 	for _, workers := range []int{0, 2, 4} {
 		for _, name := range workloads.Names("Starbench-MT") {

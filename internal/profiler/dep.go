@@ -1,7 +1,7 @@
 // Package profiler implements the DiscoPoP data-dependence profiler of
 // Chapter 2: signature-based memory tracking (Section 2.3.2), a lock-free
-// parallel pipeline for sequential targets (Section 2.3.3), support for
-// multi-threaded targets through the same pipeline with lock barriers and
+// parallel pipeline (Section 2.3.3), support for multi-threaded targets
+// through the same engines with thread IDs on every dependence and
 // timestamp-based race flagging (Section 2.3.4), variable lifetime analysis
 // and runtime dependence merging (Section 2.3.5), and the loop-skipping
 // optimization (Section 2.4).

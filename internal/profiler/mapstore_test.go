@@ -38,7 +38,8 @@ func (s *mapStore) MemBytes() int64 { return 0 }
 // serialTracer drives one serial engine over store type S from a profiler's
 // event stream — a store type Profiler has no field for, or a serial engine
 // where the options would select the pipeline (with Options.MT it records
-// thread IDs: the reference the multi-threaded-target pipeline is held to).
+// thread IDs: the reference the pipeline is held to on a multi-threaded
+// target).
 type serialTracer[S any, PS storeOps[S]] struct {
 	*Profiler
 	eng *engine[S, PS]
@@ -62,7 +63,7 @@ func profileSerial[S any, PS storeOps[S]](m *ir.Module, opt Options, st S) *Resu
 // profileOnMap is Profile with every engine over a mapStore.
 func profileOnMap(name string, opt Options) *Result {
 	m := workloads.MustBuild(name, 1).M
-	if !opt.MT && opt.Workers == 0 {
+	if opt.Workers == 0 {
 		return profileSerial[mapStore](m, opt, newMapStore(1))
 	}
 	p := newProfiler(m, opt)
@@ -73,7 +74,7 @@ func profileOnMap(name string, opt Options) *Result {
 // TestShadowMemoryMatchesMapStore: over the full workload registry, the
 // engine over sig.Perfect and the engine over a map produce byte-identical
 // canonical dependence tables — serially, with and without loop skipping,
-// under the worker pipeline, and under the multi-threaded-target pipeline.
+// under the worker pipeline, and under the pipeline with thread IDs.
 // Direct indexing, page materialisation and range removal are invisible.
 func TestShadowMemoryMatchesMapStore(t *testing.T) {
 	modes := []struct {

@@ -11,22 +11,21 @@ import (
 	"discopop/internal/queue"
 )
 
-// pipeline is the producer/consumer architecture of Figure 2.2, and with
-// Options.MT that of Section 2.3.4: the event-producing thread routes every
-// memory access into the chunk of the worker that owns its address — an
-// address has exactly one owner, so the temporal order per address is
-// preserved — and hands full chunks over lock-free SPSC queues. Workers run
-// Algorithm 2 on their own store and record dependences in thread-local
-// packed tables that are merged at the end.
+// pipeline is the producer/consumer architecture of Figure 2.2: the
+// event-producing thread routes every memory access into the chunk of the
+// worker that owns its address — an address has exactly one owner at a time,
+// so the temporal order per address is preserved — and hands full chunks over
+// lock-free SPSC queues. Workers run Algorithm 2 on their own store and record
+// dependences in thread-local packed tables that are merged at the end.
 //
 // There is one router (routeBatch) and one kind of worker for both target
-// kinds. A multi-threaded target differs in three ways only: its engines
-// record thread IDs, lock/unlock/thread-end events are barriers (Figure
-// 2.4c), and addresses are never redistributed. It needs no producer per
-// target thread: the interpreter serialises the simulated threads into one
-// totally ordered event stream, so the stream the router sees already is the
-// order in which the accesses happened, and per-thread relays could only
-// re-introduce a reordering that did not take place.
+// kinds; a multi-threaded target differs only in that its engines record
+// thread IDs. Section 2.3.4 gives each target thread a producer, and so needs
+// lock barriers (Figure 2.4c) to order their chunks and no redistribution.
+// Here the interpreter serialises the simulated threads into one totally
+// ordered event stream with one producer, so the stream the router sees
+// already is the order in which the accesses happened: nothing needs a
+// barrier, and a migration orders an MT stream exactly as a sequential one.
 //
 // The pipeline itself is not generic. Only a worker's loop names the store
 // type (runWorker), so each instantiation's hot loop is devirtualized like
@@ -37,7 +36,6 @@ type pipeline struct {
 	wg      sync.WaitGroup
 
 	chunkSize int
-	mt        bool
 
 	// fault holds the value a worker goroutine panicked with until the
 	// producer's goroutine re-raises it (reraise); the first one wins.
@@ -114,11 +112,8 @@ const sampleShift = 6
 
 func newPipeline[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *pipeline {
 	n := p.opt.Workers
-	if n == 0 {
-		n = 4 // Options.MT alone
-	}
-	pl := &pipeline{chunkSize: p.opt.ChunkSize, mt: p.opt.MT}
-	if !pl.mt && p.opt.rebalanceInterval > 0 {
+	pl := &pipeline{chunkSize: p.opt.ChunkSize}
+	if p.opt.rebalanceInterval > 0 {
 		pl.interval = p.opt.rebalanceInterval
 		pl.counts = make(map[uint64]int64)
 		pl.rng = 0x9E3779B97F4A7C15
@@ -251,10 +246,6 @@ func (pl *pipeline) routeBatch(p *Profiler, m *ir.Module, evs []interp.Ev) {
 			for a, end := ev.Addr, ev.Addr+uint64(ev.B); a < end; a++ {
 				pl.put(a, uint64(recRemove), 0, 0, 0)
 			}
-		case interp.EvLock, interp.EvUnlock, interp.EvThreadEnd:
-			if pl.mt {
-				pl.barrier()
-			}
 		default:
 			p.controlEv(m, ev)
 		}
@@ -300,18 +291,6 @@ func (pl *pipeline) flushPartial() {
 			pl.flush(w)
 		}
 	}
-}
-
-// barrier is an ordering point of a multi-threaded target (lock, unlock,
-// thread end): every access produced so far is fully recorded before the
-// next one is routed, which is what pushing inside the lock region
-// guarantees in the paper (Figure 2.4c).
-func (pl *pipeline) barrier() {
-	pl.flushPartial()
-	for _, w := range pl.workers {
-		w.drain()
-	}
-	pl.reraise()
 }
 
 // rebalanceTopK is the number of heaviest addresses the balancer

@@ -24,8 +24,8 @@ import (
 // serial engine: worker counts that do and do not divide the chunk sizes,
 // chunks of one record (every access is a hand-over) up to chunks no run at
 // scale 1 fills twice, a balancer that checks after every pushed chunk
-// (migrations in flight all the time) and the default one, and the
-// multi-threaded-target pipeline.
+// (migrations in flight all the time) and the default one, and a
+// multi-threaded target's thread IDs, with and without migrations.
 func pipelineModes() []Options {
 	var modes []Options
 	for _, w := range []int{1, 2, 3, 8} {
@@ -36,9 +36,20 @@ func pipelineModes() []Options {
 		}
 	}
 	for _, w := range []int{2, 8} {
-		modes = append(modes, Options{MT: true, Workers: w}, Options{MT: true, Workers: w, ChunkSize: 3})
+		modes = append(modes, Options{MT: true, Workers: w}, Options{MT: true, Workers: w, ChunkSize: 3},
+			Options{MT: true, Workers: w, ChunkSize: 3, rebalanceInterval: 1})
 	}
 	return modes
+}
+
+// TestMTAloneIsSerial: Options.MT adds thread IDs to dependences and selects
+// no engine; without Workers the profile runs on the serial engine.
+func TestMTAloneIsSerial(t *testing.T) {
+	p := New(synthModule(), Options{MT: true})
+	defer p.Stop()
+	if p.pipe != nil || p.engP == nil {
+		t.Error("Options{MT: true} started the worker pipeline, want the serial engine")
+	}
 }
 
 func modeName(o Options) string {
@@ -48,9 +59,9 @@ func modeName(o Options) string {
 // TestPipelineMatchesSerial: over the full workload registry, exact store,
 // every pipeline mode produces the canonical dependence table of the serial
 // engine (for Options.MT: of a serial engine that records thread IDs). Chunk
-// boundaries, ownership, migrations, per-owner removal of freed ranges and
-// barriers are invisible in the result. With -short every mode still meets a
-// quarter of the registry.
+// boundaries, ownership, migrations and per-owner removal of freed ranges are
+// invisible in the result. With -short every mode still meets a quarter of
+// the registry.
 func TestPipelineMatchesSerial(t *testing.T) {
 	modes := pipelineModes()
 	for i, name := range workloads.Names("") {
@@ -76,7 +87,7 @@ func TestPipelineMatchesSerial(t *testing.T) {
 }
 
 // synthetic event streams: the tests below feed the consumers directly, so
-// that a barrier lands exactly where they say it does.
+// that each event lands exactly where they say it does.
 
 func synthModule() *ir.Module {
 	b := ir.NewBuilder("synth")
@@ -95,68 +106,42 @@ func controlEvent(kind uint8, tid int32) interp.Ev {
 	return interp.Ev{Sink: bytecode.SinkThread(tid) | uint64(kind)}
 }
 
-// TestBarrierDrainsEveryWorker: at a lock, unlock or thread-end event of a
-// multi-threaded target every access routed so far has been consumed — with
-// one record waiting in a partial chunk, and with none.
-func TestBarrierDrainsEveryWorker(t *testing.T) {
-	m := synthModule()
-	p := New(m, Options{MT: true, Workers: 2, ChunkSize: 64})
-	defer p.Stop()
-	drained := func(when string) {
-		t.Helper()
-		for i, w := range p.pipe.workers {
-			if n := len(p.pipe.cur[i].recs); n != 0 {
-				t.Errorf("%s: worker %d still has %d records in its partial chunk", when, i, n)
+// TestOrderingEventsAreNotBarriers: lock, unlock and thread-end events hand
+// nothing over early, for a sequential and a multi-threaded target alike —
+// one producer already routes every access in stream order — and a
+// cross-thread RAW across them is recorded once, not reversed.
+func TestOrderingEventsAreNotBarriers(t *testing.T) {
+	for _, opt := range []Options{{Workers: 2, ChunkSize: 64}, {MT: true, Workers: 2, ChunkSize: 64}} {
+		t.Run(modeName(opt), func(t *testing.T) {
+			m := synthModule()
+			p := New(m, opt)
+			defer p.Stop()
+			p.ProcessBatch(m, []interp.Ev{
+				accessEv(interp.EvStore, 10, 3, 1),
+				controlEvent(interp.EvLock, 1),
+				controlEvent(interp.EvUnlock, 1),
+				accessEv(interp.EvLoad, 10, 4, 2),
+				controlEvent(interp.EvThreadEnd, 2),
+			})
+			if n := len(p.pipe.cur[0].recs); n != 2 {
+				t.Errorf("partial chunk holds %d records after the ordering events, want 2", n)
 			}
-			if c := w.consumed.Load(); c != w.pushed {
-				t.Errorf("%s: worker %d consumed %d of %d chunks", when, i, c, w.pushed)
+			if got := p.pipe.workers[0].pushed; got != 0 {
+				t.Errorf("worker 0 was handed %d chunks before its chunk was full, want 0", got)
 			}
-		}
-	}
-	p.ProcessBatch(m, []interp.Ev{
-		accessEv(interp.EvStore, 10, 3, 1),
-		controlEvent(interp.EvLock, 1), // one record in worker 0's chunk, none in worker 1's
-	})
-	drained("lock after one record")
-	if got := p.pipe.workers[0].pushed; got != 1 {
-		t.Errorf("one-record chunk: worker 0 was handed %d chunks, want 1", got)
-	}
-	if got := p.pipe.workers[1].pushed; got != 0 {
-		t.Errorf("empty chunk: worker 1 was handed %d chunks, want 0 (an empty chunk is not pushed)", got)
-	}
-	p.ProcessBatch(m, []interp.Ev{controlEvent(interp.EvUnlock, 1)}) // every chunk empty
-	drained("unlock after nothing")
-	p.ProcessBatch(m, []interp.Ev{
-		accessEv(interp.EvLoad, 10, 4, 2),
-		accessEv(interp.EvLoad, 11, 5, 2),
-		controlEvent(interp.EvThreadEnd, 2),
-	})
-	drained("thread end")
-	res := p.Result()
-	want := Dep{Sink: ir.Loc{File: 1, Line: 4}, Type: RAW, Source: ir.Loc{File: 1, Line: 3},
-		SinkThr: 2, SrcThr: 1, CarriedBy: -1}
-	if res.Deps[want] != 1 {
-		t.Errorf("cross-thread RAW across the barriers not recorded once: %v", res.Deps)
-	}
-	if res.Races != 0 {
-		t.Errorf("%d dependences flagged reversed on an ordered stream", res.Races)
-	}
-}
-
-// TestSequentialPipelineHasNoBarriers: without Options.MT the ordering
-// events are not barriers — nothing is handed over early.
-func TestSequentialPipelineHasNoBarriers(t *testing.T) {
-	m := synthModule()
-	p := New(m, Options{Workers: 2, ChunkSize: 64})
-	defer p.Stop()
-	p.ProcessBatch(m, []interp.Ev{
-		accessEv(interp.EvStore, 10, 3, 0),
-		controlEvent(interp.EvLock, 0),
-		controlEvent(interp.EvUnlock, 0),
-		controlEvent(interp.EvThreadEnd, 0),
-	})
-	if n := len(p.pipe.cur[0].recs); n != 1 {
-		t.Errorf("partial chunk holds %d records after the ordering events, want 1", n)
+			res := p.Result()
+			want := Dep{Sink: ir.Loc{File: 1, Line: 4}, Type: RAW, Source: ir.Loc{File: 1, Line: 3},
+				SinkThr: -1, SrcThr: -1, CarriedBy: -1}
+			if opt.MT {
+				want.SinkThr, want.SrcThr = 2, 1
+			}
+			if res.Deps[want] != 1 {
+				t.Errorf("cross-thread RAW %+v not recorded once: %v", want, res.Deps)
+			}
+			if res.Races != 0 {
+				t.Errorf("%d dependences flagged reversed on an ordered stream", res.Races)
+			}
+		})
 	}
 }
 
@@ -401,7 +386,8 @@ func goroutinesSettleAt(want int) int {
 }
 
 // TestNoGoroutineOutlivesTheProfile: Result, and Stop after the target
-// panicked, leave no worker behind — for both pipeline kinds and both queues.
+// panicked, leave no worker behind — for both target kinds, both queues, and
+// the serial engine that MT alone selects.
 func TestNoGoroutineOutlivesTheProfile(t *testing.T) {
 	for _, opt := range []Options{
 		{Workers: 3, ChunkSize: 16, rebalanceInterval: 5},
@@ -441,9 +427,9 @@ func TestNoGoroutineOutlivesTheProfile(t *testing.T) {
 
 // TestProfileStopsWorkersOnFault: Profile of a target that faults at run time
 // stops the worker pipeline before the fault reaches its caller — nobody
-// holds the Profiler to call Stop on — for both pipeline kinds.
+// holds the Profiler to call Stop on — for both target kinds.
 func TestProfileStopsWorkersOnFault(t *testing.T) {
-	for _, opt := range []Options{{Workers: 2}, {MT: true}} {
+	for _, opt := range []Options{{Workers: 2}, {MT: true, Workers: 2}} {
 		before := runtime.NumGoroutine()
 		func() {
 			defer func() {
@@ -477,12 +463,12 @@ func (s *faultyStore) Cell(addr uint64) *sig.Cell {
 	return s.mapStore.Cell(addr)
 }
 
-// TestWorkerPanicReachesTheCaller: a panic on a worker goroutine of either
-// pipeline kind is recovered there and re-raised, as the same value, on the
-// goroutine that feeds the profiler — in ProcessBatch at a chunk hand-over or
-// a barrier when there is one after the fault, else in Result. The failed
-// worker keeps taking chunks, so the run neither hangs nor dies; Stop returns
-// and no goroutine outlives it.
+// TestWorkerPanicReachesTheCaller: a panic on a worker goroutine, for a
+// sequential or a multi-threaded target, is recovered there and re-raised, as
+// the same value, on the goroutine that feeds the profiler — in ProcessBatch
+// at a chunk hand-over when there is one after the fault, else in Result. The
+// failed worker keeps taking chunks, so the run neither hangs nor dies; Stop
+// returns and no goroutine outlives it.
 func TestWorkerPanicReachesTheCaller(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -494,7 +480,7 @@ func TestWorkerPanicReachesTheCaller(t *testing.T) {
 		{"workers2/balancing", Options{Workers: 2, ChunkSize: 16, rebalanceInterval: 5}, "CG", 5000},
 		{"workers2/locked", Options{Workers: 2, UseLocked: true, ChunkSize: 16}, "CG", 100},
 		{"mt/early", Options{MT: true, Workers: 2, ChunkSize: 16}, "md5-mt", 100},
-		{"mt/default", Options{MT: true}, "md5-mt", 3000},
+		{"mt/default", Options{MT: true, Workers: 4}, "md5-mt", 3000},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			before := runtime.NumGoroutine()

@@ -37,9 +37,9 @@ type Options struct {
 	// UseLocked replaces the lock-free queues with mutex-protected ones —
 	// the lock-based baseline of Figure 2.9.
 	UseLocked bool
-	// MT profiles a multi-threaded target (Section 2.3.4): always through
-	// the worker pipeline (Workers == 0 means 4), with thread IDs on every
-	// dependence, lock/unlock/thread-end as barriers, and no redistribution.
+	// MT profiles a multi-threaded target (Section 2.3.4): every dependence
+	// carries the thread IDs of its source and sink. It changes nothing
+	// else; Workers selects the engine as for a sequential target.
 	MT bool
 	// ChunkSize is the number of 32-byte access records per chunk (default
 	// 1024, i.e. 32 KB handed to a worker at a time).
@@ -100,7 +100,7 @@ type Profiler struct {
 	// of engP/engS/pipe is non-nil.
 	engP *engine[sig.Perfect, *sig.Perfect]
 	engS *engine[sig.Signature, *sig.Signature]
-	pipe *pipeline // Options.Workers > 0 or Options.MT
+	pipe *pipeline // Options.Workers > 0
 
 	stopped bool
 	dumps   []engineDump
@@ -150,7 +150,7 @@ func newProfiler(m *ir.Module, opt Options) *Profiler {
 // engine: the worker pipeline if the options select one, or else the serial
 // engine it returns for the caller to hold by its concrete type.
 func attach[S any, PS storeOps[S]](p *Profiler, mk func(nshares int) S) *engine[S, PS] {
-	if p.opt.MT || p.opt.Workers > 0 {
+	if p.opt.Workers > 0 {
 		p.pipe = newPipeline[S, PS](p, mk)
 		return nil
 	}
@@ -299,7 +299,7 @@ func (p *Profiler) controlEv(m *ir.Module, ev *interp.Ev) {
 // unwinds with a panic and no result will be produced — otherwise the
 // pipeline workers' spin loops outlive the run and burn CPU for the rest
 // of the process. Stop itself never panics: a panic on a worker goroutine is
-// re-raised by ProcessBatch (at the next chunk hand-over or barrier) or by
+// re-raised by ProcessBatch (at the next chunk hand-over) or by
 // Result, on their caller's goroutine.
 func (p *Profiler) Stop() { p.stop() }
 
