@@ -139,7 +139,7 @@ var _ = discovery.Sequential // documentation anchor
 func localSim(s *discovery.Suggestion, threads int) float64 {
 	switch s.Kind {
 	case discovery.DOALL, discovery.DOALLReduction, discovery.SPMDTask:
-		return sched.DOALLSpeedup(s.Iters, s.Weight/float64(max64(s.Iters, 1)), threads, 0.02)
+		return sched.DOALLSpeedup(s.Iters, s.Weight/float64(max(s.Iters, 1)), threads, 0.02)
 	case discovery.DOACROSS:
 		var seqW, parW float64
 		for _, c := range s.SeqStage {
@@ -158,7 +158,7 @@ func localSim(s *discovery.Suggestion, threads int) float64 {
 		frac := seqW / (seqW + parW)
 		amdahl := 1 / (frac + (1-frac)/float64(threads))
 		pipe := sched.PipelineSpeedup([]float64{seqW + 1, parW + 1}, []bool{true, false},
-			max64(s.Iters, 1), threads)
+			max(s.Iters, 1), threads)
 		if amdahl > pipe {
 			return amdahl
 		}
@@ -175,13 +175,6 @@ func localSim(s *discovery.Suggestion, threads int) float64 {
 		return sched.TaskGraphSpeedup(tasks, threads)
 	}
 	return 1
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Table4_3 lists the ranked suggestions for the histogram program.

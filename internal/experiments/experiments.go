@@ -422,10 +422,3 @@ func pct(a, b int64) float64 {
 	}
 	return 100 * float64(a) / float64(b)
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -56,7 +56,7 @@ func Extract(m *ir.Module, sc *ir.Scope, res *profiler.Result) []Sample {
 		}
 		var v Vector
 		v[0] = float64(re.Iters)
-		v[1] = float64(re.Instrs) / float64(max64(re.Iters, 1))
+		v[1] = float64(re.Instrs) / float64(max(re.Iters, 1))
 		if total > 0 {
 			v[2] = float64(re.Instrs) / total
 		}
@@ -151,13 +151,6 @@ func hasCalls(r *ir.Region) bool {
 		}
 	})
 	return found
-}
-
-func max64(a, b int64) int64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // Label fills the DOALL and Pragma fields from ground truth.

@@ -1,8 +1,8 @@
 // Package obs is the dependency-free observability layer of the analysis
 // fleet: a per-job span recorder, wire/export formats for the resulting
 // trace (Chrome trace-event JSON for Perfetto/about:tracing, indented
-// text for terminals), and a hand-encoded pprof profile.proto writer (and
-// strict reader) for per-workload execution-effort profiles.
+// text for terminals), and a hand-encoded pprof profile.proto writer for
+// per-workload execution-effort profiles (`go tool pprof` reads them).
 //
 // The span model is deliberately small. A job produces one Trace: a flat
 // slice of Spans with parent links (indexes into the slice, -1 for the

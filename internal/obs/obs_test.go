@@ -3,6 +3,10 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"os"
+	"os/exec"
+	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 	"time"
@@ -256,27 +260,24 @@ func TestPprofRoundTrip(t *testing.T) {
 	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
 		t.Fatalf("profile is not gzipped (leading bytes % x)", data[:2])
 	}
-	dec, err := DecodeLineProfile(data)
-	if err != nil {
-		t.Fatal(err)
+	got := pprofRaw(t, data)
+	if got.SampleType != "instructions/count" || got.PeriodType != "instructions count" {
+		t.Errorf("sample/period type = %s, %s; want instructions/count", got.SampleType, got.PeriodType)
 	}
-	if dec.SampleType != "instructions" || dec.Unit != "count" {
-		t.Errorf("sample type = %s/%s, want instructions/count", dec.SampleType, dec.Unit)
+	if got.Time != "1970-01-01 00:00:00.000000042 +0000 UTC" || got.Period != "1" {
+		t.Errorf("time/period = %s/%s, want 42 ns/1", got.Time, got.Period)
 	}
-	if dec.TimeNanos != 42 || dec.Period != 1 {
-		t.Errorf("time/period = %d/%d, want 42/1", dec.TimeNanos, dec.Period)
+	want := []rawLine{
+		{Value: 7500, Func: "assign", Loc: "kmeans.c:30"},
+		{Value: 900, Func: "dist", Loc: "util.c:4"},
+		{Value: 100, Func: "main", Loc: "kmeans.c:12"},
 	}
-	want := []DecodedLine{
-		{File: "kmeans.c", Line: 30, Func: "assign", Value: 7500},
-		{File: "util.c", Line: 4, Func: "dist", Value: 900},
-		{File: "kmeans.c", Line: 12, Func: "main", Value: 100},
-	}
-	if len(dec.Lines) != len(want) {
-		t.Fatalf("decoded %d lines, want %d: %+v", len(dec.Lines), len(want), dec.Lines)
+	if len(got.Lines) != len(want) {
+		t.Fatalf("decoded %d lines, want %d: %+v", len(got.Lines), len(want), got.Lines)
 	}
 	for i, w := range want {
-		if dec.Lines[i] != w {
-			t.Errorf("line %d = %+v, want %+v", i, dec.Lines[i], w)
+		if got.Lines[i] != w {
+			t.Errorf("line %d = %+v, want %+v", i, got.Lines[i], w)
 		}
 	}
 }
@@ -306,7 +307,73 @@ func TestPprofRejectsEmptyType(t *testing.T) {
 	if _, err := EncodeLineProfile("", "count", nil, 0); err == nil {
 		t.Error("empty sample type accepted")
 	}
-	if _, err := DecodeLineProfile([]byte("not a profile")); err == nil {
-		t.Error("garbage accepted by the decoder")
+}
+
+// rawProfile is what `go tool pprof -raw` prints of a line profile.
+type rawProfile struct {
+	SampleType, PeriodType, Period, Time string
+	Lines                                []rawLine // in pprof's sample order
+}
+
+// rawLine is one sample resolved through its location; Loc is file:line.
+type rawLine struct {
+	Value     int64
+	Func, Loc string
+}
+
+// pprofRaw reads an encoded profile with `go tool pprof -raw`, the reader
+// scripts/serve-smoke.sh trusts too, so the encoder is checked against
+// code that is not ours.
+func pprofRaw(t *testing.T, data []byte) rawProfile {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "profile.pb.gz")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
 	}
+	cmd := exec.Command("go", "tool", "pprof", "-raw", "-symbolize=none", path)
+	cmd.Env = append(os.Environ(), "TZ=UTC")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go tool pprof -raw: %v", err)
+	}
+	var p rawProfile
+	var ids []string
+	locs := map[string]rawLine{}
+	section := ""
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		key, val, _ := strings.Cut(line, ": ")
+		switch {
+		case len(f) == 0:
+		case line == "Samples:" || line == "Locations" || line == "Mappings":
+			section = line
+		case key == "PeriodType":
+			p.PeriodType = val
+		case key == "Period":
+			p.Period = val
+		case key == "Time":
+			p.Time = val
+		case section == "Samples:" && p.SampleType == "":
+			p.SampleType = line
+		case section == "Samples:" && len(f) == 2: // "value: locid"
+			v, err := strconv.ParseInt(strings.TrimSuffix(f[0], ":"), 10, 64)
+			if err != nil {
+				t.Fatalf("pprof sample %q: %v", line, err)
+			}
+			p.Lines = append(p.Lines, rawLine{Value: v})
+			ids = append(ids, f[1])
+		case section == "Locations" && len(f) == 6: // "id: 0x0 M=1 func file:line:0 s=0"
+			locs[strings.TrimSuffix(f[0], ":")] = rawLine{Func: f[3], Loc: strings.TrimSuffix(f[4], ":0")}
+		case section != "Mappings":
+			t.Fatalf("unexpected pprof -raw line %q in:\n%s", line, out)
+		}
+	}
+	for i, id := range ids {
+		l, ok := locs[id]
+		if !ok {
+			t.Fatalf("sample %d names location %s, which pprof does not list", i, id)
+		}
+		p.Lines[i].Func, p.Lines[i].Loc = l.Func, l.Loc
+	}
+	return p
 }

@@ -1,7 +1,6 @@
 package profiler
 
 import (
-	"runtime"
 	"sync"
 
 	"discopop/internal/ir"
@@ -117,7 +116,7 @@ type depCell struct {
 }
 
 // depTable is the open-addressing accumulator: linear probing, grow at 3/4
-// load. It is single-writer (one per engine, one per merge shard).
+// load. It is single-writer (one per engine, one per DepShards shard).
 type depTable struct {
 	cells []depCell
 	n     int
@@ -184,80 +183,26 @@ func (t *depTable) each(fn func(hi, lo uint64, n int64)) {
 	}
 }
 
-// materialize unpacks the table into the public map form.
-func (t *depTable) materialize() map[Dep]int64 {
-	out := make(map[Dep]int64, t.n)
-	t.each(func(hi, lo uint64, n int64) {
-		out[unpackDep(hi, lo)] += n
-	})
-	return out
-}
-
-// depShardOf maps a packed dependence to its merge shard by sink location
+// depShardOf maps a packed dependence to its DepShards shard by sink location
 // (hi's upper half), so all variants of one sink line land in one shard.
 func depShardOf(hi uint64, nshards int) int {
 	h := (hi >> 32) * 0x9E3779B97F4A7C15
 	return int(h >> 33 % uint64(nshards))
 }
 
-// mergeShardThreshold is the total cell count below which Result merges
-// serially — spawning merge workers for a handful of dependences costs
-// more than it saves.
-const mergeShardThreshold = 1 << 12
-
-// mergeDepTables merges per-engine dependence tables into one map. Small
-// merges run serially; large ones are sharded by sink line across a worker
-// pool: each shard worker folds its slice of every engine's table into a
-// private packed table and materializes it, and the disjoint shard maps are
-// finally combined. The expensive work — probing, unpacking, map hashing —
-// runs fully in parallel; only the final disjoint copy is serial.
+// mergeDepTables merges the per-engine dependence tables into one map: the
+// paper's final merge of every thread-local map into the global one, run
+// once, serially, at the end of a run.
 func mergeDepTables(tables []*depTable) map[Dep]int64 {
 	total := 0
 	for _, t := range tables {
 		total += t.n
 	}
-	if len(tables) == 1 {
-		return tables[0].materialize()
-	}
-	if total < mergeShardThreshold {
-		out := make(map[Dep]int64, total)
-		for _, t := range tables {
-			t.each(func(hi, lo uint64, n int64) {
-				out[unpackDep(hi, lo)] += n
-			})
-		}
-		return out
-	}
-	nsh := runtime.GOMAXPROCS(0)
-	if nsh > 8 {
-		nsh = 8
-	}
-	if nsh < 2 {
-		nsh = 2
-	}
-	shardMaps := make([]map[Dep]int64, nsh)
-	var wg sync.WaitGroup
-	for s := 0; s < nsh; s++ {
-		wg.Add(1)
-		go func(s int) {
-			defer wg.Done()
-			local := newDepTable()
-			for _, t := range tables {
-				t.each(func(hi, lo uint64, n int64) {
-					if depShardOf(hi, nsh) == s {
-						local.add(hi, lo, n)
-					}
-				})
-			}
-			shardMaps[s] = local.materialize()
-		}(s)
-	}
-	wg.Wait()
 	out := make(map[Dep]int64, total)
-	for _, m := range shardMaps {
-		for d, n := range m {
-			out[d] = n
-		}
+	for _, t := range tables {
+		t.each(func(hi, lo uint64, n int64) {
+			out[unpackDep(hi, lo)] += n
+		})
 	}
 	return out
 }

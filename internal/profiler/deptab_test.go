@@ -103,17 +103,18 @@ func TestDepTableMatchesMapReference(t *testing.T) {
 		tab.add(hi, lo, n)
 		ref[d] += n
 	}
-	if got := tab.materialize(); !reflect.DeepEqual(got, ref) {
+	if got := mergeDepTables([]*depTable{&tab}); !reflect.DeepEqual(got, ref) {
 		t.Fatalf("materialized table diverges from map reference: %d vs %d entries",
 			len(got), len(ref))
 	}
 }
 
-// TestMergeDepTablesShardedMatchesSerial: the sharded merge path (forced
-// past the size threshold) must produce exactly the serial result.
+// TestMergeDepTablesShardedMatchesSerial checks the one merge (the
+// paper's final merge of every engine's table) against a reference summed
+// by hand in a plain map.
 func TestMergeDepTablesShardedMatchesSerial(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
-	pool := make([]Dep, mergeShardThreshold) // enough distinct deps to shard
+	pool := make([]Dep, 1<<12)
 	for i := range pool {
 		pool[i] = randomDep(rng)
 	}
@@ -130,15 +131,8 @@ func TestMergeDepTablesShardedMatchesSerial(t *testing.T) {
 			want[d]++
 		}
 	}
-	total := 0
-	for _, tab := range tables {
-		total += tab.n
-	}
-	if total < mergeShardThreshold {
-		t.Fatalf("test setup too small to exercise the sharded path: %d cells", total)
-	}
 	if got := mergeDepTables(tables); !reflect.DeepEqual(got, want) {
-		t.Fatalf("sharded merge diverges from reference: %d vs %d entries",
+		t.Fatalf("merge diverges from reference: %d vs %d entries",
 			len(got), len(want))
 	}
 }

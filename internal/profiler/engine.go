@@ -165,10 +165,6 @@ func (e *engine[S, PS]) dump() engineDump {
 	return engineDump{deps: &e.deps, stats: &e.stats, bytes: e.shadow().MemBytes()}
 }
 
-// depsMap materializes the packed dependence table (tests and single-engine
-// inspection).
-func (e *engine[S, PS]) depsMap() map[Dep]int64 { return e.deps.materialize() }
-
 func (e *engine[S, PS]) opIdx(op int32) int32 { return e.lay.index(op) }
 
 // depKey assembles the packed identity of a dependence of type t whose sink

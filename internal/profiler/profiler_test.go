@@ -93,7 +93,7 @@ func TestRaceFlagging(t *testing.T) {
 		{addr: 100, info: bytecode.PackSink(loc2, 1) | bytecode.SinkThread(3) | uint64(recLoad), ts: 10, op: 2, ctx: -1},
 	})
 	found := false
-	deps := e.depsMap()
+	deps := mergeDepTables([]*depTable{&e.deps})
 	for d := range deps {
 		if d.Type == RAW && d.Reversed {
 			found = true

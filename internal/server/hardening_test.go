@@ -168,6 +168,60 @@ func TestRateLimit429(t *testing.T) {
 	}
 }
 
+// TestProfileEndpointIsAdmitted: GET /v1/workloads/{name}/profile runs a
+// profile synchronously, so it is admitted like a submission: refused over
+// the submission rate and the instruction quota (which its own run debits),
+// its slot returned on a bad request, and refused with 503 while draining.
+func TestProfileEndpointIsAdmitted(t *testing.T) {
+	get := func(base, query string) *http.Response {
+		t.Helper()
+		resp, err := http.Get(base + "/v1/workloads/histogram/profile" + query)
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		return resp
+	}
+
+	_, ts := newTestServer(t, Config{Workers: 1, Quotas: Quotas{SubmitRate: 0.001, SubmitBurst: 1}})
+	if resp := get(ts.URL, ""); resp.StatusCode != http.StatusOK {
+		t.Fatalf("first profile: %d, want 200", resp.StatusCode)
+	}
+	resp := get(ts.URL, "")
+	if ra, err := strconv.Atoi(resp.Header.Get("Retry-After")); resp.StatusCode != http.StatusTooManyRequests || err != nil || ra < 1 {
+		t.Fatalf("second profile: %d, Retry-After %q; want 429 and a positive Retry-After",
+			resp.StatusCode, resp.Header.Get("Retry-After"))
+	}
+	if n := mustValue(t, scrape(t, ts.URL), "dp_jobs_rejected_total", metrics.L("reason", rejectRate)); n != 1 {
+		t.Fatalf("ratelimit rejections = %v, want 1", n)
+	}
+
+	// One histogram run overdraws 10 s of 1 statement per second; a bad
+	// request before it returns its in-flight slot.
+	_, ts = newTestServer(t, Config{Workers: 1, Quotas: Quotas{InstrRate: 1, MaxInflight: 1}})
+	for i, c := range []struct {
+		query string
+		want  int
+	}{{"?scale=x", http.StatusBadRequest}, {"", http.StatusOK}, {"", http.StatusTooManyRequests}} {
+		if resp := get(ts.URL, c.query); resp.StatusCode != c.want {
+			t.Fatalf("profile %d%s: %d, want %d", i, c.query, resp.StatusCode, c.want)
+		}
+	}
+	if n := mustValue(t, scrape(t, ts.URL), "dp_jobs_rejected_total", metrics.L("reason", rejectQuota)); n != 1 {
+		t.Fatalf("quota rejections = %v, want 1", n)
+	}
+
+	s, ts := newTestServer(t, Config{Workers: 1})
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	if err := s.Drain(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if resp := get(ts.URL, ""); resp.StatusCode != http.StatusServiceUnavailable {
+		t.Fatalf("profile while draining: %d, want 503", resp.StatusCode)
+	}
+}
+
 // TestModuleFootprintQuota rejects serialized-module payloads over the
 // per-submission byte quota with 429 under reason="quota", while a small
 // module on the same config passes.

@@ -193,7 +193,7 @@ func TestRejectedSubmissionLeavesNoRecord(t *testing.T) {
 // moves a job or report-memo counter.
 func TestProfileEndpointIsDeterministic(t *testing.T) {
 	_, ts := newTestServer(t, Config{Workers: 1})
-	get := func(name string) *obs.DecodedProfile {
+	get := func(name string) []byte {
 		resp, err := http.Get(ts.URL + "/v1/workloads/" + name + "/profile")
 		if err != nil {
 			t.Error(err)
@@ -205,13 +205,7 @@ func TestProfileEndpointIsDeterministic(t *testing.T) {
 			t.Errorf("GET %s profile: %d %v", name, resp.StatusCode, err)
 			return nil
 		}
-		p, err := obs.DecodeLineProfile(data)
-		if err != nil {
-			t.Error(err)
-			return nil
-		}
-		p.TimeNanos = 0 // the one field that is the request's, not the profile's
-		return p
+		return data
 	}
 	jobCounters := func(sc *metrics.Scrape) map[string]float64 {
 		out := map[string]float64{}
@@ -225,17 +219,22 @@ func TestProfileEndpointIsDeterministic(t *testing.T) {
 
 	before := jobCounters(scrape(t, ts.URL))
 	var wg sync.WaitGroup
-	var got [2]*obs.DecodedProfile
-	for i := range got {
+	var data [2][]byte
+	for i := range data {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			got[i] = get("kmeans")
+			data[i] = get("kmeans")
 		}()
 	}
 	wg.Wait()
-	if got[0] == nil || got[1] == nil {
+	if data[0] == nil || data[1] == nil {
 		t.FailNow()
+	}
+	var got [2]rawProfile
+	for i := range got {
+		got[i] = pprofRaw(t, data[i])
+		got[i].Time = "" // the one field that is the request's, not the profile's
 	}
 	if len(got[0].Lines) == 0 || !reflect.DeepEqual(got[0], got[1]) {
 		t.Errorf("concurrent GETs served different profiles:\n%+v\n%+v", got[0], got[1])

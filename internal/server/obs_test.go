@@ -5,12 +5,15 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"os"
+	"os/exec"
+	"path/filepath"
 	"runtime"
+	"strconv"
 	"strings"
 	"testing"
 
 	"discopop/internal/metrics"
-	"discopop/internal/obs"
 	"discopop/internal/profiler"
 	"discopop/internal/workloads"
 )
@@ -276,12 +279,9 @@ func TestWorkloadProfileEndpoint(t *testing.T) {
 	if len(data) < 2 || data[0] != 0x1f || data[1] != 0x8b {
 		t.Fatalf("profile is not gzipped (% x)", data[:min(len(data), 2)])
 	}
-	dec, err := obs.DecodeLineProfile(data)
-	if err != nil {
-		t.Fatalf("profile does not decode: %v", err)
-	}
-	if dec.SampleType != "instructions" || dec.Unit != "count" {
-		t.Errorf("sample type %s/%s, want instructions/count", dec.SampleType, dec.Unit)
+	dec := pprofRaw(t, data)
+	if dec.SampleType != "instructions/count" {
+		t.Errorf("sample type %s, want instructions/count", dec.SampleType)
 	}
 	if len(dec.Lines) == 0 {
 		t.Fatal("profile has no samples")
@@ -303,7 +303,7 @@ func TestWorkloadProfileEndpoint(t *testing.T) {
 		t.Errorf("top line value %d, want the profiler's hottest line %d",
 			dec.Lines[0].Value, wantTop)
 	}
-	if dec.Lines[0].File == "" || dec.Lines[0].Func == "" {
+	if dec.Lines[0].Loc == "" || dec.Lines[0].Func == "" {
 		t.Errorf("top line unresolved: %+v", dec.Lines[0])
 	}
 
@@ -342,4 +342,73 @@ func TestRuntimeMetrics(t *testing.T) {
 		metrics.L("goversion", runtime.Version())); v != 1 {
 		t.Errorf("dp_build_info = %v, want 1", v)
 	}
+}
+
+// rawProfile is what `go tool pprof -raw` prints of a line profile.
+type rawProfile struct {
+	SampleType, PeriodType, Period, Time string
+	Lines                                []rawLine // in pprof's sample order
+}
+
+// rawLine is one sample resolved through its location; Loc is file:line.
+type rawLine struct {
+	Value     int64
+	Func, Loc string
+}
+
+// pprofRaw reads an encoded profile with `go tool pprof -raw`, the reader
+// scripts/serve-smoke.sh trusts too, so the encoder is checked against
+// code that is not ours.
+func pprofRaw(t *testing.T, data []byte) rawProfile {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "profile.pb.gz")
+	if err := os.WriteFile(path, data, 0o600); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command("go", "tool", "pprof", "-raw", "-symbolize=none", path)
+	cmd.Env = append(os.Environ(), "TZ=UTC")
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("go tool pprof -raw: %v", err)
+	}
+	var p rawProfile
+	var ids []string
+	locs := map[string]rawLine{}
+	section := ""
+	for _, line := range strings.Split(string(out), "\n") {
+		f := strings.Fields(line)
+		key, val, _ := strings.Cut(line, ": ")
+		switch {
+		case len(f) == 0:
+		case line == "Samples:" || line == "Locations" || line == "Mappings":
+			section = line
+		case key == "PeriodType":
+			p.PeriodType = val
+		case key == "Period":
+			p.Period = val
+		case key == "Time":
+			p.Time = val
+		case section == "Samples:" && p.SampleType == "":
+			p.SampleType = line
+		case section == "Samples:" && len(f) == 2: // "value: locid"
+			v, err := strconv.ParseInt(strings.TrimSuffix(f[0], ":"), 10, 64)
+			if err != nil {
+				t.Fatalf("pprof sample %q: %v", line, err)
+			}
+			p.Lines = append(p.Lines, rawLine{Value: v})
+			ids = append(ids, f[1])
+		case section == "Locations" && len(f) == 6: // "id: 0x0 M=1 func file:line:0 s=0"
+			locs[strings.TrimSuffix(f[0], ":")] = rawLine{Func: f[3], Loc: strings.TrimSuffix(f[4], ":0")}
+		case section != "Mappings":
+			t.Fatalf("unexpected pprof -raw line %q in:\n%s", line, out)
+		}
+	}
+	for i, id := range ids {
+		l, ok := locs[id]
+		if !ok {
+			t.Fatalf("sample %d names location %s, which pprof does not list", i, id)
+		}
+		p.Lines[i].Func, p.Lines[i].Loc = l.Func, l.Loc
+	}
+	return p
 }

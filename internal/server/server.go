@@ -736,8 +736,31 @@ func (s *Server) handleJobTrace(w http.ResponseWriter, r *http.Request) {
 // loadable with `go tool pprof`. Every request runs the workload under the
 // profiler synchronously, with the options a registry job uses — workload
 // cost is bounded by maxWorkloadScale, the same cap the analyze path
-// relies on.
+// relies on. A request is admitted like a submission: refused while
+// draining and over the client's limits, and the instructions it ran
+// debit the client's budget.
 func (s *Server) handleWorkloadProfile(w http.ResponseWriter, r *http.Request) {
+	client := clientFrom(r.Context())
+	if s.draining.Load() {
+		s.reject(rejectDraining)
+		writeError(w, http.StatusServiceUnavailable, "draining")
+		return
+	}
+	if wait, reason, ok := s.limits.admit(client); !ok {
+		s.reject(reason)
+		w.Header().Set("Retry-After", strconv.Itoa(retryAfterSeconds(wait)))
+		writeError(w, http.StatusTooManyRequests,
+			"client %q over %s limit; retry later", client, reason)
+		return
+	}
+	// The admitted slot settles with the run's instructions; every exit
+	// before the run finishes returns it here.
+	settled := false
+	defer func() {
+		if !settled {
+			s.limits.release(client)
+		}
+	}()
 	scale := 1
 	if spec := r.URL.Query().Get("scale"); spec != "" {
 		n, err := strconv.Atoi(spec)
@@ -762,6 +785,8 @@ func (s *Server) handleWorkloadProfile(w http.ResponseWriter, r *http.Request) {
 		writeError(w, http.StatusInternalServerError, "profile: %v", err)
 		return
 	}
+	s.limits.finish(client, run.Instrs)
+	settled = true
 	data, err := obs.EncodeLineProfile("instructions", "count",
 		obs.ModuleLineSamples(prog.M, run.Result.Lines), time.Now().UnixNano())
 	if err != nil {

@@ -34,7 +34,6 @@ var unreadAllowed = map[string]string{
 	"ir.Shr":                "IR constructor, kept so every binary operator has one",
 	"ir.CallV":              "IR constructor, kept so a call can sit inside an expression",
 	"journal.Replay":        "replay of a byte slice, the entry FuzzJournalReplay and the corruption tests drive",
-	"obs.DecodeLineProfile": "strict reader of the encoded line profile, kept for region-stack samples",
 	"profiler.ParseDepFile": "reader the dependence-file round-trip tests check the writer with",
 	"profiler.CoarseSet":    "the coarse dependence tuples those round-trip tests compare",
 	"sig.EstimateFPR":       "Formula 2.2, the value a test compares signature occupancy against",
@@ -57,14 +56,6 @@ var unreadAllowed = map[string]string{
 	"metrics.Scrape.Value":        "the sample lookup the exposition round-trip and rejection-counter tests read with",
 	"pipeline.Report.Mod":         "the report's authoritative module, which the profile-cache and fleet tests check identity against",
 	"profiler.DepShards.Snapshot": "the map the DepShards merge tests compare; DepShards has only bench/ as reader (ROADMAP item 10)",
-
-	"obs.DecodedLine.File":         "a field of DecodeLineProfile's result, kept with it",
-	"obs.DecodedLine.Func":         "a field of DecodeLineProfile's result, kept with it",
-	"obs.DecodedLine.Line":         "a field of DecodeLineProfile's result, kept with it",
-	"obs.DecodedLine.Value":        "a field of DecodeLineProfile's result, kept with it",
-	"obs.DecodedProfile.Period":    "a field of DecodeLineProfile's result, kept with it",
-	"obs.DecodedProfile.TimeNanos": "a field of DecodeLineProfile's result, kept with it",
-	"obs.DecodedProfile.Unit":      "a field of DecodeLineProfile's result, kept with it",
 
 	"pipeline.Options.CacheKey": "ignored, and only bench/ sets it (ROADMAP item 10)",
 }
